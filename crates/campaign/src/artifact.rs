@@ -31,9 +31,10 @@ const HEADER_LEN: usize = 4 + 1 + 8 + 8;
 
 /// Filesystem store for content-addressed compiled artifacts.
 ///
-/// Safe to share between concurrent processes: writes are atomic renames,
-/// and because keys are content hashes, two processes racing to publish
-/// the same key write identical bytes.
+/// Safe to share between concurrent threads and processes: every write
+/// goes through its own temp file and an atomic rename, and because keys
+/// are content hashes, two writers racing to publish the same key write
+/// identical bytes.
 ///
 /// # Examples
 ///
@@ -44,7 +45,7 @@ const HEADER_LEN: usize = 4 + 1 + 8 + 8;
 /// let store = ArtifactStore::open(&dir);
 /// let key = ContentHash(0x1234);
 /// assert!(store.load(key).is_none());
-/// store.save(key, b"compiled bytes");
+/// store.save(key, b"compiled bytes").unwrap();
 /// assert_eq!(store.load(key).as_deref(), Some(&b"compiled bytes"[..]));
 /// # std::fs::remove_dir_all(&dir).ok();
 /// ```
@@ -80,18 +81,26 @@ impl ArtifactStore {
 
     /// Persists `payload` under `key` (atomic tmp + rename).
     ///
-    /// # Panics
+    /// A cache is an optimization, so a failed write must not stop the
+    /// work it would have sped up: the failure is counted in the
+    /// `plan.cache_write_errors` metric and returned, and callers may
+    /// carry on without it.
     ///
-    /// Panics when the file cannot be written — cache *writes* failing
-    /// loudly beats silently never caching.
-    pub fn save(&self, key: ContentHash, payload: &[u8]) {
+    /// # Errors
+    ///
+    /// The I/O error of the failed write.
+    pub fn save(&self, key: ContentHash, payload: &[u8]) -> std::io::Result<()> {
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         bytes.extend_from_slice(&MAGIC);
         bytes.push(VERSION);
         bytes.extend_from_slice(&fnv64(payload).to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(payload);
-        write_file_atomic(&self.path_of(key), &bytes);
+        let written = write_file_atomic(&self.path_of(key), &bytes);
+        if written.is_err() {
+            rescue_telemetry::metrics::counter("plan.cache_write_errors").incr();
+        }
+        written
     }
 
     /// Returns the payload stored under `key`, or `None` when the key is
@@ -152,15 +161,15 @@ mod tests {
         let key = ContentHash(42);
         assert!(store.load(key).is_none());
         assert!(!store.contains(key));
-        store.save(key, b"payload");
+        store.save(key, b"payload").unwrap();
         assert!(store.contains(key));
         assert_eq!(store.load(key).as_deref(), Some(&b"payload"[..]));
         // Overwrite with different bytes (same key) is last-write-wins.
-        store.save(key, b"other");
+        store.save(key, b"other").unwrap();
         assert_eq!(store.load(key).as_deref(), Some(&b"other"[..]));
         // Empty payloads are valid artifacts.
         let empty = ContentHash(7);
-        store.save(empty, b"");
+        store.save(empty, b"").unwrap();
         assert_eq!(store.load(empty).as_deref(), Some(&b""[..]));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -170,7 +179,7 @@ mod tests {
         let dir = scratch_dir("corrupt");
         let store = ArtifactStore::open(&dir);
         let key = ContentHash(9);
-        store.save(key, b"good bytes");
+        store.save(key, b"good bytes").unwrap();
         let path = store.dir().join(format!("{key}.art"));
 
         // Flip one payload byte: checksum mismatch.
@@ -186,15 +195,38 @@ mod tests {
         assert!(!path.exists());
 
         // Wrong version.
-        store.save(key, b"good bytes");
+        store.save(key, b"good bytes").unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[4] = 0xee;
         std::fs::write(&path, &bytes).unwrap();
         assert!(store.load(key).is_none());
 
         // A fresh save repopulates.
-        store.save(key, b"good bytes");
+        store.save(key, b"good bytes").unwrap();
         assert_eq!(store.load(key).as_deref(), Some(&b"good bytes"[..]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_publishers_of_one_key_never_collide() {
+        let dir = scratch_dir("race");
+        let store = ArtifactStore::open(&dir);
+        let key = ContentHash(0xace);
+        let payload = vec![0x5a_u8; 64 << 10];
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..100 {
+                        store.save(key, &payload).expect("racing save");
+                    }
+                });
+            }
+        });
+        assert_eq!(store.load(key).as_deref(), Some(&payload[..]));
+        let leftovers = std::fs::read_dir(store.dir()).unwrap().count();
+        assert_eq!(leftovers, 1, "temp files must not outlive their rename");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -28,6 +28,7 @@ use rescue_telemetry::metrics;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -514,18 +515,28 @@ impl FsStore {
 /// Writes `bytes` to `path` via a sibling temp file + atomic rename, so
 /// readers (and crashed writers) never observe a torn file.
 ///
-/// # Panics
+/// The temp name is unique per call (pid + a process-wide counter), so
+/// concurrent writers of the same path — threads or processes — never
+/// share a temp file; the last rename wins.
 ///
-/// Panics when the temp file cannot be written or renamed.
-pub fn write_file_atomic(path: &Path, bytes: &[u8]) {
+/// # Errors
+///
+/// The I/O error when the temp file cannot be written or renamed (the
+/// temp file is removed).
+pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let stem = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "file".to_string());
-    let tmp = dir.join(format!(".{stem}.tmp-{}", std::process::id()));
-    std::fs::write(&tmp, bytes).unwrap_or_else(|e| panic!("write {tmp:?}: {e}"));
-    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {tmp:?} -> {path:?}: {e}"));
+    let seq = WRITES.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{stem}.tmp-{}-{seq}", std::process::id()));
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 impl ResultStore for FsStore {
@@ -547,7 +558,9 @@ impl ResultStore for FsStore {
 
     fn put(&self, id: ContentHash, record: &UnitRecord) {
         store_metrics().puts.incr();
-        write_file_atomic(&self.unit_path(id), &record.encode());
+        let path = self.unit_path(id);
+        write_file_atomic(&path, &record.encode())
+            .unwrap_or_else(|e| panic!("write unit record {path:?}: {e}"));
         let claim = self.claim_path(id);
         // Claim-to-publish latency from the claim file's age; the extra
         // stat is only paid while telemetry records anything.
@@ -574,6 +587,15 @@ impl ResultStore for FsStore {
             .open(&claim)
         {
             Ok(mut f) => {
+                // The owner publishes the record before it drops the
+                // claim, so a unit finished between the check above and
+                // this create is visible now: take it as done instead of
+                // executing it twice.
+                if self.unit_path(id).exists() {
+                    drop(f);
+                    let _ = std::fs::remove_file(&claim);
+                    return ClaimOutcome::Done;
+                }
                 use std::io::Write as _;
                 let _ = writeln!(f, "pid {}", std::process::id());
                 store_metrics().claims.incr();
@@ -865,7 +887,7 @@ mod tests {
     fn fs_store_corrupt_record_reads_as_missing_and_is_dropped() {
         let store = temp_store("corrupt");
         let id = ContentHash(0xbad);
-        write_file_atomic(&store.unit_path(id), b"RSCU torn garbage");
+        write_file_atomic(&store.unit_path(id), b"RSCU torn garbage").unwrap();
         assert_eq!(store.get(id), None, "corrupt record is not a result");
         assert!(
             !store.unit_path(id).exists(),

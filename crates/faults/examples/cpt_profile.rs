@@ -53,13 +53,8 @@ fn main() {
     let sites: std::collections::HashSet<usize> =
         walk.iter().map(|f| f.site().gate().index()).collect();
     println!("distinct sites: {}", sites.len());
-    let mut cone_total = 0usize;
-    let mut obs_cone_total = 0usize;
-    for &s in &sites {
-        cone_total += plan.cone_of(s).unwrap().len();
-        obs_cone_total += plan.obs_cone_of(s).unwrap().len();
-    }
-    println!("cone gates total: {cone_total}, obs-restricted: {obs_cone_total}");
+    let cone_total: usize = sites.iter().map(|&s| plan.cone_of(s).unwrap().len()).sum();
+    println!("cone gates total: {cone_total}");
     let t = Instant::now();
     let tplan = TracePlan::build(c, &walk);
     println!(

@@ -37,20 +37,24 @@
 //!   then `O & excitation`, where the excitation word (lanes on which
 //!   the fault actually flips the root) is one gate evaluation at most.
 //!   sa0, sa1 and all pin faults of a site share a single walk.
-//! * **Event-driven walk** — the walk stamps the fanout of each changed
-//!   gate and skips unstamped cone members in O(1) instead of
-//!   re-evaluating them (on large cones almost all evaluations are
-//!   skipped: typical walks change ~a dozen gates in a 500-gate cone).
+//! * **Levelized event queue** — the walk needs no memoized cone. It
+//!   pushes the fanouts of each changed gate into per-level buckets and
+//!   drains the levels in ascending order, so it evaluates only gates
+//!   with a changed fanin (typical walks change ~a dozen gates in a
+//!   500-gate cone). Levels strictly increase along combinational
+//!   edges, so every gate is evaluated after all of its changed fanins
+//!   — the same values as a topological cone scan.
 //! * **Static observability pruning** — a site whose cone contains no
 //!   primary output can never be detected; its faults are answered with
 //!   `0` without any walk ([`CampaignPlan::observable`]). The same
-//!   reverse-topological PO-reachability sweep also restricts every
-//!   walk order to PO-reachable cone members
-//!   ([`CampaignPlan::obs_cone_of`]): gates that cannot reach an output
-//!   cannot feed one either, so the walk never visits them.
+//!   reverse-topological PO-reachability sweep also keeps unobservable
+//!   gates out of the event queue: gates that cannot reach an output
+//!   cannot feed one either.
 //!
-//! Equivalence with [`CampaignPlan::detect`] (the scalar oracle) is
-//! enforced by property tests in `tests/ppsfp_equivalence.rs`.
+//! The walking engine and the stem fallback of the tracing hybrid
+//! ([`crate::trace`]) share this one walk. Equivalence with
+//! [`CampaignPlan::detect`] (the scalar oracle) is enforced by property
+//! tests in `tests/ppsfp_equivalence.rs`.
 
 use crate::error::FaultError;
 use crate::model::{Fault, FaultSite};
@@ -66,7 +70,10 @@ use std::time::Instant;
 /// Memoized per-site fanout cones for one campaign's fault list.
 ///
 /// Built once per campaign ([`CampaignPlan::build`]) and shared read-only
-/// by all workers; the per-fault state lives in [`FaultScratch`].
+/// by all workers; the per-fault state lives in [`FaultScratch`]. The
+/// cones serve the scalar [`CampaignPlan::detect`] /
+/// [`CampaignPlan::detect_observed`] walks; the packed path reads only
+/// the root index and the PO-reachability bitmap.
 ///
 /// `PartialEq` compares every CSR byte-for-byte — the equivalence
 /// proptests use it to pin parallel and cache-reloaded builds to the
@@ -84,12 +91,6 @@ pub struct CampaignPlan {
     /// gate itself) contains a primary output — computed for every gate
     /// in one reverse-topological sweep at build time.
     observable: Vec<bool>,
-    /// Concatenated PO-reachable restrictions of the cones: the members
-    /// `m` with `observable[m]`, same order and indexing as
-    /// `cone_offsets`. Only these gates can influence a primary output,
-    /// so the packed observability walk evaluates nothing else.
-    obs_cone_offsets: Vec<u32>,
-    obs_cone_gates: Vec<u32>,
 }
 
 /// PO-reachability for every gate in one reverse-topological sweep: a
@@ -221,7 +222,7 @@ pub fn ensure_plan_capacity(entries: usize) -> Result<(), FaultError> {
 }
 
 /// Version byte of the [`CampaignPlan::to_bytes`] wire format.
-const PLAN_WIRE_VERSION: u8 = 1;
+const PLAN_WIRE_VERSION: u8 = 2;
 
 /// Per-worker DFS buffers for cone construction.
 struct ConeScratch {
@@ -230,35 +231,23 @@ struct ConeScratch {
     members: Vec<u32>,
 }
 
-/// One worker's contiguous share of the cone CSRs: entries concatenated
+/// One worker's contiguous share of the cone CSR: entries concatenated
 /// in root order with *relative* end offsets, stitched into absolute
 /// offsets by the (deterministic) reassembly pass.
 struct ConeChunk {
     gates: Vec<u32>,
     ends: Vec<u64>,
-    obs_gates: Vec<u32>,
-    obs_ends: Vec<u64>,
-    /// Cone sizes in root order, for the `fault.cone_size` histogram.
-    sizes: Vec<u64>,
 }
 
 /// Collects the (sorted, root-excluded) cone members of `root` into
-/// `keyed` as packed `(topo_pos << 32) | gate` keys. `restricted`
-/// confines the DFS to PO-reachable fanout edges and yields an empty
-/// cone for unobservable roots, exactly like the serial
-/// `build_observable` loop.
+/// `keyed` as packed `(topo_pos << 32) | gate` keys.
 fn cone_members_sorted(
     compiled: &CompiledNetlist,
-    observable: &[bool],
-    restricted: bool,
     root: usize,
     scratch: &mut ConeScratch,
     keyed: &mut Vec<u64>,
 ) {
     keyed.clear();
-    if restricted && !observable[root] {
-        return;
-    }
     let ConeScratch {
         seen,
         stack,
@@ -271,7 +260,7 @@ fn cone_members_sorted(
     while let Some(g) = stack.pop() {
         for &s in compiled.fanout_of(g as usize) {
             let si = s as usize;
-            if seen[si] || compiled.kind(si) == GateKind::Dff || (restricted && !observable[si]) {
+            if seen[si] || compiled.kind(si) == GateKind::Dff {
                 continue;
             }
             seen[si] = true;
@@ -298,12 +287,7 @@ fn cone_members_sorted(
 }
 
 /// Builds the cone CSR share for a contiguous slice of plan roots.
-fn build_cone_chunk(
-    compiled: &CompiledNetlist,
-    observable: &[bool],
-    restricted: bool,
-    roots: &[u32],
-) -> ConeChunk {
+fn build_cone_chunk(compiled: &CompiledNetlist, roots: &[u32]) -> ConeChunk {
     let mut scratch = ConeScratch {
         seen: vec![false; compiled.len()],
         stack: Vec::new(),
@@ -313,38 +297,11 @@ fn build_cone_chunk(
     let mut chunk = ConeChunk {
         gates: Vec::new(),
         ends: Vec::with_capacity(roots.len()),
-        obs_gates: Vec::new(),
-        obs_ends: Vec::with_capacity(roots.len()),
-        sizes: Vec::with_capacity(roots.len()),
     };
     for &root in roots {
-        cone_members_sorted(
-            compiled,
-            observable,
-            restricted,
-            root as usize,
-            &mut scratch,
-            &mut keyed,
-        );
-        chunk.sizes.push(keyed.len() as u64);
+        cone_members_sorted(compiled, root as usize, &mut scratch, &mut keyed);
         chunk.gates.extend(keyed.iter().map(|&k| k as u32));
         chunk.ends.push(chunk.gates.len() as u64);
-        if restricted {
-            // Both CSRs alias the restriction (see `build_observable`).
-            chunk.obs_gates.extend(keyed.iter().map(|&k| k as u32));
-        } else {
-            // PO-reachable restriction: unobservable gates feed only
-            // unobservable gates (an edge into an observable gate would
-            // make its source observable), so dropping them from the
-            // walk order changes no observable gate's value.
-            chunk.obs_gates.extend(
-                keyed
-                    .iter()
-                    .map(|&k| k as u32)
-                    .filter(|&g| observable[g as usize]),
-            );
-        }
-        chunk.obs_ends.push(chunk.obs_gates.len() as u64);
     }
     chunk
 }
@@ -360,7 +317,6 @@ fn build_plan_impl(
     compiled: &CompiledNetlist,
     faults: &[Fault],
     workers: usize,
-    restricted: bool,
 ) -> Result<CampaignPlan, FaultError> {
     let w = workers.max(1);
     let _span = span!("plan.build", faults = faults.len());
@@ -380,15 +336,12 @@ fn build_plan_impl(
     let shards = w.min(roots.len()).max(1);
     let chunk_len = roots.len().div_ceil(shards).max(1);
     let chunks: Vec<ConeChunk> = if shards == 1 {
-        vec![build_cone_chunk(compiled, &observable, restricted, &roots)]
+        vec![build_cone_chunk(compiled, &roots)]
     } else {
-        let observable = &observable;
         std::thread::scope(|s| {
             let handles: Vec<_> = roots
                 .chunks(chunk_len)
-                .map(|slice| {
-                    s.spawn(move || build_cone_chunk(compiled, observable, restricted, slice))
-                })
+                .map(|slice| s.spawn(move || build_cone_chunk(compiled, slice)))
                 .collect();
             handles
                 .into_iter()
@@ -397,19 +350,14 @@ fn build_plan_impl(
         })
     };
     let total: usize = chunks.iter().map(|c| c.gates.len()).sum();
-    let obs_total: usize = chunks.iter().map(|c| c.obs_gates.len()).sum();
     ensure_plan_capacity(total)?;
-    ensure_plan_capacity(obs_total)?;
     let mut plan = CampaignPlan {
         cone_index,
         cone_offsets: Vec::with_capacity(roots.len() + 1),
         cone_gates: Vec::with_capacity(total),
         observable,
-        obs_cone_offsets: Vec::with_capacity(roots.len() + 1),
-        obs_cone_gates: Vec::with_capacity(obs_total),
     };
     plan.cone_offsets.push(0);
-    plan.obs_cone_offsets.push(0);
     // Cone sizes feed the `fault.cone_size` histogram: build is cold
     // (once per campaign), so recording per cone here costs nothing on
     // the per-fault hot path.
@@ -417,20 +365,15 @@ fn build_plan_impl(
         .then(|| metrics::histogram("fault.cone_size", &metrics::pow2_bounds(16)));
     for chunk in &chunks {
         let base = plan.cone_gates.len() as u64;
+        let mut start = 0u64;
         for &end in &chunk.ends {
             plan.cone_offsets.push((base + end) as u32);
+            if let Some(hist) = &cone_hist {
+                hist.record(end - start);
+            }
+            start = end;
         }
         plan.cone_gates.extend_from_slice(&chunk.gates);
-        let obs_base = plan.obs_cone_gates.len() as u64;
-        for &end in &chunk.obs_ends {
-            plan.obs_cone_offsets.push((obs_base + end) as u32);
-        }
-        plan.obs_cone_gates.extend_from_slice(&chunk.obs_gates);
-        if let Some(hist) = &cone_hist {
-            for &sz in &chunk.sizes {
-                hist.record(sz);
-            }
-        }
     }
     if rescue_telemetry::enabled() {
         metrics::histogram("plan.build_ms", &metrics::pow2_bounds(16))
@@ -471,82 +414,27 @@ impl CampaignPlan {
         faults: &[Fault],
         workers: usize,
     ) -> Result<Self, FaultError> {
-        build_plan_impl(compiled, faults, workers, false)
-    }
-
-    /// [`CampaignPlan::build`] restricted to the PO-reachable region:
-    /// cones are discovered by DFS over *observable* fanout edges only,
-    /// so a site buried in a large structurally-dead region costs
-    /// nothing, and the full-cone CSR is never materialized (on a 50k
-    /// gate design with few outputs the full cones run to tens of
-    /// millions of entries while the observable restriction is a few
-    /// tens of thousands — the difference dominates campaign setup).
-    ///
-    /// Exact for the packed paths: the restricted DFS reaches exactly
-    /// the observable members of the full cone (every vertex on a path
-    /// from the root to an observable gate is itself observable), which
-    /// is precisely the set [`CampaignPlan::obs_cone_of`] walks. Both
-    /// cone CSRs alias the restriction, so the scalar
-    /// [`CampaignPlan::detect`] stays exact too — unobservable gates
-    /// feed only unobservable gates, and the mask is sampled at primary
-    /// outputs — but [`CampaignPlan::cone_of`] then reports the
-    /// restriction, not the full cone.
-    ///
-    /// Unobservable roots are planned with an empty cone (their faults
-    /// answer `0` through the [`CampaignPlan::observable`] prefilter,
-    /// identical to [`CampaignPlan::build`]).
-    pub fn build_observable(compiled: &CompiledNetlist, faults: &[Fault]) -> Self {
-        Self::build_observable_with(compiled, faults, 1)
-    }
-
-    /// [`CampaignPlan::build_observable`] sharded across `workers`
-    /// threads; bit-identical to the serial build for any worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan exceeds its `u32` offset capacity (use
-    /// [`CampaignPlan::try_build_observable_with`] for the typed error).
-    pub fn build_observable_with(
-        compiled: &CompiledNetlist,
-        faults: &[Fault],
-        workers: usize,
-    ) -> Self {
-        Self::try_build_observable_with(compiled, faults, workers).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`CampaignPlan::build_observable_with`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::PlanTooLarge`] when the cone CSR outgrows its `u32`
-    /// offset arena.
-    pub fn try_build_observable_with(
-        compiled: &CompiledNetlist,
-        faults: &[Fault],
-        workers: usize,
-    ) -> Result<Self, FaultError> {
-        build_plan_impl(compiled, faults, workers, true)
+        build_plan_impl(compiled, faults, workers)
     }
 
     /// Serializes the plan for the compiled-artifact cache
     /// (little-endian, versioned; see `rescue_sim::codec`).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(
-            32 + 4 * (self.cone_index.len() + self.cone_gates.len() + self.obs_cone_gates.len()),
-        );
+        let mut buf = Vec::with_capacity(32 + 4 * (self.cone_index.len() + self.cone_gates.len()));
         buf.push(PLAN_WIRE_VERSION);
         put_u32s(&mut buf, &self.cone_index);
         put_u32s(&mut buf, &self.cone_offsets);
         put_u32s(&mut buf, &self.cone_gates);
-        put_u32s(&mut buf, &self.obs_cone_offsets);
-        put_u32s(&mut buf, &self.obs_cone_gates);
         put_bits(&mut buf, &self.observable);
         buf
     }
 
     /// Deserializes [`CampaignPlan::to_bytes`] output. Returns `None` on
     /// version mismatch or malformed input — a corrupt cache entry must
-    /// fall back to rebuilding, never panic.
+    /// fall back to rebuilding, never panic. Beyond the array shapes it
+    /// checks that the offsets are monotone and that every root index
+    /// and cone gate stays inside the plan, so no accessor can index out
+    /// of bounds.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut off = 0usize;
         if *bytes.get(off)? != PLAN_WIRE_VERSION {
@@ -556,26 +444,30 @@ impl CampaignPlan {
         let cone_index = take_u32s(bytes, &mut off)?;
         let cone_offsets = take_u32s(bytes, &mut off)?;
         let cone_gates = take_u32s(bytes, &mut off)?;
-        let obs_cone_offsets = take_u32s(bytes, &mut off)?;
-        let obs_cone_gates = take_u32s(bytes, &mut off)?;
         let observable = take_bits(bytes, &mut off)?;
-        let shape_ok = off == bytes.len()
-            && observable.len() == cone_index.len()
-            && !cone_offsets.is_empty()
-            && cone_offsets.len() == obs_cone_offsets.len()
-            && *cone_offsets.last()? as usize == cone_gates.len()
-            && *obs_cone_offsets.last()? as usize == obs_cone_gates.len();
-        if !shape_ok {
-            return None;
-        }
-        Some(CampaignPlan {
+        let n = cone_index.len();
+        let roots = cone_offsets.len().checked_sub(1)?;
+        let ok = off == bytes.len()
+            && observable.len() == n
+            && cone_offsets[0] == 0
+            && cone_offsets.windows(2).all(|w| w[0] <= w[1])
+            && cone_offsets[roots] as usize == cone_gates.len()
+            && cone_gates.iter().all(|&g| (g as usize) < n)
+            && cone_index
+                .iter()
+                .all(|&i| i == u32::MAX || (i as usize) < roots);
+        ok.then_some(CampaignPlan {
             cone_index,
             cone_offsets,
             cone_gates,
             observable,
-            obs_cone_offsets,
-            obs_cone_gates,
         })
+    }
+
+    /// Whether this plan was built for a design of `compiled`'s size —
+    /// the check a cache reload runs before trusting decoded bytes.
+    pub fn validate(&self, compiled: &CompiledNetlist) -> bool {
+        self.cone_index.len() == compiled.len()
     }
 
     /// The memoized cone (topo-sorted, root excluded) for the site rooted
@@ -588,22 +480,6 @@ impl CampaignPlan {
         let lo = self.cone_offsets[idx as usize] as usize;
         let hi = self.cone_offsets[idx as usize + 1] as usize;
         Some(&self.cone_gates[lo..hi])
-    }
-
-    /// The PO-reachable restriction of [`CampaignPlan::cone_of`]: the
-    /// cone members whose own fanout cone contains a primary output, in
-    /// the same topological order. Unobservable gates feed only
-    /// unobservable gates, so resimulating just this subsequence yields
-    /// the same values on every member it contains as the full cone walk
-    /// — it is the exact gate set the packed observability walk visits.
-    pub fn obs_cone_of(&self, root: usize) -> Option<&[u32]> {
-        let idx = self.cone_index[root];
-        if idx == u32::MAX {
-            return None;
-        }
-        let lo = self.obs_cone_offsets[idx as usize] as usize;
-        let hi = self.obs_cone_offsets[idx as usize + 1] as usize;
-        Some(&self.obs_cone_gates[lo..hi])
     }
 
     /// Detection mask of `fault` over the chunk whose golden values are
@@ -704,14 +580,6 @@ impl CampaignPlan {
         self.cone_index[root] != u32::MAX
     }
 
-    /// The PO-reachability verdict of *any* gate (computed for the whole
-    /// design at build time, so unlike [`CampaignPlan::observable`] it
-    /// does not require `g` to be a plan root).
-    #[inline]
-    pub fn po_reachable_gate(&self, g: usize) -> bool {
-        self.observable[g]
-    }
-
     /// Excitation word of `fault`: the patterns (bit `p`) on which the
     /// fault flips its root gate's output away from golden. At most one
     /// gate evaluation (pin faults); output faults are a compare.
@@ -744,27 +612,14 @@ impl CampaignPlan {
     /// Observability word of `root` over the chunk whose golden values
     /// are `golden`: bit `p` is set iff flipping `root`'s value on
     /// pattern `p` changes at least one primary output on pattern `p`.
-    ///
-    /// One event-driven walk over the **PO-reachable restriction** of
-    /// the cone with the root flipped on **all 64 lanes**: because word
-    /// evaluation is bitwise, lane `p` of every downstream gate equals a
-    /// per-pattern resimulation with the root flipped on pattern `p`
-    /// alone — so a single walk yields all 64 per-pattern
-    /// observabilities at once. Unobservable cone members cannot touch a
-    /// primary output and are never visited; among the rest, the walk
-    /// stamps the observable fanouts of changed gates and skips
-    /// unstamped members in O(1). Once every lane has reached an output
-    /// (`mask == !0`) the walk stops early — the mask can only grow.
-    /// `scratch.val` must equal `golden` on entry and is restored before
-    /// returning.
-    ///
-    /// The result is cached in the scratch per `(chunk, root)`, so all
-    /// faults of one site share one walk within a chunk.
+    /// One levelized event walk with the root flipped on all lanes (see
+    /// the module docs), over this plan's PO-reachability bitmap; the
+    /// word is cached per `(chunk, root)` in the scratch.
     ///
     /// # Errors
     ///
     /// [`FaultError::UnplannedSite`] when `root` was not a fault-site
-    /// root of this plan (no memoized cone to walk).
+    /// root of this plan.
     pub fn observability_packed<Wd: SimWord>(
         &self,
         compiled: &CompiledNetlist,
@@ -772,63 +627,10 @@ impl CampaignPlan {
         scratch: &mut WideScratch<Wd>,
         root: usize,
     ) -> Result<Wd, FaultError> {
-        if scratch.obs_root == root as u32 {
-            scratch.counters.obs_cache_hits += 1;
-            return Ok(scratch.obs_word);
+        if !self.planned(root) {
+            return Err(FaultError::UnplannedSite { gate: root });
         }
-        let cone = self
-            .obs_cone_of(root)
-            .ok_or(FaultError::UnplannedSite { gate: root })?;
-        let id = scratch.next_walk_id();
-        let mut mask = if compiled.is_po(root) {
-            Wd::ONES
-        } else {
-            Wd::ZERO
-        };
-        scratch.val[root] = !golden[root];
-        scratch.touched.push(root as u32);
-        let mut horizon = 0u32;
-        for &s in compiled.fanout_of(root) {
-            if self.observable[s as usize] {
-                scratch.stamp[s as usize] = id;
-                horizon = horizon.max(compiled.topo_pos(s as usize));
-            }
-        }
-        for &g in cone {
-            let gi = g as usize;
-            if mask == Wd::ONES || compiled.topo_pos(gi) > horizon {
-                // Every lane already detected, or the event frontier
-                // died: nothing further can change the mask.
-                scratch.counters.horizon_exits += 1;
-                break;
-            }
-            if scratch.stamp[gi] != id {
-                // No fanin of this cone member changed: its value is
-                // golden without evaluating it.
-                scratch.counters.stamp_skips += 1;
-                continue;
-            }
-            let v = compiled.eval_word(gi, &scratch.val);
-            if v == golden[gi] {
-                continue;
-            }
-            scratch.val[gi] = v;
-            scratch.touched.push(g);
-            if compiled.is_po(gi) {
-                mask |= v ^ golden[gi];
-            }
-            for &s in compiled.fanout_of(gi) {
-                if self.observable[s as usize] {
-                    scratch.stamp[s as usize] = id;
-                    horizon = horizon.max(compiled.topo_pos(s as usize));
-                }
-            }
-        }
-        scratch.undo(golden);
-        scratch.counters.obs_walks += 1;
-        scratch.obs_root = root as u32;
-        scratch.obs_word = mask;
-        Ok(mask)
+        Ok(scratch.observability(compiled, &self.observable, golden, root))
     }
 
     /// PPSFP detection mask of `fault` over the chunk whose golden
@@ -849,8 +651,8 @@ impl CampaignPlan {
     ///
     /// # Errors
     ///
-    /// [`FaultError::UnplannedSite`] when the fault's root has no
-    /// memoized cone in this plan.
+    /// [`FaultError::UnplannedSite`] when the fault's root was not a
+    /// fault-site root of this plan.
     ///
     /// # Panics
     ///
@@ -1005,7 +807,9 @@ pub struct ScratchCounters {
     pub faults_evaluated: u64,
     /// Faults whose injected value differed from golden at the root.
     pub excitations: u64,
-    /// Cone walks cut short because the event frontier died.
+    /// Walks cut short: a scalar cone walk whose event frontier died
+    /// before the cone's end, or a packed observability walk that
+    /// stopped with every lane already detected.
     pub horizon_exits: u64,
     /// Scratch cells restored through the touched-list undo log (the
     /// summed undo-list depth; divide by `excitations` for the mean).
@@ -1018,9 +822,6 @@ pub struct ScratchCounters {
     /// Observability words served from the per-chunk site cache instead
     /// of walking (sa0/sa1/pin faults sharing their site's walk).
     pub obs_cache_hits: u64,
-    /// Cone members skipped without evaluation because no fanin changed
-    /// (the event-driven stamp check).
-    pub stamp_skips: u64,
     /// Faults dropped from their campaign at the first detecting word.
     pub dropped: u64,
     /// Nets whose observability word was produced by critical-path
@@ -1044,7 +845,6 @@ impl ScratchCounters {
             metrics::counter("fault.undo_writes").add(self.undo_writes);
             metrics::counter("fault.obs_walks").add(self.obs_walks);
             metrics::counter("fault.obs_cache_hits").add(self.obs_cache_hits);
-            metrics::counter("fault.stamp_skips").add(self.stamp_skips);
             metrics::counter("fault.dropped").add(self.dropped);
             metrics::counter("fault.traced_nets").add(self.traced_nets);
             metrics::counter("fault.stem_fallbacks").add(self.stem_fallbacks);
@@ -1056,18 +856,22 @@ impl ScratchCounters {
 }
 
 /// Reusable per-worker scratch: a value array mirroring the chunk
-/// golden, the touched-list undo log, the event stamps of the packed
-/// walk and the per-chunk observability cache. No allocation per fault.
+/// golden, the touched-list undo log, the event stamps and level
+/// buckets of the packed walk and the per-chunk observability cache. No
+/// allocation per fault.
 /// Generic over the packed lane width; [`FaultScratch`] is the 64-lane
 /// `u64` instantiation every scalar-width campaign uses.
 #[derive(Debug, Clone)]
 pub struct WideScratch<Wd: SimWord> {
     val: Vec<Wd>,
     touched: Vec<u32>,
-    /// Event stamps: `stamp[g] == walk_id` marks a fanin of `g` changed
-    /// during the current packed walk.
+    /// Event stamps: `stamp[g] == walk_id` marks `g` as queued during
+    /// the current packed walk.
     stamp: Vec<u32>,
     walk_id: u32,
+    /// Event queue of the packed walk: one bucket per logic level, sized
+    /// to `depth + 1` on the first walk and reused (empty between walks).
+    buckets: Vec<Vec<u32>>,
     /// One-entry observability cache: the last walked root of the
     /// current chunk (`u32::MAX` = empty, reset by
     /// [`WideScratch::load_golden`]) and its observability word.
@@ -1094,6 +898,7 @@ impl<Wd: SimWord> WideScratch<Wd> {
             touched: Vec::new(),
             stamp: vec![0; len],
             walk_id: 0,
+            buckets: Vec::new(),
             obs_root: u32::MAX,
             obs_word: Wd::ZERO,
             loaded_chunk: u32::MAX,
@@ -1137,6 +942,105 @@ impl<Wd: SimWord> WideScratch<Wd> {
         }
         self.walk_id += 1;
         self.walk_id
+    }
+
+    /// Observability word of `root` over the chunk whose golden values
+    /// are `golden`, given the design's PO-reachability bitmap
+    /// (`reachable`): bit `p` is set iff flipping `root`'s value on
+    /// pattern `p` changes at least one primary output on pattern `p`.
+    ///
+    /// One walk with the root flipped on **all lanes**: word evaluation
+    /// is bitwise, so lane `p` of every downstream gate equals a
+    /// resimulation with the root flipped on pattern `p` alone. The walk
+    /// pushes each PO-reachable, non-DFF fanout of a changed gate into
+    /// the bucket of its level (stamps drop duplicates) and drains the
+    /// levels in ascending order; a gate's fanins all sit at lower
+    /// levels, so it is evaluated after every changed fanin. It stops
+    /// when the queue is empty or every lane has reached an output —
+    /// the mask can only grow. `self.val` must equal `golden` on entry
+    /// and is restored before returning.
+    ///
+    /// The result is cached per `(chunk, root)`, so all faults of one
+    /// site share one walk within a chunk.
+    pub(crate) fn observability(
+        &mut self,
+        compiled: &CompiledNetlist,
+        reachable: &[bool],
+        golden: &[Wd],
+        root: usize,
+    ) -> Wd {
+        if self.obs_root == root as u32 {
+            self.counters.obs_cache_hits += 1;
+            return self.obs_word;
+        }
+        let depth = compiled.depth() as usize;
+        if self.buckets.len() <= depth {
+            self.buckets.resize_with(depth + 1, Vec::new);
+        }
+        let id = self.next_walk_id();
+        let mut mask = if compiled.is_po(root) {
+            Wd::ONES
+        } else {
+            Wd::ZERO
+        };
+        self.val[root] = !golden[root];
+        self.touched.push(root as u32);
+        let mut top = 0usize;
+        self.schedule_fanouts(compiled, reachable, root, id, &mut top);
+        let mut lvl = compiled.level(root) as usize + 1;
+        while lvl <= top && mask != Wd::ONES {
+            let mut i = 0;
+            while let Some(&g) = self.buckets[lvl].get(i) {
+                i += 1;
+                let gi = g as usize;
+                let v = compiled.eval_word(gi, &self.val);
+                if v == golden[gi] {
+                    continue;
+                }
+                self.val[gi] = v;
+                self.touched.push(g);
+                if compiled.is_po(gi) {
+                    mask |= v ^ golden[gi];
+                }
+                self.schedule_fanouts(compiled, reachable, gi, id, &mut top);
+            }
+            self.buckets[lvl].clear();
+            lvl += 1;
+        }
+        if lvl <= top {
+            // Every lane reached an output with events still queued.
+            self.counters.horizon_exits += 1;
+            for bucket in &mut self.buckets[lvl..=top] {
+                bucket.clear();
+            }
+        }
+        self.undo(golden);
+        self.counters.obs_walks += 1;
+        self.obs_root = root as u32;
+        self.obs_word = mask;
+        mask
+    }
+
+    /// Queues every PO-reachable combinational fanout of `g` not yet
+    /// queued in walk `id`, raising `top` to the highest level queued.
+    #[inline]
+    fn schedule_fanouts(
+        &mut self,
+        compiled: &CompiledNetlist,
+        reachable: &[bool],
+        g: usize,
+        id: u32,
+        top: &mut usize,
+    ) {
+        for &s in compiled.fanout_of(g) {
+            let si = s as usize;
+            if reachable[si] && self.stamp[si] != id && compiled.kind(si) != GateKind::Dff {
+                self.stamp[si] = id;
+                let l = compiled.level(si) as usize;
+                self.buckets[l].push(s);
+                *top = (*top).max(l);
+            }
+        }
     }
 
     fn undo(&mut self, golden: &[Wd]) {
@@ -1257,6 +1161,59 @@ mod tests {
                 "{fault}"
             );
         }
+    }
+
+    /// The levelized walk against a full resimulation with the root
+    /// flipped on every lane, from every gate of a design with DFF
+    /// consumers, unobservable fanouts and an all-lanes early stop.
+    #[test]
+    fn levelized_walk_matches_flipped_full_resimulation() {
+        let mut b = rescue_netlist::NetlistBuilder::new("walk");
+        let [a, bb, cc, d] = [0, 1, 2, 3].map(|i| b.input(format!("i{i}")));
+        let x = b.and(a, bb); // stem: reconverges at w, feeds DFF and dead logic
+        let (y, z) = (b.xor(x, cc), b.or(x, d));
+        let w = b.xor(y, z);
+        let dead = b.and(x, cc); // unobservable: its only consumer is a DFF
+        let q = b.dff(dead);
+        let nq = b.not(q);
+        let g1 = b.not(a); // flips output `o` on every lane, `k` still queued
+        let o = b.not(g1);
+        let h = b.and(g1, bb);
+        let k = b.or(h, cc);
+        for (name, g) in [("w", w), ("nq", nq), ("o", o), ("k", k), ("x", b.dff(x))] {
+            b.output(name, g);
+        }
+        let net = b.finish();
+        let c = CompiledNetlist::new(&net);
+        let reachable = po_reachable(&c);
+        assert!(!reachable[dead.index()]);
+        let words: Vec<u64> = (0..4)
+            .map(|i| 0x9e37_79b9_7f4a_7c15u64.rotate_left(i * 17))
+            .collect();
+        let mut golden = Vec::new();
+        c.eval_words_into(&words, None, &mut golden).unwrap();
+        let mut scratch = FaultScratch::new(c.len());
+        for root in 0..c.len() {
+            scratch.load_golden(&golden);
+            let mut flipped = golden.clone();
+            flipped[root] = !golden[root];
+            for &g in c.eval_order().iter().filter(|&&g| g as usize != root) {
+                flipped[g as usize] = c.eval_word(g as usize, &flipped);
+            }
+            let want = c
+                .po_drivers()
+                .iter()
+                .fold(0, |m, &p| m | (flipped[p as usize] ^ golden[p as usize]));
+            let exits = scratch.counters.horizon_exits;
+            let got = scratch.observability(&c, &reachable, &golden, root);
+            assert_eq!(got, want, "root {root}");
+            assert_eq!(scratch.val, golden, "walk from {root} left stale values");
+            if root == g1.index() {
+                assert_eq!(got, u64::MAX);
+                assert_eq!(scratch.counters.horizon_exits, exits + 1, "no early stop");
+            }
+        }
+        assert!(scratch.buckets.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -1022,9 +1022,11 @@ impl<S> DrainScratch<S> {
 /// Fetches a plan artifact from the cache, or builds and publishes it.
 ///
 /// The decode path executes zero DFS or classification work: a hit is a
-/// read, a checksum and a byte decode. Corrupt or foreign payloads fall
+/// read, a checksum, a byte decode and the caller's validation (folded
+/// into `decode`). Corrupt, foreign or stale-version payloads fall
 /// through to a rebuild (and overwrite the bad entry). `plan.cache_hits` /
-/// `plan.cache_misses` count how a workload's setup split.
+/// `plan.cache_misses` count how a workload's setup split; a failed
+/// publish is counted by the store and never stops the campaign.
 fn load_or_build<T>(
     artifacts: Option<&ArtifactStore>,
     key: rescue_campaign::ContentHash,
@@ -1041,7 +1043,8 @@ fn load_or_build<T>(
     }
     metrics::counter("plan.cache_misses").add(1);
     let built = build();
-    store.save(key, &encode(&built));
+    // The store counts a failed write; the campaign carries on.
+    let _ = store.save(key, &encode(&built));
     built
 }
 
@@ -1056,7 +1059,7 @@ impl<'a> WalkEngine<'a> {
         let plan = load_or_build(
             opts.artifacts,
             crate::content::plan_key(c, walk, false),
-            CampaignPlan::from_bytes,
+            |bytes| CampaignPlan::from_bytes(bytes).filter(|p| p.validate(c)),
             CampaignPlan::to_bytes,
             || CampaignPlan::build_with(c, walk, workers),
         );
@@ -1107,7 +1110,7 @@ impl<'a> TraceEngine<'a> {
         let tplan = load_or_build(
             opts.artifacts,
             crate::content::plan_key(c, walk, true),
-            TracePlan::from_bytes,
+            |bytes| TracePlan::from_bytes(bytes).filter(|p| p.validate(c)),
             TracePlan::to_bytes,
             || TracePlan::build_with(c, walk, workers),
         );
@@ -1123,7 +1126,7 @@ impl<Wd: SimWord> PackedDetect<Wd> for TraceEngine<'_> {
     }
 
     fn observable(&self, gate: usize) -> bool {
-        self.tplan.plan().observable(gate)
+        self.tplan.po_reachable_gate(gate)
     }
 
     fn load(&self, scratch: &mut TraceScratch<Wd>, chunk: u32, golden: &[Wd]) {

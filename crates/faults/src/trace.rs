@@ -1,6 +1,6 @@
 //! Critical-path tracing / cone-walk hybrid observability.
 //!
-//! [`CampaignPlan::observability_packed`] pays one event-driven cone walk
+//! [`CampaignPlan::observability_packed`] pays one event-driven walk
 //! per *live site* per pattern word. Critical-path tracing (CPT) inverts
 //! the direction: instead of pushing a flip forward from every site, it
 //! pulls observability backward from the primary outputs, so every net of
@@ -37,22 +37,24 @@
 //!   **shared by every fault in the FFR below it** — so the hybrid is
 //!   bit-identical to the scalar oracle by construction.
 //!
-//! The stems a fault list can reach are identified once per plan by
-//! [`TracePlan::build`]'s structural stem-region analysis on the CSR
-//! netlist (an `O(gates)` memoized chain ascent), and their cones are
-//! memoized alongside the fault cones so the fallback walk has a plan to
-//! walk. Per chunk, observability words are memoized per net in
-//! [`TraceScratch`] (epoch-tagged, no clearing cost), so all faults a
-//! worker holds share each traced net and each stem walk.
+//! The fallback is the levelized event walk of the walking engine: it
+//! queues changed gates by level and needs no memoized cone, so a
+//! [`TracePlan`] is `O(gates)` — the packed class words, the
+//! PO-reachability bitmap and the planned-root bitmap. [`TracePlan::build`]
+//! counts the stems the fault list's chain ascents reach with an
+//! `O(gates)` memoized ascent. Per chunk, observability words are
+//! memoized per net in [`TraceScratch`] (epoch-tagged, no clearing
+//! cost), so all faults a worker holds share each traced net and each
+//! stem walk.
 //!
 //! Equivalence with the scalar oracle is enforced by the property tests
 //! in `tests/cpt_equivalence.rs`.
 
-use crate::engine::{CampaignPlan, WideScratch};
+use crate::engine::{po_reachable_with, CampaignPlan, WideScratch};
 use crate::error::FaultError;
-use crate::model::{Fault, FaultSite};
-use rescue_netlist::{GateId, GateKind};
-use rescue_sim::codec::{put_u64s, take_len, take_u64s};
+use crate::model::Fault;
+use rescue_netlist::GateKind;
+use rescue_sim::codec::{put_bits, put_u64s, take_bits, take_len, take_u64s};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::wide::SimWord;
 use rescue_telemetry::span;
@@ -79,8 +81,8 @@ pub enum NetClass {
     Stem,
 }
 
-/// A [`CampaignPlan`] extended with the per-net structural classes and
-/// the reconvergent-stem closure of the fault list, built once per
+/// The per-net structural classes, the PO-reachability bitmap and the
+/// fault-site roots of one campaign's fault list, built once per
 /// campaign and shared read-only by all workers.
 ///
 /// Classes are stored packed (one `u64` per net: 2-bit tag + chain
@@ -91,7 +93,10 @@ pub enum NetClass {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TracePlan {
     class: Vec<u64>,
-    plan: CampaignPlan,
+    /// Per gate: whether a flip of the gate can reach a primary output.
+    reachable: Vec<bool>,
+    /// Per gate: whether the gate is a fault-site root of the build list.
+    planned: Vec<bool>,
     stems: usize,
     statically_traced: usize,
 }
@@ -103,7 +108,7 @@ const TAG_CHAIN: u64 = 2;
 const TAG_STEM: u64 = 3;
 
 /// Version byte of the [`TracePlan::to_bytes`] wire format.
-const TRACE_WIRE_VERSION: u8 = 1;
+const TRACE_WIRE_VERSION: u8 = 2;
 
 #[inline]
 fn encode_class(c: NetClass) -> u64 {
@@ -191,21 +196,19 @@ fn classify_all(compiled: &CompiledNetlist, workers: usize) -> Vec<u64> {
 }
 
 impl TracePlan {
-    /// Classifies every net, finds the stems the chain ascents of
-    /// `faults` terminate at, and builds the underlying [`CampaignPlan`]
-    /// over the fault roots *plus* those stems (pseudo-roots, so the
-    /// fallback walk has memoized cones even for stems that are not
-    /// fault sites themselves).
+    /// Classifies every net, records the fault-site roots and counts the
+    /// stems the chain ascents of `faults` terminate at. No cone is
+    /// built: the stem fallback walk queues its events by level.
     pub fn build(compiled: &CompiledNetlist, faults: &[Fault]) -> Self {
         Self::build_with(compiled, faults, 1)
     }
 
-    /// [`TracePlan::build`] with classification, the PO-reachability
-    /// sweep and cone construction sharded across `workers` threads.
-    /// Bit-identical to the serial build for any worker count (the chain
-    /// ascent stays serial — it is `O(gates)` with a shared memo whose
-    /// stem order fixes the pseudo-root list).
+    /// [`TracePlan::build`] with classification and the PO-reachability
+    /// sweep sharded across `workers` threads. Bit-identical to the
+    /// serial build for any worker count (the chain ascent stays serial
+    /// — it is `O(gates)` with a shared memo).
     pub fn build_with(compiled: &CompiledNetlist, faults: &[Fault], workers: usize) -> Self {
+        let _span = span!("plan.build", faults = faults.len());
         let n = compiled.len();
         let class = classify_all(compiled, workers);
 
@@ -213,13 +216,15 @@ impl TracePlan {
         // (`Po`/`Dead`/unreachable — fully traced, never needs a walk)
         // or 2 (terminates at a reconvergent stem). Each net is resolved
         // once, so the sweep is O(gates) for any fault-list size.
-        let reachable = crate::engine::po_reachable_with(compiled, workers);
+        let reachable = po_reachable_with(compiled, workers);
+        let mut planned = vec![false; n];
         let mut term = vec![0u8; n];
-        let mut needed: Vec<u32> = Vec::new();
         let mut path: Vec<u32> = Vec::new();
+        let mut stems = 0usize;
         let mut statically_traced = 0usize;
         for fault in faults {
             let root = fault.site().gate().index();
+            planned[root] = true;
             let mut g = root;
             let t = loop {
                 if term[g] != 0 {
@@ -234,7 +239,7 @@ impl TracePlan {
                         g = consumer as usize;
                     }
                     NetClass::Stem => {
-                        needed.push(g as u32);
+                        stems += 1;
                         break 2;
                     }
                     NetClass::Po | NetClass::Dead => break 1,
@@ -248,24 +253,10 @@ impl TracePlan {
                 statically_traced += 1;
             }
         }
-        let stems = needed.len();
-        // One shared plan over fault roots + stem pseudo-roots: building
-        // both cone sets in one pass keeps the dedup (sa0/sa1/pins per
-        // site, faults rooted at a needed stem) free. The hybrid never
-        // walks anything but PO-reachable stem cones, so the plan is
-        // built over the observable restriction — the full fanout cones
-        // (which dominate plan construction on big circuits) are never
-        // materialized.
-        let mut roots: Vec<Fault> = faults.to_vec();
-        roots.extend(
-            needed
-                .iter()
-                .map(|&s| Fault::stuck_at(FaultSite::Output(GateId(s as usize)), false)),
-        );
-        let plan = CampaignPlan::build_observable_with(compiled, &roots, workers);
         TracePlan {
             class,
-            plan,
+            reachable,
+            planned,
             stems,
             statically_traced,
         }
@@ -273,17 +264,19 @@ impl TracePlan {
 
     /// Serializes the trace plan for the compiled-artifact cache.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32 + self.class.len() * 8);
+        let mut buf = Vec::with_capacity(32 + self.class.len() * 9);
         buf.push(TRACE_WIRE_VERSION);
         buf.extend_from_slice(&(self.stems as u64).to_le_bytes());
         buf.extend_from_slice(&(self.statically_traced as u64).to_le_bytes());
         put_u64s(&mut buf, &self.class);
-        buf.extend_from_slice(&self.plan.to_bytes());
+        put_bits(&mut buf, &self.reachable);
+        put_bits(&mut buf, &self.planned);
         buf
     }
 
     /// Deserializes [`TracePlan::to_bytes`] output; `None` on version
-    /// mismatch or malformed input.
+    /// mismatch or malformed input. Run [`TracePlan::validate`] before
+    /// using a decoded plan on a design.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut off = 0usize;
         if *bytes.get(off)? != TRACE_WIRE_VERSION {
@@ -293,13 +286,40 @@ impl TracePlan {
         let stems = take_len(bytes, &mut off)?;
         let statically_traced = take_len(bytes, &mut off)?;
         let class = take_u64s(bytes, &mut off)?;
-        let plan = CampaignPlan::from_bytes(bytes.get(off..)?)?;
-        Some(TracePlan {
+        let reachable = take_bits(bytes, &mut off)?;
+        let planned = take_bits(bytes, &mut off)?;
+        let ok =
+            off == bytes.len() && reachable.len() == class.len() && planned.len() == class.len();
+        ok.then_some(TracePlan {
             class,
-            plan,
+            reachable,
+            planned,
             stems,
             statically_traced,
         })
+    }
+
+    /// Whether this plan can drive detection on `compiled` without
+    /// indexing out of bounds or ascending forever: every per-gate array
+    /// has one entry per gate, and every `Chain` names a real
+    /// combinational fanout edge (`consumer < n`, not a DFF, and
+    /// `pins_of(consumer)[pin] == g`), so each ascent climbs strictly
+    /// upward in level. A cache reload runs this before trusting
+    /// decoded bytes.
+    pub fn validate(&self, compiled: &CompiledNetlist) -> bool {
+        let n = compiled.len();
+        self.class.len() == n
+            && self.reachable.len() == n
+            && self.planned.len() == n
+            && (0..n).all(|g| match decode_class(self.class[g]) {
+                NetClass::Chain { consumer, pin } => {
+                    let c = consumer as usize;
+                    c < n
+                        && compiled.kind(c) != GateKind::Dff
+                        && compiled.pins_of(c).get(pin as usize) == Some(&(g as u32))
+                }
+                _ => true,
+            })
     }
 
     /// The structural class of net `g`.
@@ -308,10 +328,18 @@ impl TracePlan {
         decode_class(self.class[g])
     }
 
-    /// The underlying [`CampaignPlan`] (fault cones + stem pseudo-root
-    /// cones).
-    pub fn plan(&self) -> &CampaignPlan {
-        &self.plan
+    /// Whether gate `g` is a fault-site root of the list this plan was
+    /// built from.
+    #[inline]
+    pub fn planned(&self, g: usize) -> bool {
+        self.planned[g]
+    }
+
+    /// Whether a flip of gate `g` can reach a primary output (computed
+    /// for every gate at build time).
+    #[inline]
+    pub fn po_reachable_gate(&self, g: usize) -> bool {
+        self.reachable[g]
     }
 
     /// Reconvergent stems the fault list's chain ascents terminate at
@@ -337,7 +365,7 @@ impl TracePlan {
         golden: &[Wd],
         scratch: &mut TraceScratch<Wd>,
         root: usize,
-    ) -> Result<Wd, FaultError> {
+    ) -> Wd {
         debug_assert!(scratch.path.is_empty());
         let mut g = root;
         let mut val = loop {
@@ -360,9 +388,9 @@ impl TracePlan {
                     break Wd::ZERO;
                 }
                 NetClass::Stem => {
-                    let w =
-                        self.plan
-                            .observability_packed(compiled, golden, &mut scratch.inner, g)?;
+                    let w = scratch
+                        .inner
+                        .observability(compiled, &self.reachable, golden, g);
                     scratch.memoize(g, w);
                     scratch.inner.counters.stem_fallbacks += 1;
                     break w;
@@ -383,7 +411,7 @@ impl TracePlan {
             scratch.memoize(gi, val);
             scratch.inner.counters.traced_nets += 1;
         }
-        Ok(val)
+        val
     }
 
     /// Hybrid CPT detection mask of `fault` over the chunk whose golden
@@ -414,10 +442,10 @@ impl TracePlan {
     ) -> Result<Wd, FaultError> {
         scratch.inner.counters.faults_evaluated += 1;
         let root = fault.site().gate().index();
-        if !self.plan.planned(root) {
+        if !self.planned[root] {
             return Err(FaultError::UnplannedSite { gate: root });
         }
-        if !self.plan.po_reachable_gate(root) {
+        if !self.reachable[root] {
             return Ok(Wd::ZERO);
         }
         let excitation = CampaignPlan::excitation_word(compiled, golden, fault);
@@ -425,7 +453,7 @@ impl TracePlan {
             return Ok(Wd::ZERO); // not excited on any pattern of this chunk
         }
         scratch.inner.counters.excitations += 1;
-        Ok(self.obs_of(compiled, golden, scratch, root)? & excitation)
+        Ok(self.obs_of(compiled, golden, scratch, root) & excitation)
     }
 }
 
@@ -530,27 +558,32 @@ mod tests {
     }
 
     #[test]
-    fn stem_pseudo_roots_have_cones() {
+    fn validate_rejects_chains_off_the_netlist() {
         let net = generate::random_logic(8, 200, 4, 7);
         let compiled = CompiledNetlist::new(&net);
         let faults = crate::universe::stuck_at_universe(&net);
         let tplan = TracePlan::build(&compiled, &faults);
-        // Every PO-reachable chain ascent from a fault root must land on
-        // a planned net, so the fallback walk never misses a cone.
-        for fault in &faults {
-            let mut g = fault.site().gate().index();
-            loop {
-                match tplan.class_of(g) {
-                    NetClass::Chain { consumer, .. } => g = consumer as usize,
-                    NetClass::Stem => {
-                        if tplan.plan().po_reachable_gate(g) {
-                            assert!(tplan.plan().planned(g), "stem {g} missing from plan");
-                        }
-                        break;
-                    }
-                    _ => break,
-                }
-            }
+        assert!(tplan.validate(&compiled));
+        let g = (0..compiled.len())
+            .find(|&g| matches!(tplan.class_of(g), NetClass::Chain { .. }))
+            .expect("random logic has chain nets");
+        let NetClass::Chain { consumer, pin } = tplan.class_of(g) else {
+            unreachable!()
+        };
+        let n = compiled.len() as u32;
+        for bad in [
+            NetClass::Chain { consumer: n, pin },
+            NetClass::Chain {
+                consumer,
+                pin: pin + 9,
+            },
+        ] {
+            let mut broken = tplan.clone();
+            broken.class[g] = encode_class(bad);
+            assert!(!broken.validate(&compiled), "{bad:?} at {g}");
         }
+        let mut short = tplan.clone();
+        short.planned.pop();
+        assert!(!short.validate(&compiled));
     }
 }

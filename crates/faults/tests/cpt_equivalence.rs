@@ -213,11 +213,10 @@ fn unplanned_site_is_a_typed_error() {
     let planned = vec![universe::stuck_at_universe(&net)[0]];
     let tplan = TracePlan::build(c, &planned);
     let oracle = CampaignPlan::build(c, &planned);
-    // A site that is neither a fault root nor a stem pseudo-root of the
-    // singleton plan.
+    // A site that is not a fault root of the singleton plan.
     let unplanned = *universe::stuck_at_universe(&net)
         .iter()
-        .find(|f| !tplan.plan().planned(f.site().gate().index()))
+        .find(|f| !tplan.planned(f.site().gate().index()))
         .expect("c17 has more sites than the singleton plan");
     let gate = unplanned.site().gate().index();
     let patterns: Vec<Vec<bool>> = (0..8u32)

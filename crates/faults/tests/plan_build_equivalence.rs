@@ -7,13 +7,15 @@
 //! this suite pins equivalence.
 
 use proptest::prelude::*;
-use rescue_campaign::{ArtifactStore, Campaign};
-use rescue_faults::engine::{po_reachable, po_reachable_with, CampaignPlan};
+use rescue_campaign::{ArtifactStore, Campaign, ContentHash};
+use rescue_faults::engine::{po_reachable, po_reachable_with, CampaignPlan, FaultScratch};
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
-use rescue_faults::trace::TracePlan;
-use rescue_faults::{collapse, universe};
+use rescue_faults::trace::{TracePlan, TraceScratch};
+use rescue_faults::{collapse, universe, Fault};
 use rescue_netlist::generate;
 use rescue_sim::compiled::CompiledNetlist;
+use rescue_sim::wide::pack_patterns_wide;
+use rescue_telemetry::{metrics, TelemetryConfig};
 
 fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
     let mut s = seed.max(1);
@@ -44,8 +46,7 @@ fn scratch_store(tag: &str, seed: u64) -> (std::path::PathBuf, ArtifactStore) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sharded cone construction concatenates to exactly the serial CSR,
-    /// for both the full and the observability-restricted plan family.
+    /// Sharded cone construction concatenates to exactly the serial CSR.
     #[test]
     fn parallel_plan_build_matches_serial(seed in 1u64..500, workers in 2usize..5) {
         let net = generate::random_logic(8, 120, 4, seed);
@@ -55,14 +56,10 @@ proptest! {
         let parallel = CampaignPlan::build_with(&c, &faults, workers);
         prop_assert_eq!(&serial, &parallel);
         prop_assert_eq!(serial.to_bytes(), parallel.to_bytes());
-        let serial_obs = CampaignPlan::build_observable(&c, &faults);
-        let parallel_obs = CampaignPlan::build_observable_with(&c, &faults, workers);
-        prop_assert_eq!(&serial_obs, &parallel_obs);
-        prop_assert_eq!(serial_obs.to_bytes(), parallel_obs.to_bytes());
     }
 
-    /// Trace-plan construction (net classification + chain ascent + the
-    /// restricted cone build) shards without changing a byte.
+    /// Trace-plan construction (net classification, PO-reachability
+    /// sweep and chain ascent) shards without changing a byte.
     #[test]
     fn parallel_trace_build_matches_serial(seed in 1u64..500, workers in 2usize..5) {
         let net = generate::random_logic(8, 120, 4, seed);
@@ -143,6 +140,156 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Truncated, bit-flipped and spliced plan bytes never panic: through
+    /// the cache decode path (decode, then validate against the design)
+    /// each yields nothing or a plan that detects every fault without
+    /// panicking. A payload of the previous wire version reads as a miss.
+    #[test]
+    fn mutated_plan_bytes_decode_or_miss(
+        seed in 1u64..500,
+        cut in any::<u64>(),
+        flip in any::<u64>(),
+        splice in any::<u64>(),
+    ) {
+        let net = generate::random_logic(6, 60, 3, seed);
+        let c = CompiledNetlist::new(&net);
+        let faults = universe::stuck_at_universe(&net);
+        let donor_net = generate::random_logic(6, 90, 3, seed + 1);
+        let donor_c = CompiledNetlist::new(&donor_net);
+        let donor = universe::stuck_at_universe(&donor_net);
+        let words = pack_patterns_wide::<u64>(&random_patterns(6, 64, seed));
+        let mut golden = Vec::new();
+        c.eval_words_into(&words, None, &mut golden).unwrap();
+        let wires = [
+            (
+                CampaignPlan::build(&c, &faults).to_bytes(),
+                CampaignPlan::build(&donor_c, &donor).to_bytes(),
+            ),
+            (
+                TracePlan::build(&c, &faults).to_bytes(),
+                TracePlan::build(&donor_c, &donor).to_bytes(),
+            ),
+        ];
+        for (kind, (wire, donor_wire)) in wires.iter().enumerate() {
+            let len = wire.len();
+            // Eight single-bit flips per case, spread over the payload.
+            let flipped = (0..8u64).map(|k| {
+                let mut bytes = wire.clone();
+                let bit = (flip ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15)) as usize % (len * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                bytes
+            });
+            let at = splice as usize % len;
+            let mut spliced = wire[..at].to_vec();
+            spliced.extend_from_slice(&donor_wire[at.min(donor_wire.len())..]);
+            let mut stale = wire.clone();
+            stale[0] = 1;
+            prop_assert!(decode_and_use(kind, &stale, &c, &golden, &faults).is_none());
+            decode_and_use(kind, &wire[..cut as usize % len], &c, &golden, &faults);
+            decode_and_use(kind, &spliced, &c, &golden, &faults);
+            for bytes in flipped {
+                decode_and_use(kind, &bytes, &c, &golden, &faults);
+            }
+        }
+    }
+}
+
+/// Decodes `bytes` as a campaign plan (`kind == 0`) or a trace plan the
+/// way the artifact cache does, then runs every fault through it; the
+/// count of detecting faults, or `None` on a cache miss.
+fn decode_and_use(
+    kind: usize,
+    bytes: &[u8],
+    c: &CompiledNetlist,
+    golden: &[u64],
+    faults: &[Fault],
+) -> Option<usize> {
+    if kind == 0 {
+        let plan = CampaignPlan::from_bytes(bytes).filter(|p| p.validate(c))?;
+        // Every cone the scalar walks would scan slices in bounds and
+        // names real gates.
+        let cones = (0..c.len()).filter_map(|g| plan.cone_of(g));
+        assert!(cones.flatten().all(|&m| (m as usize) < c.len()));
+        let mut scratch = FaultScratch::new(c.len());
+        scratch.load_golden(golden);
+        let detect = |&f: &Fault| plan.detect_packed(c, golden, &mut scratch, f).ok();
+        Some(faults.iter().filter_map(detect).filter(|&m| m != 0).count())
+    } else {
+        let tplan = TracePlan::from_bytes(bytes).filter(|p| p.validate(c))?;
+        let mut scratch = TraceScratch::new(c.len());
+        scratch.load_golden(golden);
+        let detect = |&f: &Fault| tplan.detect_traced(c, golden, &mut scratch, f).ok();
+        Some(faults.iter().filter_map(detect).filter(|&m| m != 0).count())
+    }
+}
+
+/// A checksum-valid cache entry holding a plan of another design is
+/// rejected by validation and rebuilt, never used.
+#[test]
+fn foreign_plans_in_the_cache_are_rebuilt() {
+    let net = generate::random_logic(6, 80, 3, 9);
+    let faults = universe::stuck_at_universe(&net);
+    let patterns = random_patterns(6, 48, 9);
+    let campaign = Campaign::new(9, 2);
+    let foreign_net = generate::random_logic(6, 40, 3, 10);
+    let foreign = CompiledNetlist::new(&foreign_net);
+    let foreign_faults = universe::stuck_at_universe(&foreign_net);
+    let (dir, store) = scratch_store("foreign", 9);
+    for opts in [PackedOptions::wide(4), PackedOptions::wide(4).traced()] {
+        let fresh = FaultSimulator::new(&net).campaign_packed(&faults, &patterns, &campaign, opts);
+        let sim = FaultSimulator::new_cached(&net, &store);
+        sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store));
+        // Swap every published plan for a well-formed plan of `foreign`.
+        for entry in std::fs::read_dir(store.dir()).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            let key = ContentHash(u128::from_str_radix(&name[..32], 16).unwrap());
+            let bytes = store.load(key).unwrap();
+            let swapped = if CampaignPlan::from_bytes(&bytes).is_some() {
+                CampaignPlan::build(&foreign, &foreign_faults).to_bytes()
+            } else if TracePlan::from_bytes(&bytes).is_some() {
+                TracePlan::build(&foreign, &foreign_faults).to_bytes()
+            } else {
+                continue;
+            };
+            store.save(key, &swapped).unwrap();
+        }
+        let run = sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store));
+        assert_eq!(run.report.first_detection(), fresh.report.first_detection());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A cache directory that cannot be written (a plain file stands where
+/// the artifact directory should be) costs rebuilds, counted as write
+/// errors, and never a verdict.
+#[test]
+fn unwritable_artifact_cache_never_stops_a_campaign() {
+    let _exclusive = rescue_telemetry::exclusive();
+    let net = generate::random_logic(6, 80, 3, 5);
+    let faults = universe::stuck_at_universe(&net);
+    let patterns = random_patterns(6, 48, 5);
+    let campaign = Campaign::new(5, 2);
+    let opts = PackedOptions::wide(4);
+    let baseline = FaultSimulator::new(&net).campaign_packed(&faults, &patterns, &campaign, opts);
+    let (dir, store) = scratch_store("unwritable", 5);
+    std::fs::remove_dir_all(store.dir()).unwrap();
+    std::fs::write(store.dir(), b"not a directory").unwrap();
+    TelemetryConfig::on().install();
+    let before = metrics::counter("plan.cache_write_errors").get();
+    for opts in [opts, opts.traced()] {
+        let sim = FaultSimulator::new_cached(&net, &store);
+        let run = sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store));
+        assert_eq!(
+            run.report.first_detection(),
+            baseline.report.first_detection()
+        );
+    }
+    let errors = metrics::counter("plan.cache_write_errors").get() - before;
+    TelemetryConfig::off().install();
+    std::fs::remove_dir_all(&dir).ok();
+    // Two arena publishes and one plan publish per engine.
+    assert_eq!(errors, 4);
 }
 
 /// The small-design proptests above stay under the serial-fallback

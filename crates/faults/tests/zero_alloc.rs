@@ -6,7 +6,8 @@
 //! scratch arenas, touched-list capacity, obs memo and trace paths —
 //! repeating the per-chunk loop (`eval_words_fill` into a flat golden
 //! arena, `load_chunk` tag-skip, `detect_packed` / `detect_traced` per
-//! fault) never touches the allocator again. A wrapping
+//! fault, and the levelized event walks both engines run through their
+//! per-level bucket queues) never touches the allocator again. A wrapping
 //! `#[global_allocator]` counts every `alloc`/`realloc`; the test warms
 //! up, snapshots the counter, re-runs the loop and asserts a zero
 //! delta.
@@ -123,8 +124,8 @@ fn steady_state_chunk_loop_is_allocation_free() {
     let mut scratch = WideScratch::<Wd>::new(c.len());
     let mut tscratch = TraceScratch::<Wd>::new(c.len());
 
-    // Warm-up pass: touched lists, obs memos and trace paths grow to
-    // their high-water marks here.
+    // Warm-up pass: touched lists, level buckets, obs memos and trace
+    // paths grow to their high-water marks here.
     let warm = steady_pass(
         &c,
         &plan,
@@ -138,6 +139,8 @@ fn steady_state_chunk_loop_is_allocation_free() {
     assert!(warm > 0, "workload must actually detect faults");
 
     // Steady state: three more passes, zero allocations.
+    scratch.counters = Default::default();
+    tscratch.inner.counters = Default::default();
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..3 {
         let again = steady_pass(
@@ -153,6 +156,16 @@ fn steady_state_chunk_loop_is_allocation_free() {
         assert_eq!(again, warm, "steady-state pass changed verdicts");
     }
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    // The passes must have run the bucket queue of both engines: the
+    // walking engine's site walks and the tracer's stem fallbacks.
+    assert!(
+        scratch.counters.obs_walks > 0,
+        "walking engine never walked"
+    );
+    assert!(
+        tscratch.inner.counters.stem_fallbacks > 0,
+        "tracer never fell back to a stem walk"
+    );
     assert_eq!(
         delta, 0,
         "steady-state chunk loop allocated {delta} times after warm-up"
