@@ -12,6 +12,15 @@
 //! * BUF: input faults ≡ output faults (we model via driver's output).
 //! * NOT: driver output `sa0` ≡ inverter output `sa1` and vice versa when
 //!   the inverter is the only load (single-fanout wire equivalence).
+//!
+//! Every fault of the design owns a dense `u32` slot, and slot order is
+//! [`Fault`] order: outputs by (gate, kind), then pins by (gate, pin,
+//! kind). [`collapse_with`] therefore lists the representatives by
+//! marking their slots in a bitmap and decoding the set bits in order,
+//! with no sort. Faults outside the design (a gate index past the end or
+//! a pin past the gate's arity) have no slot: no rule touches them, they
+//! stay their own representatives, and they are merged into the list
+//! from a sorted side list that is normally empty.
 
 use crate::model::{Fault, FaultKind, FaultSite};
 use rescue_netlist::{GateId, GateKind, Netlist};
@@ -64,10 +73,34 @@ fn kind_decode(code: usize) -> FaultKind {
 }
 
 /// Slot of an *output* fault (reps produced by the rules are always
-/// output faults, so this is the only encoder workers need).
+/// output faults).
 #[inline]
 fn output_slot(gate: usize, kind: FaultKind) -> u32 {
     (4 * gate + kind_code(kind)) as u32
+}
+
+/// Dense slot of `fault` under the pin-slot CSR `pin_base` (length
+/// `n + 1`), or `None` for faults outside the design (wrong gate index
+/// or pin arity) — those are never collapsed.
+#[inline]
+fn slot_in(pin_base: &[u32], fault: Fault) -> Option<usize> {
+    let n = pin_base.len() - 1;
+    let k = kind_code(fault.kind());
+    match fault.site() {
+        FaultSite::Output(g) => {
+            let gi = g.index();
+            (gi < n).then_some(4 * gi + k)
+        }
+        FaultSite::Pin { gate, pin } => {
+            let gi = gate.index();
+            if gi >= n {
+                return None;
+            }
+            let base = pin_base[gi] as usize;
+            let arity = pin_base[gi + 1] as usize - base;
+            (pin < arity).then_some(4 * (n + base + pin) + k)
+        }
+    }
 }
 
 impl CollapsedUniverse {
@@ -100,26 +133,10 @@ impl CollapsedUniverse {
         self.representatives.len() as f64 / self.original_len as f64
     }
 
-    /// Dense slot of `fault`, or `None` for faults outside the design
-    /// (wrong gate index or pin arity) — those are never collapsed.
+    /// Dense slot of `fault`, or `None` for faults outside the design.
     #[inline]
     fn slot_of(&self, fault: Fault) -> Option<usize> {
-        let k = kind_code(fault.kind());
-        match fault.site() {
-            FaultSite::Output(g) => {
-                let gi = g.index();
-                (gi < self.n).then_some(4 * gi + k)
-            }
-            FaultSite::Pin { gate, pin } => {
-                let gi = gate.index();
-                if gi >= self.n {
-                    return None;
-                }
-                let base = self.pin_base[gi] as usize;
-                let arity = self.pin_base[gi + 1] as usize - base;
-                (pin < arity).then_some(4 * (self.n + base + pin) + k)
-            }
-        }
+        slot_in(&self.pin_base, fault)
     }
 
     /// Inverse of [`CollapsedUniverse::slot_of`].
@@ -142,6 +159,40 @@ impl CollapsedUniverse {
                 kind,
             )
         }
+    }
+
+    /// The faults of `faults` that represent themselves, sorted and
+    /// deduplicated. Slot order is `Fault` order, so a bitmap over the
+    /// slots, scanned in order, sorts the in-design faults; the (normally
+    /// empty) faults outside the design are sorted apart and merged in.
+    fn sorted_representatives(&self, faults: &[Fault]) -> Vec<Fault> {
+        let mut present = vec![0u64; self.rep.len().div_ceil(64)];
+        let mut outside = Vec::new();
+        for &f in faults {
+            match self.slot_of(f) {
+                Some(s) if self.rep[s] == u32::MAX => present[s / 64] |= 1 << (s % 64),
+                Some(_) => {}
+                None => outside.push(f),
+            }
+        }
+        outside.sort_unstable();
+        outside.dedup();
+        let inside: usize = present.iter().map(|w| w.count_ones() as usize).sum();
+        let mut reps = Vec::with_capacity(inside + outside.len());
+        let mut outside = outside.into_iter().peekable();
+        for (i, &word) in present.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let f = self.fault_of((64 * i) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+                while let Some(o) = outside.next_if(|o| *o < f) {
+                    reps.push(o);
+                }
+                reps.push(f);
+            }
+        }
+        reps.extend(outside);
+        reps
     }
 }
 
@@ -191,18 +242,17 @@ struct WireMeta<'a> {
 }
 
 /// Applies the gate-local rules to one fault, returning
-/// `(slot, representative slot)` when it collapses. Pure per-fault, so
-/// fault chunks shard across workers with no coordination.
+/// `(slot, representative slot)` when it collapses, and `None` for a
+/// fault outside the design. Pure per-fault, so fault chunks shard
+/// across workers with no coordination.
 fn collapse_pair(netlist: &Netlist, m: &WireMeta<'_>, fault: Fault) -> Option<(u32, u32)> {
-    let n = m.pin_base.len() - 1;
+    let slot = slot_in(m.pin_base, fault)? as u32;
     let kind = fault.kind();
     match fault.site() {
         FaultSite::Pin { gate, pin } => {
             let g = netlist.gate(gate);
-            let gi = gate.index();
-            let slot = (4 * (n + m.pin_base[gi] as usize + pin) + kind_code(kind)) as u32;
             if let Some(folded) = controlling_fold(g.kind(), kind) {
-                return Some((slot, output_slot(gi, folded)));
+                return Some((slot, output_slot(gate.index(), folded)));
             }
             // Single-fanout wire: a pin fault on the only load of a driver
             // is equivalent to the driver's output fault.
@@ -224,7 +274,7 @@ fn collapse_pair(netlist: &Netlist, m: &WireMeta<'_>, fault: Fault) -> Option<(u
             }
             let h = m.single_load[di] as usize;
             through_fold(netlist.gate(GateId(h)).kind(), kind)
-                .map(|folded| (output_slot(di, kind), output_slot(h, folded)))
+                .map(|folded| (slot, output_slot(h, folded)))
         }
     }
 }
@@ -252,7 +302,9 @@ pub fn collapse(netlist: &Netlist, faults: &[Fault]) -> CollapsedUniverse {
 /// emits `(slot, representative)` pairs which are scattered serially in
 /// chunk order — identical to serial insertion order — before the chain
 /// fixpoint runs. The result is bit-identical to `workers = 1` for any
-/// worker count. Small universes fall back to the serial path.
+/// worker count. Small universes fall back to the serial path. The
+/// representative list comes out sorted and deduplicated from a scan of
+/// a slot bitmap (see the module docs), not from a sort.
 pub fn collapse_with(netlist: &Netlist, faults: &[Fault], workers: usize) -> CollapsedUniverse {
     let _span = span!("plan.collapse", faults = faults.len());
     let n = netlist.len();
@@ -345,18 +397,7 @@ pub fn collapse_with(netlist: &Netlist, faults: &[Fault], workers: usize) -> Col
         n,
         original_len: faults.len(),
     };
-    let mut representatives: Vec<Fault> = faults
-        .iter()
-        .copied()
-        .filter(|&f| {
-            universe
-                .slot_of(f)
-                .is_none_or(|s| universe.rep[s] == u32::MAX)
-        })
-        .collect();
-    representatives.sort();
-    representatives.dedup();
-    universe.representatives = representatives;
+    universe.representatives = universe.sorted_representatives(faults);
     universe
 }
 
@@ -512,6 +553,41 @@ mod tests {
         let c = collapse(&c17, &all);
         assert!(c.ratio() > 0.0 && c.ratio() <= 1.0);
         assert_eq!(c.original_len(), all.len());
+    }
+
+    #[test]
+    fn faults_outside_the_design_are_never_collapsed() {
+        let mut b = NetlistBuilder::new("two_loads");
+        let x = b.input("x");
+        let y = b.input("y");
+        let g2 = b.and(x, y);
+        let g3 = b.or(x, y);
+        b.output("a", g2);
+        b.output("o", g3);
+        let n = b.finish();
+        let pin = |gate, pin, value| Fault::stuck_at(FaultSite::Pin { gate, pin }, value);
+        let outside = [
+            Fault::stuck_at(FaultSite::Output(GateId(99)), false),
+            pin(g2, 2, true),
+            pin(g2, 2, false),
+        ];
+        let mut faults = universe::stuck_at_universe(&n);
+        faults.extend(outside);
+        let c = collapse(&n, &faults);
+        for f in outside {
+            assert_eq!(c.representative(f), f, "{f} has no slot to collapse into");
+        }
+        // An unchecked pin 2 of g2 would land in g3's pin-0 slot.
+        let g3_in0 = pin(g3, 0, false);
+        assert_eq!(c.representative(g3_in0), g3_in0);
+        let mut want: Vec<Fault> = faults
+            .iter()
+            .copied()
+            .filter(|&f| c.representative(f) == f)
+            .collect();
+        want.sort();
+        want.dedup();
+        assert_eq!(c.representatives(), &want[..]);
     }
 
     #[test]

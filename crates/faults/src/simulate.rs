@@ -213,8 +213,10 @@ pub struct FaultSimulator {
 }
 
 impl FaultSimulator {
-    /// Prepares a simulator for `netlist` (compiles the flat arena).
+    /// Prepares a simulator for `netlist` (compiles the flat arena under
+    /// a `sim.compile` span).
     pub fn new(netlist: &Netlist) -> Self {
+        let _span = span!("sim.compile", gates = netlist.len());
         FaultSimulator {
             compiled: CompiledNetlist::new(netlist),
         }
@@ -227,6 +229,7 @@ impl FaultSimulator {
     /// byte-identical to a fresh compile; a cold or corrupt cache
     /// compiles and publishes.
     pub fn new_cached(netlist: &Netlist, artifacts: &ArtifactStore) -> Self {
+        let _span = span!("sim.compile", gates = netlist.len());
         let compiled = load_or_build(
             Some(artifacts),
             crate::content::compiled_key(netlist),
@@ -750,12 +753,14 @@ impl FaultSimulator {
     /// The arena is one flat allocation for all chunks (plus one reused
     /// input-packing buffer), so building it costs two allocations total
     /// instead of two per chunk — the setup half of the zero-alloc
-    /// steady state. Wall-clock is recorded in the `exec.golden_ms`
-    /// histogram when telemetry is enabled.
+    /// steady state. Runs under an `exec.golden` span; wall-clock is also
+    /// recorded in the `exec.golden_ms` histogram when telemetry is
+    /// enabled.
     fn golden_chunks<Wd: SimWord>(&self, patterns: &[Vec<bool>]) -> GoldenChunks<Wd> {
         let start = Instant::now();
         let n_gates = self.compiled.len();
         let n_chunks = patterns.len().div_ceil(Wd::LANES.max(1));
+        let _span = span!("exec.golden", chunks = n_chunks);
         let mut words = vec![Wd::ZERO; n_chunks * n_gates];
         let mut live = Vec::with_capacity(n_chunks);
         let mut inputs: Vec<Wd> = Vec::new();
@@ -1481,8 +1486,9 @@ fn unit_delta<Wd: SimWord>(rs: &[Option<usize>], n_chunks: usize) -> StatsDelta 
 
 /// Shared tail of the plain and durable packed campaigns: lane
 /// telemetry, verdict expansion over the full universe and the final
-/// tally/drop accounting. `stats` arrives with the timing, worker and
-/// unit figures already filled by the respective driver.
+/// tally/drop accounting, under an `exec.expand` span. `stats` arrives
+/// with the timing, worker and unit figures already filled by the
+/// respective driver.
 fn finish_packed<Wd: SimWord>(
     faults: &[Fault],
     patterns: &[Vec<bool>],
@@ -1492,6 +1498,7 @@ fn finish_packed<Wd: SimWord>(
     results: Vec<Option<usize>>,
     mut stats: CampaignStats,
 ) -> CampaignRun {
+    let _span = span!("exec.expand", faults = faults.len());
     let n_chunks = chunks.len();
     if rescue_telemetry::enabled() {
         // Bounds cover every supported width (64 * {1, 2, 4, 8}) so

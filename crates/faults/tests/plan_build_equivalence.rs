@@ -11,8 +11,8 @@ use rescue_campaign::{ArtifactStore, Campaign, ContentHash};
 use rescue_faults::engine::{po_reachable, po_reachable_with, CampaignPlan, FaultScratch};
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::trace::{TracePlan, TraceScratch};
-use rescue_faults::{collapse, universe, Fault};
-use rescue_netlist::generate;
+use rescue_faults::{collapse, universe, Fault, FaultSite};
+use rescue_netlist::{generate, GateId, Netlist};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::wide::pack_patterns_wide;
 use rescue_telemetry::{metrics, TelemetryConfig};
@@ -72,17 +72,28 @@ proptest! {
     }
 
     /// Sharded collapse produces the same representatives and the same
-    /// per-fault representative mapping as the serial rule pass.
+    /// per-fault representative mapping as the serial rule pass, and the
+    /// representative list is exactly the faults that represent
+    /// themselves, sorted and deduplicated. The universe mixes in
+    /// duplicates, transition faults and faults outside the design.
     #[test]
     fn parallel_collapse_matches_serial(seed in 1u64..500, workers in 2usize..5) {
         let net = generate::random_logic(8, 120, 4, seed);
-        let faults = universe::stuck_at_universe(&net);
+        let faults = mixed_universe(&net, seed);
         let serial = collapse::collapse(&net, &faults);
         let parallel = collapse::collapse_with(&net, &faults, workers);
         prop_assert_eq!(serial.representatives(), parallel.representatives());
         for &f in &faults {
             prop_assert_eq!(serial.representative(f), parallel.representative(f));
         }
+        let mut spec: Vec<Fault> = faults
+            .iter()
+            .copied()
+            .filter(|&f| serial.representative(f) == f)
+            .collect();
+        spec.sort();
+        spec.dedup();
+        prop_assert_eq!(serial.representatives(), &spec[..]);
     }
 
     /// Wire round trips reconstruct plans exactly, so a cache hit is
@@ -193,6 +204,28 @@ proptest! {
             }
         }
     }
+}
+
+/// The stuck-at universe of `net`, then its transition universe, then a
+/// seeded third of the stuck-at faults again, then faults outside the
+/// design: an output past the last gate, a pin past the last gate's
+/// arity and a pin on a primary input.
+fn mixed_universe(net: &Netlist, seed: u64) -> Vec<Fault> {
+    let stuck = universe::stuck_at_universe(net);
+    let mut faults = stuck.clone();
+    faults.extend(universe::transition_universe(net));
+    faults.extend(stuck.iter().skip(seed as usize % 3).step_by(3));
+    let last = GateId(net.len() - 1);
+    let pin = |gate, pin| FaultSite::Pin { gate, pin };
+    let outside = [
+        FaultSite::Output(GateId(net.len() + 2)),
+        pin(last, net.gate(last).inputs().len()),
+        pin(GateId(0), 0),
+    ];
+    for site in outside {
+        faults.extend([false, true].map(|value| Fault::stuck_at(site, value)));
+    }
+    faults
 }
 
 /// Decodes `bytes` as a campaign plan (`kind == 0`) or a trace plan the
@@ -309,6 +342,11 @@ fn parallel_paths_engage_above_thresholds() {
     let serial = collapse::collapse(&net, &faults);
     let parallel = collapse::collapse_with(&net, &faults, 4);
     assert_eq!(serial.representatives(), parallel.representatives());
+    let mixed = mixed_universe(&net, 11);
+    assert_eq!(
+        collapse::collapse(&net, &mixed).representatives(),
+        collapse::collapse_with(&net, &mixed, 4).representatives()
+    );
 
     // A strided fault subset keeps the cone DFS affordable while still
     // exercising the sharded builders on a >2^15-gate design.

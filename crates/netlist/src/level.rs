@@ -1,5 +1,15 @@
 //! Levelization: topological ordering of combinational logic.
+//!
+//! [`Levelization::new`] runs Kahn's algorithm over one flat fanout CSR.
+//! A counting sort over the gates' input pins buckets every
+//! combinational edge by its driver, so the pass is a few linear sweeps
+//! over dense `u32` arrays with no per-gate `Vec`. Edges into DFF
+//! `D`-pins are sequential and stay out of the CSR. Each row lists its
+//! consumers in gate order, once per consuming pin: the edge order of
+//! [`Netlist::fanout`]. The queue, and with it every level and the
+//! evaluation order, is therefore the one per-gate fanout lists give.
 
+use crate::error::ensure_u32_indexable;
 use crate::gate::GateId;
 use crate::netlist::Netlist;
 
@@ -17,52 +27,76 @@ pub struct Levelization {
 }
 
 impl Levelization {
-    /// Computes the levelization of `netlist`.
+    /// Computes the levelization of `netlist` in `O(gates + pins)`.
     ///
     /// # Panics
     ///
     /// Panics if the netlist has a combinational cycle (a validated netlist
-    /// never does; see [`Netlist::validate`]).
+    /// never does; see [`Netlist::validate`]), or if its gate count or its
+    /// combinational pin count exceeds the `u32` index capacity (see
+    /// [`crate::error::ensure_u32_indexable`]).
     pub fn new(netlist: &Netlist) -> Self {
         let n = netlist.len();
-        let mut levels = vec![0u32; n];
-        let mut indeg = vec![0usize; n];
-        // Kahn's algorithm over combinational edges only.
-        let fanout = netlist.fanout();
-        let mut queue: Vec<GateId> = Vec::new();
+        ensure_u32_indexable(n).unwrap_or_else(|e| panic!("{e}"));
+        // Combinational in-degrees and per-driver edge counts. DFFs keep
+        // in-degree 0: they are sources, and their D-pin edges are
+        // sequential.
+        let mut indeg = vec![0u32; n];
+        let mut row = vec![0u32; n + 1];
+        let mut edges = 0usize;
         for (id, g) in netlist.iter() {
-            let comb_preds = if g.kind().is_sequential() {
-                0
-            } else {
-                g.inputs().len()
-            };
-            indeg[id.index()] = comb_preds;
-            if comb_preds == 0 {
-                queue.push(id);
+            if g.kind().is_sequential() {
+                continue;
+            }
+            indeg[id.index()] = g.inputs().len() as u32;
+            edges += g.inputs().len();
+            for &p in g.inputs() {
+                row[p.index()] += 1;
             }
         }
-        let mut order = Vec::with_capacity(n);
+        ensure_u32_indexable(edges).unwrap_or_else(|e| panic!("{e}"));
+        // Inclusive prefix sums turn `row[d]` into the end of row `d`.
+        // Filling consumers in descending gate order, each cursor counting
+        // down, leaves every row ascending and `row[d]` at its start.
+        let mut end = 0u32;
+        for r in &mut row[..n] {
+            end += *r;
+            *r = end;
+        }
+        row[n] = end;
+        let mut fan = vec![0u32; edges];
+        for v in (0..n).rev() {
+            let g = netlist.gate(GateId(v));
+            if g.kind().is_sequential() {
+                continue;
+            }
+            for &p in g.inputs() {
+                row[p.index()] -= 1;
+                fan[row[p.index()] as usize] = v as u32;
+            }
+        }
+
+        // Kahn's algorithm; the order vector doubles as the queue.
+        let mut levels = vec![0u32; n];
+        let mut order: Vec<GateId> = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&v| indeg[v] == 0).map(GateId));
         let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
+        while head < order.len() {
+            let u = order[head].index();
             head += 1;
-            order.push(u);
-            for &v in &fanout[u.index()] {
-                let vg = netlist.gate(v);
-                if vg.kind().is_sequential() {
-                    continue; // edge into a DFF D-pin is a sequential edge
+            let lv = levels[u] + 1;
+            for &v in &fan[row[u] as usize..row[u + 1] as usize] {
+                let v = v as usize;
+                if lv > levels[v] {
+                    levels[v] = lv;
                 }
-                let lv = levels[u.index()] + 1;
-                if lv > levels[v.index()] {
-                    levels[v.index()] = lv;
-                }
-                indeg[v.index()] -= 1;
-                if indeg[v.index()] == 0 {
-                    queue.push(v);
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    order.push(GateId(v));
                 }
             }
         }
-        // DFFs were enqueued as sources (comb_preds == 0) so all gates are
+        // DFFs were enqueued as sources (in-degree 0) so all gates are
         // covered unless there is a cycle.
         assert_eq!(order.len(), n, "combinational cycle during levelization");
         let depth = levels.iter().copied().max().unwrap_or(0);
@@ -138,5 +172,22 @@ mod tests {
         assert_eq!(lv.level(q), 0);
         assert_eq!(lv.level(nq), 1);
         assert_eq!(lv.order().len(), 2);
+    }
+
+    #[test]
+    fn repeated_pins_count_once_per_pin() {
+        // `y = AND(x, x)` waits for both edges from `x`; `z` follows.
+        let mut b = NetlistBuilder::new("rep");
+        let a = b.input("a");
+        let x = b.not(a);
+        let y = b.and(x, x);
+        let z = b.xor(y, x);
+        b.output("z", z);
+        let net = b.finish();
+        let lv = net.levelize();
+        assert_eq!(lv.level(y), 2);
+        assert_eq!(lv.level(z), 3);
+        let order: Vec<usize> = lv.order().iter().map(|g| g.index()).collect();
+        assert_eq!(order, [a.index(), x.index(), y.index(), z.index()]);
     }
 }

@@ -197,22 +197,130 @@ impl CompiledNetlist {
     /// its SoA runs would gather from scattered ids, defeating the
     /// locality the level blocking buys.
     fn derive_sweep(&self) -> Option<SweepPlan> {
-        let n = self.len();
-        // Also runs on decoded (possibly corrupt) bytes, so everything
-        // the plan build itself indexes must be validated first — a bad
-        // cache entry degrades to the gate-order path, it never panics
-        // here.
-        let indexable = self.pin_offsets.windows(2).all(|w| w[0] <= w[1])
-            && self
-                .pin_offsets
-                .last()
-                .is_some_and(|&e| e as usize == self.pins.len())
-            && self.eval_order.iter().all(|&g| (g as usize) < n);
-        if n > 0 && indexable && self.levels.windows(2).all(|w| w[0] <= w[1]) {
+        // Decoded arenas reach this only after `validate`, so every index
+        // the plan build reads is in range.
+        if !self.is_empty() && self.levels.windows(2).all(|w| w[0] <= w[1]) {
             Some(SweepPlan::build(self))
         } else {
             None
         }
+    }
+
+    /// Whether the arena is one [`CompiledNetlist::try_new`] could have
+    /// built: the check [`CompiledNetlist::from_bytes`] applies before
+    /// it returns a decoded arena, linear in gates + pins. It holds when
+    ///
+    /// * every array has its length and every gate index is `< n`;
+    /// * both offset arrays start at 0, never decrease and end at the
+    ///   length of the array they index;
+    /// * each gate's arity fits its kind, as in [`Netlist::validate`];
+    /// * `order` is a permutation with `topo_pos` its inverse, and every
+    ///   combinational gate comes after its pins;
+    /// * `eval_order` is `order` without `Input`/`Dff` gates;
+    /// * `levels` and `depth` follow from the pins;
+    /// * `fan`, `comb_fan_degree`, `is_po`, `dffs` and `dff_d` are what
+    ///   `pins`, `kinds` and `po_drivers` derive.
+    ///
+    /// An arena that passes evaluates without panicking. The check cannot
+    /// tell a consistent arena of another design from this one; the
+    /// artifact envelope's checksum and content key cover that.
+    pub fn validate(&self) -> bool {
+        let n = self.len();
+        let in_range = |xs: &[u32]| xs.iter().all(|&g| (g as usize) < n);
+        let csr = |offsets: &[u32], len: usize| {
+            offsets.len() == n + 1
+                && offsets[0] == 0
+                && offsets.windows(2).all(|w| w[0] <= w[1])
+                && offsets[n] as usize == len
+        };
+        let lengths = [
+            self.order.len(),
+            self.levels.len(),
+            self.topo_pos.len(),
+            self.comb_fan_degree.len(),
+            self.is_po.len(),
+        ];
+        let indices = [
+            &self.pins,
+            &self.order,
+            &self.pis,
+            &self.po_drivers,
+            &self.fan,
+        ];
+        let shape = csr(&self.pin_offsets, self.pins.len())
+            && csr(&self.fan_offsets, self.fan.len())
+            && lengths.iter().all(|&len| len == n)
+            && self.dff_d.len() == self.dffs.len()
+            && indices.iter().all(|a| in_range(a));
+        if !shape {
+            return false;
+        }
+        let arity = (0..n).all(|g| {
+            let found = self.pins_of(g).len();
+            match self.kinds[g].fixed_arity() {
+                Some(want) => found == want,
+                None => found >= 2,
+            }
+        });
+        let permutation = (0..n).all(|pos| self.topo_pos[self.order[pos] as usize] == pos as u32);
+        if !(arity && permutation) {
+            return false;
+        }
+        let topological = (0..n).all(|g| {
+            self.kinds[g] == GateKind::Dff
+                || self
+                    .pins_of(g)
+                    .iter()
+                    .all(|&p| self.topo_pos[p as usize] < self.topo_pos[g])
+        });
+        let source = |g: &u32| matches!(self.kinds[*g as usize], GateKind::Input | GateKind::Dff);
+        let eval_order = self
+            .eval_order
+            .iter()
+            .eq(self.order.iter().filter(|g| !source(g)));
+        let levels = (0..n).all(|g| {
+            let above = |&p: &u32| u64::from(self.levels[p as usize]) + 1;
+            let want = match self.kinds[g] {
+                GateKind::Dff => 0,
+                _ => self.pins_of(g).iter().map(above).max().unwrap_or(0),
+            };
+            u64::from(self.levels[g]) == want
+        }) && self.levels.iter().copied().max().unwrap_or(0) == self.depth;
+        if !(topological && eval_order && levels) {
+            return false;
+        }
+        // `fan` must be the transpose of `pins` with consumers in gate
+        // order: replay the counting sort and compare entry by entry.
+        let mut cursor = self.fan_offsets[..n].to_vec();
+        for g in 0..n {
+            for &p in self.pins_of(g) {
+                let at = &mut cursor[p as usize];
+                if *at >= self.fan_offsets[p as usize + 1] || self.fan[*at as usize] != g as u32 {
+                    return false;
+                }
+                *at += 1;
+            }
+        }
+        let mut is_po = vec![false; n];
+        for &g in &self.po_drivers {
+            is_po[g as usize] = true;
+        }
+        let not_dff = |s: &&u32| self.kinds[**s as usize] != GateKind::Dff;
+        cursor == self.fan_offsets[1..]
+            && (0..n).all(|g| {
+                self.fanout_of(g).iter().filter(not_dff).count() as u32 == self.comb_fan_degree[g]
+            })
+            && is_po == self.is_po
+            && self
+                .dffs
+                .iter()
+                .copied()
+                .eq((0..n as u32).filter(|&g| self.kinds[g as usize] == GateKind::Dff))
+            && self
+                .dffs
+                .iter()
+                .zip(&self.dff_d)
+                .all(|(&q, &d)| self.pins_of(q as usize) == [d])
     }
 
     /// The derived sweep schedule, when the arena is levelized.
@@ -589,8 +697,9 @@ impl CompiledNetlist {
 
     /// Deserializes [`CompiledNetlist::to_bytes`] output.
     ///
-    /// Returns `None` on version mismatch or malformed input — a corrupt
-    /// cache entry must fall back to recompiling, never panic.
+    /// Returns `None` on version mismatch, malformed input or an arena
+    /// that fails [`CompiledNetlist::validate`] — a corrupt cache entry
+    /// must fall back to recompiling, never panic or mis-simulate.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut off = 0usize;
         if *bytes.get(off)? != WIRE_VERSION {
@@ -624,17 +733,7 @@ impl CompiledNetlist {
         let fan = take_u32s(bytes, &mut off)?;
         let comb_fan_degree = take_u32s(bytes, &mut off)?;
         let is_po = take_bits(bytes, &mut off)?;
-        let shape_ok = off == bytes.len()
-            && pin_offsets.len() == n + 1
-            && fan_offsets.len() == n + 1
-            && order.len() == n
-            && levels.len() == n
-            && topo_pos.len() == n
-            && comb_fan_degree.len() == n
-            && is_po.len() == n
-            && fan.len() == pins.len()
-            && dff_d.len() == dffs.len();
-        if !shape_ok {
+        if off != bytes.len() {
             return None;
         }
         let mut c = CompiledNetlist {
@@ -656,6 +755,9 @@ impl CompiledNetlist {
             depth,
             sweep: None,
         };
+        if !c.validate() {
+            return None;
+        }
         // The sweep schedule is derived, not serialized: recompute it so
         // a cache hit behaves exactly like a fresh compile.
         c.sweep = c.derive_sweep();
@@ -975,6 +1077,82 @@ mod tests {
             let bytes = c.to_bytes();
             let back = CompiledNetlist::from_bytes(&bytes).expect("decode");
             assert_eq!(c, back, "round trip must be lossless for {}", net.name());
+        }
+    }
+
+    #[test]
+    fn validate_rejects_inconsistent_arenas() {
+        /// Gates the corruptions below aim at.
+        struct At {
+            input: usize,
+            and: usize,
+            dff: usize,
+            /// A driver with two distinct consumers, so its fan row has
+            /// an order to break.
+            stem: usize,
+        }
+        let c = CompiledNetlist::new(&generate::control_fsm());
+        assert!(c.validate());
+        let gate_of = |kind| (0..c.len()).find(|&g| c.kind(g) == kind).unwrap();
+        let at = At {
+            input: gate_of(GateKind::Input),
+            and: gate_of(GateKind::And),
+            dff: gate_of(GateKind::Dff),
+            stem: (0..c.len())
+                .find(|&g| c.fanout_of(g).windows(2).any(|w| w[0] != w[1]))
+                .unwrap(),
+        };
+        type Break = fn(&mut CompiledNetlist, &At);
+        let breaks: [(&str, Break); 14] = [
+            ("pin past the end", |c, _| c.pins[0] = c.len() as u32),
+            ("offsets start past 0", |c, _| c.pin_offsets[0] = 1),
+            ("Not with no pins", |c, at| {
+                c.kinds[at.input] = GateKind::Not
+            }),
+            ("Buf with two pins", |c, at| c.kinds[at.and] = GateKind::Buf),
+            ("topo_pos not the inverse", |c, _| c.topo_pos.swap(0, 1)),
+            ("order not topological", |c, _| {
+                c.order.reverse();
+                for (pos, &g) in c.order.iter().enumerate() {
+                    c.topo_pos[g as usize] = pos as u32;
+                }
+                let kinds = &c.kinds;
+                let source =
+                    |g: &u32| matches!(kinds[*g as usize], GateKind::Input | GateKind::Dff);
+                c.eval_order = c.order.iter().copied().filter(|g| !source(g)).collect();
+            }),
+            ("eval_order short", |c, _| {
+                c.eval_order.pop();
+            }),
+            ("level off by one", |c, at| c.levels[at.and] += 1),
+            ("depth off by one", |c, _| c.depth += 1),
+            ("fan row out of gate order", |c, at| {
+                let row = c.fan_offsets[at.stem] as usize..c.fan_offsets[at.stem + 1] as usize;
+                c.fan[row].reverse();
+            }),
+            ("comb degree off by one", |c, at| {
+                c.comb_fan_degree[at.stem] += 1
+            }),
+            ("PO mask flipped", |c, at| {
+                c.is_po[at.input] = !c.is_po[at.input]
+            }),
+            ("D pin moved", |c, at| {
+                let i = c.dffs.iter().position(|&q| q as usize == at.dff).unwrap();
+                c.dff_d[i] = (c.dff_d[i] + 1) % c.len() as u32;
+            }),
+            ("a flop left off the DFF list", |c, _| {
+                c.dffs.pop();
+                c.dff_d.pop();
+            }),
+        ];
+        for (what, break_it) in breaks {
+            let mut bad = c.clone();
+            break_it(&mut bad, &at);
+            assert!(!bad.validate(), "{what} passed validation");
+            assert!(
+                CompiledNetlist::from_bytes(&bad.to_bytes()).is_none(),
+                "{what} decoded"
+            );
         }
     }
 

@@ -1,8 +1,9 @@
 //! Property-based tests for the simulation engines.
 
 use proptest::prelude::*;
-use rescue_netlist::generate;
+use rescue_netlist::{generate, GateId, Netlist, NetlistBuilder};
 use rescue_sim::comb::{eval, eval_bool};
+use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::parallel::{pack_patterns, ParallelSimulator};
 use rescue_sim::seq::SeqSimulator;
 use rescue_sim::timed::{SetPulse, TimedSimulator};
@@ -126,5 +127,92 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(first, second);
+    }
+}
+
+/// A random sequential design: `n_dffs` flip-flops fed back through
+/// `n_gates` random gates of every kind over earlier signals.
+fn random_sequential(n_dffs: usize, n_gates: usize, seed: u64) -> Netlist {
+    let mut s = seed.max(1);
+    let mut below = move |k: usize| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s % k as u64) as usize
+    };
+    let mut b = NetlistBuilder::new("rand_seq");
+    let mut sigs = b.inputs("i", 5);
+    let dffs: Vec<GateId> = (0..n_dffs).map(|_| b.dff_floating()).collect();
+    sigs.extend(&dffs);
+    for _ in 0..n_gates {
+        let x = sigs[below(sigs.len())];
+        let y = sigs[below(sigs.len())];
+        let z = sigs[below(sigs.len())];
+        let g = match below(6) {
+            0 => b.nand(x, y),
+            1 => b.or_n(&[x, y, z]),
+            2 => b.xor(x, x),
+            3 => b.not(x),
+            4 => b.buf(y),
+            _ => b.mux(x, y, z),
+        };
+        sigs.push(g);
+    }
+    for &q in &dffs {
+        b.connect_dff(q, sigs[below(sigs.len())]);
+    }
+    b.output("o", sigs[sigs.len() - 1]);
+    b.finish()
+}
+
+/// Decodes `bytes` as a compiled arena and, when that succeeds, checks
+/// the arena validates and runs one packed evaluation. Whether it
+/// decoded.
+fn decode_and_eval(bytes: &[u8]) -> bool {
+    let Some(c) = CompiledNetlist::from_bytes(bytes) else {
+        return false;
+    };
+    assert!(
+        c.validate(),
+        "from_bytes returned an arena that fails validate"
+    );
+    let words = vec![0x9e37_79b9_7f4a_7c15u64; c.primary_inputs().len()];
+    let mut values = Vec::new();
+    c.eval_words_into(&words, None, &mut values).unwrap();
+    assert_eq!(values.len(), c.len());
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Truncated, bit-flipped and spliced arena bytes of random designs
+    /// with DFFs never panic: each decodes to nothing, or to an arena
+    /// that passes `validate` and evaluates.
+    #[test]
+    fn mutated_arena_bytes_decode_or_miss(
+        seed in 1u64..500,
+        n_dffs in 1usize..8,
+        cut in any::<u64>(),
+        flip in any::<u64>(),
+        splice in any::<u64>(),
+    ) {
+        let c = CompiledNetlist::new(&random_sequential(n_dffs, 40, seed));
+        let wire = c.to_bytes();
+        let donor = CompiledNetlist::new(&random_sequential(n_dffs + 1, 60, seed + 1)).to_bytes();
+        prop_assert_eq!(CompiledNetlist::from_bytes(&wire), Some(c));
+        let len = wire.len();
+        prop_assert!(!decode_and_eval(&wire[..cut as usize % len]));
+        let at = splice as usize % len;
+        let mut spliced = wire[..at].to_vec();
+        spliced.extend_from_slice(&donor[at.min(donor.len())..]);
+        decode_and_eval(&spliced);
+        // Eight single-bit flips per case, spread over the payload.
+        for k in 0..8u64 {
+            let mut bytes = wire.clone();
+            let bit = (flip ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15)) as usize % (len * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            decode_and_eval(&bytes);
+        }
     }
 }
