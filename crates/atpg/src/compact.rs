@@ -120,7 +120,7 @@ mod tests {
         // Coverage preserved after filling.
         let patterns: Vec<Vec<bool>> = merged.iter().map(|m| m.fill_with(false)).collect();
         let sim = FaultSimulator::new(&c);
-        assert_eq!(sim.campaign(&c, &faults, &patterns).coverage(), 1.0);
+        assert_eq!(sim.campaign(&faults, &patterns).coverage(), 1.0);
     }
 
     #[test]
@@ -142,9 +142,9 @@ mod tests {
                     .collect()
             })
             .collect();
-        let before = sim.campaign(&net, &faults, &patterns).coverage();
+        let before = sim.campaign(&faults, &patterns).coverage();
         let compacted = reverse_order_compaction(&net, &faults, &patterns);
-        let after = sim.campaign(&net, &faults, &compacted).coverage();
+        let after = sim.campaign(&faults, &compacted).coverage();
         assert_eq!(before, after, "compaction must not lose coverage");
         assert!(compacted.len() < patterns.len() / 2, "{}", compacted.len());
     }

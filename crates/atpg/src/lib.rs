@@ -33,7 +33,7 @@
 //!         patterns.push(cube.fill_with(false));
 //!     }
 //! }
-//! let report = FaultSimulator::new(&c).campaign(&c, &faults, &patterns);
+//! let report = FaultSimulator::new(&c).campaign(&faults, &patterns);
 //! assert_eq!(report.coverage(), 1.0);
 //! ```
 

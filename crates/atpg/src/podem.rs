@@ -561,7 +561,7 @@ mod tests {
         let sim = FaultSimulator::new(net);
         let words = rescue_sim::parallel::pack_patterns(std::slice::from_ref(&pattern));
         let golden = sim.golden(&words);
-        let mask = sim.detection_mask(net, &words, &golden, fault);
+        let mask = sim.detection_mask(&golden, fault);
         assert_eq!(mask & 1, 1, "cube does not detect {fault}");
     }
 

@@ -109,7 +109,7 @@ mod tests {
         let set = pseudo_exhaustive(&c, 8).unwrap();
         let faults = universe::stuck_at_universe(&c);
         let sim = FaultSimulator::new(&c);
-        let report = sim.campaign(&c, &faults, set.patterns());
+        let report = sim.campaign(&faults, set.patterns());
         assert_eq!(report.coverage(), 1.0);
         assert_eq!(set.cones().len(), 2);
         assert!(set.cones().iter().all(|(_, w)| *w == 4));

@@ -28,12 +28,12 @@ proptest! {
                     let words = pack_patterns(std::slice::from_ref(&pattern));
                     let golden = sim.golden(&words);
                     prop_assert_eq!(
-                        sim.detection_mask(&net, &words, &golden, f) & 1, 1,
+                        sim.detection_mask(&golden, f) & 1, 1,
                         "cube misses fault {}", f
                     );
                 }
                 PodemOutcome::Untestable => {
-                    let report = sim.campaign(&net, &[f], &exhaustive);
+                    let report = sim.campaign(&[f], &exhaustive);
                     prop_assert_eq!(
                         report.detected_count(), 0,
                         "PODEM called {} untestable but a pattern detects it", f

@@ -49,7 +49,7 @@ fn bench(c: &mut Criterion) {
         let compacted = static_compaction(&cubes);
         let patterns: Vec<Vec<bool>> = compacted.iter().map(|c| c.fill_with(false)).collect();
         let atpg_cov = FaultSimulator::new(&net)
-            .campaign(&net, &testable, &patterns)
+            .campaign(&testable, &patterns)
             .coverage();
         blog!(
             "{:<10} {:>7} {:>10} {:>9.1}% {:>9} {:>8.1}% {:>10}",
@@ -108,7 +108,7 @@ fn bench(c: &mut Criterion) {
         .map(|p| (0..8).map(|i| p >> i & 1 == 1).collect())
         .collect();
     c.bench_function("e02_fault_sim_mult4", |b| {
-        b.iter(|| std::hint::black_box(sim.campaign(&net, &faults, &patterns)))
+        b.iter(|| std::hint::black_box(sim.campaign(&faults, &patterns)))
     });
 }
 

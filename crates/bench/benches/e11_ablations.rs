@@ -38,7 +38,7 @@ fn campaign_no_dropping(net: &Netlist, faults: &[Fault], pats: &[Vec<bool>]) -> 
         let words = pack_patterns(chunk);
         let golden = sim.golden(&words);
         for &f in faults {
-            if sim.detection_mask(net, &words, &golden, f) != 0 {
+            if sim.detection_mask(&golden, f) != 0 {
                 detections += 1;
             }
         }
@@ -54,7 +54,7 @@ fn campaign_serial(net: &Netlist, faults: &[Fault], pats: &[Vec<bool>]) -> usize
         let words = pack_patterns(std::slice::from_ref(pat));
         let golden = sim.golden(&words);
         for (fi, &f) in faults.iter().enumerate() {
-            if !detected[fi] && sim.detection_mask(net, &words, &golden, f) & 1 != 0 {
+            if !detected[fi] && sim.detection_mask(&golden, f) & 1 != 0 {
                 detected[fi] = true;
             }
         }
@@ -80,8 +80,8 @@ fn bench(c: &mut Criterion) {
         coll.ratio() * 100.0
     );
     let sim = FaultSimulator::new(&net);
-    let full_cov = sim.campaign(&net, &faults, &pats).coverage();
-    let coll_cov = sim.campaign(&net, coll.representatives(), &pats).coverage();
+    let full_cov = sim.campaign(&faults, &pats).coverage();
+    let coll_cov = sim.campaign(coll.representatives(), &pats).coverage();
     blog!(
         "  coverage: full universe {:.2}%, collapsed {:.2}% (same faults, fewer sims)",
         full_cov * 100.0,
@@ -109,22 +109,22 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e11_fault_sim");
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("dropping", "on"), |b| {
-        b.iter(|| std::hint::black_box(sim.campaign(&net, &faults, &pats)))
+        b.iter(|| std::hint::black_box(sim.campaign(&faults, &pats)))
     });
     group.bench_function(BenchmarkId::new("dropping", "off"), |b| {
         b.iter(|| std::hint::black_box(campaign_no_dropping(&net, &faults, &pats)))
     });
     group.bench_function(BenchmarkId::new("packing", "64-way"), |b| {
-        b.iter(|| std::hint::black_box(sim.campaign(&net, &faults, &pats)))
+        b.iter(|| std::hint::black_box(sim.campaign(&faults, &pats)))
     });
     group.bench_function(BenchmarkId::new("packing", "serial"), |b| {
         b.iter(|| std::hint::black_box(campaign_serial(&net, &faults, &pats)))
     });
     group.bench_function(BenchmarkId::new("universe", "collapsed"), |b| {
-        b.iter(|| std::hint::black_box(sim.campaign(&net, coll.representatives(), &pats)))
+        b.iter(|| std::hint::black_box(sim.campaign(coll.representatives(), &pats)))
     });
     group.bench_function(BenchmarkId::new("universe", "full"), |b| {
-        b.iter(|| std::hint::black_box(sim.campaign(&net, &faults, &pats)))
+        b.iter(|| std::hint::black_box(sim.campaign(&faults, &pats)))
     });
     group.finish();
 }

@@ -1,13 +1,12 @@
-//! E12 — fault-simulation engine shoot-out: incremental fanout-cone
-//! propagation (compiled arena, event-horizon early exit) against the
-//! full-resimulation reference engine it replaced.
+//! E12 — fault-simulation engine shoot-out: the compiled-arena PPSFP
+//! engine (one levelized event walk per fault site and pattern word)
+//! against the full-resimulation reference engine it replaced.
 //!
 //! Workload fixed by the acceptance criterion: the complete stuck-at
 //! universe of `random_logic(16, 2000, 4, _)` under 1000 random
 //! patterns. The run first checks the engines produce identical
-//! verdicts, then times reference vs. cone-serial vs. the PPSFP engine
-//! (serial and 4 workers — `campaign_parallel` routes through the
-//! packed path since E15) and writes the measurements to
+//! verdicts, then times the reference against the serial campaign and
+//! the 4-worker campaign, and writes the measurements to
 //! `BENCH_fault_sim.json` at the repo root.
 //!
 //! The 4-worker speedup guard is gated on [`host_cpus`]: the earlier
@@ -18,8 +17,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rescue_bench::{banner, blog, env_json, host_cpus};
+use rescue_core::campaign::Campaign;
 use rescue_core::faults::reference::ReferenceFaultSimulator;
-use rescue_core::faults::{simulate::FaultSimulator, universe};
+use rescue_core::faults::simulate::{FaultSimulator, PackedOptions};
+use rescue_core::faults::universe;
 use rescue_core::netlist::generate;
 use rescue_core::sim::parallel::pack_patterns;
 use std::time::Instant;
@@ -62,17 +63,19 @@ fn median_secs<F: FnMut()>(mut f: F, runs: usize) -> f64 {
 fn bench(c: &mut Criterion) {
     banner(
         "E12",
-        "fault-sim engine: incremental cone vs full resimulation",
+        "fault-sim engine: packed event walk vs full resimulation",
     );
     let net = generate::random_logic(N_INPUTS, N_GATES, N_OUTPUTS, SEED);
     let faults = universe::stuck_at_universe(&net);
     let patterns = random_patterns(N_INPUTS, N_PATTERNS, SEED ^ 0x9e37);
     let fast = FaultSimulator::new(&net);
     let slow = ReferenceFaultSimulator::new(&net);
+    let par4 = Campaign::new(0, 4);
+    let parallel = || fast.campaign_packed(&faults, &patterns, &par4, PackedOptions::default());
 
     // Equivalence gate before any timing: the speedup only counts if the
     // verdicts are bit-identical.
-    let a = fast.campaign(&net, &faults, &patterns);
+    let a = fast.campaign(&faults, &patterns);
     let b = slow.campaign(&net, &faults, &patterns);
     assert_eq!(
         a.first_detection(),
@@ -80,8 +83,7 @@ fn bench(c: &mut Criterion) {
         "engines disagree; refusing to benchmark"
     );
     assert_eq!(
-        fast.campaign_parallel(&net, &faults, &patterns, 4)
-            .first_detection(),
+        parallel().report.first_detection(),
         a.first_detection(),
         "parallel packed engine disagrees; refusing to benchmark"
     );
@@ -95,26 +97,19 @@ fn bench(c: &mut Criterion) {
     );
     let t_new = median_secs(
         || {
-            std::hint::black_box(fast.campaign(&net, &faults, &patterns));
-        },
-        5,
-    );
-    let t_ppsfp = median_secs(
-        || {
-            std::hint::black_box(fast.campaign_parallel(&net, &faults, &patterns, 1));
+            std::hint::black_box(fast.campaign(&faults, &patterns));
         },
         5,
     );
     let t_par = median_secs(
         || {
-            std::hint::black_box(fast.campaign_parallel(&net, &faults, &patterns, 4));
+            std::hint::black_box(parallel());
         },
         5,
     );
 
     let work = faults.len() as f64 * patterns.len() as f64;
     let speedup = t_old / t_new;
-    let speedup_ppsfp = t_old / t_ppsfp;
     let speedup_par = t_old / t_par;
     blog!(
         "\n  workload: {} gates, {} faults, {} patterns (coverage {:.1}%)",
@@ -130,16 +125,10 @@ fn bench(c: &mut Criterion) {
         work / t_old / 1e6
     );
     blog!(
-        "  cone engine, serial      {:>9.1} ms   {:>10.1}   {:>7.2}x",
+        "  ppsfp engine, serial     {:>9.1} ms   {:>10.1}   {:>7.2}x",
         t_new * 1e3,
         work / t_new / 1e6,
         speedup
-    );
-    blog!(
-        "  ppsfp engine, serial     {:>9.1} ms   {:>10.1}   {:>7.2}x",
-        t_ppsfp * 1e3,
-        work / t_ppsfp / 1e6,
-        speedup_ppsfp
     );
     blog!(
         "  ppsfp engine, 4 workers  {:>9.1} ms   {:>10.1}   {:>7.2}x",
@@ -149,11 +138,11 @@ fn bench(c: &mut Criterion) {
     );
     assert!(
         speedup >= 3.0,
-        "acceptance criterion: serial cone engine must be >= 3x over the \
+        "acceptance criterion: serial campaign must be >= 3x over the \
          reference on this workload (got {speedup:.2}x)"
     );
     if host_cpus() >= 4 {
-        let scaling = t_ppsfp / t_par;
+        let scaling = t_new / t_par;
         assert!(
             scaling >= 2.0,
             "acceptance criterion: 4-worker campaign must be >= 2x over \
@@ -173,14 +162,11 @@ fn bench(c: &mut Criterion) {
          \"netlist\": \"random_logic({N_INPUTS}, {N_GATES}, {N_OUTPUTS}, {SEED})\",\n    \
          \"gates\": {},\n    \"faults\": {},\n    \"patterns\": {},\n    \
          \"coverage\": {:.4}\n  }},\n  \"seconds\": {{\n    \
-         \"reference_full_resim\": {:.6},\n    \"cone_serial\": {:.6},\n    \
-         \"ppsfp_serial\": {:.6},\n    \
+         \"reference_full_resim\": {:.6},\n    \"ppsfp_serial\": {:.6},\n    \
          \"ppsfp_parallel_4\": {:.6}\n  }},\n  \"speedup_over_reference\": {{\n    \
-         \"cone_serial\": {:.2},\n    \"ppsfp_serial\": {:.2},\n    \
-         \"ppsfp_parallel_4\": {:.2}\n  }},\n  \
+         \"ppsfp_serial\": {:.2},\n    \"ppsfp_parallel_4\": {:.2}\n  }},\n  \
          \"mega_fault_patterns_per_sec\": {{\n    \"reference_full_resim\": {:.1},\n    \
-         \"cone_serial\": {:.1},\n    \"ppsfp_serial\": {:.1},\n    \
-         \"ppsfp_parallel_4\": {:.1}\n  }}\n}}\n",
+         \"ppsfp_serial\": {:.1},\n    \"ppsfp_parallel_4\": {:.1}\n  }}\n}}\n",
         env_json(4, 64),
         net.len(),
         faults.len(),
@@ -188,14 +174,11 @@ fn bench(c: &mut Criterion) {
         coverage,
         t_old,
         t_new,
-        t_ppsfp,
         t_par,
         speedup,
-        speedup_ppsfp,
         speedup_par,
         work / t_old / 1e6,
         work / t_new / 1e6,
-        work / t_ppsfp / 1e6,
         work / t_par / 1e6,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fault_sim.json");
@@ -217,11 +200,11 @@ fn bench(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    c.bench_function("e12_campaign_cone_serial", |b| {
-        b.iter(|| std::hint::black_box(fast.campaign(&net, &faults, &patterns)))
+    c.bench_function("e12_campaign_ppsfp_serial", |b| {
+        b.iter(|| std::hint::black_box(fast.campaign(&faults, &patterns)))
     });
     c.bench_function("e12_campaign_ppsfp_par4", |b| {
-        b.iter(|| std::hint::black_box(fast.campaign_parallel(&net, &faults, &patterns, 4)))
+        b.iter(|| std::hint::black_box(parallel()))
     });
 }
 

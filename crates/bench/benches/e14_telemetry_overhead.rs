@@ -20,7 +20,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rescue_bench::{banner, blog, env_json};
 use rescue_core::campaign::Campaign;
-use rescue_core::faults::{simulate::FaultSimulator, universe};
+use rescue_core::faults::simulate::{FaultSimulator, PackedOptions};
+use rescue_core::faults::universe;
 use rescue_core::netlist::generate;
 use rescue_core::radiation::seu_analysis::SeuCampaign;
 use rescue_core::telemetry::{journal::Journal, metrics, TelemetryConfig};
@@ -124,7 +125,12 @@ fn bench(c: &mut Criterion) {
     let sim = FaultSimulator::new(&net);
     let driver = Campaign::serial();
     let fault_sim = || {
-        std::hint::black_box(sim.campaign_with_stats(&faults, &patterns, &driver));
+        std::hint::black_box(sim.campaign_packed(
+            &faults,
+            &patterns,
+            &driver,
+            PackedOptions::default(),
+        ));
     };
 
     // E13 workload: exhaustive bit-parallel SEU campaign.

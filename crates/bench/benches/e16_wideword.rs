@@ -4,8 +4,8 @@
 //! Workload fixed by the acceptance criterion — the same as E15: the
 //! complete stuck-at universe of `random_logic(16, 2000, 4, 12)` under
 //! 1000 random patterns. The run first checks every lane width and the
-//! collapsed campaign are verdict-identical to the scalar dropping
-//! campaign, then times the ablation ladder:
+//! collapsed campaign are verdict-identical to the full-resimulation
+//! oracle's dropping campaign, then times the ablation ladder:
 //!
 //! * `w1` / `w2` / `w4` / `w8` — the packed dropping campaign at 64,
 //!   128, 256 and 512 patterns per cone walk, one worker (isolates the
@@ -30,6 +30,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rescue_bench::{banner, blog, env_json, host_cpus};
 use rescue_core::campaign::Campaign;
 use rescue_core::faults::collapse::collapse;
+use rescue_core::faults::reference::ReferenceFaultSimulator;
 use rescue_core::faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_core::faults::universe;
 use rescue_core::netlist::generate;
@@ -95,7 +96,7 @@ fn bench(c: &mut Criterion) {
         // gate only.
         TelemetryConfig::on().install();
         let mark = journal::mark();
-        let scalar = sim.campaign(&net, &faults, &patterns);
+        let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
         let wide = sim.campaign_packed(
             &faults,
             &patterns,
@@ -104,8 +105,8 @@ fn bench(c: &mut Criterion) {
         );
         assert_eq!(
             wide.report.first_detection(),
-            scalar.first_detection(),
-            "wide collapsed engine disagrees with scalar; refusing smoke pass"
+            oracle.first_detection(),
+            "wide collapsed engine disagrees with the oracle; refusing smoke pass"
         );
         let j = journal::Journal::take_since(mark);
         TelemetryConfig::off().install();
@@ -126,9 +127,9 @@ fn bench(c: &mut Criterion) {
     }
 
     // Equivalence gate before any timing: every lane width, with and
-    // without collapse, must reproduce the scalar dropping campaign
+    // without collapse, must reproduce the oracle's dropping campaign
     // bit-for-bit.
-    let scalar = sim.campaign(&net, &faults, &patterns);
+    let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
     let serial = Campaign::new(0, 1);
     let dynamic4 = Campaign::new(0, WORKERS);
     for lane_width in [1usize, 2, 4, 8] {
@@ -139,13 +140,13 @@ fn bench(c: &mut Criterion) {
             let run = sim.campaign_packed(&faults, &patterns, &serial, opts);
             assert_eq!(
                 run.report.first_detection(),
-                scalar.first_detection(),
+                oracle.first_detection(),
                 "W={lane_width} (collapsed: {}) disagrees; refusing to benchmark",
                 opts.collapsed.is_some()
             );
         }
     }
-    let coverage = scalar.coverage();
+    let coverage = oracle.coverage();
     let sample = sim.campaign_packed(
         &faults,
         &patterns,

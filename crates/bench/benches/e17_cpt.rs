@@ -20,9 +20,10 @@
 //! * `hybrid` — W=4 with tracing *and* the collapsed universe — the full
 //!   CPT stack.
 //!
-//! The small rung is equivalence-gated against the scalar oracle before
-//! any timing; the big rung gates hybrid against walk (the walking engine
-//! itself is scalar-equivalence-proptested in `cpt_equivalence.rs`).
+//! The small rung is equivalence-gated against the full-resimulation
+//! oracle before any timing; the big rung gates hybrid against walk (the
+//! walking engine itself is oracle-equivalence-proptested in
+//! `cpt_equivalence.rs`).
 //! Measurements land in `BENCH_cpt.json` with the execution environment
 //! (workers, lane width, host CPUs) recorded. The hybrid-over-walk >= 2x
 //! acceptance assertion on the big rung is gated on `host_cpus() >= 4`,
@@ -36,6 +37,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rescue_bench::{banner, blog, env_json, host_cpus, warn_env_drift};
 use rescue_core::campaign::Campaign;
 use rescue_core::faults::collapse::collapse;
+use rescue_core::faults::reference::ReferenceFaultSimulator;
 use rescue_core::faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_core::faults::universe;
 use rescue_core::netlist::generate;
@@ -104,7 +106,7 @@ fn run_rung(
     n_patterns: usize,
     seed: u64,
     runs: usize,
-    scalar_gate: bool,
+    oracle_gate: bool,
 ) -> Rung {
     let net = generate::random_logic(n_inputs, n_gates, n_outputs, seed);
     let faults = universe::stuck_at_universe(&net);
@@ -117,18 +119,18 @@ fn run_rung(
     let hybrid_opts = PackedOptions::wide(4).with_collapsed(&collapsed).traced();
 
     // Equivalence gate before any timing. The small rung checks every
-    // engine against the scalar oracle; the big rung checks trace and
-    // hybrid against walk (whose scalar equivalence is E16's gate and
+    // engine against the oracle; the big rung checks trace and hybrid
+    // against walk (whose oracle equivalence is E16's gate and
     // the cpt_equivalence property suite).
     let walk_run = sim.campaign_packed(&faults, &patterns, &serial, walk_opts);
-    let reference = if scalar_gate {
-        let scalar = sim.campaign(&net, &faults, &patterns);
+    let reference = if oracle_gate {
+        let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
         assert_eq!(
             walk_run.report.first_detection(),
-            scalar.first_detection(),
-            "walking engine disagrees with scalar; refusing to benchmark"
+            oracle.first_detection(),
+            "walking engine disagrees with the oracle; refusing to benchmark"
         );
-        scalar
+        oracle
     } else {
         walk_run.report.clone()
     };
@@ -177,7 +179,7 @@ fn bench(c: &mut Criterion) {
         let collapsed = collapse(&net, &faults);
         TelemetryConfig::on().install();
         let mark = journal::mark();
-        let scalar = sim.campaign(&net, &faults, &patterns);
+        let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
         let hybrid = sim.campaign_packed(
             &faults,
             &patterns,
@@ -186,8 +188,8 @@ fn bench(c: &mut Criterion) {
         );
         assert_eq!(
             hybrid.report.first_detection(),
-            scalar.first_detection(),
-            "hybrid engine disagrees with scalar; refusing smoke pass"
+            oracle.first_detection(),
+            "hybrid engine disagrees with the oracle; refusing smoke pass"
         );
         let j = journal::Journal::take_since(mark);
         TelemetryConfig::off().install();

@@ -181,7 +181,7 @@ impl HolisticFlow {
         // equivalence-class representatives are evaluated, most by
         // backward sensitization chains, cone walks only at reconvergent
         // stems. All three choices leave the verdicts bit-identical to
-        // the scalar engine.
+        // the default walking engine.
         let driver = Campaign::new(seed, 1);
         let sim = FaultSimulator::new(design);
         let campaign_run = {

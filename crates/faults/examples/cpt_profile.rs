@@ -48,13 +48,11 @@ fn main() {
     }
     println!("walk list: {} faults", walk.len());
     let t = Instant::now();
-    let plan = CampaignPlan::build(c, &walk);
+    CampaignPlan::build(c, &walk);
     println!("CampaignPlan::build(walk): {:?}", t.elapsed());
     let sites: std::collections::HashSet<usize> =
         walk.iter().map(|f| f.site().gate().index()).collect();
     println!("distinct sites: {}", sites.len());
-    let cone_total: usize = sites.iter().map(|&s| plan.cone_of(s).unwrap().len()).sum();
-    println!("cone gates total: {cone_total}");
     let t = Instant::now();
     let tplan = TracePlan::build(c, &walk);
     println!(

@@ -484,7 +484,7 @@ mod tests {
         let patterns: Vec<Vec<bool>> = (0..32u32)
             .map(|p| (0..5).map(|i| p >> i & 1 == 1).collect())
             .collect();
-        let dom_report = sim.campaign(&net, &dom, &patterns);
+        let dom_report = sim.campaign(&dom, &patterns);
         // Keep only patterns that were first-detectors for dom faults.
         let used: std::collections::BTreeSet<usize> = dom_report
             .first_detection()
@@ -493,9 +493,9 @@ mod tests {
             .copied()
             .collect();
         let subset: Vec<Vec<bool>> = used.iter().map(|&i| patterns[i].clone()).collect();
-        assert_eq!(sim.campaign(&net, &dom, &subset).coverage(), 1.0);
+        assert_eq!(sim.campaign(&dom, &subset).coverage(), 1.0);
         assert_eq!(
-            sim.campaign(&net, &dropped, &subset).coverage(),
+            sim.campaign(&dropped, &subset).coverage(),
             1.0,
             "a test set complete for the collapsed list missed a dropped fault"
         );
@@ -540,8 +540,8 @@ mod tests {
             if rep == f {
                 continue;
             }
-            let m1 = sim.detection_mask(&c17, &words, &golden, f);
-            let m2 = sim.detection_mask(&c17, &words, &golden, rep);
+            let m1 = sim.detection_mask(&golden, f);
+            let m2 = sim.detection_mask(&golden, rep);
             assert_eq!(m1, m2, "fault {f} vs representative {rep}");
         }
     }

@@ -1,49 +1,28 @@
-//! Incremental single-fault propagation over the compiled arena.
+//! Packed single-fault detection over the compiled arena.
 //!
 //! The hot path of every stuck-at campaign is "given the chunk's golden
 //! words, which patterns see this fault at an output?". The classic
-//! answer re-simulates the whole netlist per fault; this engine instead:
-//!
-//! 1. **memoizes the combinational fanout cone** of each fault site in a
-//!    [`CampaignPlan`] (sa0/sa1 at the same site share one cone, stored
-//!    as a flat CSR sorted by topological position, root excluded);
-//! 2. **injects** the fault at its root over a scratch value array that
-//!    equals the chunk's golden words everywhere;
-//! 3. **resimulates only the cone**, in levelized order, tracking the
-//!    largest topological position any fault effect can still reach
-//!    (the *event horizon*) and breaking out as soon as the walk passes
-//!    it — the event-driven early exit;
-//! 4. **undoes** its writes through a touched list, so the scratch array
-//!    is golden again without an `O(gates)` copy or a fresh allocation.
-//!
-//! Verdicts are bit-identical to full resimulation: gates outside the
-//! combinational fanout cone cannot change (DFF outputs hold 0 in packed
-//! word evaluation, so effects never cross a sequential edge within a
-//! chunk), and cone gates are evaluated with the same kernels in the
-//! same order.
-//!
-//! # PPSFP: one walk per site, event-driven
-//!
-//! [`CampaignPlan::detect`] pays one cone walk per *fault* per 64-pattern
-//! word, and that walk evaluates every cone gate below the horizon even
-//! when almost none of them changed. [`CampaignPlan::detect_packed`] is
-//! the parallel-pattern single-fault propagation (PPSFP, Waicukauski et
-//! al. 1985) production path, built on three exact reductions:
+//! answer re-simulates the whole netlist per fault; this engine answers
+//! it with one levelized event walk per fault *site* and chunk, the
+//! parallel-pattern single-fault propagation (PPSFP, Waicukauski et al.
+//! 1985) of [`CampaignPlan::detect_packed`], built on three exact
+//! reductions:
 //!
 //! * **Observability factoring** — bit lanes of word evaluation never
-//!   interact, so one walk with the root *flipped on all 64 lanes*
-//!   computes, per lane, whether a root flip reaches a primary output
-//!   (the observability word `O`). Every stuck-at fault at the site is
-//!   then `O & excitation`, where the excitation word (lanes on which
-//!   the fault actually flips the root) is one gate evaluation at most.
-//!   sa0, sa1 and all pin faults of a site share a single walk.
-//! * **Levelized event queue** — the walk needs no memoized cone. It
-//!   pushes the fanouts of each changed gate into per-level buckets and
-//!   drains the levels in ascending order, so it evaluates only gates
-//!   with a changed fanin (typical walks change ~a dozen gates in a
-//!   500-gate cone). Levels strictly increase along combinational
-//!   edges, so every gate is evaluated after all of its changed fanins
-//!   — the same values as a topological cone scan.
+//!   interact, so one walk with the root *flipped on all lanes* computes,
+//!   per lane, whether a root flip reaches a primary output (the
+//!   observability word `O`). Every stuck-at fault at the site is then
+//!   `O & excitation`, where the excitation word (lanes on which the
+//!   fault actually flips the root) is one gate evaluation at most. sa0,
+//!   sa1 and all pin faults of a site share a single walk.
+//! * **Levelized event queue** — the walk pushes the fanouts of each
+//!   changed gate into per-level buckets and drains the levels in
+//!   ascending order, so it evaluates only gates with a changed fanin
+//!   (typical walks change ~a dozen gates in a 500-gate cone). Levels
+//!   strictly increase along combinational edges, so every gate is
+//!   evaluated after all of its changed fanins. A touched-list undo
+//!   restores the golden values afterwards, so campaigns allocate
+//!   nothing per fault.
 //! * **Static observability pruning** — a site whose cone contains no
 //!   primary output can never be detected; its faults are answered with
 //!   `0` without any walk ([`CampaignPlan::observable`]). The same
@@ -51,15 +30,21 @@
 //!   gates out of the event queue: gates that cannot reach an output
 //!   cannot feed one either.
 //!
-//! The walking engine and the stem fallback of the tracing hybrid
-//! ([`crate::trace`]) share this one walk. Equivalence with
-//! [`CampaignPlan::detect`] (the scalar oracle) is enforced by property
-//! tests in `tests/ppsfp_equivalence.rs`.
+//! Gates outside the combinational fanout cone cannot change (DFF
+//! outputs hold 0 in packed word evaluation, so effects never cross a
+//! sequential edge within a chunk), so verdicts equal full resimulation.
+//! The walk is the only detection engine in the workspace: the walking
+//! campaigns, the stem fallback of the tracing hybrid ([`crate::trace`])
+//! and the observer-group classification walk
+//! ([`CampaignPlan::detect_observed`]) all run it. Equivalence with the
+//! full-resimulation oracle ([`crate::reference`]) is enforced by the
+//! property tests in `tests/ppsfp_equivalence.rs` and
+//! `tests/engine_equivalence.rs`.
 
 use crate::error::FaultError;
 use crate::model::{Fault, FaultSite};
 use rescue_netlist::GateKind;
-use rescue_sim::codec::{put_bits, put_u32s, take_bits, take_u32s};
+use rescue_sim::codec::{put_bits, take_bits};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::wide::SimWord;
 use rescue_telemetry::{metrics, span};
@@ -67,32 +52,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
-/// Memoized per-site fanout cones for one campaign's fault list.
+/// The per-campaign facts every detection path reads: which gates are
+/// fault-site roots of the campaign's fault list, and which gates can
+/// reach a primary output.
 ///
-/// Built once per campaign ([`CampaignPlan::build`]) and shared read-only
-/// by all workers; the per-fault state lives in [`FaultScratch`]. The
-/// cones serve the scalar [`CampaignPlan::detect`] /
-/// [`CampaignPlan::detect_observed`] walks; the packed path reads only
-/// the root index and the PO-reachability bitmap.
-///
-/// `PartialEq` compares every CSR byte-for-byte — the equivalence
+/// Built once per campaign ([`CampaignPlan::build`]) and shared
+/// read-only by all workers; the per-fault state lives in
+/// [`WideScratch`]. `PartialEq` compares both bitmaps — the equivalence
 /// proptests use it to pin parallel and cache-reloaded builds to the
 /// serial construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignPlan {
-    /// Per gate: index into `cone_offsets`, `u32::MAX` when the gate is
-    /// not a fault-site root in this plan.
-    cone_index: Vec<u32>,
-    cone_offsets: Vec<u32>,
-    /// Concatenated cones, each sorted by topological position and
-    /// excluding its root.
-    cone_gates: Vec<u32>,
+    /// Per gate: whether some fault of the plan's list sits at the gate.
+    planned: Vec<bool>,
     /// Per gate: whether the gate's combinational fanout cone (or the
     /// gate itself) contains a primary output — computed for every gate
     /// in one reverse-topological sweep at build time.
     observable: Vec<bool>,
 }
-
 /// PO-reachability for every gate in one reverse-topological sweep: a
 /// gate is reachable when it drives a primary output or any non-DFF
 /// fanout is reachable. Sources (Input/Dff outputs) sit outside
@@ -101,8 +78,7 @@ pub struct CampaignPlan {
 ///
 /// This is the same O(gates + edges) sweep [`CampaignPlan::build`] runs;
 /// exposed standalone so campaign front-ends can prefilter a fault list
-/// (e.g. collapsed-universe representatives) *before* paying for cone
-/// construction.
+/// (e.g. collapsed-universe representatives) before building a plan.
 pub fn po_reachable(compiled: &CompiledNetlist) -> Vec<bool> {
     let n = compiled.len();
     let mut reachable = vec![false; n];
@@ -200,266 +176,61 @@ pub fn po_reachable_with(compiled: &CompiledNetlist, workers: usize) -> Vec<bool
     reachable.into_iter().map(AtomicBool::into_inner).collect()
 }
 
-/// Maximum cone entries a plan's `u32` offset arena can address.
-pub const MAX_PLAN_ENTRIES: usize = u32::MAX as usize;
-
-/// Checks that `entries` cone-CSR entries fit the `u32` offset arena,
-/// so million-gate plans fail loudly instead of truncating offsets.
-///
-/// # Errors
-///
-/// Returns [`FaultError::PlanTooLarge`] when `entries` exceeds
-/// [`MAX_PLAN_ENTRIES`].
-pub fn ensure_plan_capacity(entries: usize) -> Result<(), FaultError> {
-    if entries > MAX_PLAN_ENTRIES {
-        Err(FaultError::PlanTooLarge {
-            entries,
-            limit: MAX_PLAN_ENTRIES,
-        })
-    } else {
-        Ok(())
-    }
-}
-
 /// Version byte of the [`CampaignPlan::to_bytes`] wire format.
-const PLAN_WIRE_VERSION: u8 = 2;
-
-/// Per-worker DFS buffers for cone construction.
-struct ConeScratch {
-    seen: Vec<bool>,
-    stack: Vec<u32>,
-    members: Vec<u32>,
-}
-
-/// One worker's contiguous share of the cone CSR: entries concatenated
-/// in root order with *relative* end offsets, stitched into absolute
-/// offsets by the (deterministic) reassembly pass.
-struct ConeChunk {
-    gates: Vec<u32>,
-    ends: Vec<u64>,
-}
-
-/// Collects the (sorted, root-excluded) cone members of `root` into
-/// `keyed` as packed `(topo_pos << 32) | gate` keys.
-fn cone_members_sorted(
-    compiled: &CompiledNetlist,
-    root: usize,
-    scratch: &mut ConeScratch,
-    keyed: &mut Vec<u64>,
-) {
-    keyed.clear();
-    let ConeScratch {
-        seen,
-        stack,
-        members,
-    } = scratch;
-    // DFS over combinational fanout edges; DFF consumers hold state, so
-    // fault effects stop at the D-pin within a chunk.
-    seen[root] = true;
-    stack.push(root as u32);
-    while let Some(g) = stack.pop() {
-        for &s in compiled.fanout_of(g as usize) {
-            let si = s as usize;
-            if seen[si] || compiled.kind(si) == GateKind::Dff {
-                continue;
-            }
-            seen[si] = true;
-            stack.push(s);
-            members.push(s);
-        }
-    }
-    // Kahn order enqueues a gate only after all combinational
-    // predecessors, so every cone member sits after the root; sorting by
-    // position yields a valid evaluation order. Packed (position, gate)
-    // keys cost one topo_pos load per element instead of one per
-    // comparison.
-    keyed.extend(
-        members
-            .iter()
-            .map(|&g| ((compiled.topo_pos(g as usize) as u64) << 32) | g as u64),
-    );
-    keyed.sort_unstable();
-    seen[root] = false;
-    for &m in members.iter() {
-        seen[m as usize] = false;
-    }
-    members.clear();
-}
-
-/// Builds the cone CSR share for a contiguous slice of plan roots.
-fn build_cone_chunk(compiled: &CompiledNetlist, roots: &[u32]) -> ConeChunk {
-    let mut scratch = ConeScratch {
-        seen: vec![false; compiled.len()],
-        stack: Vec::new(),
-        members: Vec::new(),
-    };
-    let mut keyed: Vec<u64> = Vec::new();
-    let mut chunk = ConeChunk {
-        gates: Vec::new(),
-        ends: Vec::with_capacity(roots.len()),
-    };
-    for &root in roots {
-        cone_members_sorted(compiled, root as usize, &mut scratch, &mut keyed);
-        chunk.gates.extend(keyed.iter().map(|&k| k as u32));
-        chunk.ends.push(chunk.gates.len() as u64);
-    }
-    chunk
-}
-
-/// Shared core of the serial and parallel plan builds.
-///
-/// A serial dedup pass fixes the root order (first appearance in the
-/// fault list) and with it every CSR offset; workers then fill in cone
-/// contents for contiguous root shards, and chunks concatenate back in
-/// root order — so the result is byte-identical to the `workers == 1`
-/// build for any worker count.
-fn build_plan_impl(
-    compiled: &CompiledNetlist,
-    faults: &[Fault],
-    workers: usize,
-) -> Result<CampaignPlan, FaultError> {
-    let w = workers.max(1);
-    let _span = span!("plan.build", faults = faults.len());
-    let t0 = Instant::now();
-    let n = compiled.len();
-    let observable = po_reachable_with(compiled, w);
-    let mut cone_index = vec![u32::MAX; n];
-    let mut roots: Vec<u32> = Vec::new();
-    for fault in faults {
-        let root = fault.site().gate().index();
-        if cone_index[root] != u32::MAX {
-            continue; // sa0/sa1 (and pin faults) at one gate share a cone
-        }
-        cone_index[root] = roots.len() as u32;
-        roots.push(root as u32);
-    }
-    let shards = w.min(roots.len()).max(1);
-    let chunk_len = roots.len().div_ceil(shards).max(1);
-    let chunks: Vec<ConeChunk> = if shards == 1 {
-        vec![build_cone_chunk(compiled, &roots)]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = roots
-                .chunks(chunk_len)
-                .map(|slice| s.spawn(move || build_cone_chunk(compiled, slice)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("plan build worker panicked"))
-                .collect()
-        })
-    };
-    let total: usize = chunks.iter().map(|c| c.gates.len()).sum();
-    ensure_plan_capacity(total)?;
-    let mut plan = CampaignPlan {
-        cone_index,
-        cone_offsets: Vec::with_capacity(roots.len() + 1),
-        cone_gates: Vec::with_capacity(total),
-        observable,
-    };
-    plan.cone_offsets.push(0);
-    // Cone sizes feed the `fault.cone_size` histogram: build is cold
-    // (once per campaign), so recording per cone here costs nothing on
-    // the per-fault hot path.
-    let cone_hist = rescue_telemetry::enabled()
-        .then(|| metrics::histogram("fault.cone_size", &metrics::pow2_bounds(16)));
-    for chunk in &chunks {
-        let base = plan.cone_gates.len() as u64;
-        let mut start = 0u64;
-        for &end in &chunk.ends {
-            plan.cone_offsets.push((base + end) as u32);
-            if let Some(hist) = &cone_hist {
-                hist.record(end - start);
-            }
-            start = end;
-        }
-        plan.cone_gates.extend_from_slice(&chunk.gates);
-    }
-    if rescue_telemetry::enabled() {
-        metrics::histogram("plan.build_ms", &metrics::pow2_bounds(16))
-            .record(t0.elapsed().as_millis() as u64);
-    }
-    Ok(plan)
-}
+const PLAN_WIRE_VERSION: u8 = 3;
 
 impl CampaignPlan {
-    /// Computes (and deduplicates) the combinational fanout cone of every
-    /// fault site in `faults`.
+    /// Marks every fault site of `faults` and sweeps PO reachability.
     pub fn build(compiled: &CompiledNetlist, faults: &[Fault]) -> Self {
         Self::build_with(compiled, faults, 1)
     }
 
-    /// [`CampaignPlan::build`] sharded across `workers` threads.
-    ///
-    /// Bit-identical to the serial build for any worker count: a serial
-    /// dedup pass fixes the root order, workers build cones for
-    /// contiguous root shards, and shards concatenate back in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan exceeds its `u32` offset capacity (use
-    /// [`CampaignPlan::try_build_with`] for the typed error).
+    /// [`CampaignPlan::build`] with the PO-reachability sweep sharded
+    /// across `workers` threads ([`po_reachable_with`]); bit-identical to
+    /// the serial build for any worker count.
     pub fn build_with(compiled: &CompiledNetlist, faults: &[Fault], workers: usize) -> Self {
-        Self::try_build_with(compiled, faults, workers).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`CampaignPlan::build_with`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::PlanTooLarge`] when the cone CSR outgrows its `u32`
-    /// offset arena.
-    pub fn try_build_with(
-        compiled: &CompiledNetlist,
-        faults: &[Fault],
-        workers: usize,
-    ) -> Result<Self, FaultError> {
-        build_plan_impl(compiled, faults, workers)
+        let _span = span!("plan.build", faults = faults.len());
+        let t0 = Instant::now();
+        let observable = po_reachable_with(compiled, workers);
+        let mut planned = vec![false; compiled.len()];
+        for fault in faults {
+            planned[fault.site().gate().index()] = true;
+        }
+        if rescue_telemetry::enabled() {
+            metrics::histogram("plan.build_ms", &metrics::pow2_bounds(16))
+                .record(t0.elapsed().as_millis() as u64);
+        }
+        CampaignPlan {
+            planned,
+            observable,
+        }
     }
 
     /// Serializes the plan for the compiled-artifact cache
     /// (little-endian, versioned; see `rescue_sim::codec`).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32 + 4 * (self.cone_index.len() + self.cone_gates.len()));
+        let mut buf = Vec::with_capacity(17 + self.planned.len() / 4);
         buf.push(PLAN_WIRE_VERSION);
-        put_u32s(&mut buf, &self.cone_index);
-        put_u32s(&mut buf, &self.cone_offsets);
-        put_u32s(&mut buf, &self.cone_gates);
+        put_bits(&mut buf, &self.planned);
         put_bits(&mut buf, &self.observable);
         buf
     }
 
     /// Deserializes [`CampaignPlan::to_bytes`] output. Returns `None` on
     /// version mismatch or malformed input — a corrupt cache entry must
-    /// fall back to rebuilding, never panic. Beyond the array shapes it
-    /// checks that the offsets are monotone and that every root index
-    /// and cone gate stays inside the plan, so no accessor can index out
-    /// of bounds.
+    /// fall back to rebuilding, never panic. Both bitmaps must cover the
+    /// same gates and the payload must end exactly after them.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut off = 0usize;
         if *bytes.get(off)? != PLAN_WIRE_VERSION {
             return None;
         }
         off += 1;
-        let cone_index = take_u32s(bytes, &mut off)?;
-        let cone_offsets = take_u32s(bytes, &mut off)?;
-        let cone_gates = take_u32s(bytes, &mut off)?;
+        let planned = take_bits(bytes, &mut off)?;
         let observable = take_bits(bytes, &mut off)?;
-        let n = cone_index.len();
-        let roots = cone_offsets.len().checked_sub(1)?;
-        let ok = off == bytes.len()
-            && observable.len() == n
-            && cone_offsets[0] == 0
-            && cone_offsets.windows(2).all(|w| w[0] <= w[1])
-            && cone_offsets[roots] as usize == cone_gates.len()
-            && cone_gates.iter().all(|&g| (g as usize) < n)
-            && cone_index
-                .iter()
-                .all(|&i| i == u32::MAX || (i as usize) < roots);
+        let ok = off == bytes.len() && observable.len() == planned.len();
         ok.then_some(CampaignPlan {
-            cone_index,
-            cone_offsets,
-            cone_gates,
+            planned,
             observable,
         })
     }
@@ -467,96 +238,7 @@ impl CampaignPlan {
     /// Whether this plan was built for a design of `compiled`'s size —
     /// the check a cache reload runs before trusting decoded bytes.
     pub fn validate(&self, compiled: &CompiledNetlist) -> bool {
-        self.cone_index.len() == compiled.len()
-    }
-
-    /// The memoized cone (topo-sorted, root excluded) for the site rooted
-    /// at gate `root`, or `None` when `root` was not in the fault list.
-    pub fn cone_of(&self, root: usize) -> Option<&[u32]> {
-        let idx = self.cone_index[root];
-        if idx == u32::MAX {
-            return None;
-        }
-        let lo = self.cone_offsets[idx as usize] as usize;
-        let hi = self.cone_offsets[idx as usize + 1] as usize;
-        Some(&self.cone_gates[lo..hi])
-    }
-
-    /// Detection mask of `fault` over the chunk whose golden values are
-    /// `golden`, by incremental cone resimulation. `scratch.val` must
-    /// equal `golden` on entry and is restored before returning.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-stuck-at kinds and on roots absent from the plan.
-    pub fn detect<Wd: SimWord>(
-        &self,
-        compiled: &CompiledNetlist,
-        golden: &[Wd],
-        scratch: &mut WideScratch<Wd>,
-        fault: Fault,
-    ) -> Wd {
-        let stuck = fault
-            .kind()
-            .stuck_value()
-            .expect("stuck-at campaign requires stuck-at faults");
-        let word = Wd::splat(stuck);
-        let root = fault.site().gate().index();
-
-        // Inject at the root. Pin faults re-evaluate the root gate with
-        // one input substituted; the reference engine never forces pins
-        // of source kinds (Input has no pins to evaluate, Dff outputs 0
-        // regardless), so those stay at their golden value.
-        let fault_value = match fault.site() {
-            FaultSite::Output(_) => word,
-            FaultSite::Pin { pin, .. } => match compiled.kind(root) {
-                GateKind::Input | GateKind::Dff => golden[root],
-                _ => compiled.eval_word_pin_forced(root, &scratch.val, pin, word),
-            },
-        };
-        scratch.counters.faults_evaluated += 1;
-        if fault_value == golden[root] {
-            return Wd::ZERO; // not excited on any pattern of this chunk
-        }
-        scratch.counters.excitations += 1;
-
-        let mut mask = Wd::ZERO;
-        scratch.val[root] = fault_value;
-        scratch.touched.push(root as u32);
-        if compiled.is_po(root) {
-            mask |= fault_value ^ golden[root];
-        }
-        // Event horizon: the largest topo position a fault effect can
-        // still reach. Cone gates beyond it see only golden inputs.
-        let mut horizon = 0u32;
-        for &s in compiled.fanout_of(root) {
-            horizon = horizon.max(compiled.topo_pos(s as usize));
-        }
-        let cone = self
-            .cone_of(root)
-            .expect("fault root missing from campaign plan");
-        for &g in cone {
-            let gi = g as usize;
-            if compiled.topo_pos(gi) > horizon {
-                // Event frontier died: everything further is golden.
-                scratch.counters.horizon_exits += 1;
-                break;
-            }
-            let v = compiled.eval_word(gi, &scratch.val);
-            if v == golden[gi] {
-                continue;
-            }
-            scratch.val[gi] = v;
-            scratch.touched.push(g);
-            if compiled.is_po(gi) {
-                mask |= v ^ golden[gi];
-            }
-            for &s in compiled.fanout_of(gi) {
-                horizon = horizon.max(compiled.topo_pos(s as usize));
-            }
-        }
-        scratch.undo(golden);
-        mask
+        self.planned.len() == compiled.len()
     }
 
     /// Whether `root`'s combinational fanout cone (or `root` itself)
@@ -572,17 +254,20 @@ impl CampaignPlan {
         self.observable[root]
     }
 
-    /// Whether gate `root` is a fault-site root this plan memoized a
-    /// cone for. The packed detection paths report an unplanned root as
+    /// Whether gate `root` is a fault-site root of this plan. The packed
+    /// detection paths report an unplanned root as
     /// [`FaultError::UnplannedSite`] instead of panicking.
     #[inline]
     pub fn planned(&self, root: usize) -> bool {
-        self.cone_index[root] != u32::MAX
+        self.planned[root]
     }
 
     /// Excitation word of `fault`: the patterns (bit `p`) on which the
     /// fault flips its root gate's output away from golden. At most one
-    /// gate evaluation (pin faults); output faults are a compare.
+    /// gate evaluation (pin faults); output faults are a compare. The
+    /// reference engine never forces pins of source kinds (Input has no
+    /// pins to evaluate, Dff outputs 0 regardless), so those never
+    /// excite.
     ///
     /// # Panics
     ///
@@ -634,10 +319,10 @@ impl CampaignPlan {
     }
 
     /// PPSFP detection mask of `fault` over the chunk whose golden
-    /// values are `golden`: bit-identical to [`CampaignPlan::detect`]
-    /// but sharing one observability walk across every fault of the
-    /// site, skipping unexcited faults and statically unobservable
-    /// sites without walking at all.
+    /// values are `golden`: bit `p` is set iff the fault changes a
+    /// primary output on pattern `p`. One observability walk is shared
+    /// across every fault of the site; unexcited faults and statically
+    /// unobservable sites take no walk at all.
     ///
     /// Exactness: bit lanes of word evaluation are independent, so on
     /// every lane a stuck-at fault either leaves the root at golden (no
@@ -679,52 +364,28 @@ impl CampaignPlan {
         scratch.counters.excitations += 1;
         Ok(self.observability_packed(compiled, golden, scratch, root)? & excitation)
     }
-}
 
-/// Two observer sets over the gate array, e.g. functional outputs vs
-/// checker outputs in an ISO 26262 classification campaign.
-///
-/// Stored as a per-gate 2-bit membership map so the cone walk tests
-/// membership in O(1) without hashing.
-#[derive(Debug, Clone)]
-pub struct ObserverGroups {
-    member: Vec<u8>,
-}
-
-impl ObserverGroups {
-    /// Builds the membership map for a design of `len` gates: `group_a`
-    /// and `group_b` are observed gate indices (a gate may sit in both).
-    pub fn new(len: usize, group_a: &[u32], group_b: &[u32]) -> Self {
-        let mut member = vec![0u8; len];
-        for &g in group_a {
-            member[g as usize] |= 1;
-        }
-        for &g in group_b {
-            member[g as usize] |= 2;
-        }
-        ObserverGroups { member }
-    }
-
-    #[inline]
-    fn of(&self, g: usize) -> u8 {
-        self.member[g]
-    }
-}
-
-impl CampaignPlan {
-    /// Like [`CampaignPlan::detect`], but observes two arbitrary gate
-    /// sets instead of the primary outputs: returns
+    /// Like [`CampaignPlan::detect_packed`], but observes two output
+    /// groups instead of all primary outputs: returns
     /// `(group_a_mask, group_b_mask)` — the patterns on which the fault
-    /// effect differs from golden at any gate of the respective group.
+    /// effect reaches any output of the respective group.
     ///
-    /// Verdicts are bit-identical to diffing a full faulty resimulation
-    /// against golden at the observer gates (the classification oracle):
-    /// gates outside the combinational fanout cone keep their golden
-    /// value, so only cone members (and the root) can contribute.
+    /// Exact by the same argument as [`CampaignPlan::detect_packed`]:
+    /// each group mask is `excitation & group observability`, where the
+    /// group observability comes from the same levelized walk recording
+    /// changes at observer gates. Observers drive primary outputs
+    /// ([`ObserverGroups::new`]), so the PO-reachability pruning never
+    /// skips a gate that could reach one. Group walks bypass the
+    /// scratch's one-entry observability cache.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultError::UnplannedSite`] when the fault's root was not a
+    /// fault-site root of this plan.
     ///
     /// # Panics
     ///
-    /// Panics on non-stuck-at kinds and on roots absent from the plan.
+    /// Panics on non-stuck-at kinds.
     pub fn detect_observed<Wd: SimWord>(
         &self,
         compiled: &CompiledNetlist,
@@ -732,65 +393,118 @@ impl CampaignPlan {
         scratch: &mut WideScratch<Wd>,
         fault: Fault,
         observers: &ObserverGroups,
-    ) -> (Wd, Wd) {
-        let stuck = fault
-            .kind()
-            .stuck_value()
-            .expect("stuck-at campaign requires stuck-at faults");
-        let word = Wd::splat(stuck);
-        let root = fault.site().gate().index();
-        let fault_value = match fault.site() {
-            FaultSite::Output(_) => word,
-            FaultSite::Pin { pin, .. } => match compiled.kind(root) {
-                GateKind::Input | GateKind::Dff => golden[root],
-                _ => compiled.eval_word_pin_forced(root, &scratch.val, pin, word),
-            },
-        };
+    ) -> Result<(Wd, Wd), FaultError> {
         scratch.counters.faults_evaluated += 1;
-        if fault_value == golden[root] {
-            return (Wd::ZERO, Wd::ZERO);
+        let root = fault.site().gate().index();
+        if !self.planned(root) {
+            return Err(FaultError::UnplannedSite { gate: root });
+        }
+        if !self.observable[root] {
+            return Ok((Wd::ZERO, Wd::ZERO));
+        }
+        let excitation = Self::excitation_word(compiled, golden, fault);
+        if excitation.is_zero() {
+            return Ok((Wd::ZERO, Wd::ZERO));
         }
         scratch.counters.excitations += 1;
+        let seen = scratch.walk(
+            compiled,
+            &self.observable,
+            golden,
+            root,
+            GroupMasks {
+                observers,
+                a: Wd::ZERO,
+                b: Wd::ZERO,
+            },
+        );
+        Ok((seen.a & excitation, seen.b & excitation))
+    }
+}
 
-        let mut mask_a = Wd::ZERO;
-        let mut mask_b = Wd::ZERO;
-        let mut observe = |m: u8, diff: Wd| {
-            if m & 1 != 0 {
-                mask_a |= diff;
-            }
-            if m & 2 != 0 {
-                mask_b |= diff;
-            }
-        };
-        scratch.val[root] = fault_value;
-        scratch.touched.push(root as u32);
-        observe(observers.of(root), fault_value ^ golden[root]);
-        let mut horizon = 0u32;
-        for &s in compiled.fanout_of(root) {
-            horizon = horizon.max(compiled.topo_pos(s as usize));
-        }
-        let cone = self
-            .cone_of(root)
-            .expect("fault root missing from campaign plan");
-        for &g in cone {
-            let gi = g as usize;
-            if compiled.topo_pos(gi) > horizon {
-                scratch.counters.horizon_exits += 1;
-                break;
-            }
-            let v = compiled.eval_word(gi, &scratch.val);
-            if v == golden[gi] {
-                continue;
-            }
-            scratch.val[gi] = v;
-            scratch.touched.push(g);
-            observe(observers.of(gi), v ^ golden[gi]);
-            for &s in compiled.fanout_of(gi) {
-                horizon = horizon.max(compiled.topo_pos(s as usize));
+/// Two observer sets over the gate array, e.g. functional outputs vs
+/// checker outputs in an ISO 26262 classification campaign.
+///
+/// Stored as a per-gate 2-bit membership map so the walk tests
+/// membership in O(1) without hashing.
+#[derive(Debug, Clone)]
+pub struct ObserverGroups {
+    member: Vec<u8>,
+}
+
+impl ObserverGroups {
+    /// Builds the membership map over `compiled`'s gates: `group_a` and
+    /// `group_b` are observed gate indices (a gate may sit in both).
+    ///
+    /// # Panics
+    ///
+    /// Panics when an observer does not drive a primary output: the
+    /// detection walk prunes gates that cannot reach an output, which is
+    /// exact only for output observers.
+    pub fn new(compiled: &CompiledNetlist, group_a: &[u32], group_b: &[u32]) -> Self {
+        let mut member = vec![0u8; compiled.len()];
+        for (bit, group) in [(1u8, group_a), (2, group_b)] {
+            for &g in group {
+                assert!(
+                    compiled.is_po(g as usize),
+                    "observer gate {g} does not drive a primary output"
+                );
+                member[g as usize] |= bit;
             }
         }
-        scratch.undo(golden);
-        (mask_a, mask_b)
+        ObserverGroups { member }
+    }
+}
+
+/// What a levelized walk records at each gate whose value it changed —
+/// the one point where the PO observability walk and the observer-group
+/// walk differ.
+trait WalkSink<Wd: SimWord> {
+    /// Records that gate `g` left golden on the lanes of `diff`.
+    fn record(&mut self, compiled: &CompiledNetlist, g: usize, diff: Wd);
+    /// Whether every lane is already recorded, so the walk may stop.
+    fn saturated(&self) -> bool;
+}
+
+/// The lanes on which any primary output changed.
+struct PoMask<Wd>(Wd);
+
+impl<Wd: SimWord> WalkSink<Wd> for PoMask<Wd> {
+    #[inline]
+    fn record(&mut self, compiled: &CompiledNetlist, g: usize, diff: Wd) {
+        if compiled.is_po(g) {
+            self.0 |= diff;
+        }
+    }
+
+    #[inline]
+    fn saturated(&self) -> bool {
+        self.0 == Wd::ONES
+    }
+}
+
+/// The lanes on which any gate of observer group A (B) changed.
+struct GroupMasks<'a, Wd> {
+    observers: &'a ObserverGroups,
+    a: Wd,
+    b: Wd,
+}
+
+impl<Wd: SimWord> WalkSink<Wd> for GroupMasks<'_, Wd> {
+    #[inline]
+    fn record(&mut self, _compiled: &CompiledNetlist, g: usize, diff: Wd) {
+        let m = self.observers.member[g];
+        if m & 1 != 0 {
+            self.a |= diff;
+        }
+        if m & 2 != 0 {
+            self.b |= diff;
+        }
+    }
+
+    #[inline]
+    fn saturated(&self) -> bool {
+        self.a == Wd::ONES && self.b == Wd::ONES
     }
 }
 
@@ -799,25 +513,26 @@ impl CampaignPlan {
 /// metrics registry at shard granularity via
 /// [`ScratchCounters::flush_to_metrics`]. The fields are maintained
 /// unconditionally — an untaken branch costs more than the add — so the
-/// enabled/disabled telemetry paths stay identical inside the cone walk.
+/// enabled/disabled telemetry paths stay identical inside the walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchCounters {
-    /// Faults pushed through [`CampaignPlan::detect`] /
-    /// [`CampaignPlan::detect_observed`] (including unexcited ones).
+    /// Faults pushed through [`CampaignPlan::detect_packed`] /
+    /// [`CampaignPlan::detect_observed`] or the tracing front-end
+    /// (including unexcited ones).
     pub faults_evaluated: u64,
     /// Faults whose injected value differed from golden at the root.
     pub excitations: u64,
-    /// Walks cut short: a scalar cone walk whose event frontier died
-    /// before the cone's end, or a packed observability walk that
-    /// stopped with every lane already detected.
+    /// Walks that stopped with every lane already recorded while events
+    /// were still queued.
     pub horizon_exits: u64,
     /// Scratch cells restored through the touched-list undo log (the
     /// summed undo-list depth; divide by `excitations` for the mean).
     pub undo_writes: u64,
     /// Deepest single undo list seen.
     pub undo_depth_max: u64,
-    /// Packed observability walks performed (one per live site per
-    /// chunk on the PPSFP path).
+    /// Levelized walks performed: one per live site per chunk on the
+    /// PPSFP path, one per excited fault per chunk on the observer-group
+    /// path.
     pub obs_walks: u64,
     /// Observability words served from the per-chunk site cache instead
     /// of walking (sa0/sa1/pin faults sharing their site's walk).
@@ -948,20 +663,9 @@ impl<Wd: SimWord> WideScratch<Wd> {
     /// are `golden`, given the design's PO-reachability bitmap
     /// (`reachable`): bit `p` is set iff flipping `root`'s value on
     /// pattern `p` changes at least one primary output on pattern `p`.
-    ///
-    /// One walk with the root flipped on **all lanes**: word evaluation
-    /// is bitwise, so lane `p` of every downstream gate equals a
-    /// resimulation with the root flipped on pattern `p` alone. The walk
-    /// pushes each PO-reachable, non-DFF fanout of a changed gate into
-    /// the bucket of its level (stamps drop duplicates) and drains the
-    /// levels in ascending order; a gate's fanins all sit at lower
-    /// levels, so it is evaluated after every changed fanin. It stops
-    /// when the queue is empty or every lane has reached an output —
-    /// the mask can only grow. `self.val` must equal `golden` on entry
-    /// and is restored before returning.
-    ///
-    /// The result is cached per `(chunk, root)`, so all faults of one
-    /// site share one walk within a chunk.
+    /// One [`WideScratch::walk`] recording output changes, cached per
+    /// `(chunk, root)` so all faults of one site share one walk within
+    /// a chunk.
     pub(crate) fn observability(
         &mut self,
         compiled: &CompiledNetlist,
@@ -973,22 +677,45 @@ impl<Wd: SimWord> WideScratch<Wd> {
             self.counters.obs_cache_hits += 1;
             return self.obs_word;
         }
+        let mask = self
+            .walk(compiled, reachable, golden, root, PoMask(Wd::ZERO))
+            .0;
+        self.obs_root = root as u32;
+        self.obs_word = mask;
+        mask
+    }
+
+    /// The levelized event walk: `root` flipped on **all lanes**, every
+    /// changed gate reported to `sink`. Word evaluation is bitwise, so
+    /// lane `p` of every downstream gate equals a resimulation with the
+    /// root flipped on pattern `p` alone. The walk pushes each
+    /// PO-reachable (per `reachable`), non-DFF fanout of a changed gate
+    /// into the bucket of its level (stamps drop duplicates) and drains
+    /// the levels in ascending order; a gate's fanins all sit at lower
+    /// levels, so it is evaluated after every changed fanin. It stops
+    /// when the queue is empty or the sink is saturated — sink masks can
+    /// only grow. `self.val` must equal `golden` on entry and is
+    /// restored before returning.
+    fn walk<S: WalkSink<Wd>>(
+        &mut self,
+        compiled: &CompiledNetlist,
+        reachable: &[bool],
+        golden: &[Wd],
+        root: usize,
+        mut sink: S,
+    ) -> S {
         let depth = compiled.depth() as usize;
         if self.buckets.len() <= depth {
             self.buckets.resize_with(depth + 1, Vec::new);
         }
         let id = self.next_walk_id();
-        let mut mask = if compiled.is_po(root) {
-            Wd::ONES
-        } else {
-            Wd::ZERO
-        };
+        sink.record(compiled, root, Wd::ONES);
         self.val[root] = !golden[root];
         self.touched.push(root as u32);
         let mut top = 0usize;
         self.schedule_fanouts(compiled, reachable, root, id, &mut top);
         let mut lvl = compiled.level(root) as usize + 1;
-        while lvl <= top && mask != Wd::ONES {
+        while lvl <= top && !sink.saturated() {
             let mut i = 0;
             while let Some(&g) = self.buckets[lvl].get(i) {
                 i += 1;
@@ -999,16 +726,14 @@ impl<Wd: SimWord> WideScratch<Wd> {
                 }
                 self.val[gi] = v;
                 self.touched.push(g);
-                if compiled.is_po(gi) {
-                    mask |= v ^ golden[gi];
-                }
+                sink.record(compiled, gi, v ^ golden[gi]);
                 self.schedule_fanouts(compiled, reachable, gi, id, &mut top);
             }
             self.buckets[lvl].clear();
             lvl += 1;
         }
         if lvl <= top {
-            // Every lane reached an output with events still queued.
+            // Every lane recorded with events still queued.
             self.counters.horizon_exits += 1;
             for bucket in &mut self.buckets[lvl..=top] {
                 bucket.clear();
@@ -1016,9 +741,7 @@ impl<Wd: SimWord> WideScratch<Wd> {
         }
         self.undo(golden);
         self.counters.obs_walks += 1;
-        self.obs_root = root as u32;
-        self.obs_word = mask;
-        mask
+        sink
     }
 
     /// Queues every PO-reachable combinational fanout of `g` not yet
@@ -1057,66 +780,7 @@ impl<Wd: SimWord> WideScratch<Wd> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rescue_netlist::cone::comb_fanout_cone;
     use rescue_netlist::generate;
-
-    #[test]
-    fn plan_capacity_boundary() {
-        assert_eq!(ensure_plan_capacity(0), Ok(()));
-        assert_eq!(ensure_plan_capacity(MAX_PLAN_ENTRIES), Ok(()));
-        let err = ensure_plan_capacity(MAX_PLAN_ENTRIES + 1).unwrap_err();
-        assert_eq!(
-            err,
-            FaultError::PlanTooLarge {
-                entries: MAX_PLAN_ENTRIES + 1,
-                limit: MAX_PLAN_ENTRIES,
-            }
-        );
-        assert!(err.to_string().contains("u32 offset limit"));
-    }
-
-    #[test]
-    fn plan_cones_match_netlist_comb_fanout_cones() {
-        let net = generate::random_logic(8, 120, 4, 77);
-        let compiled = CompiledNetlist::new(&net);
-        let faults: Vec<Fault> = crate::universe::stuck_at_universe(&net);
-        let plan = CampaignPlan::build(&compiled, &faults);
-        for fault in &faults {
-            let root = fault.site().gate();
-            let mut got: Vec<usize> = plan
-                .cone_of(root.index())
-                .expect("root in plan")
-                .iter()
-                .map(|&g| g as usize)
-                .collect();
-            got.push(root.index());
-            got.sort_unstable();
-            let mut want: Vec<usize> = comb_fanout_cone(&net, &[root])
-                .iter()
-                .map(|g| g.index())
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "cone of {root}");
-        }
-    }
-
-    #[test]
-    fn cones_are_topologically_sorted_after_root() {
-        let net = generate::random_logic(6, 80, 3, 9);
-        let compiled = CompiledNetlist::new(&net);
-        let faults = crate::universe::stuck_at_universe(&net);
-        let plan = CampaignPlan::build(&compiled, &faults);
-        for fault in &faults {
-            let root = fault.site().gate().index();
-            let cone = plan.cone_of(root).unwrap();
-            let mut prev = compiled.topo_pos(root);
-            for &g in cone {
-                let pos = compiled.topo_pos(g as usize);
-                assert!(pos > prev, "cone must ascend strictly past the root");
-                prev = pos;
-            }
-        }
-    }
 
     #[test]
     fn detect_observed_matches_full_resim_diffs() {
@@ -1140,12 +804,14 @@ mod tests {
                     }
                     (a, b)
                 });
-        let obs = ObserverGroups::new(compiled.len(), &a, &b);
+        let obs = ObserverGroups::new(&compiled, &a, &b);
         let slow = crate::reference::ReferenceFaultSimulator::new(&net);
         let mut scratch = FaultScratch::new(compiled.len());
         scratch.load_golden(&golden);
         for &fault in &faults {
-            let (ma, mb) = plan.detect_observed(&compiled, &golden, &mut scratch, fault, &obs);
+            let (ma, mb) = plan
+                .detect_observed(&compiled, &golden, &mut scratch, fault, &obs)
+                .unwrap();
             let faulty = slow.with_stuck(&net, &words, fault);
             let want_a = a
                 .iter()
@@ -1157,10 +823,22 @@ mod tests {
             // Both groups together reproduce plain detection.
             assert_eq!(
                 ma | mb,
-                plan.detect(&compiled, &golden, &mut scratch, fault),
+                plan.detect_packed(&compiled, &golden, &mut scratch, fault)
+                    .unwrap(),
                 "{fault}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not drive a primary output")]
+    fn observers_must_drive_outputs() {
+        let net = generate::c17();
+        let compiled = CompiledNetlist::new(&net);
+        let inner = (0..compiled.len() as u32)
+            .find(|&g| !compiled.is_po(g as usize))
+            .unwrap();
+        ObserverGroups::new(&compiled, &[], &[inner]);
     }
 
     /// The levelized walk against a full resimulation with the root
@@ -1222,13 +900,18 @@ mod tests {
         let compiled = CompiledNetlist::new(&net);
         let faults = crate::universe::stuck_at_universe(&net);
         let plan = CampaignPlan::build(&compiled, &faults);
+        let outputs = compiled.po_drivers().to_vec();
+        let obs = ObserverGroups::new(&compiled, &outputs[..1], &outputs[1..]);
         let words: Vec<u64> = (0..5).map(|i| 0xdead_beef_u64 << i).collect();
         let mut golden = Vec::new();
         compiled.eval_words_into(&words, None, &mut golden).unwrap();
         let mut scratch = FaultScratch::new(compiled.len());
         scratch.load_golden(&golden);
         for &fault in &faults {
-            plan.detect(&compiled, &golden, &mut scratch, fault);
+            plan.detect_packed(&compiled, &golden, &mut scratch, fault)
+                .unwrap();
+            plan.detect_observed(&compiled, &golden, &mut scratch, fault, &obs)
+                .unwrap();
             assert_eq!(scratch.val, golden, "scratch must be golden after {fault}");
             assert!(scratch.touched.is_empty());
         }

@@ -21,19 +21,11 @@ pub enum FaultError {
         value: f64,
     },
     /// A fault site was queried against a [`crate::engine::CampaignPlan`]
-    /// that never memoized its cone (the fault was not in the list the
-    /// plan was built from).
+    /// (or [`crate::trace::TracePlan`]) built from a fault list that did
+    /// not contain it.
     UnplannedSite {
         /// Gate index of the offending fault site.
         gate: usize,
-    },
-    /// A campaign plan's cone CSR outgrew its `u32` offset arena. The
-    /// plan fails loudly instead of silently truncating offsets.
-    PlanTooLarge {
-        /// Total cone entries the plan would need.
-        entries: usize,
-        /// The maximum entries the `u32` offsets can address.
-        limit: usize,
     },
 }
 
@@ -47,16 +39,7 @@ impl fmt::Display for FaultError {
                 write!(f, "sampling parameter `{parameter}` out of range: {value}")
             }
             FaultError::UnplannedSite { gate } => {
-                write!(
-                    f,
-                    "fault site at gate {gate} has no memoized cone in this campaign plan"
-                )
-            }
-            FaultError::PlanTooLarge { entries, limit } => {
-                write!(
-                    f,
-                    "campaign plan needs {entries} cone entries, exceeding the u32 offset limit of {limit}"
-                )
+                write!(f, "fault site at gate {gate} is not in this campaign plan")
             }
         }
     }

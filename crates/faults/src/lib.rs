@@ -11,13 +11,14 @@
 //! * [`collapse`] — structural equivalence collapsing.
 //! * [`simulate`] — serial and 64-way parallel-pattern fault simulation
 //!   with fault dropping, for both combinational and sequential designs.
-//! * [`engine`] — the incremental single-fault-propagation core: memoized
-//!   fanout cones, event-horizon early exit, touched-list undo.
+//! * [`engine`] — the packed single-fault detection core: one levelized
+//!   event walk per fault site and pattern word, PO-reachability
+//!   pruning, touched-list undo.
 //! * [`trace`] — critical-path tracing: per-net observability words by
 //!   backward sensitization over fanout-free regions, with the exact
 //!   event-driven walk kept as the reconvergent-stem fallback.
-//! * [`mod@reference`] — the full-resimulation oracle the fast engine is
-//!   property-tested against.
+//! * [`mod@reference`] — the full-resimulation oracle every detection
+//!   path is property-tested against.
 //! * [`sample`] — statistical fault-injection sampling theory: how many
 //!   faults must be injected for a given error margin and confidence
 //!   (the "random fault injection" methodology of paper Section III.B).
@@ -25,20 +26,24 @@
 //!
 //! # Examples
 //!
-//! Compute stuck-at coverage of random patterns on `c17`:
+//! Compute stuck-at coverage of exhaustive patterns on `c17`, and check
+//! it against the full-resimulation oracle:
 //!
 //! ```
+//! use rescue_faults::reference::ReferenceFaultSimulator;
 //! use rescue_faults::{simulate::FaultSimulator, universe};
 //! use rescue_netlist::generate;
 //!
 //! let c = generate::c17();
 //! let faults = universe::stuck_at_universe(&c);
-//! let sim = FaultSimulator::new(&c);
 //! let patterns: Vec<Vec<bool>> = (0..32u32)
 //!     .map(|p| (0..5).map(|i| p >> i & 1 == 1).collect())
 //!     .collect();
-//! let report = sim.campaign(&c, &faults, &patterns);
+//! let report = FaultSimulator::new(&c).campaign(&faults, &patterns);
 //! assert!(report.coverage() > 0.9, "c17 is fully testable");
+//! // Same first detection for every fault.
+//! let oracle = ReferenceFaultSimulator::new(&c).campaign(&c, &faults, &patterns);
+//! assert_eq!(report.first_detection(), oracle.first_detection());
 //! ```
 
 pub mod collapse;

@@ -1,10 +1,13 @@
 //! Serial and parallel-pattern fault simulation with fault dropping.
 //!
 //! [`FaultSimulator`] runs on the [`CompiledNetlist`] flat arena and
-//! detects stuck-at faults with the incremental cone engine from
-//! [`crate::engine`]: per (fault, chunk) it resimulates only the fault
-//! site's combinational fanout cone instead of the whole design, with
-//! touched-list undo so campaigns allocate nothing per fault. Verdicts
+//! detects stuck-at faults with the packed levelized walk from
+//! [`crate::engine`] (or the tracing hybrid from [`crate::trace`]): one
+//! event-driven walk per (fault site, pattern word), with touched-list
+//! undo so campaigns allocate nothing per fault. The three stuck-at
+//! campaign entry points — [`FaultSimulator::campaign`],
+//! [`FaultSimulator::campaign_packed`] and
+//! [`FaultSimulator::campaign_packed_durable`] — run one body. Verdicts
 //! are bit-identical to the full-resimulation oracle in
 //! [`crate::reference`] (enforced by property tests).
 
@@ -18,7 +21,6 @@ use rescue_campaign::{
 };
 use rescue_netlist::{GateKind, Netlist};
 use rescue_sim::compiled::CompiledNetlist;
-use rescue_sim::parallel::{live_mask, pack_patterns};
 use rescue_sim::wide::{pack_patterns_wide_into, PackedWord, SimWord, SUPPORTED_LANE_WIDTHS};
 use rescue_telemetry::{metrics, span};
 use std::time::Instant;
@@ -105,8 +107,8 @@ pub struct CampaignRun {
 
 /// Engine configuration for [`FaultSimulator::campaign_packed`]: the
 /// packed lane width and an optional collapsed universe. The default
-/// (lane width 1, no collapsing) reproduces the historical
-/// [`FaultSimulator::campaign_with_stats`] engine bit for bit.
+/// (lane width 1, no collapsing, walking engine, unit-scope dropping)
+/// is what [`FaultSimulator::campaign`] runs.
 #[derive(Debug, Clone, Copy)]
 pub struct PackedOptions<'a> {
     /// Word width in 64-lane limbs: 1 (`u64`, 64 patterns per walk) or
@@ -127,8 +129,9 @@ pub struct PackedOptions<'a> {
     /// When set, built campaign/trace plans are persisted to (and reloaded
     /// from) this content-addressed artifact cache under
     /// [`crate::content::plan_key`]. A warm cache skips plan construction
-    /// — the cone DFS and net classification — entirely; plans decode to
-    /// bytes identical to a fresh build, so verdicts are unaffected.
+    /// — the PO-reachability sweep and net classification — entirely;
+    /// plans decode to bytes identical to a fresh build, so verdicts are
+    /// unaffected.
     /// Deliberately excluded from [`crate::content::hash_options`]: the
     /// cache changes wall-clock, never results or unit partitions.
     pub artifacts: Option<&'a ArtifactStore>,
@@ -292,8 +295,8 @@ impl FaultSimulator {
 
     /// Full-design 64-way evaluation over the compiled arena with
     /// optional stuck/bridge forcing. This is the non-incremental path,
-    /// used by the value-inspection APIs; campaigns go through the cone
-    /// engine instead.
+    /// used by the value-inspection APIs; campaigns go through the packed
+    /// walk instead.
     fn eval_full(
         &self,
         words: &[u64],
@@ -353,124 +356,65 @@ impl FaultSimulator {
     }
 
     /// Bitmask of patterns (bit `p`) on which `fault` is detected at a
-    /// primary output, given the golden values for the same words.
+    /// primary output, given the golden values of one 64-pattern word
+    /// (see [`FaultSimulator::golden`]).
     ///
-    /// One-shot incremental detection; campaigns amortize the plan and
-    /// scratch this call rebuilds.
-    pub fn detection_mask(
-        &self,
-        _netlist: &Netlist,
-        _words: &[u64],
-        golden: &[u64],
-        fault: Fault,
-    ) -> u64 {
+    /// One-shot packed detection ([`CampaignPlan::detect_packed`]);
+    /// campaigns amortize the plan and scratch this call rebuilds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-stuck-at fault kind.
+    pub fn detection_mask(&self, golden: &[u64], fault: Fault) -> u64 {
         let c = &self.compiled;
         let plan = CampaignPlan::build(c, std::slice::from_ref(&fault));
         let mut scratch = FaultScratch::new(c.len());
         scratch.load_golden(golden);
-        plan.detect(c, golden, &mut scratch, fault)
+        plan.detect_packed(c, golden, &mut scratch, fault)
+            .expect("the plan holds the fault's site")
     }
 
-    /// Runs a full stuck-at campaign with fault dropping: each fault is
-    /// simulated only until its first detection, only within its fanout
-    /// cone, and the whole campaign stops once every fault is detected.
+    /// Runs a serial stuck-at campaign with fault dropping: each fault is
+    /// simulated only until its first detection.
+    /// [`FaultSimulator::campaign_packed`] on one worker with the default
+    /// [`PackedOptions`].
     ///
     /// # Panics
     ///
-    /// Panics if any simulated pattern width differs from the
-    /// primary-input count.
-    pub fn campaign(
-        &self,
-        _netlist: &Netlist,
-        faults: &[Fault],
-        patterns: &[Vec<bool>],
-    ) -> CampaignReport {
-        let c = &self.compiled;
-        let plan = CampaignPlan::build(c, faults);
-        let mut first_detection: Vec<Option<usize>> = vec![None; faults.len()];
-        let mut undetected = faults.len();
-        let mut golden: Vec<u64> = Vec::new();
-        let mut scratch = FaultScratch::new(c.len());
-        for (chunk_idx, chunk) in patterns.chunks(64).enumerate() {
-            if undetected == 0 {
-                break; // every fault dropped
-            }
-            let words = pack_patterns(chunk);
-            c.eval_words_into(&words, None, &mut golden)
-                .expect("input word count mismatch");
-            scratch.load_golden(&golden);
-            let live = live_mask(chunk.len());
-            for (fi, &fault) in faults.iter().enumerate() {
-                if first_detection[fi].is_some() {
-                    continue; // fault dropping
-                }
-                let mask = plan.detect(c, &golden, &mut scratch, fault) & live;
-                if mask != 0 {
-                    first_detection[fi] = Some(chunk_idx * 64 + mask.trailing_zeros() as usize);
-                    undetected -= 1;
-                }
-            }
-        }
-        CampaignReport {
-            faults: faults.to_vec(),
-            first_detection,
-            patterns: patterns.len(),
-        }
-    }
-
-    /// Multi-threaded stuck-at campaign over the shared
-    /// [`rescue_campaign`] driver; produces exactly the same verdicts as
-    /// [`FaultSimulator::campaign`]. Thin wrapper over
-    /// [`FaultSimulator::campaign_with_stats`] that discards the stats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or a pattern width mismatches.
-    pub fn campaign_parallel(
-        &self,
-        _netlist: &Netlist,
-        faults: &[Fault],
-        patterns: &[Vec<bool>],
-        threads: usize,
-    ) -> CampaignReport {
-        self.campaign_with_stats(faults, patterns, &Campaign::new(0, threads))
-            .report
+    /// Panics if any pattern width differs from the primary-input count.
+    pub fn campaign(&self, faults: &[Fault], patterns: &[Vec<bool>]) -> CampaignReport {
+        self.campaign_packed(
+            faults,
+            patterns,
+            &Campaign::serial(),
+            PackedOptions::default(),
+        )
+        .report
     }
 
     /// PPSFP stuck-at campaign with fault dropping through the shared
     /// [`Campaign`] driver: per-chunk golden words are computed once and
     /// shared read-only, and every worker detects through the packed
     /// observability path ([`CampaignPlan::detect_packed`]) — one
-    /// event-driven cone walk per (site, 64-pattern word), shared by all
-    /// faults at that site. The fault list is handed out per the
-    /// campaign's [`rescue_campaign::Schedule`]: static contiguous shards
-    /// or the work-stealing chunk queue (the default — fault dropping
-    /// makes per-fault cost wildly non-uniform, which static shards
-    /// handle worst). Verdicts are bit-identical to
-    /// [`FaultSimulator::campaign`] for every worker count, schedule and
-    /// chunk grain; the returned [`CampaignRun`] adds
-    /// throughput/lane-occupancy/drop/steal observability.
+    /// event-driven walk per (site, pattern word), shared by all faults
+    /// at that site — or, with [`PackedOptions::tracing`], through the
+    /// critical-path-tracing hybrid. The fault list is handed out per
+    /// the campaign's [`rescue_campaign::Schedule`]: static contiguous
+    /// shards or the work-stealing chunk queue (the default — fault
+    /// dropping makes per-fault cost wildly non-uniform, which static
+    /// shards handle worst).
     ///
-    /// # Panics
-    ///
-    /// Panics if a pattern width differs from the primary-input count.
-    pub fn campaign_with_stats(
-        &self,
-        faults: &[Fault],
-        patterns: &[Vec<bool>],
-        campaign: &Campaign,
-    ) -> CampaignRun {
-        self.campaign_packed(faults, patterns, campaign, PackedOptions::default())
-    }
-
-    /// [`FaultSimulator::campaign_with_stats`] with an explicit engine
-    /// configuration: a wide [`SimWord`] lane width (2/4/8 × 64 packed
-    /// patterns per cone walk, autovectorized) and/or a collapsed
-    /// universe (walk equivalence-class representatives only, expand
-    /// verdicts to the rest for free). Verdicts are bit-identical to the
-    /// default engine for every width, schedule, worker count and
-    /// collapse setting; [`CampaignStats::faults_walked`] records how
-    /// much walking the collapse saved.
+    /// [`PackedOptions`] picks the lane width (1/2/4/8 × 64 patterns per
+    /// walk, autovectorized), an optional collapsed universe (walk
+    /// equivalence-class representatives only, expand verdicts to the
+    /// rest for free), tracing, the artifact cache and the drop scope.
+    /// Verdicts are bit-identical to [`FaultSimulator::campaign`] for
+    /// every width, schedule, worker count and collapse setting
+    /// ([`DropScope::Global`] keeps the detected set, not the
+    /// first-detection indices); the returned [`CampaignRun`] adds
+    /// throughput/lane-occupancy/drop/steal observability, and
+    /// [`CampaignStats::faults_walked`] records how much walking the
+    /// collapse saved.
     ///
     /// # Panics
     ///
@@ -483,49 +427,7 @@ impl FaultSimulator {
         campaign: &Campaign,
         opts: PackedOptions,
     ) -> CampaignRun {
-        match opts.lane_width {
-            1 => self.campaign_packed_w::<u64>(faults, patterns, campaign, &opts),
-            2 => self.campaign_packed_w::<PackedWord<2>>(faults, patterns, campaign, &opts),
-            4 => self.campaign_packed_w::<PackedWord<4>>(faults, patterns, campaign, &opts),
-            8 => self.campaign_packed_w::<PackedWord<8>>(faults, patterns, campaign, &opts),
-            w => panic!("unsupported lane width {w} (expected one of {SUPPORTED_LANE_WIDTHS:?})"),
-        }
-    }
-
-    /// The width-generic packed campaign behind the runtime dispatch of
-    /// [`FaultSimulator::campaign_packed`].
-    fn campaign_packed_w<Wd: SimWord>(
-        &self,
-        faults: &[Fault],
-        patterns: &[Vec<bool>],
-        campaign: &Campaign,
-        opts: &PackedOptions,
-    ) -> CampaignRun {
-        let c = &self.compiled;
-        let _campaign = span!("fault.campaign", faults = faults.len());
-        let (walk, expand) = self.walk_list(faults, opts);
-        let chunks = self.golden_chunks::<Wd>(patterns);
-        let mut faults_traced = 0usize;
-        let (results, figures) = if opts.tracing {
-            let engine = TraceEngine::build(c, &walk, campaign.workers, opts);
-            faults_traced = engine.tplan.statically_traced();
-            execute_packed(campaign, &walk, &engine, &chunks, opts.drop_scope, true)
-        } else {
-            let engine = WalkEngine::build(c, &walk, campaign.workers, opts);
-            execute_packed(campaign, &walk, &engine, &chunks, opts.drop_scope, false)
-        };
-        let stats = CampaignStats {
-            injections: faults.len(),
-            elapsed_ns: figures.elapsed_ns,
-            workers: figures.worker_ns.len(),
-            worker_ns: figures.worker_ns,
-            chunks_stolen: figures.steals,
-            dropped_global: figures.dropped_global as usize,
-            faults_walked: walk.len(),
-            faults_traced,
-            ..CampaignStats::default()
-        };
-        finish_packed::<Wd>(faults, patterns, opts, &chunks, expand, results, stats)
+        self.run_packed(faults, patterns, campaign, &opts, None)
     }
 
     /// [`FaultSimulator::campaign_packed`] made durable: the campaign
@@ -539,7 +441,10 @@ impl FaultSimulator {
     /// bit-identical to [`FaultSimulator::campaign_packed`] for every
     /// store state, worker count, schedule and unit grain;
     /// [`CampaignStats::units_cached`] / `units_executed` record how the
-    /// run split between store and engine.
+    /// run split between store and engine. Units partition the walk
+    /// list, so dropping is unit-scoped whatever
+    /// [`PackedOptions::drop_scope`] says, and first detections stay
+    /// deterministic.
     ///
     /// `unit_faults` is the unit grain in walked faults (0 =
     /// [`DEFAULT_UNIT_FAULTS`]).
@@ -557,34 +462,83 @@ impl FaultSimulator {
         store: &dyn ResultStore,
         unit_faults: usize,
     ) -> CampaignRun {
+        self.run_packed(
+            faults,
+            patterns,
+            campaign,
+            &opts,
+            Some((store, unit_faults)),
+        )
+    }
+
+    /// The one lane-width dispatch in front of
+    /// [`FaultSimulator::packed_w`].
+    fn run_packed(
+        &self,
+        faults: &[Fault],
+        patterns: &[Vec<bool>],
+        campaign: &Campaign,
+        opts: &PackedOptions,
+        durable: Option<(&dyn ResultStore, usize)>,
+    ) -> CampaignRun {
         match opts.lane_width {
-            1 => self.durable_w::<u64>(faults, patterns, campaign, &opts, store, unit_faults),
-            2 => self.durable_w::<PackedWord<2>>(
-                faults,
-                patterns,
-                campaign,
-                &opts,
-                store,
-                unit_faults,
-            ),
-            4 => self.durable_w::<PackedWord<4>>(
-                faults,
-                patterns,
-                campaign,
-                &opts,
-                store,
-                unit_faults,
-            ),
-            8 => self.durable_w::<PackedWord<8>>(
-                faults,
-                patterns,
-                campaign,
-                &opts,
-                store,
-                unit_faults,
-            ),
+            1 => self.packed_w::<u64>(faults, patterns, campaign, opts, durable),
+            2 => self.packed_w::<PackedWord<2>>(faults, patterns, campaign, opts, durable),
+            4 => self.packed_w::<PackedWord<4>>(faults, patterns, campaign, opts, durable),
+            8 => self.packed_w::<PackedWord<8>>(faults, patterns, campaign, opts, durable),
             w => panic!("unsupported lane width {w} (expected one of {SUPPORTED_LANE_WIDTHS:?})"),
         }
+    }
+
+    /// The width-generic body of every stuck-at campaign: walk list,
+    /// golden chunks and engine, then the in-process schedule or — with
+    /// a store and unit grain in `durable` — the durable unit drain, then
+    /// verdict expansion. Runs under a `fault.campaign` span, or
+    /// `fault.campaign_durable` (also the fleet stage) when durable.
+    fn packed_w<Wd: SimWord>(
+        &self,
+        faults: &[Fault],
+        patterns: &[Vec<bool>],
+        campaign: &Campaign,
+        opts: &PackedOptions,
+        durable: Option<(&dyn ResultStore, usize)>,
+    ) -> CampaignRun {
+        let c = &self.compiled;
+        let stage = if durable.is_some() {
+            rescue_campaign::fleet::set_stage("fault.campaign_durable");
+            "fault.campaign_durable"
+        } else {
+            "fault.campaign"
+        };
+        let _campaign = span!(stage, faults = faults.len());
+        let (walk, expand) = self.walk_list(faults, opts);
+        let manifest =
+            durable.map(|(_, grain)| self.manifest_for(faults, patterns, opts, walk.len(), grain));
+        let durable = durable.map(|(store, _)| store).zip(manifest.as_ref());
+        let chunks = self.golden_chunks::<Wd>(patterns);
+        let (run, faults_traced) = if opts.tracing {
+            let engine = TraceEngine::build(c, &walk, campaign.workers, opts);
+            let run = execute(campaign, &walk, &engine, &chunks, opts, durable);
+            (run, engine.tplan.statically_traced())
+        } else {
+            let engine = WalkEngine::build(c, &walk, campaign.workers, opts);
+            (execute(campaign, &walk, &engine, &chunks, opts, durable), 0)
+        };
+        let stats = CampaignStats {
+            injections: faults.len(),
+            elapsed_ns: run.elapsed_ns,
+            workers: run.worker_ns.len(),
+            worker_ns: run.worker_ns,
+            chunks_stolen: run.steals,
+            dropped_global: run.dropped_global as usize,
+            faults_walked: walk.len(),
+            faults_traced,
+            units_total: run.units_total,
+            units_cached: run.units_cached,
+            units_executed: run.units_executed,
+            ..CampaignStats::default()
+        };
+        finish_packed::<Wd>(faults, patterns, opts, &chunks, expand, run.results, stats)
     }
 
     /// The deterministic unit plan a durable campaign executes: the walk
@@ -624,82 +578,6 @@ impl FaultSimulator {
         )
     }
 
-    /// Width-generic body of [`FaultSimulator::campaign_packed_durable`].
-    fn durable_w<Wd: SimWord>(
-        &self,
-        faults: &[Fault],
-        patterns: &[Vec<bool>],
-        campaign: &Campaign,
-        opts: &PackedOptions,
-        store: &dyn ResultStore,
-        unit_faults: usize,
-    ) -> CampaignRun {
-        let c = &self.compiled;
-        rescue_campaign::fleet::set_stage("fault.campaign_durable");
-        let _campaign = span!("fault.campaign_durable", faults = faults.len());
-        let (walk, expand) = self.walk_list(faults, opts);
-        let manifest = self.manifest_for(faults, patterns, opts, walk.len(), unit_faults);
-        let chunks = self.golden_chunks::<Wd>(patterns);
-        // The durable shared bitmap: publish-only in practice (units
-        // partition walk positions, so no in-process consult can fire),
-        // wired so the durable path shares the global-drop contract and
-        // persisted verdicts stay deterministic.
-        let detected = (opts.drop_scope == DropScope::Global).then(|| DetectedSet::new(walk.len()));
-        let exec_start = Instant::now();
-        let mut faults_traced = 0usize;
-        let run = if opts.tracing {
-            let engine = TraceEngine::build(c, &walk, campaign.workers, opts);
-            faults_traced = engine.tplan.statically_traced();
-            run_durable(
-                campaign,
-                &walk,
-                &engine,
-                &chunks,
-                &manifest,
-                store,
-                detected.as_ref(),
-            )
-        } else {
-            let engine = WalkEngine::build(c, &walk, campaign.workers, opts);
-            run_durable(
-                campaign,
-                &walk,
-                &engine,
-                &chunks,
-                &manifest,
-                store,
-                detected.as_ref(),
-            )
-        };
-        if rescue_telemetry::enabled() {
-            let name = if opts.tracing {
-                "exec.trace_ms"
-            } else {
-                "exec.walk_ms"
-            };
-            metrics::histogram(name, &metrics::pow2_bounds(16))
-                .record(exec_start.elapsed().as_millis() as u64);
-        }
-        let stats = CampaignStats {
-            injections: faults.len(),
-            elapsed_ns: run.elapsed_ns,
-            workers: run.worker_ns.len(),
-            worker_ns: run.worker_ns.clone(),
-            chunks_stolen: run.steals,
-            dropped_global: detected.as_ref().map_or(0, |d| d.skipped()) as usize,
-            faults_walked: walk.len(),
-            faults_traced,
-            units_total: run.units_total,
-            // "Cached" from this run's point of view is everything it did
-            // not execute itself: store hits plus units a concurrent peer
-            // published while we waited.
-            units_cached: run.units_cached + run.units_waited,
-            units_executed: run.units_executed,
-            ..CampaignStats::default()
-        };
-        finish_packed::<Wd>(faults, patterns, opts, &chunks, expand, run.results, stats)
-    }
-
     /// Collapse prefilter shared by the plain and durable packed
     /// campaigns: walk each equivalence class once, in order of first
     /// appearance, then sweep PO reachability over the representatives —
@@ -719,9 +597,9 @@ impl FaultSimulator {
         match opts.collapsed {
             None => (faults.to_vec(), None),
             Some(cu) => {
-                // O(gates + edges) reachability sweep first, so cone
-                // construction is paid only for the faults that will
-                // actually be walked. Then one hashing pass over the
+                // O(gates + edges) reachability sweep first, so the plan
+                // covers only the faults that will actually be walked.
+                // Then one hashing pass over the
                 // universe: per fault, one representative lookup and
                 // one slot lookup.
                 let reachable = crate::engine::po_reachable(c);
@@ -779,6 +657,7 @@ impl FaultSimulator {
             words,
             live,
             n_gates,
+            patterns: patterns.len(),
         }
     }
 
@@ -787,53 +666,62 @@ impl FaultSimulator {
     /// a pair that launches a rising transition at the site and where the
     /// late value (stuck-at-0 behaviour during capture) reaches an output.
     ///
+    /// Packs 64 pairs per word: the golden words of the launch patterns
+    /// and of the capture patterns (the same list shifted by one) are
+    /// computed per word, the launch condition at the site gates the
+    /// packed stuck-at mask of the equivalent fault on the capture word,
+    /// and a fault drops at its first detecting pair.
+    ///
     /// Returns the report with pattern index = index of the capture
     /// pattern.
     ///
     /// # Panics
     ///
     /// Panics on width mismatch or a non-transition fault in `faults`.
-    pub fn transition_campaign(
-        &self,
-        _netlist: &Netlist,
-        faults: &[Fault],
-        patterns: &[Vec<bool>],
-    ) -> CampaignReport {
+    pub fn transition_campaign(&self, faults: &[Fault], patterns: &[Vec<bool>]) -> CampaignReport {
         let c = &self.compiled;
-        let plan = CampaignPlan::build(c, faults);
+        // Each transition fault reduces to its site, its direction and
+        // the stuck-at fault it behaves as during capture.
+        let specs: Vec<(usize, bool, Fault)> = faults
+            .iter()
+            .map(|fault| {
+                let FaultSite::Output(site) = fault.site() else {
+                    panic!("transition faults sit on outputs");
+                };
+                let rising = match fault.kind() {
+                    FaultKind::SlowToRise => true,
+                    FaultKind::SlowToFall => false,
+                    _ => panic!("transition_campaign requires transition faults"),
+                };
+                let eq = Fault::stuck_at(FaultSite::Output(site), !rising);
+                (site.index(), rising, eq)
+            })
+            .collect();
+        let plan = CampaignPlan::build(c, &specs.iter().map(|s| s.2).collect::<Vec<_>>());
+        let pairs = patterns.len().saturating_sub(1);
+        let launch = self.golden_chunks::<u64>(&patterns[..pairs]);
+        let capture = self.golden_chunks::<u64>(&patterns[patterns.len() - pairs..]);
         let mut first_detection: Vec<Option<usize>> = vec![None; faults.len()];
-        let mut g_launch: Vec<u64> = Vec::new();
-        let mut g_capture: Vec<u64> = Vec::new();
         let mut scratch = FaultScratch::new(c.len());
-        for (i, pats) in patterns.windows(2).enumerate() {
-            c.eval_words_into(&pack_patterns(&pats[..1]), None, &mut g_launch)
-                .expect("input word count mismatch");
-            c.eval_words_into(&pack_patterns(&pats[1..]), None, &mut g_capture)
-                .expect("input word count mismatch");
-            scratch.load_golden(&g_capture);
-            for (fi, &fault) in faults.iter().enumerate() {
+        for ci in 0..capture.len() {
+            let (g_launch, _) = launch.chunk(ci);
+            let (g_capture, live) = capture.chunk(ci);
+            scratch.load_golden(g_capture);
+            for (fi, &(site, rising, eq)) in specs.iter().enumerate() {
                 if first_detection[fi].is_some() {
                     continue;
                 }
-                let site_gate = match fault.site() {
-                    FaultSite::Output(g) => g,
-                    FaultSite::Pin { .. } => panic!("transition faults sit on outputs"),
-                };
-                let (from, to, stuck) = match fault.kind() {
-                    FaultKind::SlowToRise => (0u64, 1u64, false),
-                    FaultKind::SlowToFall => (1, 0, true),
-                    _ => panic!("transition_campaign requires transition faults"),
-                };
-                let launch_v = g_launch[site_gate.index()] & 1;
-                let capture_v = g_capture[site_gate.index()] & 1;
-                if launch_v != from || capture_v != to {
-                    continue; // no launching transition
+                let (from, to) = (g_launch[site], g_capture[site]);
+                let launched = live & if rising { !from & to } else { from & !to };
+                if launched == 0 {
+                    continue; // no pair of this word launches the transition
                 }
-                // Equivalent stuck-at detection on the capture pattern.
-                let eq = Fault::stuck_at(FaultSite::Output(site_gate), stuck);
-                let mask = plan.detect(c, &g_capture, &mut scratch, eq);
-                if mask & 1 != 0 {
-                    first_detection[fi] = Some(i + 1);
+                let mask = plan
+                    .detect_packed(c, g_capture, &mut scratch, eq)
+                    .expect("the plan holds every fault site")
+                    & launched;
+                if mask != 0 {
+                    first_detection[fi] = Some(ci * 64 + mask.trailing_zeros() as usize + 1);
                 }
             }
         }
@@ -851,12 +739,7 @@ impl FaultSimulator {
     /// # Panics
     ///
     /// Panics on width mismatch or non-stuck-at faults.
-    pub fn campaign_seq(
-        &self,
-        _netlist: &Netlist,
-        faults: &[Fault],
-        stimuli: &[Vec<bool>],
-    ) -> CampaignReport {
+    pub fn campaign_seq(&self, faults: &[Fault], stimuli: &[Vec<bool>]) -> CampaignReport {
         let c = &self.compiled;
         let po_count = c.po_drivers().len();
         let mut values = vec![false; c.len()];
@@ -959,6 +842,8 @@ struct GoldenChunks<Wd> {
     words: Vec<Wd>,
     live: Vec<Wd>,
     n_gates: usize,
+    /// Patterns the chunks hold (the last chunk may be ragged).
+    patterns: usize,
 }
 
 impl<Wd: SimWord> GoldenChunks<Wd> {
@@ -984,7 +869,7 @@ impl<Wd: SimWord> GoldenChunks<Wd> {
 /// The packed detection interface shared by the plain and durable
 /// campaign paths: one fault in, one `Wd` detection mask out, with the
 /// drop bookkeeping the engines keep in their scratch. Implemented by
-/// the event-driven cone walker ([`WalkEngine`]) and the critical-path
+/// the event-driven walker ([`WalkEngine`]) and the critical-path
 /// tracing hybrid ([`TraceEngine`]), so the campaign drain loop
 /// ([`drain_unit`]) is written exactly once.
 trait PackedDetect<Wd: SimWord>: Sync {
@@ -1026,7 +911,7 @@ impl<S> DrainScratch<S> {
 
 /// Fetches a plan artifact from the cache, or builds and publishes it.
 ///
-/// The decode path executes zero DFS or classification work: a hit is a
+/// The decode path executes zero sweep or classification work: a hit is a
 /// read, a checksum, a byte decode and the caller's validation (folded
 /// into `decode`). Corrupt, foreign or stale-version payloads fall
 /// through to a rebuild (and overwrite the bad entry). `plan.cache_hits` /
@@ -1053,7 +938,7 @@ fn load_or_build<T>(
     built
 }
 
-/// The event-driven packed cone walker ([`CampaignPlan::detect_packed`]).
+/// The event-driven packed walker ([`CampaignPlan::detect_packed`]).
 struct WalkEngine<'a> {
     c: &'a CompiledNetlist,
     plan: CampaignPlan,
@@ -1155,24 +1040,13 @@ impl<Wd: SimWord> PackedDetect<Wd> for TraceEngine<'_> {
 
 /// Drains one fault range over every golden chunk with fault dropping —
 /// the single campaign inner loop, shared verbatim by the plain
-/// schedules and the durable store-backed path (which is what keeps
-/// their verdicts bit-identical).
-///
-/// `offset` is the range's global position in the walk list; with a
-/// shared [`DetectedSet`] (`global`) the loop consults the bitmap
-/// before each walk and publishes each detection at `offset + fi`.
-/// Durable units partition walk positions disjointly, so within one
-/// process the consult can never retire a fault this loop would
-/// otherwise have walked — persisted verdicts stay deterministic — but
-/// the publishing keeps the durable path on the same contract as the
-/// tiled global schedule.
+/// unit-scope schedules and the durable store-backed path (which is
+/// what keeps their verdicts bit-identical).
 fn drain_unit<Wd: SimWord, E: PackedDetect<Wd>>(
     engine: &E,
     chunks: &GoldenChunks<Wd>,
     scratch: &mut DrainScratch<E::Scratch>,
-    offset: usize,
     range: &[Fault],
-    global: Option<&DetectedSet>,
 ) -> Vec<Option<usize>> {
     let n_chunks = chunks.len();
     let mut first: Vec<Option<usize>> = vec![None; range.len()];
@@ -1194,12 +1068,6 @@ fn drain_unit<Wd: SimWord, E: PackedDetect<Wd>>(
         let (golden, live) = chunks.chunk(ci);
         engine.load(inner, ci as u32, golden);
         active.retain(|&fi| {
-            if let Some(set) = global {
-                if set.is_detected(offset + fi as usize) {
-                    set.note_skip();
-                    return false;
-                }
-            }
             let fault = range[fi as usize];
             let mask = engine.detect(inner, golden, fault) & live;
             if mask.is_zero() {
@@ -1207,9 +1075,6 @@ fn drain_unit<Wd: SimWord, E: PackedDetect<Wd>>(
             }
             first[fi as usize] =
                 Some(ci * Wd::LANES + mask.first_lane().expect("mask is non-zero"));
-            if let Some(set) = global {
-                set.mark(offset + fi as usize);
-            }
             if ci + 1 < n_chunks {
                 // Retired early: later words never walk this fault's
                 // cone again.
@@ -1224,48 +1089,69 @@ fn drain_unit<Wd: SimWord, E: PackedDetect<Wd>>(
     first
 }
 
-/// Driver-side figures of one executed campaign — the fields
-/// [`CampaignStats`] copies out of the underlying run record,
-/// abstracted so the unit-scope and tiled global-scope schedules can
-/// share one stats tail.
+/// Driver-side figures of one executed campaign — the per-walked-fault
+/// first detections plus the fields [`CampaignStats`] copies out of the
+/// underlying run record, so the unit-scope, global-scope and durable
+/// runs share one stats tail.
+#[derive(Default)]
 struct RunFigures {
+    results: Vec<Option<usize>>,
     elapsed_ns: u64,
     worker_ns: Vec<u64>,
     steals: u64,
     dropped_global: u64,
+    units_total: usize,
+    /// Units this run did not execute itself: store hits plus units a
+    /// concurrent peer published while it waited.
+    units_cached: usize,
+    units_executed: usize,
 }
 
-/// Executes the walk list with `engine` under the campaign's schedule
-/// and drop scope; returns per-fault first detections plus the run
-/// figures. Wall-clock is recorded in the `exec.walk_ms` /
-/// `exec.trace_ms` histogram (per `tracing`) when telemetry is enabled.
-fn execute_packed<Wd: SimWord, E: PackedDetect<Wd>>(
+/// Executes the walk list with `engine`: through `durable`'s store and
+/// manifest when given, otherwise under the campaign's schedule and
+/// [`PackedOptions::drop_scope`]. Wall-clock is recorded in the
+/// `exec.walk_ms` / `exec.trace_ms` histogram (per
+/// [`PackedOptions::tracing`]) when telemetry is enabled.
+fn execute<Wd: SimWord, E: PackedDetect<Wd>>(
     campaign: &Campaign,
     walk: &[Fault],
     engine: &E,
     chunks: &GoldenChunks<Wd>,
-    scope: DropScope,
-    tracing: bool,
-) -> (Vec<Option<usize>>, RunFigures)
+    opts: &PackedOptions,
+    durable: Option<(&dyn ResultStore, &CampaignManifest)>,
+) -> RunFigures
 where
     E::Scratch: Send,
 {
     let start = Instant::now();
-    let out = match scope {
-        DropScope::Unit => {
-            let run = run_plain(campaign, walk, engine, chunks);
-            let figures = RunFigures {
+    let figures = match (durable, opts.drop_scope) {
+        (Some((store, manifest)), _) => {
+            let run = run_durable(campaign, walk, engine, chunks, manifest, store);
+            RunFigures {
+                results: run.results,
                 elapsed_ns: run.elapsed_ns,
                 worker_ns: run.worker_ns,
                 steals: run.steals,
-                dropped_global: 0,
-            };
-            (run.results, figures)
+                units_total: run.units_total,
+                units_cached: run.units_cached + run.units_waited,
+                units_executed: run.units_executed,
+                ..RunFigures::default()
+            }
         }
-        DropScope::Global => run_global(campaign, walk, engine, chunks),
+        (None, DropScope::Unit) => {
+            let run = run_plain(campaign, walk, engine, chunks);
+            RunFigures {
+                results: run.results,
+                elapsed_ns: run.elapsed_ns,
+                worker_ns: run.worker_ns,
+                steals: run.steals,
+                ..RunFigures::default()
+            }
+        }
+        (None, DropScope::Global) => run_global(campaign, walk, engine, chunks),
     };
     if rescue_telemetry::enabled() {
-        let name = if tracing {
+        let name = if opts.tracing {
             "exec.trace_ms"
         } else {
             "exec.walk_ms"
@@ -1273,7 +1159,7 @@ where
         metrics::histogram(name, &metrics::pow2_bounds(16))
             .record(start.elapsed().as_millis() as u64);
     }
-    out
+    figures
 }
 
 /// Runs the walk list through the campaign's schedule (in-process path).
@@ -1287,8 +1173,8 @@ where
     E::Scratch: Send,
 {
     let scratch = |_w: usize| DrainScratch::new(engine.scratch());
-    let work = |scratch: &mut DrainScratch<E::Scratch>, offset: usize, range: &[Fault]| {
-        drain_unit(engine, chunks, scratch, offset, range, None)
+    let work = |scratch: &mut DrainScratch<E::Scratch>, _offset: usize, range: &[Fault]| {
+        drain_unit(engine, chunks, scratch, range)
     };
     match campaign.schedule {
         rescue_campaign::Schedule::Static => campaign.run_ranges(walk, scratch, work),
@@ -1325,7 +1211,7 @@ fn run_global<Wd: SimWord, E: PackedDetect<Wd>>(
     walk: &[Fault],
     engine: &E,
     chunks: &GoldenChunks<Wd>,
-) -> (Vec<Option<usize>>, RunFigures)
+) -> RunFigures
 where
     E::Scratch: Send,
 {
@@ -1387,22 +1273,19 @@ where
             }
         }
     }
-    let figures = RunFigures {
+    RunFigures {
+        results: first,
         elapsed_ns: run.elapsed_ns,
         worker_ns: run.worker_ns,
         steals: run.steals,
         dropped_global: detected.skipped(),
-    };
-    (first, figures)
+        ..RunFigures::default()
+    }
 }
 
 /// Runs the walk list through [`Campaign::run_store`]: same drain loop
 /// as [`run_plain`], but partitioned into the manifest's units with
-/// verdicts persisted (and answered) through the result store. With
-/// [`DropScope::Global`], detections are additionally published to (and
-/// consulted from) the shared bitmap — vacuous within one process (units
-/// partition walk positions disjointly), so persisted verdicts stay
-/// deterministic for every store state.
+/// verdicts persisted (and answered) through the result store.
 fn run_durable<Wd: SimWord, E: PackedDetect<Wd>>(
     campaign: &Campaign,
     walk: &[Fault],
@@ -1410,7 +1293,6 @@ fn run_durable<Wd: SimWord, E: PackedDetect<Wd>>(
     chunks: &GoldenChunks<Wd>,
     manifest: &CampaignManifest,
     store: &dyn ResultStore,
-    global: Option<&DetectedSet>,
 ) -> DurableRun<Option<usize>>
 where
     E::Scratch: Send,
@@ -1421,11 +1303,11 @@ where
         manifest,
         store,
         |_w| DrainScratch::new(engine.scratch()),
-        |scratch: &mut DrainScratch<E::Scratch>, offset: usize, range: &[Fault]| {
-            drain_unit(engine, chunks, scratch, offset, range, global)
+        |scratch: &mut DrainScratch<E::Scratch>, _offset: usize, range: &[Fault]| {
+            drain_unit(engine, chunks, scratch, range)
         },
         encode_verdicts,
-        decode_verdicts,
+        |bytes: &[u8]| decode_verdicts(bytes, chunks.patterns),
         move |rs: &[Option<usize>]| unit_delta::<Wd>(rs, n_chunks),
     )
 }
@@ -1442,9 +1324,11 @@ fn encode_verdicts(rs: &[Option<usize>]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`encode_verdicts`]; `None` marks the payload corrupt
-/// (truncated or miscounted), which forces re-execution of the unit.
-fn decode_verdicts(bytes: &[u8]) -> Option<Vec<Option<usize>>> {
+/// Inverse of [`encode_verdicts`] for a campaign of `patterns`
+/// patterns; `None` marks the payload corrupt (truncated, miscounted, or
+/// naming a first detection past the last pattern), which forces
+/// re-execution of the unit.
+fn decode_verdicts(bytes: &[u8], patterns: usize) -> Option<Vec<Option<usize>>> {
     if bytes.len() < 8 {
         return None;
     }
@@ -1453,14 +1337,13 @@ fn decode_verdicts(bytes: &[u8]) -> Option<Vec<Option<usize>>> {
     if body.len() != n.checked_mul(8)? {
         return None;
     }
-    Some(
-        body.chunks_exact(8)
-            .map(|c| {
-                let v = u64::from_le_bytes(c.try_into().unwrap());
-                (v != u64::MAX).then_some(v as usize)
-            })
-            .collect(),
-    )
+    body.chunks_exact(8)
+        .map(|c| match u64::from_le_bytes(c.try_into().unwrap()) {
+            u64::MAX => Some(None),
+            p if p < patterns as u64 => Some(Some(p as usize)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Deterministic stats contribution of one unit, persisted next to its
@@ -1557,6 +1440,7 @@ mod tests {
     use super::*;
     use crate::universe;
     use rescue_netlist::{generate, NetlistBuilder};
+    use rescue_sim::parallel::pack_patterns;
 
     fn exhaustive_patterns(n: usize) -> Vec<Vec<bool>> {
         (0..(1u32 << n))
@@ -1569,7 +1453,7 @@ mod tests {
         let c = generate::c17();
         let faults = universe::stuck_at_universe(&c);
         let sim = FaultSimulator::new(&c);
-        let report = sim.campaign(&c, &faults, &exhaustive_patterns(5));
+        let report = sim.campaign(&faults, &exhaustive_patterns(5));
         assert_eq!(
             report.coverage(),
             1.0,
@@ -1591,7 +1475,7 @@ mod tests {
         let n = b.finish();
         let sim = FaultSimulator::new(&n);
         let f = Fault::stuck_at(FaultSite::Output(g), false);
-        let report = sim.campaign(&n, &[f], &exhaustive_patterns(2));
+        let report = sim.campaign(&[f], &exhaustive_patterns(2));
         assert_eq!(report.detected_count(), 0, "redundant fault undetectable");
     }
 
@@ -1612,7 +1496,7 @@ mod tests {
         let pats = exhaustive_patterns(3);
         let stem = Fault::stuck_at(FaultSite::Output(x), true);
         let branch = Fault::stuck_at(FaultSite::Pin { gate: g1, pin: 0 }, true);
-        let r = sim.campaign(&n, &[stem, branch], &pats);
+        let r = sim.campaign(&[stem, branch], &pats);
         assert_eq!(r.detected_count(), 2);
         // x=0,p=1,q=1: stem fault corrupts both outputs, branch only y1.
         let words = pack_patterns(&[vec![false, true, true]]);
@@ -1666,10 +1550,10 @@ mod tests {
         let sim = FaultSimulator::new(&n);
         let faults = universe::transition_universe(&n);
         // Constant stimulus: no transitions, nothing detected.
-        let r = sim.transition_campaign(&n, &faults, &[vec![false], vec![false]]);
+        let r = sim.transition_campaign(&faults, &[vec![false], vec![false]]);
         assert_eq!(r.detected_count(), 0);
         // 0 -> 1 launches rising transitions through a and y.
-        let r = sim.transition_campaign(&n, &faults, &[vec![false], vec![true]]);
+        let r = sim.transition_campaign(&faults, &[vec![false], vec![true]]);
         let detected: Vec<String> = faults
             .iter()
             .zip(r.first_detection())
@@ -1678,7 +1562,7 @@ mod tests {
             .collect();
         assert!(detected.iter().any(|f| f.contains("str")), "{detected:?}");
         // slow-to-fall needs 1 -> 0.
-        let r = sim.transition_campaign(&n, &faults, &[vec![true], vec![false]]);
+        let r = sim.transition_campaign(&faults, &[vec![true], vec![false]]);
         let has_stf = faults
             .iter()
             .zip(r.first_detection())
@@ -1696,7 +1580,7 @@ mod tests {
         let f = Fault::stuck_at(FaultSite::Output(sin), false);
         // Drive 1s; fault forces 0s; first output divergence at cycle 3.
         let stim: Vec<Vec<bool>> = (0..6).map(|_| vec![true]).collect();
-        let r = sim.campaign_seq(&s, &[f], &stim);
+        let r = sim.campaign_seq(&[f], &stim);
         assert_eq!(r.first_detection()[0], Some(3));
     }
 
@@ -1712,9 +1596,17 @@ mod tests {
             })
             .collect();
         let sim = FaultSimulator::new(&net);
-        let serial = sim.campaign(&net, &faults, &patterns);
+        let serial =
+            crate::reference::ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
         for threads in [1, 2, 4] {
-            let parallel = sim.campaign_parallel(&net, &faults, &patterns, threads);
+            let parallel = sim
+                .campaign_packed(
+                    &faults,
+                    &patterns,
+                    &Campaign::new(0, threads),
+                    PackedOptions::default(),
+                )
+                .report;
             assert_eq!(
                 parallel.first_detection(),
                 serial.first_detection(),
@@ -1727,7 +1619,7 @@ mod tests {
     fn coverage_of_empty_fault_list_is_one() {
         let c = generate::c17();
         let sim = FaultSimulator::new(&c);
-        let r = sim.campaign(&c, &[], &exhaustive_patterns(5));
+        let r = sim.campaign(&[], &exhaustive_patterns(5));
         assert_eq!(r.coverage(), 1.0);
     }
 
@@ -1749,7 +1641,7 @@ mod tests {
         assert_eq!(golden, slow.golden(&net, &words));
         for &fault in &faults {
             assert_eq!(
-                fast.detection_mask(&net, &words, &golden, fault),
+                fast.detection_mask(&golden, fault),
                 slow.detection_mask(&net, &words, &golden, fault),
                 "{fault}"
             );

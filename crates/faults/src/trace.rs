@@ -35,7 +35,7 @@
 //!   existing exact event-driven walk
 //!   ([`CampaignPlan::observability_packed`]) — once per stem per chunk,
 //!   **shared by every fault in the FFR below it** — so the hybrid is
-//!   bit-identical to the scalar oracle by construction.
+//!   bit-identical to the walking engine by construction.
 //!
 //! The fallback is the levelized event walk of the walking engine: it
 //! queues changed gates by level and needs no memoized cone, so a
@@ -47,8 +47,8 @@
 //! cost), so all faults a worker holds share each traced net and each
 //! stem walk.
 //!
-//! Equivalence with the scalar oracle is enforced by the property tests
-//! in `tests/cpt_equivalence.rs`.
+//! Equivalence with the full-resimulation oracle ([`crate::reference`])
+//! is enforced by the property tests in `tests/cpt_equivalence.rs`.
 
 use crate::engine::{po_reachable_with, CampaignPlan, WideScratch};
 use crate::error::FaultError;
@@ -416,7 +416,7 @@ impl TracePlan {
 
     /// Hybrid CPT detection mask of `fault` over the chunk whose golden
     /// values are `golden`: bit-identical to
-    /// [`CampaignPlan::detect_packed`] (and hence to the scalar oracle),
+    /// [`CampaignPlan::detect_packed`] (and hence to the oracle),
     /// but observability comes from backward tracing wherever the net
     /// sits in a fanout-free region, with the event-driven walk reserved
     /// for reconvergent stems — one per stem per chunk, shared by the

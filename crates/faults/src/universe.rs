@@ -155,14 +155,14 @@ mod tests {
             .collect();
         let sim = crate::simulate::FaultSimulator::new(&net);
         let detected_full: Vec<Fault> = {
-            let r = sim.campaign(&net, &full, &patterns);
+            let r = sim.campaign(&full, &patterns);
             full.iter()
                 .zip(r.first_detection())
                 .filter(|(_, d)| d.is_some())
                 .map(|(&f, _)| f)
                 .collect()
         };
-        let r = sim.campaign(&net, &obs, &patterns);
+        let r = sim.campaign(&obs, &patterns);
         let detected_obs: Vec<Fault> = obs
             .iter()
             .zip(r.first_detection())

@@ -1,25 +1,26 @@
 //! The critical-path-tracing / cone-walk hybrid is bit-identical to the
-//! scalar oracle.
+//! full-resimulation oracle.
 //!
 //! [`TracePlan::detect_traced`] replaces the per-site event-driven walk
 //! with backward sensitization ANDs over fanout-free regions, keeping the
 //! walk only at reconvergent stems. These tests pin down that the hybrid
-//! is **exact**: detection words equal the scalar `detect` oracle
-//! lane-for-lane at every supported width (including ragged tails), and a
-//! full `campaign_packed` with tracing enabled reproduces the scalar
-//! campaign's `first_detection` vector for every schedule, worker count
-//! and collapse setting. A hand-built reconvergent circuit asserts the
-//! stem fallback actually fires, and an unplanned site surfaces the typed
-//! [`FaultError::UnplannedSite`] instead of a panic.
+//! is **exact**: detection words equal the [`ReferenceFaultSimulator`]
+//! masks lane-for-lane at every supported width (including ragged
+//! tails), and a full `campaign_packed` with tracing enabled reproduces
+//! the oracle campaign's `first_detection` vector for every schedule,
+//! worker count and collapse setting. A hand-built reconvergent circuit
+//! asserts the stem fallback actually fires, and an unplanned site
+//! surfaces the typed [`FaultError::UnplannedSite`] instead of a panic.
 
 use proptest::prelude::*;
 use rescue_campaign::{Campaign, Schedule};
 use rescue_faults::collapse::collapse;
 use rescue_faults::engine::{CampaignPlan, FaultScratch};
+use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::trace::{NetClass, TracePlan, TraceScratch};
 use rescue_faults::{universe, Fault, FaultError, FaultSite};
-use rescue_netlist::{generate, NetlistBuilder};
+use rescue_netlist::{generate, Netlist, NetlistBuilder};
 use rescue_sim::wide::{pack_patterns_wide, PackedWord, SimWord};
 
 fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
@@ -38,9 +39,28 @@ fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Per-word hybrid detection masks agree lane-for-lane with the scalar
-/// `detect` oracle run on the matching 64-pattern sub-chunks, including
-/// the ragged tail (the 300-pattern workload is 1×256 + 44 at W=4).
+/// The oracle's verdict for `fault` on every pattern of `chunk`, by full
+/// resimulation of each 64-pattern sub-word.
+fn oracle_lanes(
+    oracle: &ReferenceFaultSimulator,
+    net: &Netlist,
+    chunk: &[Vec<bool>],
+    fault: Fault,
+) -> Vec<bool> {
+    chunk
+        .chunks(64)
+        .flat_map(|sub| {
+            let words = pack_patterns_wide::<u64>(sub);
+            let golden = oracle.golden(net, &words);
+            let mask = oracle.detection_mask(net, &words, &golden, fault);
+            (0..sub.len()).map(move |bit| mask >> bit & 1 == 1)
+        })
+        .collect()
+}
+
+/// Per-word hybrid detection masks agree lane-for-lane with the oracle
+/// run on the matching 64-pattern sub-chunks, including the ragged tail
+/// (the 300-pattern workload is 1×256 + 44 at W=4).
 fn traced_masks_match_scalar<Wd: SimWord>(seed: u64) {
     let net = generate::random_logic(7, 90, 4, seed);
     let faults = universe::stuck_at_universe(&net);
@@ -48,8 +68,7 @@ fn traced_masks_match_scalar<Wd: SimWord>(seed: u64) {
     let sim = FaultSimulator::new(&net);
     let c = sim.compiled();
     let tplan = TracePlan::build(c, &faults);
-    let oracle = CampaignPlan::build(c, &faults);
-    let mut scalar = FaultScratch::new(c.len());
+    let oracle = ReferenceFaultSimulator::new(&net);
     let mut traced = TraceScratch::<Wd>::new(c.len());
     for chunk in patterns.chunks(Wd::LANES) {
         let words = pack_patterns_wide::<Wd>(chunk);
@@ -59,23 +78,11 @@ fn traced_masks_match_scalar<Wd: SimWord>(seed: u64) {
         let live = Wd::live_mask(chunk.len());
         for &fault in &faults {
             let mask = tplan.detect_traced(c, &golden, &mut traced, fault).unwrap() & live;
-            // Scalar oracle on each 64-pattern slice of the wide chunk.
-            for (sub_i, sub) in chunk.chunks(64).enumerate() {
-                let sub_words = pack_patterns_wide::<u64>(sub);
-                let mut sub_golden = Vec::new();
-                c.eval_words_into(&sub_words, None, &mut sub_golden)
-                    .unwrap();
-                scalar.load_golden(&sub_golden);
-                let sub_mask =
-                    oracle.detect(c, &sub_golden, &mut scalar, fault) & u64::live_mask(sub.len());
-                for bit in 0..sub.len() {
-                    assert_eq!(
-                        mask.lane(sub_i * 64 + bit),
-                        sub_mask >> bit & 1 == 1,
-                        "{fault}, lane {}",
-                        sub_i * 64 + bit
-                    );
-                }
+            for (lane, want) in oracle_lanes(&oracle, &net, chunk, fault)
+                .into_iter()
+                .enumerate()
+            {
+                assert_eq!(mask.lane(lane), want, "{fault}, lane {lane}");
             }
         }
     }
@@ -106,14 +113,14 @@ proptest! {
 
     /// The full tracing campaign — fault dropping, any width, any
     /// schedule and worker count, collapse on or off — produces the same
-    /// `first_detection` vector as the scalar dropping campaign.
+    /// `first_detection` vector as the oracle's dropping campaign.
     #[test]
     fn traced_campaign_matches_scalar_any_schedule(seed in 1u64..200) {
         let net = generate::random_logic(8, 110, 4, seed);
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(8, 180, seed);
         let sim = FaultSimulator::new(&net);
-        let scalar = sim.campaign(&net, &faults, &patterns);
+        let scalar = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
         let collapsed = collapse(&net, &faults);
         for lane_width in [1usize, 2, 4, 8] {
             for workers in [1usize, 3] {
@@ -146,7 +153,7 @@ proptest! {
 /// A hand-built reconvergent region: `g2` fans out to two branches that
 /// re-meet at the XOR, so tracing through it would be inexact — the
 /// hybrid must classify it as a stem and take the event-driven fallback,
-/// and still match the scalar oracle exactly.
+/// and still match the oracle exactly.
 #[test]
 fn reconvergent_stem_takes_fallback_walk() {
     let mut b = NetlistBuilder::new("reconv");
@@ -176,19 +183,17 @@ fn reconvergent_stem_takes_fallback_walk() {
     );
     assert!(tplan.stems() >= 1, "the fault list must reach the stem");
 
-    let oracle = CampaignPlan::build(c, &faults);
-    let mut scalar = FaultScratch::new(c.len());
+    let oracle = ReferenceFaultSimulator::new(&net);
     let mut traced = TraceScratch::<u64>::new(c.len());
     let words = pack_patterns_wide::<u64>(&patterns);
     let mut golden = Vec::new();
     c.eval_words_into(&words, None, &mut golden).unwrap();
-    scalar.load_golden(&golden);
     traced.load_golden(&golden);
     let live = u64::live_mask(patterns.len());
     for &fault in &faults {
         assert_eq!(
             tplan.detect_traced(c, &golden, &mut traced, fault).unwrap() & live,
-            oracle.detect(c, &golden, &mut scalar, fault) & live,
+            oracle.detection_mask(&net, &words, &golden, fault) & live,
             "{fault}"
         );
     }
@@ -212,7 +217,7 @@ fn unplanned_site_is_a_typed_error() {
     let c = sim.compiled();
     let planned = vec![universe::stuck_at_universe(&net)[0]];
     let tplan = TracePlan::build(c, &planned);
-    let oracle = CampaignPlan::build(c, &planned);
+    let plan = CampaignPlan::build(c, &planned);
     // A site that is not a fault root of the singleton plan.
     let unplanned = *universe::stuck_at_universe(&net)
         .iter()
@@ -234,7 +239,7 @@ fn unplanned_site_is_a_typed_error() {
     let mut scratch = FaultScratch::new(c.len());
     scratch.load_golden(&golden);
     assert_eq!(
-        oracle.detect_packed(c, &golden, &mut scratch, unplanned),
+        plan.detect_packed(c, &golden, &mut scratch, unplanned),
         Err(FaultError::UnplannedSite { gate })
     );
 }
@@ -282,8 +287,7 @@ fn pin_faults_trace_like_the_oracle() {
     let sim = FaultSimulator::new(&net);
     let c = sim.compiled();
     let tplan = TracePlan::build(c, &faults);
-    let oracle = CampaignPlan::build(c, &faults);
-    let mut scalar = FaultScratch::new(c.len());
+    let oracle = ReferenceFaultSimulator::new(&net);
     let mut traced = TraceScratch::<PackedWord<2>>::new(c.len());
     for chunk in patterns.chunks(128) {
         let words = pack_patterns_wide::<PackedWord<2>>(chunk);
@@ -293,21 +297,11 @@ fn pin_faults_trace_like_the_oracle() {
         let live = PackedWord::<2>::live_mask(chunk.len());
         for &fault in &faults {
             let mask = tplan.detect_traced(c, &golden, &mut traced, fault).unwrap() & live;
-            for (sub_i, sub) in chunk.chunks(64).enumerate() {
-                let sub_words = pack_patterns_wide::<u64>(sub);
-                let mut sub_golden = Vec::new();
-                c.eval_words_into(&sub_words, None, &mut sub_golden)
-                    .unwrap();
-                scalar.load_golden(&sub_golden);
-                let sub_mask =
-                    oracle.detect(c, &sub_golden, &mut scalar, fault) & u64::live_mask(sub.len());
-                for bit in 0..sub.len() {
-                    assert_eq!(
-                        mask.lane(sub_i * 64 + bit),
-                        sub_mask >> bit & 1 == 1,
-                        "{fault}"
-                    );
-                }
+            for (lane, want) in oracle_lanes(&oracle, &net, chunk, fault)
+                .into_iter()
+                .enumerate()
+            {
+                assert_eq!(mask.lane(lane), want, "{fault}");
             }
         }
     }

@@ -1,17 +1,18 @@
-//! Equivalence of the incremental cone engine against the
+//! Equivalence of the compiled fault simulator against the
 //! full-resimulation reference oracle.
 //!
 //! The compiled fault simulator ([`FaultSimulator`]) must produce
 //! **bit-identical** verdicts to [`ReferenceFaultSimulator`] — same
 //! `first_detection` vector, same detection masks, same faulty values —
 //! for every campaign kind: output stuck-at, pin stuck-at, bridging,
-//! transition pairs and sequential stuck-at. The parallel campaign must
-//! match the serial one for any worker count.
+//! transition pairs (packed 64 per word) and sequential stuck-at. The
+//! parallel campaign must match the oracle for any worker count.
 
 use proptest::prelude::*;
+use rescue_campaign::Campaign;
 use rescue_faults::model::BridgingFault;
 use rescue_faults::reference::ReferenceFaultSimulator;
-use rescue_faults::simulate::FaultSimulator;
+use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::{universe, Fault, FaultSite};
 use rescue_netlist::generate;
 use rescue_sim::parallel::pack_patterns;
@@ -44,7 +45,7 @@ proptest! {
         let patterns = random_patterns(7, 150, seed);
         let fast = FaultSimulator::new(&net);
         let slow = ReferenceFaultSimulator::new(&net);
-        let a = fast.campaign(&net, &faults, &patterns);
+        let a = fast.campaign(&faults, &patterns);
         let b = slow.campaign(&net, &faults, &patterns);
         prop_assert_eq!(a.first_detection(), b.first_detection());
         prop_assert_eq!(a.patterns(), b.patterns());
@@ -65,7 +66,7 @@ proptest! {
         prop_assert_eq!(&golden, &slow.golden(&net, &words));
         for &fault in &faults {
             prop_assert_eq!(
-                fast.detection_mask(&net, &words, &golden, fault),
+                fast.detection_mask(&golden, fault),
                 slow.detection_mask(&net, &words, &golden, fault),
                 "{}", fault
             );
@@ -116,15 +117,16 @@ proptest! {
         }
     }
 
-    /// Transition-delay campaigns over pattern pairs agree.
+    /// Transition-delay campaigns over pattern pairs agree, for pattern
+    /// counts on both sides of a 64-pair word (ragged last word included).
     #[test]
-    fn transition_campaign_matches_reference(seed in 1u64..500) {
+    fn transition_campaign_matches_reference(seed in 1u64..500, n_patterns in 1usize..200) {
         let net = generate::random_logic(6, 70, 3, seed);
         let faults = universe::transition_universe(&net);
-        let patterns = random_patterns(6, 40, seed);
+        let patterns = random_patterns(6, n_patterns, seed);
         let fast = FaultSimulator::new(&net);
         let slow = ReferenceFaultSimulator::new(&net);
-        let a = fast.transition_campaign(&net, &faults, &patterns);
+        let a = fast.transition_campaign(&faults, &patterns);
         let b = slow.transition_campaign(&net, &faults, &patterns);
         prop_assert_eq!(a.first_detection(), b.first_detection());
     }
@@ -138,31 +140,36 @@ proptest! {
         let stimuli: Vec<Vec<bool>> = (0..12).map(|_| vec![]).collect();
         let fast = FaultSimulator::new(&lfsr);
         let slow = ReferenceFaultSimulator::new(&lfsr);
-        let a = fast.campaign_seq(&lfsr, &faults, &stimuli);
+        let a = fast.campaign_seq(&faults, &stimuli);
         let b = slow.campaign_seq(&lfsr, &faults, &stimuli);
         prop_assert_eq!(a.first_detection(), b.first_detection());
 
         let comb = generate::random_logic(5, 40, 2, seed);
         let cf = universe::stuck_at_universe(&comb);
         let stim = random_patterns(5, 10, seed);
-        let a = FaultSimulator::new(&comb).campaign_seq(&comb, &cf, &stim);
+        let a = FaultSimulator::new(&comb).campaign_seq(&cf, &stim);
         let b = ReferenceFaultSimulator::new(&comb).campaign_seq(&comb, &cf, &stim);
         prop_assert_eq!(a.first_detection(), b.first_detection());
     }
 
-    /// The parallel campaign is verdict-identical to the serial one for
-    /// 1, 2, 4 and 8 workers.
+    /// The parallel campaign is verdict-identical to the oracle's serial
+    /// campaign for 1, 2, 4 and 8 workers.
     #[test]
     fn parallel_matches_serial_any_thread_count(seed in 1u64..300) {
         let net = generate::random_logic(8, 110, 4, seed);
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(8, 180, seed);
         let sim = FaultSimulator::new(&net);
-        let serial = sim.campaign(&net, &faults, &patterns);
+        let serial = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
         for threads in [1usize, 2, 4, 8] {
-            let par = sim.campaign_parallel(&net, &faults, &patterns, threads);
+            let par = sim.campaign_packed(
+                &faults,
+                &patterns,
+                &Campaign::new(0, threads),
+                PackedOptions::default(),
+            );
             prop_assert_eq!(
-                par.first_detection(),
+                par.report.first_detection(),
                 serial.first_detection(),
                 "threads = {}", threads
             );
@@ -181,7 +188,7 @@ fn shift_register_seq_equivalence() {
         Fault::stuck_at(FaultSite::Output(sin), true),
     ];
     let stim: Vec<Vec<bool>> = (0..10).map(|c| vec![c % 2 == 0]).collect();
-    let a = FaultSimulator::new(&s).campaign_seq(&s, &faults, &stim);
+    let a = FaultSimulator::new(&s).campaign_seq(&faults, &stim);
     let b = ReferenceFaultSimulator::new(&s).campaign_seq(&s, &faults, &stim);
     assert_eq!(a.first_detection(), b.first_detection());
 }
@@ -194,7 +201,7 @@ fn c17_exhaustive_equivalence() {
     let patterns: Vec<Vec<bool>> = (0..32u32)
         .map(|p| (0..5).map(|i| p >> i & 1 == 1).collect())
         .collect();
-    let a = FaultSimulator::new(&c).campaign(&c, &faults, &patterns);
+    let a = FaultSimulator::new(&c).campaign(&faults, &patterns);
     let b = ReferenceFaultSimulator::new(&c).campaign(&c, &faults, &patterns);
     assert_eq!(a.first_detection(), b.first_detection());
     assert_eq!(a.coverage(), 1.0);

@@ -46,7 +46,8 @@ fn scratch_store(tag: &str, seed: u64) -> (std::path::PathBuf, ArtifactStore) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sharded cone construction concatenates to exactly the serial CSR.
+    /// A plan built with a sharded PO-reachability sweep equals the
+    /// serial build, bitmap for bitmap and byte for byte.
     #[test]
     fn parallel_plan_build_matches_serial(seed in 1u64..500, workers in 2usize..5) {
         let net = generate::random_logic(8, 120, 4, seed);
@@ -240,10 +241,6 @@ fn decode_and_use(
 ) -> Option<usize> {
     if kind == 0 {
         let plan = CampaignPlan::from_bytes(bytes).filter(|p| p.validate(c))?;
-        // Every cone the scalar walks would scan slices in bounds and
-        // names real gates.
-        let cones = (0..c.len()).filter_map(|g| plan.cone_of(g));
-        assert!(cones.flatten().all(|&m| (m as usize) < c.len()));
         let mut scratch = FaultScratch::new(c.len());
         scratch.load_golden(golden);
         let detect = |&f: &Fault| plan.detect_packed(c, golden, &mut scratch, f).ok();
@@ -348,7 +345,7 @@ fn parallel_paths_engage_above_thresholds() {
         collapse::collapse_with(&net, &mixed, 4).representatives()
     );
 
-    // A strided fault subset keeps the cone DFS affordable while still
+    // A strided fault subset keeps the builds quick while still
     // exercising the sharded builders on a >2^15-gate design.
     let subset: Vec<_> = faults.iter().copied().step_by(97).collect();
     assert_eq!(

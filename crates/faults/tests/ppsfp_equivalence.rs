@@ -1,6 +1,6 @@
 //! Equivalence of the PPSFP packed observability path against the
-//! scalar cone engine, and of the work-stealing scheduler against the
-//! static sharded driver.
+//! full-resimulation oracle, and of the work-stealing scheduler against
+//! the static sharded driver.
 //!
 //! [`CampaignPlan::detect_packed`] factors detection into one
 //! observability walk per (site, 64-pattern word) shared by every fault
@@ -14,8 +14,10 @@
 use proptest::prelude::*;
 use rescue_campaign::{Campaign, Schedule};
 use rescue_faults::engine::{CampaignPlan, FaultScratch};
-use rescue_faults::simulate::FaultSimulator;
+use rescue_faults::reference::ReferenceFaultSimulator;
+use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::universe;
+use rescue_netlist::cone::comb_fanout_cone;
 use rescue_netlist::generate;
 use rescue_sim::parallel::{live_mask, pack_patterns};
 
@@ -39,28 +41,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Per-word detection masks from the packed observability path equal
-    /// the scalar `detect` oracle for every fault on every chunk,
-    /// including partial last chunks (73 patterns = 64 + 9).
+    /// the oracle's full-resimulation masks for every fault on every
+    /// chunk, including partial last chunks (73 patterns = 64 + 9).
     #[test]
     fn detect_packed_masks_match_scalar(seed in 1u64..500) {
         let net = generate::random_logic(7, 90, 4, seed);
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(7, 73, seed);
         let sim = FaultSimulator::new(&net);
+        let oracle = ReferenceFaultSimulator::new(&net);
         let c = sim.compiled();
         let plan = CampaignPlan::build(c, &faults);
-        let mut scalar = FaultScratch::new(c.len());
         let mut packed = FaultScratch::new(c.len());
         for chunk in patterns.chunks(64) {
             let words = pack_patterns(chunk);
             let golden = sim.golden(&words);
             let live = live_mask(chunk.len());
-            scalar.load_golden(&golden);
             packed.load_golden(&golden);
             for &fault in &faults {
                 prop_assert_eq!(
                     plan.detect_packed(c, &golden, &mut packed, fault).unwrap() & live,
-                    plan.detect(c, &golden, &mut scalar, fault) & live,
+                    oracle.detection_mask(&net, &words, &golden, fault) & live,
                     "{}", fault
                 );
             }
@@ -68,7 +69,7 @@ proptest! {
     }
 
     /// The full packed campaign — with fault dropping — produces the
-    /// same `first_detection` vector as the scalar dropping campaign,
+    /// same `first_detection` vector as the oracle's dropping campaign,
     /// for every worker count under both schedules and several explicit
     /// chunk grains.
     #[test]
@@ -77,7 +78,7 @@ proptest! {
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(8, 180, seed);
         let sim = FaultSimulator::new(&net);
-        let scalar = sim.campaign(&net, &faults, &patterns);
+        let scalar = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
         for workers in [1usize, 2, 4, 8] {
             for schedule in [
                 Schedule::Static,
@@ -85,10 +86,11 @@ proptest! {
                 Schedule::Dynamic { chunk: 1 },
                 Schedule::Dynamic { chunk: 17 },
             ] {
-                let run = sim.campaign_with_stats(
+                let run = sim.campaign_packed(
                     &faults,
                     &patterns,
                     &Campaign::new(0, workers).with_schedule(schedule),
+                    PackedOptions::default(),
                 );
                 prop_assert_eq!(
                     run.report.first_detection(),
@@ -100,7 +102,7 @@ proptest! {
     }
 
     /// Without dropping — every fault probed on every word — the packed
-    /// path still reproduces the scalar masks fault-for-fault, so the
+    /// path still reproduces the oracle's masks fault-for-fault, so the
     /// shared observability word is exact even for faults the dropping
     /// campaign would have retired long ago.
     #[test]
@@ -109,9 +111,9 @@ proptest! {
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(6, 100, seed);
         let sim = FaultSimulator::new(&net);
+        let oracle = ReferenceFaultSimulator::new(&net);
         let c = sim.compiled();
         let plan = CampaignPlan::build(c, &faults);
-        let mut scalar = FaultScratch::new(c.len());
         let mut packed = FaultScratch::new(c.len());
         let mut first_scalar = vec![None; faults.len()];
         let mut first_packed = vec![None; faults.len()];
@@ -119,11 +121,10 @@ proptest! {
             let words = pack_patterns(chunk);
             let golden = sim.golden(&words);
             let live = live_mask(chunk.len());
-            scalar.load_golden(&golden);
             packed.load_golden(&golden);
             // No `continue` on prior detection: both paths keep probing.
             for (fi, &fault) in faults.iter().enumerate() {
-                let ms = plan.detect(c, &golden, &mut scalar, fault) & live;
+                let ms = oracle.detection_mask(&net, &words, &golden, fault) & live;
                 let mp = plan.detect_packed(c, &golden, &mut packed, fault).unwrap() & live;
                 prop_assert_eq!(ms, mp, "{}", fault);
                 for (first, mask) in [(&mut first_scalar, ms), (&mut first_packed, mp)] {
@@ -178,9 +179,9 @@ proptest! {
 }
 
 /// Sites whose fanout cone reaches no primary output are statically
-/// unobservable: the packed path must report 0 for every fault there
-/// (matching scalar), and `CampaignPlan::observable` must agree with a
-/// direct cone scan.
+/// unobservable: the packed path must report 0 for every fault there,
+/// and `CampaignPlan::observable` must agree with a scan of the
+/// netlist's combinational fanout cone.
 #[test]
 fn unobservable_sites_detect_nothing() {
     let net = generate::random_logic(10, 400, 2, 99);
@@ -203,8 +204,8 @@ fn unobservable_sites_detect_nothing() {
     let mut unobservable = 0;
     for &fault in &faults {
         let root = fault.site().gate().index();
-        let cone = plan.cone_of(root).expect("fault root has a cone");
-        let reachable = is_po[root] || cone.iter().any(|&g| is_po[g as usize]);
+        let cone = comb_fanout_cone(&net, &[fault.site().gate()]);
+        let reachable = is_po[root] || cone.iter().any(|g| is_po[g.index()]);
         assert_eq!(plan.observable(root), reachable);
         if !reachable {
             unobservable += 1;

@@ -1,6 +1,7 @@
 //! Property-based tests for fault simulation invariants.
 
 use proptest::prelude::*;
+use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::{collapse, sample, simulate::FaultSimulator, universe, Fault, FaultSite};
 use rescue_netlist::generate;
 use rescue_sim::parallel::pack_patterns;
@@ -58,8 +59,8 @@ proptest! {
         let faults = universe::stuck_at_universe(&net);
         let sim = FaultSimulator::new(&net);
         let pats = random_patterns(5, 48, seed);
-        let r_small = sim.campaign(&net, &faults, &pats[..16]);
-        let r_large = sim.campaign(&net, &faults, &pats);
+        let r_small = sim.campaign(&faults, &pats[..16]);
+        let r_large = sim.campaign(&faults, &pats);
         prop_assert!(r_large.coverage() >= r_small.coverage());
     }
 
@@ -74,8 +75,8 @@ proptest! {
         let pats: Vec<Vec<bool>> = (0..32u32)
             .map(|p| (0..5).map(|i| p >> i & 1 == 1).collect())
             .collect();
-        let r_full = sim.campaign(&net, &faults, &pats);
-        let r_coll = sim.campaign(&net, coll.representatives(), &pats);
+        let r_full = sim.campaign(&faults, &pats);
+        let r_coll = sim.campaign(coll.representatives(), &pats);
         // Coverage over representatives equals coverage over all faults
         // (every original fault is detected iff its representative is).
         let full_undetected: std::collections::HashSet<_> = r_full
@@ -112,13 +113,14 @@ fn campaign_first_detection_is_minimal() {
     let pats: Vec<Vec<bool>> = (0..32u32)
         .map(|p| (0..5).map(|i| p >> i & 1 == 1).collect())
         .collect();
-    let report = sim.campaign(&net, &faults, &pats);
+    let oracle = ReferenceFaultSimulator::new(&net);
+    let report = sim.campaign(&faults, &pats);
     for (fi, det) in report.first_detection().iter().enumerate() {
         if let Some(first) = det {
             for (pi, pat) in pats.iter().enumerate().take(*first + 1) {
                 let words = pack_patterns(std::slice::from_ref(pat));
-                let golden = sim.golden(&words);
-                let mask = sim.detection_mask(&net, &words, &golden, faults[fi]) & 1;
+                let golden = oracle.golden(&net, &words);
+                let mask = oracle.detection_mask(&net, &words, &golden, faults[fi]) & 1;
                 if pi < *first {
                     assert_eq!(mask, 0, "fault {fi} detected earlier than reported");
                 } else {

@@ -6,15 +6,17 @@
 //! holding any subset of finished units (a killed run), shares the
 //! store with a concurrent writer, or re-submits against a complete
 //! store (executing zero units) — across lane widths, collapse/tracing
-//! settings, schedules, worker counts and unit grains. The plan itself
-//! must be engine-configuration-stable so any process can resume it.
+//! settings, drop scopes, schedules, worker counts and unit grains. A
+//! forged record is re-executed, never trusted. The plan itself must be
+//! engine-configuration-stable so any process can resume it.
 
 use proptest::prelude::*;
-use rescue_campaign::{Campaign, FsStore, MemStore, ResultStore, Schedule};
+use rescue_campaign::{Campaign, FsStore, MemStore, ResultStore, Schedule, UnitRecord};
 use rescue_faults::collapse::collapse;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::universe;
 use rescue_netlist::generate;
+use rescue_telemetry::{metrics, TelemetryConfig};
 
 fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
     let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
@@ -48,9 +50,33 @@ impl Workload {
     }
 }
 
+/// A fresh directory under the system temp dir, unique per call.
+fn temp_root(tag: &str) -> std::path::PathBuf {
+    let root = std::env::temp_dir().join(format!(
+        "rescue-resume-{tag}-{}-{:x}",
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos()
+    ));
+    let _ = std::fs::remove_dir_all(&root);
+    root
+}
+
 /// Runs the plain and durable engines over the same workload and
 /// checks cold/resume/warm equivalence for one engine configuration.
-fn check_resume(seed: u64, lane_width: usize, collapsed: bool, tracing: bool, workers: usize) {
+/// The durable runs use the cross-worker drop scope when `global` is
+/// set: units partition the walk list, so they must still equal the
+/// unit-scope runs exactly and drop nothing across units.
+fn check_resume(
+    seed: u64,
+    lane_width: usize,
+    collapsed: bool,
+    tracing: bool,
+    workers: usize,
+    global: bool,
+) {
     let w = Workload::new(seed);
     let faults = universe::stuck_at_universe(&w.net);
     let sim = FaultSimulator::new(&w.net);
@@ -65,17 +91,47 @@ fn check_resume(seed: u64, lane_width: usize, collapsed: bool, tracing: bool, wo
         }
         opts
     };
+    let durable_opts = || {
+        if global {
+            mk_opts().global_drop()
+        } else {
+            mk_opts()
+        }
+    };
     let campaign = Campaign::new(seed, workers);
     let plain = sim.campaign_packed(&faults, &w.patterns, &campaign, mk_opts());
 
     // Cold durable run: everything executes, verdicts match plain.
     let store = MemStore::new();
     let grain = 32;
-    let cold =
-        sim.campaign_packed_durable(&faults, &w.patterns, &campaign, mk_opts(), &store, grain);
+    let cold = sim.campaign_packed_durable(
+        &faults,
+        &w.patterns,
+        &campaign,
+        durable_opts(),
+        &store,
+        grain,
+    );
     assert_eq!(cold.report, plain.report, "cold durable ≡ plain");
     assert_eq!(cold.stats.tally, plain.stats.tally);
     assert_eq!(cold.stats.dropped, plain.stats.dropped);
+    assert_eq!(cold.stats.dropped_global, 0);
+    if global {
+        let unit_scope = sim.campaign_packed_durable(
+            &faults,
+            &w.patterns,
+            &campaign,
+            mk_opts(),
+            &MemStore::new(),
+            grain,
+        );
+        assert_eq!(
+            cold.report, unit_scope.report,
+            "global ≡ unit-scope durable"
+        );
+        assert_eq!(cold.stats.tally, unit_scope.stats.tally);
+        assert_eq!(cold.stats.dropped, unit_scope.stats.dropped);
+    }
     let manifest = sim.durable_plan(&faults, &w.patterns, &mk_opts(), grain);
     assert_eq!(cold.stats.units_total, manifest.units.len());
     assert_eq!(cold.stats.units_executed, manifest.units.len());
@@ -94,8 +150,14 @@ fn check_resume(seed: u64, lane_width: usize, collapsed: bool, tracing: bool, wo
         schedule: Schedule::Dynamic { chunk: 1 },
         ..Campaign::new(seed ^ 0xdead, workers % 3 + 1)
     };
-    let resumed =
-        sim.campaign_packed_durable(&faults, &w.patterns, &resumer, mk_opts(), &partial, grain);
+    let resumed = sim.campaign_packed_durable(
+        &faults,
+        &w.patterns,
+        &resumer,
+        durable_opts(),
+        &partial,
+        grain,
+    );
     assert_eq!(resumed.report, plain.report, "resumed ≡ uninterrupted");
     assert_eq!(resumed.stats.tally, plain.stats.tally);
     assert_eq!(resumed.stats.units_cached, kept);
@@ -106,8 +168,14 @@ fn check_resume(seed: u64, lane_width: usize, collapsed: bool, tracing: bool, wo
     );
 
     // Warm re-submission: the store is now complete → zero executions.
-    let warm =
-        sim.campaign_packed_durable(&faults, &w.patterns, &campaign, mk_opts(), &partial, grain);
+    let warm = sim.campaign_packed_durable(
+        &faults,
+        &w.patterns,
+        &campaign,
+        durable_opts(),
+        &partial,
+        grain,
+    );
     assert_eq!(warm.report, plain.report);
     assert_eq!(warm.stats.units_executed, 0, "warm run executes nothing");
     assert_eq!(warm.stats.units_cached, manifest.units.len());
@@ -118,17 +186,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Scalar-width durable campaigns resume bit-identically across
-    /// collapse settings and worker counts.
+    /// collapse settings, worker counts and drop scopes.
     #[test]
-    fn resume_is_bit_identical_w1(seed in 1u64..500, collapsed: bool, workers in 1usize..5) {
-        check_resume(seed, 1, collapsed, false, workers);
+    fn resume_is_bit_identical_w1(
+        seed in 1u64..500,
+        collapsed: bool,
+        workers in 1usize..5,
+        global: bool,
+    ) {
+        check_resume(seed, 1, collapsed, false, workers, global);
     }
 
     /// Wide-word (W=4) durable campaigns resume bit-identically, with
     /// and without critical-path tracing.
     #[test]
     fn resume_is_bit_identical_w4(seed in 1u64..500, tracing: bool, workers in 1usize..5) {
-        check_resume(seed, 4, true, tracing, workers);
+        check_resume(seed, 4, true, tracing, workers, false);
     }
 }
 
@@ -175,15 +248,7 @@ fn two_processes_share_one_fs_store() {
         &Campaign::serial(),
         PackedOptions::default(),
     );
-    let root = std::env::temp_dir().join(format!(
-        "rescue-resume-eq-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = temp_root("eq");
     let grain = 8;
     let (a, b) = std::thread::scope(|scope| {
         let spawn = |seed: u64| {
@@ -219,4 +284,55 @@ fn two_processes_share_one_fs_store() {
         "claims partition the units: nothing double-executed, nothing lost"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A checksum-valid unit record whose verdicts name patterns past the
+/// end of the campaign is corrupt: the resumed run re-executes that unit
+/// and counts it in `store.corrupt_records`, and no forged detection
+/// reaches the report.
+#[test]
+fn forged_out_of_range_verdicts_are_re_executed() {
+    let _exclusive = rescue_telemetry::exclusive();
+    let w = Workload::new(5);
+    let faults = universe::stuck_at_universe(&w.net);
+    let sim = FaultSimulator::new(&w.net);
+    let campaign = Campaign::serial();
+    let opts = PackedOptions::default();
+    let grain = 32;
+    let plain = sim.campaign_packed(&faults, &w.patterns, &campaign, opts);
+    let root = temp_root("forged");
+    let store = FsStore::open(&root);
+    sim.campaign_packed_durable(&faults, &w.patterns, &campaign, opts, &store, grain);
+    let manifest = sim.durable_plan(&faults, &w.patterns, &opts, grain);
+    let unit = &manifest.units[0];
+    let honest = store.get(unit.id).expect("the cold run stored unit 0");
+    let mut payload = (unit.range.len() as u64).to_le_bytes().to_vec();
+    for _ in unit.range.clone() {
+        payload.extend_from_slice(&1_000_000u64.to_le_bytes());
+    }
+    store.put(
+        unit.id,
+        &UnitRecord {
+            stats: honest.stats,
+            payload,
+        },
+    );
+
+    TelemetryConfig::on().install();
+    let before = metrics::counter("store.corrupt_records").get();
+    let resumed = sim.campaign_packed_durable(&faults, &w.patterns, &campaign, opts, &store, grain);
+    let corrupt = metrics::counter("store.corrupt_records").get() - before;
+    TelemetryConfig::off().install();
+    let _ = std::fs::remove_dir_all(&root);
+
+    assert_eq!(
+        resumed.report, plain.report,
+        "forged verdicts reached the report"
+    );
+    assert_eq!(
+        resumed.stats.units_executed, 1,
+        "only the forged unit re-executes"
+    );
+    assert_eq!(resumed.stats.units_cached, manifest.units.len() - 1);
+    assert_eq!(corrupt, 1);
 }

@@ -1,10 +1,11 @@
-//! Wide-word packed engine ≡ 64-lane engine ≡ scalar oracle, and
-//! collapsed-universe campaigns ≡ uncollapsed.
+//! Wide-word packed engine ≡ 64-lane engine ≡ full-resimulation oracle,
+//! and collapsed-universe campaigns ≡ uncollapsed.
 //!
 //! The acceptance bar for the multi-`u64` lane generalization: a
 //! [`PackedWord`] campaign at any supported width must produce the same
-//! `first_detection` vector as the `u64` engine and the scalar cone
-//! oracle — across schedules, worker counts and ragged pattern counts —
+//! `first_detection` vector as the `u64` engine, and its masks must
+//! match the [`ReferenceFaultSimulator`] lane for lane — across
+//! schedules, worker counts and ragged pattern counts —
 //! and a campaign over a collapsed universe must expand back to the
 //! identical per-fault verdicts while walking measurably fewer faults.
 
@@ -12,6 +13,7 @@ use proptest::prelude::*;
 use rescue_campaign::{Campaign, Schedule};
 use rescue_faults::collapse::collapse;
 use rescue_faults::engine::{CampaignPlan, WideScratch};
+use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::universe;
 use rescue_netlist::generate;
@@ -33,9 +35,9 @@ fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Per-word wide detection masks agree lane-for-lane with the scalar
-/// `detect` oracle run on the matching 64-pattern sub-chunks, including
-/// the ragged tail (the 300-pattern workload is 1×256 + 44 at W=4).
+/// Per-word wide detection masks agree lane-for-lane with the oracle
+/// run on the matching 64-pattern sub-chunks, including the ragged tail
+/// (the 300-pattern workload is 1×256 + 44 at W=4).
 fn masks_match_scalar<Wd: SimWord>(seed: u64) {
     let net = generate::random_logic(7, 90, 4, seed);
     let faults = universe::stuck_at_universe(&net);
@@ -43,7 +45,7 @@ fn masks_match_scalar<Wd: SimWord>(seed: u64) {
     let sim = FaultSimulator::new(&net);
     let c = sim.compiled();
     let plan = CampaignPlan::build(c, &faults);
-    let mut scalar = WideScratch::<u64>::new(c.len());
+    let oracle = ReferenceFaultSimulator::new(&net);
     let mut wide = WideScratch::<Wd>::new(c.len());
     for chunk in patterns.chunks(Wd::LANES) {
         let words = pack_patterns_wide::<Wd>(chunk);
@@ -53,15 +55,12 @@ fn masks_match_scalar<Wd: SimWord>(seed: u64) {
         let live = Wd::live_mask(chunk.len());
         for &fault in &faults {
             let mask = plan.detect_packed(c, &golden, &mut wide, fault).unwrap() & live;
-            // Scalar oracle on each 64-pattern slice of the wide chunk.
+            // The oracle on each 64-pattern slice of the wide chunk.
             for (sub_i, sub) in chunk.chunks(64).enumerate() {
                 let sub_words = pack_patterns_wide::<u64>(sub);
-                let mut sub_golden = Vec::new();
-                c.eval_words_into(&sub_words, None, &mut sub_golden)
-                    .unwrap();
-                scalar.load_golden(&sub_golden);
-                let sub_mask =
-                    plan.detect(c, &sub_golden, &mut scalar, fault) & u64::live_mask(sub.len());
+                let sub_golden = oracle.golden(&net, &sub_words);
+                let sub_mask = oracle.detection_mask(&net, &sub_words, &sub_golden, fault)
+                    & u64::live_mask(sub.len());
                 for bit in 0..sub.len() {
                     assert_eq!(
                         mask.lane(sub_i * 64 + bit),
@@ -78,7 +77,7 @@ fn masks_match_scalar<Wd: SimWord>(seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// W=4 per-word masks equal the scalar oracle lane-for-lane.
+    /// W=4 per-word masks equal the oracle lane-for-lane.
     #[test]
     fn wide_masks_match_scalar_w4(seed in 1u64..500) {
         masks_match_scalar::<PackedWord<4>>(seed);
@@ -103,7 +102,8 @@ proptest! {
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(8, n_patterns, seed);
         let sim = FaultSimulator::new(&net);
-        let base = sim.campaign_with_stats(&faults, &patterns, &Campaign::serial());
+        let base =
+            sim.campaign_packed(&faults, &patterns, &Campaign::serial(), PackedOptions::default());
         for lane_width in [2usize, 4, 8] {
             for workers in [1usize, 4] {
                 for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 17 }] {
@@ -136,7 +136,8 @@ proptest! {
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(8, 150, seed);
         let sim = FaultSimulator::new(&net);
-        let base = sim.campaign_with_stats(&faults, &patterns, &Campaign::serial());
+        let base =
+            sim.campaign_packed(&faults, &patterns, &Campaign::serial(), PackedOptions::default());
         let cu = collapse(&net, &faults);
         for lane_width in [1usize, 4] {
             let run = sim.campaign_packed(

@@ -71,8 +71,8 @@ pub fn fanout_cone(netlist: &Netlist, roots: &[GateId]) -> Vec<GateId> {
 /// the next clock edge); roots are always included, so a DFF root's
 /// downstream combinational logic is covered.
 ///
-/// This is the cone the incremental single-fault-propagation engine in
-/// `rescue-faults` memoizes per fault site.
+/// These are the gates the packed detection walk in `rescue-faults` can
+/// change from a fault site within one pattern word.
 pub fn comb_fanout_cone(netlist: &Netlist, roots: &[GateId]) -> Vec<GateId> {
     let fo = netlist.fanout();
     let mut seen = vec![false; netlist.len()];

@@ -1,15 +1,16 @@
 //! ISO 26262 fault classification.
 //!
 //! Classification campaigns run on the shared [`rescue_campaign`] driver
-//! and the incremental cone engine: instead of fully resimulating the
-//! design per fault, each fault's effect is propagated through its
-//! memoized fanout cone and observed at the functional/checker output
-//! groups ([`rescue_faults::engine::CampaignPlan::detect_observed`]).
+//! and the packed levelized walk: instead of fully resimulating the
+//! design per fault, each fault's effect is walked forward from its site
+//! once per 64-pattern word and observed at the functional/checker
+//! output groups ([`rescue_faults::engine::CampaignPlan::detect_observed`]).
 
 use rescue_campaign::{Campaign, CampaignStats};
 use rescue_faults::engine::{CampaignPlan, FaultScratch, ObserverGroups};
 use rescue_faults::{simulate::FaultSimulator, Fault};
 use rescue_netlist::Netlist;
+use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::parallel::{live_mask, pack_patterns};
 
 /// ISO 26262 class of a fault with respect to a safety goal.
@@ -109,9 +110,9 @@ pub fn classify(
 }
 
 /// [`classify`] on the shared [`Campaign`] driver: faults are sharded
-/// over scoped workers, each propagating fault effects through the
-/// memoized cone engine and observing the two output groups. Verdicts
-/// are identical for every worker count.
+/// over scoped workers, each walking fault effects forward with the
+/// packed engine and observing the two output groups. Verdicts are
+/// identical for every worker count.
 ///
 /// # Panics
 ///
@@ -125,19 +126,9 @@ pub fn classify_with_stats(
     campaign: &Campaign,
 ) -> ClassificationRun {
     let _campaign_span = rescue_telemetry::span!("safety.classify", faults = faults.len());
-    let find_driver = |name: &str| {
-        netlist
-            .primary_outputs()
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, d)| d.index() as u32)
-            .unwrap_or_else(|| panic!("unknown output `{name}`"))
-    };
-    let func: Vec<u32> = functional.iter().map(|n| find_driver(n)).collect();
-    let chk: Vec<u32> = checkers.iter().map(|n| find_driver(n)).collect();
     let sim = FaultSimulator::new(netlist);
     let c = sim.compiled();
-    let observers = ObserverGroups::new(c.len(), &func, &chk);
+    let observers = output_groups(netlist, c, functional, checkers);
     let plan = CampaignPlan::build(c, faults);
     // Per-chunk golden values and live mask, shared read-only.
     let chunks: Vec<(Vec<u64>, u64)> = patterns
@@ -151,40 +142,20 @@ pub fn classify_with_stats(
         faults,
         |_| FaultScratch::new(c.len()),
         |scratch, _, range| {
-            let mut flags = vec![(false, false, false); range.len()];
+            let mut evidence = vec![Evidence::default(); range.len()];
             for (golden, live) in &chunks {
                 scratch.load_golden(golden);
-                for (fi, &fault) in range.iter().enumerate() {
-                    let (corrupts, undetected, alarms) = &mut flags[fi];
-                    if *undetected && *alarms {
-                        continue; // Residual is already locked in
+                for (e, &fault) in evidence.iter_mut().zip(range) {
+                    if e.settled() {
+                        continue;
                     }
-                    let (func_mask, chk_mask) =
-                        plan.detect_observed(c, golden, scratch, fault, &observers);
-                    let func_mask = func_mask & live;
-                    let chk_mask = chk_mask & live;
-                    if func_mask != 0 {
-                        *corrupts = true;
-                        if func_mask & !chk_mask != 0 {
-                            *undetected = true;
-                        }
-                    }
-                    if chk_mask != 0 {
-                        *alarms = true;
-                    }
+                    let (func, chk) = plan
+                        .detect_observed(c, golden, scratch, fault, &observers)
+                        .expect("the plan holds every fault site");
+                    e.record(func & live, chk & live);
                 }
             }
-            flags
-                .iter()
-                .map(
-                    |&(corrupts, undetected, alarms)| match (corrupts, undetected, alarms) {
-                        (true, true, _) => FaultClass::Residual,
-                        (true, false, _) => FaultClass::Detected,
-                        (false, _, true) => FaultClass::Latent,
-                        (false, _, false) => FaultClass::Safe,
-                    },
-                )
-                .collect()
+            evidence.iter().map(|e| e.class()).collect()
         },
     );
     let mut stats = CampaignStats::from_run(faults.len(), &run);
@@ -200,6 +171,67 @@ pub fn classify_with_stats(
     stats.tally.latent = report.count(FaultClass::Latent);
     stats.tally.undetected = report.count(FaultClass::Residual);
     ClassificationRun { report, stats }
+}
+
+/// The functional and checker output groups of a classification, by
+/// output name.
+///
+/// # Panics
+///
+/// Panics on an unknown output name.
+pub(crate) fn output_groups(
+    netlist: &Netlist,
+    compiled: &CompiledNetlist,
+    functional: &[String],
+    checkers: &[String],
+) -> ObserverGroups {
+    let drivers = |names: &[String]| -> Vec<u32> {
+        names
+            .iter()
+            .map(|name| {
+                netlist
+                    .primary_outputs()
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map(|(_, d)| d.index() as u32)
+                    .unwrap_or_else(|| panic!("unknown output `{name}`"))
+            })
+            .collect()
+    };
+    ObserverGroups::new(compiled, &drivers(functional), &drivers(checkers))
+}
+
+/// What the stimulus has shown about one fault so far.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Evidence {
+    corrupts: bool,
+    undetected: bool,
+    alarms: bool,
+}
+
+impl Evidence {
+    /// Folds in one word's functional and checker masks, dead or
+    /// unlaunched lanes already cleared.
+    pub(crate) fn record(&mut self, func: u64, chk: u64) {
+        self.corrupts |= func != 0;
+        self.undetected |= func & !chk != 0;
+        self.alarms |= chk != 0;
+    }
+
+    /// Whether the class is locked in: a fault that once corrupted a
+    /// functional output without an alarm stays Residual.
+    pub(crate) fn settled(&self) -> bool {
+        self.undetected
+    }
+
+    pub(crate) fn class(&self) -> FaultClass {
+        match (self.corrupts, self.undetected, self.alarms) {
+            (true, true, _) => FaultClass::Residual,
+            (true, false, _) => FaultClass::Detected,
+            (false, _, true) => FaultClass::Latent,
+            (false, _, false) => FaultClass::Safe,
+        }
+    }
 }
 
 #[cfg(test)]

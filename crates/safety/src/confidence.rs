@@ -18,7 +18,6 @@
 
 use rescue_atpg::podem::{Podem, PodemOutcome};
 use rescue_atpg::untestable::{identify, UntestableReason};
-use rescue_campaign::Campaign;
 use rescue_faults::{simulate::FaultSimulator, Fault};
 use rescue_netlist::Netlist;
 
@@ -93,9 +92,7 @@ pub fn cross_check(netlist: &Netlist, faults: &[Fault], patterns: &[Vec<bool>]) 
     assert!(!netlist.is_sequential(), "block-level cross-check only");
     let podem = Podem::new(netlist);
     let fi = FaultSimulator::new(netlist);
-    let fi_report = fi
-        .campaign_with_stats(faults, patterns, &Campaign::serial())
-        .report;
+    let fi_report = fi.campaign(faults, patterns);
     let formal = identify(netlist, faults, false);
     let formally_safe: Vec<bool> = faults
         .iter()

@@ -192,7 +192,10 @@ pub fn sliced_campaign_on(
                         continue; // provably undetected by this pattern
                     }
                     *run += 1;
-                    if plan.detect(c, golden, scratch, fault) & 1 != 0 {
+                    let mask = plan
+                        .detect_packed(c, golden, scratch, fault)
+                        .expect("the plan holds every fault site");
+                    if mask & 1 != 0 {
                         *detected = Some(pi);
                     }
                 }
@@ -283,7 +286,7 @@ mod tests {
                 if slice.contains(&f.site().gate()) {
                     continue;
                 }
-                let detected = sim.detection_mask(&net, &words, &golden, f) & 1;
+                let detected = sim.detection_mask(&golden, f) & 1;
                 assert_eq!(detected, 0, "pattern {p}, fault {f} escaped the slice");
             }
         }
@@ -295,7 +298,8 @@ mod tests {
         let faults = universe::stuck_at_universe(&net);
         let pats = patterns(7, 48, 5);
         let sliced = sliced_campaign(&net, &faults, &pats);
-        let naive = FaultSimulator::new(&net).campaign(&net, &faults, &pats);
+        let naive = rescue_faults::reference::ReferenceFaultSimulator::new(&net)
+            .campaign(&net, &faults, &pats);
         assert_eq!(
             sliced.report.first_detection(),
             naive.first_detection(),

@@ -8,12 +8,12 @@
 //! stimulus launches the failing transition into a functional output
 //! with no simultaneous checker alarm.
 
-use crate::classify::FaultClass;
+use crate::classify::{output_groups, Evidence, FaultClass};
 use rescue_campaign::{Campaign, CampaignStats};
-use rescue_faults::engine::{CampaignPlan, FaultScratch, ObserverGroups};
+use rescue_faults::engine::{CampaignPlan, FaultScratch};
 use rescue_faults::{simulate::FaultSimulator, Fault, FaultKind, FaultSite};
 use rescue_netlist::Netlist;
-use rescue_sim::parallel::pack_patterns;
+use rescue_sim::parallel::{live_mask, pack_patterns};
 
 /// Classification of transition faults against consecutive-pair stimuli.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,10 +89,12 @@ pub fn classify_transitions(
 }
 
 /// [`classify_transitions`] on the shared [`Campaign`] driver: pattern
-/// pairs are simulated once, then faults are sharded over scoped
+/// pairs are simulated once, 64 pairs per word (launch patterns and the
+/// capture patterns one further), then faults are sharded over scoped
 /// workers, each applying the launch-on-shift reduction through the
-/// incremental cone engine. Verdicts are identical for every worker
-/// count.
+/// packed walk: the launch condition at the site gates the observed
+/// masks of the stuck-at equivalent on the capture word. Verdicts are
+/// identical for every worker count.
 ///
 /// # Panics
 ///
@@ -106,47 +108,40 @@ pub fn classify_transitions_with_stats(
     patterns: &[Vec<bool>],
     campaign: &Campaign,
 ) -> TransitionRun {
-    let find_driver = |name: &str| {
-        netlist
-            .primary_outputs()
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, d)| d.index() as u32)
-            .unwrap_or_else(|| panic!("unknown output `{name}`"))
-    };
-    let func: Vec<u32> = functional.iter().map(|n| find_driver(n)).collect();
-    let chk: Vec<u32> = checkers.iter().map(|n| find_driver(n)).collect();
     let sim = FaultSimulator::new(netlist);
     let c = sim.compiled();
-    let observers = ObserverGroups::new(c.len(), &func, &chk);
+    let observers = output_groups(netlist, c, functional, checkers);
 
-    // Validate fault kinds and reduce each transition fault to its
-    // launch condition plus stuck-at equivalent — on the caller thread,
+    // Validate fault kinds and reduce each transition fault to its site,
+    // its direction and its stuck-at equivalent — on the caller thread,
     // so malformed inputs panic before any worker spawns.
-    let specs: Vec<(usize, u64, u64, Fault)> = faults
+    let specs: Vec<(usize, bool, Fault)> = faults
         .iter()
         .map(|fault| {
-            let site = match fault.site() {
-                FaultSite::Output(g) => g,
-                FaultSite::Pin { .. } => panic!("transition faults sit on outputs"),
+            let FaultSite::Output(site) = fault.site() else {
+                panic!("transition faults sit on outputs");
             };
-            let (from, to, stuck) = match fault.kind() {
-                FaultKind::SlowToRise => (0u64, 1u64, false),
-                FaultKind::SlowToFall => (1, 0, true),
+            let rising = match fault.kind() {
+                FaultKind::SlowToRise => true,
+                FaultKind::SlowToFall => false,
                 other => panic!("classify_transitions requires transition faults, got {other}"),
             };
-            let eq = Fault::stuck_at(FaultSite::Output(site), stuck);
-            (site.index(), from, to, eq)
+            let eq = Fault::stuck_at(FaultSite::Output(site), !rising);
+            (site.index(), rising, eq)
         })
         .collect();
-    let plan = CampaignPlan::build(c, &specs.iter().map(|s| s.3).collect::<Vec<_>>());
-    // Launch/capture golden values per consecutive pair, shared read-only.
-    let pairs: Vec<(Vec<u64>, Vec<u64>)> = patterns
-        .windows(2)
-        .map(|pair| {
+    let plan = CampaignPlan::build(c, &specs.iter().map(|s| s.2).collect::<Vec<_>>());
+    // Launch/capture golden values and live mask per word of 64
+    // consecutive pairs, shared read-only.
+    let n_pairs = patterns.len().saturating_sub(1);
+    let words: Vec<(Vec<u64>, Vec<u64>, u64)> = (0..n_pairs)
+        .step_by(64)
+        .map(|start| {
+            let end = (start + 64).min(n_pairs);
             (
-                sim.golden(&pack_patterns(&pair[..1])),
-                sim.golden(&pack_patterns(&pair[1..])),
+                sim.golden(&pack_patterns(&patterns[start..end])),
+                sim.golden(&pack_patterns(&patterns[start + 1..end + 1])),
+                live_mask(end - start),
             )
         })
         .collect();
@@ -155,48 +150,30 @@ pub fn classify_transitions_with_stats(
         &specs,
         |_| FaultScratch::new(c.len()),
         |scratch, _, range| {
-            let mut flags = vec![(false, false, false); range.len()];
-            for (g_launch, g_capture) in &pairs {
+            let mut evidence = vec![Evidence::default(); range.len()];
+            for (g_launch, g_capture, live) in &words {
                 scratch.load_golden(g_capture);
-                for (fi, &(site, from, to, eq)) in range.iter().enumerate() {
-                    let (corrupts, undetected, alarms) = &mut flags[fi];
-                    if *undetected && *alarms {
-                        continue; // Residual is already locked in
+                for (e, &(site, rising, eq)) in evidence.iter_mut().zip(range) {
+                    if e.settled() {
+                        continue;
                     }
-                    if g_launch[site] & 1 != from || g_capture[site] & 1 != to {
-                        continue; // transition not launched by this pair
+                    let (from, to) = (g_launch[site], g_capture[site]);
+                    let launched = live & if rising { !from & to } else { from & !to };
+                    if launched == 0 {
+                        continue; // no pair of this word launches the transition
                     }
-                    let (func_mask, chk_mask) =
-                        plan.detect_observed(c, g_capture, scratch, eq, &observers);
-                    let func_hit = func_mask & 1 != 0;
-                    let chk_hit = chk_mask & 1 != 0;
-                    if func_hit {
-                        *corrupts = true;
-                        if !chk_hit {
-                            *undetected = true;
-                        }
-                    }
-                    if chk_hit {
-                        *alarms = true;
-                    }
+                    let (func, chk) = plan
+                        .detect_observed(c, g_capture, scratch, eq, &observers)
+                        .expect("the plan holds every fault site");
+                    e.record(func & launched, chk & launched);
                 }
             }
-            flags
-                .iter()
-                .map(
-                    |&(corrupts, undetected, alarms)| match (corrupts, undetected, alarms) {
-                        (true, true, _) => FaultClass::Residual,
-                        (true, false, _) => FaultClass::Detected,
-                        (false, _, true) => FaultClass::Latent,
-                        (false, _, false) => FaultClass::Safe,
-                    },
-                )
-                .collect()
+            evidence.iter().map(|e| e.class()).collect()
         },
     );
     let mut stats = CampaignStats::from_run(faults.len(), &run);
-    for _ in &pairs {
-        stats.record_lanes(1, 64); // pairwise launch: one live lane per word
+    for (_, _, live) in &words {
+        stats.record_lanes(live.count_ones() as u64, 64);
     }
     let report = TransitionClassification {
         faults: faults.to_vec(),

@@ -24,8 +24,8 @@
 //! The combinational, parallel-pattern and sequential engines share the
 //! [`compiled::CompiledNetlist`] flat-arena representation (CSR pin
 //! slices, baked-in levelized order, fanout CSR), compiled once per
-//! design; the fault-simulation crate builds its incremental cone engine
-//! on the same arena.
+//! design; the fault-simulation crate runs its packed detection walk on
+//! the same arena.
 //!
 //! # Examples
 //!

@@ -14,7 +14,7 @@
 //!   on overflow and on thread exit.
 //! * **Metrics** — [`metrics`] is a process-wide registry of named
 //!   counters, gauges and fixed-bucket histograms (e.g.
-//!   `fault.cone_size`, `seu.lane_occupancy`) whose
+//!   `fault.packed_lanes`, `seu.lane_occupancy`) whose
 //!   [`metrics::snapshot`] is a `PartialEq`-comparable report.
 //! * **Journal + sinks** — [`journal::Journal`] captures the emitted
 //!   event stream; [`sinks`] renders it as a JSONL run journal, a

@@ -124,7 +124,8 @@ fn one_journal_captures_every_layer_of_a_mixed_run() {
     // the same journal and metrics registry, so one export shows where
     // a mixed analysis spent its time.
     use rescue_core::campaign::Campaign;
-    use rescue_core::faults::{simulate::FaultSimulator, universe};
+    use rescue_core::faults::simulate::{FaultSimulator, PackedOptions};
+    use rescue_core::faults::universe;
     use rescue_core::radiation::seu_analysis::SeuCampaign;
     use rescue_core::safety::classify::classify_with_stats;
     use rescue_core::telemetry::{journal, metrics, TelemetryConfig};
@@ -144,7 +145,12 @@ fn one_journal_captures_every_layer_of_a_mixed_run() {
         .iter()
         .map(|(n, _)| n.clone())
         .collect();
-    FaultSimulator::new(&comb).campaign_with_stats(&faults, &patterns, &driver);
+    FaultSimulator::new(&comb).campaign_packed(
+        &faults,
+        &patterns,
+        &driver,
+        PackedOptions::default(),
+    );
     classify_with_stats(&comb, &faults, &outputs, &[], &patterns, &driver);
     let seq = generate::lfsr(6, &[5, 1]);
     SeuCampaign::new(4, 6).run_exhaustive_on(&seq, &[], &driver);
@@ -163,7 +169,7 @@ fn one_journal_captures_every_layer_of_a_mixed_run() {
     assert!(snap.counter("fault.faults_evaluated").unwrap_or(0) > 0);
     assert!(snap.counter("sim.seq_steps").unwrap_or(0) > 0);
     assert!(
-        snap.histogram("fault.cone_size")
+        snap.histogram("fault.packed_lanes")
             .map(|h| h.total)
             .unwrap_or(0)
             > 0

@@ -2,6 +2,7 @@
 //! of verdicts between independently implemented engines.
 
 use rescue_core::atpg::podem::{Podem, PodemOutcome};
+use rescue_core::faults::reference::ReferenceFaultSimulator;
 use rescue_core::faults::{simulate::FaultSimulator, universe};
 use rescue_core::flow::HolisticFlow;
 use rescue_core::netlist::generate;
@@ -58,7 +59,7 @@ fn slicing_never_changes_campaign_verdicts() {
             .map(|p| (0..6).map(|i| p >> i & 1 == 1).collect())
             .collect();
         let sliced = sliced_campaign(&net, &faults, &patterns);
-        let naive = FaultSimulator::new(&net).campaign(&net, &faults, &patterns);
+        let naive = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
         assert_eq!(sliced.report.first_detection(), naive.first_detection());
         assert!(sliced.speedup() >= 1.0);
     }
@@ -81,7 +82,7 @@ fn atpg_closes_what_fault_simulation_confirms() {
             PodemOutcome::Aborted => {}
         }
     }
-    let report = sim.campaign(&net, &faults, &patterns);
+    let report = sim.campaign(&faults, &patterns);
     assert!(
         report.detected_count() + untestable >= faults.len(),
         "detected {} + untestable {untestable} < {}",
