@@ -9,7 +9,7 @@
 use crate::error::AtpgError;
 use crate::scoap::Scoap;
 use rescue_faults::{Fault, FaultSite};
-use rescue_netlist::{GateId, GateKind, Netlist};
+use rescue_netlist::{Fanout, GateId, GateKind, Levelization, Netlist};
 use rescue_sim::logic::eval_gate;
 use rescue_sim::Logic;
 
@@ -101,7 +101,7 @@ pub enum PodemOutcome {
 #[derive(Debug, Clone)]
 pub struct Podem {
     order: Vec<GateId>,
-    fanout: Vec<Vec<GateId>>,
+    fanout: Fanout,
     po_drivers: Vec<bool>,
     scoap: Scoap,
     backtrack_limit: usize,
@@ -119,9 +119,10 @@ impl Podem {
         for (_, g) in netlist.primary_outputs() {
             po_drivers[g.index()] = true;
         }
+        let (levels, fanout) = Levelization::with_fanout(netlist);
         Podem {
-            order: netlist.levelize().order().to_vec(),
-            fanout: netlist.fanout(),
+            order: levels.order().to_vec(),
+            fanout,
             po_drivers,
             scoap: Scoap::analyze(netlist),
             backtrack_limit,
@@ -262,7 +263,7 @@ impl Podem {
         visited[origin.index()] = true;
         stack.push(origin.index());
         while let Some(i) = stack.pop() {
-            for &s in &self.fanout[i] {
+            for s in self.fanout.of(GateId(i)) {
                 let si = s.index();
                 if visited[si] || netlist.gate(s).kind().is_sequential() || blocked(si) {
                     continue;

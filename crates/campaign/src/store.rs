@@ -42,6 +42,7 @@ struct StoreMetrics {
     claims_contended: metrics::Counter,
     claims_broken: metrics::Counter,
     corrupt_records: metrics::Counter,
+    write_errors: metrics::Counter,
     claim_age_ms: metrics::Histogram,
 }
 
@@ -54,6 +55,7 @@ fn store_metrics() -> &'static StoreMetrics {
         claims_contended: metrics::counter("store.claims_contended"),
         claims_broken: metrics::counter("store.claims_broken"),
         corrupt_records: metrics::counter("store.corrupt_records"),
+        write_errors: metrics::counter("store.write_errors"),
         // Claim-to-publish latency from µs-scale MemStore units up to
         // the stale-claim horizon (2^20 ms ≈ 17 min).
         claim_age_ms: metrics::histogram("store.claim_age_ms", &metrics::pow2_bounds(21)),
@@ -340,6 +342,11 @@ pub trait ResultStore: Sync {
     fn get(&self, id: ContentHash) -> Option<UnitRecord>;
 
     /// Publishes a unit's result and releases the caller's claim.
+    ///
+    /// A record the store fails to persist is lost, not fatal: the claim
+    /// is still released, and the campaign keeps the unit's results in
+    /// memory, so only a later resume pays for it (by re-executing the
+    /// unit). [`FsStore`] counts such failures in `store.write_errors`.
     fn put(&self, id: ContentHash, record: &UnitRecord);
 
     /// Tries to take exclusive execution rights for a unit.
@@ -558,10 +565,12 @@ impl ResultStore for FsStore {
 
     fn put(&self, id: ContentHash, record: &UnitRecord) {
         store_metrics().puts.incr();
-        let path = self.unit_path(id);
-        write_file_atomic(&path, &record.encode())
-            .unwrap_or_else(|e| panic!("write unit record {path:?}: {e}"));
         let claim = self.claim_path(id);
+        if write_file_atomic(&self.unit_path(id), &record.encode()).is_err() {
+            store_metrics().write_errors.incr();
+            let _ = std::fs::remove_file(claim);
+            return;
+        }
         // Claim-to-publish latency from the claim file's age; the extra
         // stat is only paid while telemetry records anything.
         if rescue_telemetry::enabled() {

@@ -42,7 +42,8 @@ pub struct CollapsedUniverse {
     /// `rep[slot(fault)]` = representative's slot, `u32::MAX` when the
     /// fault is its own representative (or was never collapsed).
     rep: Vec<u32>,
-    /// Pin-slot CSR: `pin_base[g]` is the first pin slot of gate `g`.
+    /// Pin-slot CSR, the netlist's pin offsets: `pin_base[g]` is the
+    /// first pin slot of gate `g`.
     pin_base: Vec<u32>,
     /// Owning gate of each pin slot (inverse of `pin_base`), for O(1)
     /// slot→fault decoding.
@@ -308,14 +309,8 @@ pub fn collapse(netlist: &Netlist, faults: &[Fault]) -> CollapsedUniverse {
 pub fn collapse_with(netlist: &Netlist, faults: &[Fault], workers: usize) -> CollapsedUniverse {
     let _span = span!("plan.collapse", faults = faults.len());
     let n = netlist.len();
-    let mut pin_base = vec![0u32; n + 1];
-    for (id, g) in netlist.iter() {
-        pin_base[id.index() + 1] = g.inputs().len() as u32;
-    }
-    for i in 0..n {
-        pin_base[i + 1] += pin_base[i];
-    }
-    let total_pins = pin_base[n] as usize;
+    let pin_base = netlist.pin_offsets().to_vec();
+    let total_pins = netlist.pins().len();
     let mut pin_owner = vec![0u32; total_pins];
     let mut fan_count = vec![0u32; n];
     let mut single_load = vec![u32::MAX; n];

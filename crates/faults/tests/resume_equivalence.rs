@@ -336,3 +336,41 @@ fn forged_out_of_range_verdicts_are_re_executed() {
     assert_eq!(resumed.stats.units_cached, manifest.units.len() - 1);
     assert_eq!(corrupt, 1);
 }
+
+/// A store whose `units/` directory cannot be written (a plain file
+/// stands where it should be) loses every record, counted in
+/// `store.write_errors`, and never a verdict: the durable report equals
+/// the plain one, and every claim is released.
+#[test]
+fn unwritable_store_never_stops_a_durable_campaign() {
+    let _exclusive = rescue_telemetry::exclusive();
+    let w = Workload::new(7);
+    let faults = universe::stuck_at_universe(&w.net);
+    let sim = FaultSimulator::new(&w.net);
+    let campaign = Campaign::new(7, 2);
+    let opts = PackedOptions::default();
+    let grain = 32;
+    let plain = sim.campaign_packed(&faults, &w.patterns, &campaign, opts);
+    let root = temp_root("unwritable");
+    let store = FsStore::open(&root);
+    std::fs::remove_dir_all(root.join("units")).unwrap();
+    std::fs::write(root.join("units"), b"not a directory").unwrap();
+
+    TelemetryConfig::on().install();
+    let before = metrics::counter("store.write_errors").get();
+    let run = sim.campaign_packed_durable(&faults, &w.patterns, &campaign, opts, &store, grain);
+    let errors = metrics::counter("store.write_errors").get() - before;
+    TelemetryConfig::off().install();
+    let claims_left = std::fs::read_dir(root.join("claims")).unwrap().count();
+    let _ = std::fs::remove_dir_all(&root);
+
+    let units = sim
+        .durable_plan(&faults, &w.patterns, &opts, grain)
+        .units
+        .len();
+    assert!(units > 1);
+    assert_eq!(run.report, plain.report, "a lost record changed a verdict");
+    assert_eq!(run.stats.units_executed, units);
+    assert_eq!(errors, units as u64, "every failed write is counted");
+    assert_eq!(claims_left, 0, "every claim is released");
+}

@@ -9,7 +9,7 @@
 #![allow(clippy::needless_range_loop)] // matrix-style feature indexing
 
 use rescue_atpg::scoap::Cop;
-use rescue_netlist::{GateId, Netlist};
+use rescue_netlist::{GateId, Levelization, Netlist};
 
 /// Number of features per gate produced by [`gate_features`].
 pub const FEATURES_PER_GATE: usize = 12;
@@ -21,10 +21,9 @@ pub const FEATURES_PER_GATE: usize = 12;
 /// `4` COP observability, `5` is-output flag,
 /// `6..12` one-hop means of features `0..5` over fan-in ∪ fan-out.
 pub fn gate_features(netlist: &Netlist) -> Vec<Vec<f64>> {
-    let lv = netlist.levelize();
+    let (lv, fanout) = Levelization::with_fanout(netlist);
     let depth = lv.depth().max(1) as f64;
     let cop = Cop::analyze(netlist);
-    let fanout = netlist.fanout();
     let is_out = {
         let mut v = vec![false; netlist.len()];
         for (_, g) in netlist.primary_outputs() {
@@ -38,7 +37,7 @@ pub fn gate_features(netlist: &Netlist) -> Vec<Vec<f64>> {
             vec![
                 lv.level(id) as f64 / depth,
                 g.inputs().len() as f64 / 4.0,
-                fanout[id.index()].len() as f64 / 4.0,
+                fanout.of(id).len() as f64 / 4.0,
                 cop.p_one(id),
                 cop.p_observe(id),
                 is_out[id.index()] as u8 as f64,
@@ -49,12 +48,7 @@ pub fn gate_features(netlist: &Netlist) -> Vec<Vec<f64>> {
         .iter()
         .map(|(id, g)| {
             let mut fv = base[id.index()].clone();
-            let neighbours: Vec<GateId> = g
-                .inputs()
-                .iter()
-                .copied()
-                .chain(fanout[id.index()].iter().copied())
-                .collect();
+            let neighbours: Vec<GateId> = g.inputs().iter().copied().chain(fanout.of(id)).collect();
             for k in 0..6 {
                 let mean = if neighbours.is_empty() {
                     0.0

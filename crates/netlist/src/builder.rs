@@ -1,8 +1,7 @@
 //! Fluent construction of [`Netlist`]s.
 
-use crate::gate::{Gate, GateId, GateKind};
+use crate::gate::{GateId, GateKind};
 use crate::netlist::Netlist;
-use std::collections::HashMap;
 
 /// Incremental netlist builder.
 ///
@@ -25,35 +24,26 @@ use std::collections::HashMap;
 /// let net = b.finish();
 /// assert!(net.is_sequential());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct NetlistBuilder {
-    name: String,
-    gates: Vec<Gate>,
-    inputs: Vec<GateId>,
-    outputs: Vec<(String, GateId)>,
-    names: HashMap<GateId, String>,
+    /// The design so far, written straight into the netlist's arrays and
+    /// validated by [`NetlistBuilder::try_finish`].
+    net: Netlist,
 }
 
 impl NetlistBuilder {
     /// Starts an empty design called `name`.
     pub fn new(name: impl Into<String>) -> Self {
         NetlistBuilder {
-            name: name.into(),
-            ..Default::default()
+            net: Netlist::with_capacity(name, 0, 0),
         }
-    }
-
-    fn push(&mut self, kind: GateKind, inputs: Vec<GateId>) -> GateId {
-        let id = GateId(self.gates.len());
-        self.gates.push(Gate::new(kind, inputs));
-        id
     }
 
     /// Declares a named primary input.
     pub fn input(&mut self, name: impl Into<String>) -> GateId {
-        let id = self.push(GateKind::Input, vec![]);
-        self.inputs.push(id);
-        self.names.insert(id, name.into());
+        let id = self.net.push(GateKind::Input, []);
+        self.net.inputs.push(id);
+        self.net.names.insert(id, name.into());
         id
     }
 
@@ -64,90 +54,89 @@ impl NetlistBuilder {
 
     /// Constant logic 0.
     pub fn const0(&mut self) -> GateId {
-        self.push(GateKind::Const0, vec![])
+        self.net.push(GateKind::Const0, [])
     }
 
     /// Constant logic 1.
     pub fn const1(&mut self) -> GateId {
-        self.push(GateKind::Const1, vec![])
+        self.net.push(GateKind::Const1, [])
     }
 
     /// Identity buffer of `a`.
     pub fn buf(&mut self, a: GateId) -> GateId {
-        self.push(GateKind::Buf, vec![a])
+        self.net.push(GateKind::Buf, [a])
     }
 
     /// Inverter of `a`.
     pub fn not(&mut self, a: GateId) -> GateId {
-        self.push(GateKind::Not, vec![a])
+        self.net.push(GateKind::Not, [a])
     }
 
     /// 2-input AND.
     pub fn and(&mut self, a: GateId, b: GateId) -> GateId {
-        self.push(GateKind::And, vec![a, b])
+        self.net.push(GateKind::And, [a, b])
     }
 
     /// N-input AND (`n >= 2`).
     pub fn and_n(&mut self, ins: &[GateId]) -> GateId {
-        self.push(GateKind::And, ins.to_vec())
+        self.net.push(GateKind::And, ins.iter().copied())
     }
 
     /// 2-input NAND.
     pub fn nand(&mut self, a: GateId, b: GateId) -> GateId {
-        self.push(GateKind::Nand, vec![a, b])
+        self.net.push(GateKind::Nand, [a, b])
     }
 
     /// 2-input OR.
     pub fn or(&mut self, a: GateId, b: GateId) -> GateId {
-        self.push(GateKind::Or, vec![a, b])
+        self.net.push(GateKind::Or, [a, b])
     }
 
     /// N-input OR (`n >= 2`).
     pub fn or_n(&mut self, ins: &[GateId]) -> GateId {
-        self.push(GateKind::Or, ins.to_vec())
+        self.net.push(GateKind::Or, ins.iter().copied())
     }
 
     /// 2-input NOR.
     pub fn nor(&mut self, a: GateId, b: GateId) -> GateId {
-        self.push(GateKind::Nor, vec![a, b])
+        self.net.push(GateKind::Nor, [a, b])
     }
 
     /// 2-input XOR.
     pub fn xor(&mut self, a: GateId, b: GateId) -> GateId {
-        self.push(GateKind::Xor, vec![a, b])
+        self.net.push(GateKind::Xor, [a, b])
     }
 
     /// N-input XOR / parity (`n >= 2`).
     pub fn xor_n(&mut self, ins: &[GateId]) -> GateId {
-        self.push(GateKind::Xor, ins.to_vec())
+        self.net.push(GateKind::Xor, ins.iter().copied())
     }
 
     /// 2-input XNOR.
     pub fn xnor(&mut self, a: GateId, b: GateId) -> GateId {
-        self.push(GateKind::Xnor, vec![a, b])
+        self.net.push(GateKind::Xnor, [a, b])
     }
 
     /// N-input XNOR / inverted parity (`n >= 2`).
     pub fn xnor_n(&mut self, ins: &[GateId]) -> GateId {
-        self.push(GateKind::Xnor, ins.to_vec())
+        self.net.push(GateKind::Xnor, ins.iter().copied())
     }
 
     /// 2:1 mux: returns `a` when `sel=0`, `b` when `sel=1`.
     pub fn mux(&mut self, sel: GateId, a: GateId, b: GateId) -> GateId {
-        self.push(GateKind::Mux, vec![sel, a, b])
+        self.net.push(GateKind::Mux, [sel, a, b])
     }
 
     /// D flip-flop registering `d`.
     pub fn dff(&mut self, d: GateId) -> GateId {
-        self.push(GateKind::Dff, vec![d])
+        self.net.push(GateKind::Dff, [d])
     }
 
     /// D flip-flop whose `D` pin will be connected later (self-loop
     /// placeholder), enabling feedback circuits.
     pub fn dff_floating(&mut self) -> GateId {
-        let id = GateId(self.gates.len());
-        self.gates.push(Gate::new(GateKind::Dff, vec![id]));
-        id
+        let id = GateId(self.net.len());
+        self.net.push(GateKind::Dff, [id])
     }
 
     /// Connects the `D` pin of a flip-flop created with
@@ -157,35 +146,35 @@ impl NetlistBuilder {
     ///
     /// Panics if `q` is not a flip-flop.
     pub fn connect_dff(&mut self, q: GateId, d: GateId) {
-        let g = &mut self.gates[q.index()];
         assert!(
-            g.kind().is_sequential(),
+            self.net.gate(q).kind().is_sequential(),
             "connect_dff target {q} is not a DFF"
         );
-        g.inputs_mut().clear();
-        g.inputs_mut().push(d);
+        // A flip-flop has exactly one pin: patch its slot in place.
+        let slot = self.net.pin_offsets[q.index()] as usize;
+        self.net.pins[slot] = d;
     }
 
     /// Declares a named primary output driven by `driver`.
     pub fn output(&mut self, name: impl Into<String>, driver: GateId) {
         let name = name.into();
-        self.names.entry(driver).or_insert_with(|| name.clone());
-        self.outputs.push((name, driver));
+        self.net.names.entry(driver).or_insert_with(|| name.clone());
+        self.net.outputs.push((name, driver));
     }
 
     /// Assigns a debug name to an internal gate.
     pub fn name(&mut self, id: GateId, name: impl Into<String>) {
-        self.names.insert(id, name.into());
+        self.net.names.insert(id, name.into());
     }
 
     /// Number of gates currently in the design.
     pub fn len(&self) -> usize {
-        self.gates.len()
+        self.net.len()
     }
 
     /// Returns `true` when no gate has been added yet.
     pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
+        self.net.is_empty()
     }
 
     /// Finalizes and validates the netlist.
@@ -205,7 +194,7 @@ impl NetlistBuilder {
     ///
     /// Propagates [`crate::NetlistError`] from validation.
     pub fn try_finish(self) -> Result<Netlist, crate::NetlistError> {
-        Netlist::from_parts(self.name, self.gates, self.inputs, self.outputs, self.names)
+        self.net.finish()
     }
 }
 

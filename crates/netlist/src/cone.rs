@@ -29,40 +29,14 @@ use crate::netlist::Netlist;
 /// assert_eq!(cone.len(), 4);
 /// ```
 pub fn fanin_cone(netlist: &Netlist, roots: &[GateId]) -> Vec<GateId> {
-    let mut seen = vec![false; netlist.len()];
-    let mut stack: Vec<GateId> = roots.to_vec();
-    for &r in roots {
-        seen[r.index()] = true;
-    }
-    while let Some(g) = stack.pop() {
-        for &p in netlist.gate(g).inputs() {
-            if !seen[p.index()] {
-                seen[p.index()] = true;
-                stack.push(p);
-            }
-        }
-    }
-    collect(&seen)
+    reach(netlist, roots, |g| netlist.gate(g).inputs().iter().copied())
 }
 
 /// Computes the transitive fan-out cone of `roots` (every gate whose value
 /// may be affected by a root), including the roots.
 pub fn fanout_cone(netlist: &Netlist, roots: &[GateId]) -> Vec<GateId> {
     let fo = netlist.fanout();
-    let mut seen = vec![false; netlist.len()];
-    let mut stack: Vec<GateId> = roots.to_vec();
-    for &r in roots {
-        seen[r.index()] = true;
-    }
-    while let Some(g) = stack.pop() {
-        for &s in &fo[g.index()] {
-            if !seen[s.index()] {
-                seen[s.index()] = true;
-                stack.push(s);
-            }
-        }
-    }
-    collect(&seen)
+    reach(netlist, roots, |g| fo.of(g))
 }
 
 /// Combinational-only fan-out cone: every gate whose *this-cycle* value
@@ -75,45 +49,18 @@ pub fn fanout_cone(netlist: &Netlist, roots: &[GateId]) -> Vec<GateId> {
 /// change from a fault site within one pattern word.
 pub fn comb_fanout_cone(netlist: &Netlist, roots: &[GateId]) -> Vec<GateId> {
     let fo = netlist.fanout();
-    let mut seen = vec![false; netlist.len()];
-    let mut stack: Vec<GateId> = roots.to_vec();
-    for &r in roots {
-        seen[r.index()] = true;
-    }
-    while let Some(g) = stack.pop() {
-        for &s in &fo[g.index()] {
-            if netlist.gate(s).kind().is_sequential() {
-                continue; // fault effects stop at the DFF boundary this cycle
-            }
-            if !seen[s.index()] {
-                seen[s.index()] = true;
-                stack.push(s);
-            }
-        }
-    }
-    collect(&seen)
+    let comb = |s: &GateId| !netlist.gate(*s).kind().is_sequential();
+    reach(netlist, roots, |g| fo.of(g).filter(comb))
 }
 
 /// Combinational-only fan-in cone: stops at DFF outputs (the "slice" used
 /// for per-cycle fault-effect reasoning).
 pub fn comb_fanin_cone(netlist: &Netlist, roots: &[GateId]) -> Vec<GateId> {
-    let mut seen = vec![false; netlist.len()];
-    let mut stack: Vec<GateId> = roots.to_vec();
-    for &r in roots {
-        seen[r.index()] = true;
-    }
-    while let Some(g) = stack.pop() {
-        if netlist.gate(g).kind().is_sequential() && !roots.contains(&g) {
-            continue;
-        }
-        for &p in netlist.gate(g).inputs() {
-            if !seen[p.index()] {
-                seen[p.index()] = true;
-                stack.push(p);
-            }
-        }
-    }
-    collect(&seen)
+    reach(netlist, roots, |g| {
+        let stop = netlist.gate(g).kind().is_sequential() && !roots.contains(&g);
+        let ins = if stop { &[] } else { netlist.gate(g).inputs() };
+        ins.iter().copied()
+    })
 }
 
 /// Gates that can reach at least one primary output (observable gates).
@@ -125,12 +72,27 @@ pub fn observable_set(netlist: &Netlist) -> Vec<GateId> {
     fanin_cone(netlist, &outs)
 }
 
-fn collect(seen: &[bool]) -> Vec<GateId> {
-    seen.iter()
-        .enumerate()
-        .filter(|(_, &s)| s)
-        .map(|(i, _)| GateId(i))
-        .collect()
+/// Every gate reachable from `roots` along the edges `next` yields,
+/// roots included, in id order.
+fn reach<I: Iterator<Item = GateId>>(
+    netlist: &Netlist,
+    roots: &[GateId],
+    mut next: impl FnMut(GateId) -> I,
+) -> Vec<GateId> {
+    let mut seen = vec![false; netlist.len()];
+    let mut stack: Vec<GateId> = roots.to_vec();
+    for &r in roots {
+        seen[r.index()] = true;
+    }
+    while let Some(g) = stack.pop() {
+        for s in next(g) {
+            if !seen[s.index()] {
+                seen[s.index()] = true;
+                stack.push(s);
+            }
+        }
+    }
+    netlist.ids().filter(|g| seen[g.index()]).collect()
 }
 
 #[cfg(test)]

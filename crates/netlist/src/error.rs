@@ -28,6 +28,12 @@ pub enum NetlistError {
         /// One gate on the cycle.
         gate: GateId,
     },
+    /// A primary input names a gate that does not exist or is not an
+    /// `Input` gate.
+    UnknownInput {
+        /// The offending primary-input id.
+        gate: GateId,
+    },
     /// A primary output name refers to an unknown gate.
     UnknownOutput {
         /// The offending output name.
@@ -71,6 +77,9 @@ impl fmt::Display for NetlistError {
             },
             NetlistError::CombinationalLoop { gate } => {
                 write!(f, "combinational loop through gate {gate}")
+            }
+            NetlistError::UnknownInput { gate } => {
+                write!(f, "primary input {gate} names no input gate")
             }
             NetlistError::UnknownOutput { name } => {
                 write!(f, "output `{name}` refers to an unknown gate")

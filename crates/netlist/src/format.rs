@@ -14,9 +14,8 @@
 //! structure (internal debug names other than ports are not preserved).
 
 use crate::error::NetlistError;
-use crate::gate::{Gate, GateId, GateKind};
+use crate::gate::{GateId, GateKind};
 use crate::netlist::Netlist;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Serializes `netlist` to the `.rnl` text format.
@@ -72,85 +71,49 @@ fn parse_gate_id(tok: &str, line: usize) -> Result<GateId, NetlistError> {
 /// Returns [`NetlistError::Parse`] on malformed input and propagates
 /// structural validation errors.
 pub fn from_text(text: &str) -> Result<Netlist, NetlistError> {
-    let mut name = String::from("unnamed");
-    let mut gates: Vec<Gate> = Vec::new();
-    let mut inputs: Vec<GateId> = Vec::new();
-    let mut outputs: Vec<(String, GateId)> = Vec::new();
-    let mut names: HashMap<GateId, String> = HashMap::new();
-
+    let mut net = Netlist::with_capacity("unnamed", 0, 0);
     for (ln, raw) in text.lines().enumerate() {
-        let line_no = ln + 1;
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
+        let err = |message: String| NetlistError::Parse {
+            line: ln + 1,
+            message,
+        };
+        let gate_id = |tok: &str| parse_gate_id(tok, ln + 1);
+        // A new gate takes the next dense id.
+        let next_id = |tok: &str, len: usize| match gate_id(tok)? {
+            id if id.index() == len => Ok(id),
+            _ => Err(err(format!("gate ids must be dense; expected g{len}"))),
+        };
         let toks: Vec<&str> = line.split_whitespace().collect();
-        match toks[0] {
-            "circuit" => {
-                if toks.len() != 2 {
-                    return Err(NetlistError::Parse {
-                        line: line_no,
-                        message: "circuit takes exactly one name".into(),
-                    });
-                }
-                name = toks[1].to_string();
+        match toks[..] {
+            ["circuit", name] => net.name = name.to_string(),
+            ["circuit", ..] => return Err(err("circuit takes exactly one name".into())),
+            ["input", name, tok] => {
+                let id = next_id(tok, net.len())?;
+                net.push(GateKind::Input, []);
+                net.inputs.push(id);
+                net.names.insert(id, name.to_string());
             }
-            "input" => {
-                if toks.len() != 3 {
-                    return Err(NetlistError::Parse {
-                        line: line_no,
-                        message: "expected `input <name> g<idx>`".into(),
-                    });
-                }
-                let id = parse_gate_id(toks[2], line_no)?;
-                if id.index() != gates.len() {
-                    return Err(NetlistError::Parse {
-                        line: line_no,
-                        message: format!("gate ids must be dense; expected g{}", gates.len()),
-                    });
-                }
-                gates.push(Gate::new(GateKind::Input, vec![]));
-                inputs.push(id);
-                names.insert(id, toks[1].to_string());
-            }
-            "output" => {
-                if toks.len() != 3 {
-                    return Err(NetlistError::Parse {
-                        line: line_no,
-                        message: "expected `output <name> g<idx>`".into(),
-                    });
-                }
-                let id = parse_gate_id(toks[2], line_no)?;
-                outputs.push((toks[1].to_string(), id));
-            }
-            gate_tok => {
-                // g<idx> = <kind> inputs...
-                if toks.len() < 3 || toks[1] != "=" {
-                    return Err(NetlistError::Parse {
-                        line: line_no,
-                        message: "expected `g<idx> = <kind> ...`".into(),
-                    });
-                }
-                let id = parse_gate_id(gate_tok, line_no)?;
-                if id.index() != gates.len() {
-                    return Err(NetlistError::Parse {
-                        line: line_no,
-                        message: format!("gate ids must be dense; expected g{}", gates.len()),
-                    });
-                }
-                let kind = GateKind::from_mnemonic(toks[2]).ok_or_else(|| NetlistError::Parse {
-                    line: line_no,
-                    message: format!("unknown gate kind `{}`", toks[2]),
-                })?;
-                let ins = toks[3..]
+            ["input", ..] => return Err(err("expected `input <name> g<idx>`".into())),
+            ["output", name, tok] => net.outputs.push((name.to_string(), gate_id(tok)?)),
+            ["output", ..] => return Err(err("expected `output <name> g<idx>`".into())),
+            [tok, "=", kind, ref ins @ ..] => {
+                next_id(tok, net.len())?;
+                let kind = GateKind::from_mnemonic(kind)
+                    .ok_or_else(|| err(format!("unknown gate kind `{kind}`")))?;
+                let ins = ins
                     .iter()
-                    .map(|t| parse_gate_id(t, line_no))
+                    .map(|t| gate_id(t))
                     .collect::<Result<Vec<_>, _>>()?;
-                gates.push(Gate::new(kind, ins));
+                net.push(kind, ins);
             }
+            _ => return Err(err("expected `g<idx> = <kind> ...`".into())),
         }
     }
-    Netlist::from_parts(name, gates, inputs, outputs, names)
+    net.finish()
 }
 
 /// Emits the netlist as a structural Verilog module (for interchange
@@ -339,5 +302,14 @@ mod tests {
         assert!(from_text("circuit a b").is_err());
         assert!(from_text("input a gX").is_err());
         assert!(from_text("g0 = not\n").is_err()); // bad arity via validate
+    }
+
+    #[test]
+    fn primary_outputs_must_name_a_gate() {
+        let text = "circuit t\ninput a g0\ng1 = not g0\noutput y g7\n";
+        assert_eq!(
+            from_text(text).unwrap_err(),
+            NetlistError::UnknownOutput { name: "y".into() }
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Gate primitives: [`GateId`], [`GateKind`] and [`Gate`].
+//! Gate primitives: [`GateId`], [`GateKind`] and the [`Gate`] view.
 
 use std::fmt;
 
@@ -217,36 +217,23 @@ impl fmt::Display for GateKind {
     }
 }
 
-/// A single gate instance: its kind and the gates driving its inputs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Gate {
-    kind: GateKind,
-    inputs: Vec<GateId>,
+/// One gate of a [`crate::Netlist`]: its kind and the gates driving its
+/// inputs, a `Copy` view of one row of the netlist's pin array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Gate<'a> {
+    pub(crate) kind: GateKind,
+    pub(crate) inputs: &'a [GateId],
 }
 
-impl Gate {
-    /// Creates a gate of `kind` fed by `inputs`.
-    ///
-    /// Arity is validated later by [`crate::Netlist::validate`]; this
-    /// constructor is deliberately permissive so builders can patch
-    /// flip-flop feedback after the fact.
-    pub fn new(kind: GateKind, inputs: Vec<GateId>) -> Self {
-        Gate { kind, inputs }
-    }
-
+impl<'a> Gate<'a> {
     /// The functional kind of this gate.
-    pub fn kind(&self) -> GateKind {
+    pub fn kind(self) -> GateKind {
         self.kind
     }
 
     /// The driving gates, in pin order.
-    pub fn inputs(&self) -> &[GateId] {
-        &self.inputs
-    }
-
-    /// Mutable access to the input pins (used to stitch feedback loops).
-    pub fn inputs_mut(&mut self) -> &mut Vec<GateId> {
-        &mut self.inputs
+    pub fn inputs(self) -> &'a [GateId] {
+        self.inputs
     }
 }
 
@@ -287,7 +274,10 @@ mod tests {
 
     #[test]
     fn gate_accessors() {
-        let g = Gate::new(GateKind::And, vec![GateId(0), GateId(1)]);
+        let g = Gate {
+            kind: GateKind::And,
+            inputs: &[GateId(0), GateId(1)],
+        };
         assert_eq!(g.kind(), GateKind::And);
         assert_eq!(g.inputs(), &[GateId(0), GateId(1)]);
     }

@@ -1,17 +1,15 @@
 //! Levelization: topological ordering of combinational logic.
 //!
-//! [`Levelization::new`] runs Kahn's algorithm over one flat fanout CSR.
-//! A counting sort over the gates' input pins buckets every
-//! combinational edge by its driver, so the pass is a few linear sweeps
-//! over dense `u32` arrays with no per-gate `Vec`. Edges into DFF
-//! `D`-pins are sequential and stay out of the CSR. Each row lists its
-//! consumers in gate order, once per consuming pin: the edge order of
-//! [`Netlist::fanout`]. The queue, and with it every level and the
-//! evaluation order, is therefore the one per-gate fanout lists give.
+//! [`Levelization::with_fanout`] runs Kahn's algorithm over the
+//! netlist's one fanout CSR ([`Netlist::fanout`]) and hands the CSR back,
+//! so a caller that also needs the fanout (the compiled arena) builds it
+//! once. Edges into DFF `D` pins are sequential: Kahn skips them. Each
+//! row lists its consumers in gate order, once per consuming pin, so the
+//! queue, and with it every level and the evaluation order, is the one
+//! per-gate fanout lists give.
 
-use crate::error::ensure_u32_indexable;
 use crate::gate::GateId;
-use crate::netlist::Netlist;
+use crate::netlist::{Fanout, Netlist};
 
 /// Result of levelizing a [`Netlist`].
 ///
@@ -32,49 +30,33 @@ impl Levelization {
     /// # Panics
     ///
     /// Panics if the netlist has a combinational cycle (a validated netlist
-    /// never does; see [`Netlist::validate`]), or if its gate count or its
-    /// combinational pin count exceeds the `u32` index capacity (see
+    /// never does; see [`Netlist::validate`]), or if its gate count
+    /// exceeds the `u32` index capacity (see
     /// [`crate::error::ensure_u32_indexable`]).
     pub fn new(netlist: &Netlist) -> Self {
+        Self::with_fanout(netlist).0
+    }
+
+    /// [`Levelization::new`], also returning the [`Netlist::fanout`] it
+    /// ran over.
+    ///
+    /// # Panics
+    ///
+    /// As [`Levelization::new`].
+    pub fn with_fanout(netlist: &Netlist) -> (Self, Fanout) {
+        let fanout = netlist.fanout();
         let n = netlist.len();
-        ensure_u32_indexable(n).unwrap_or_else(|e| panic!("{e}"));
-        // Combinational in-degrees and per-driver edge counts. DFFs keep
-        // in-degree 0: they are sources, and their D-pin edges are
-        // sequential.
-        let mut indeg = vec![0u32; n];
-        let mut row = vec![0u32; n + 1];
-        let mut edges = 0usize;
-        for (id, g) in netlist.iter() {
-            if g.kind().is_sequential() {
-                continue;
-            }
-            indeg[id.index()] = g.inputs().len() as u32;
-            edges += g.inputs().len();
-            for &p in g.inputs() {
-                row[p.index()] += 1;
-            }
-        }
-        ensure_u32_indexable(edges).unwrap_or_else(|e| panic!("{e}"));
-        // Inclusive prefix sums turn `row[d]` into the end of row `d`.
-        // Filling consumers in descending gate order, each cursor counting
-        // down, leaves every row ascending and `row[d]` at its start.
-        let mut end = 0u32;
-        for r in &mut row[..n] {
-            end += *r;
-            *r = end;
-        }
-        row[n] = end;
-        let mut fan = vec![0u32; edges];
-        for v in (0..n).rev() {
-            let g = netlist.gate(GateId(v));
-            if g.kind().is_sequential() {
-                continue;
-            }
-            for &p in g.inputs() {
-                row[p.index()] -= 1;
-                fan[row[p.index()] as usize] = v as u32;
-            }
-        }
+        // Combinational in-degrees. DFFs keep in-degree 0: they are
+        // sources, and their D-pin edges are sequential.
+        let mut indeg: Vec<u32> = (0..n)
+            .map(|g| {
+                if netlist.kinds[g].is_sequential() {
+                    0
+                } else {
+                    netlist.pin_offsets[g + 1] - netlist.pin_offsets[g]
+                }
+            })
+            .collect();
 
         // Kahn's algorithm; the order vector doubles as the queue.
         let mut levels = vec![0u32; n];
@@ -82,11 +64,17 @@ impl Levelization {
         order.extend((0..n).filter(|&v| indeg[v] == 0).map(GateId));
         let mut head = 0;
         while head < order.len() {
-            let u = order[head].index();
+            let u = order[head];
             head += 1;
-            let lv = levels[u] + 1;
-            for &v in &fan[row[u] as usize..row[u + 1] as usize] {
-                let v = v as usize;
+            let lv = levels[u.index()] + 1;
+            for v in fanout.of(u) {
+                let v = v.index();
+                // A combinational consumer's in-degree stays positive
+                // until its last edge arrives, so an edge into a gate at
+                // in-degree 0 ends at a DFF D pin.
+                if indeg[v] == 0 {
+                    continue;
+                }
                 if lv > levels[v] {
                     levels[v] = lv;
                 }
@@ -100,11 +88,12 @@ impl Levelization {
         // covered unless there is a cycle.
         assert_eq!(order.len(), n, "combinational cycle during levelization");
         let depth = levels.iter().copied().max().unwrap_or(0);
-        Levelization {
+        let lv = Levelization {
             levels,
             order,
             depth,
-        }
+        };
+        (lv, fanout)
     }
 
     /// The level of `id` (0 for sources).

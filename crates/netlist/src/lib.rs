@@ -49,5 +49,5 @@ pub use builder::NetlistBuilder;
 pub use error::{ensure_u32_indexable, NetlistError};
 pub use gate::{Gate, GateId, GateKind};
 pub use level::Levelization;
-pub use netlist::Netlist;
+pub use netlist::{Fanout, Netlist};
 pub use stats::NetlistStats;

@@ -1,59 +1,99 @@
-//! The [`Netlist`] container.
+//! The [`Netlist`] container and its [`Fanout`].
 
-use crate::error::NetlistError;
-use crate::gate::{Gate, GateId};
+use crate::error::{ensure_u32_indexable, NetlistError};
+use crate::gate::{Gate, GateId, GateKind};
 use crate::level::Levelization;
 use crate::stats::NetlistStats;
 use std::collections::HashMap;
 
 /// A flattened gate-level netlist.
 ///
-/// Gates are stored in a dense vector indexed by [`GateId`]; every gate has
-/// exactly one output net identified by its own id. Sequential elements are
-/// D flip-flops; combinational cycles are illegal and detected by
-/// [`Netlist::validate`].
+/// Gates are stored as one CSR (compressed sparse row) graph indexed by
+/// [`GateId`]: a kind per gate, `u32` pin offsets and one flat pin array,
+/// so gate `g`'s inputs are `pins()[pin_offsets()[g]..pin_offsets()[g + 1]]`
+/// and nothing is allocated per gate. Every gate has exactly one output
+/// net identified by its own id. Sequential elements are D flip-flops;
+/// combinational cycles are illegal and detected by [`Netlist::validate`].
 ///
 /// Construct netlists with [`crate::NetlistBuilder`] or one of the
 /// generators in [`crate::generate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Netlist {
-    name: String,
-    gates: Vec<Gate>,
-    inputs: Vec<GateId>,
-    outputs: Vec<(String, GateId)>,
+    pub(crate) name: String,
+    pub(crate) kinds: Vec<GateKind>,
+    pub(crate) pin_offsets: Vec<u32>,
+    pub(crate) pins: Vec<GateId>,
+    pub(crate) inputs: Vec<GateId>,
+    pub(crate) outputs: Vec<(String, GateId)>,
     dffs: Vec<GateId>,
-    names: HashMap<GateId, String>,
+    pub(crate) names: HashMap<GateId, String>,
+}
+
+/// The fanout of a [`Netlist`] as one CSR, built by [`Netlist::fanout`]:
+/// row `g` lists every gate `g` drives, DFF `D` pins included, in gate
+/// order, once per consuming pin.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fanout {
+    offsets: Vec<u32>,
+    fan: Vec<u32>,
+}
+
+impl Fanout {
+    /// Row `g`: the gates `g` drives.
+    #[inline]
+    pub fn of(&self, g: GateId) -> impl ExactSizeIterator<Item = GateId> + '_ {
+        let row = self.offsets[g.index()] as usize..self.offsets[g.index() + 1] as usize;
+        self.fan[row].iter().map(|&s| GateId(s as usize))
+    }
+
+    /// The CSR arrays `(offsets, consumers)`: row `g` is
+    /// `consumers[offsets[g]..offsets[g + 1]]`.
+    pub fn into_parts(self) -> (Vec<u32>, Vec<u32>) {
+        (self.offsets, self.fan)
+    }
 }
 
 impl Netlist {
-    /// Creates a netlist directly from parts. Prefer [`crate::NetlistBuilder`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural error found by [`Netlist::validate`].
-    pub fn from_parts(
-        name: impl Into<String>,
-        gates: Vec<Gate>,
-        inputs: Vec<GateId>,
-        outputs: Vec<(String, GateId)>,
-        names: HashMap<GateId, String>,
-    ) -> Result<Self, NetlistError> {
-        let dffs = gates
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.kind().is_sequential())
-            .map(|(i, _)| GateId(i))
-            .collect();
-        let nl = Netlist {
+    /// An empty netlist with room for `gates` gates and `pins` pins, for
+    /// the crate's constructors to [`Netlist::push`] into and
+    /// [`Netlist::finish`].
+    pub(crate) fn with_capacity(name: impl Into<String>, gates: usize, pins: usize) -> Self {
+        let mut pin_offsets = Vec::with_capacity(gates + 1);
+        pin_offsets.push(0);
+        Netlist {
             name: name.into(),
-            gates,
-            inputs,
-            outputs,
-            dffs,
-            names,
-        };
-        nl.validate()?;
-        Ok(nl)
+            kinds: Vec::with_capacity(gates),
+            pin_offsets,
+            pins: Vec::with_capacity(pins),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            dffs: Vec::new(),
+            names: HashMap::new(),
+        }
+    }
+
+    /// Appends a gate of `kind` fed by `inputs`, unchecked, and returns
+    /// its id.
+    pub(crate) fn push(
+        &mut self,
+        kind: GateKind,
+        inputs: impl IntoIterator<Item = GateId>,
+    ) -> GateId {
+        self.kinds.push(kind);
+        self.pins.extend(inputs);
+        let end = u32::try_from(self.pins.len()).expect("pin count exceeds the u32 pin offsets");
+        self.pin_offsets.push(end);
+        GateId(self.kinds.len() - 1)
+    }
+
+    /// Lists the flip-flops and validates the finished netlist.
+    pub(crate) fn finish(mut self) -> Result<Self, NetlistError> {
+        self.dffs = self
+            .ids()
+            .filter(|g| self.kinds[g.index()].is_sequential())
+            .collect();
+        self.validate()?;
+        Ok(self)
     }
 
     /// The design name.
@@ -63,12 +103,12 @@ impl Netlist {
 
     /// Number of gates (including inputs, constants and flip-flops).
     pub fn len(&self) -> usize {
-        self.gates.len()
+        self.kinds.len()
     }
 
     /// Returns `true` when the netlist contains no gates.
     pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
+        self.kinds.is_empty()
     }
 
     /// The gate stored at `id`.
@@ -76,23 +116,43 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `id` is out of bounds.
-    pub fn gate(&self, id: GateId) -> &Gate {
-        &self.gates[id.index()]
+    #[inline]
+    pub fn gate(&self, id: GateId) -> Gate<'_> {
+        let g = id.index();
+        Gate {
+            kind: self.kinds[g],
+            inputs: &self.pins[self.pin_offsets[g] as usize..self.pin_offsets[g + 1] as usize],
+        }
     }
 
     /// Looks up a gate, returning `None` when out of bounds.
-    pub fn get(&self, id: GateId) -> Option<&Gate> {
-        self.gates.get(id.index())
+    pub fn get(&self, id: GateId) -> Option<Gate<'_>> {
+        (id.index() < self.len()).then(|| self.gate(id))
     }
 
-    /// Iterates over `(GateId, &Gate)` pairs in storage order.
-    pub fn iter(&self) -> impl Iterator<Item = (GateId, &Gate)> + '_ {
-        self.gates.iter().enumerate().map(|(i, g)| (GateId(i), g))
+    /// Iterates over `(GateId, Gate)` pairs in storage order.
+    pub fn iter(&self) -> impl Iterator<Item = (GateId, Gate<'_>)> + '_ {
+        self.ids().map(|id| (id, self.gate(id)))
     }
 
     /// All gate ids in storage order.
     pub fn ids(&self) -> impl Iterator<Item = GateId> + 'static {
-        (0..self.gates.len()).map(GateId)
+        (0..self.len()).map(GateId)
+    }
+
+    /// Every gate's kind, indexed by gate.
+    pub fn kinds(&self) -> &[GateKind] {
+        &self.kinds
+    }
+
+    /// The pin CSR offsets: `len() + 1` entries, starting at 0.
+    pub fn pin_offsets(&self) -> &[u32] {
+        &self.pin_offsets
+    }
+
+    /// Every gate's input pins, concatenated in gate order.
+    pub fn pins(&self) -> &[GateId] {
+        &self.pins
     }
 
     /// Primary input gates, in declaration order.
@@ -133,52 +193,82 @@ impl Netlist {
             .map(|(id, _)| *id)
     }
 
-    /// Computes the fan-out lists: for each gate, the gates it drives.
-    pub fn fanout(&self) -> Vec<Vec<GateId>> {
-        let mut out = vec![Vec::new(); self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            for &inp in g.inputs() {
-                out[inp.index()].push(GateId(i));
+    /// Builds the fanout CSR (see [`Fanout`]) by a counting sort over the
+    /// pin array, `O(gates + pins)`. Nothing is cached: every call builds
+    /// it anew.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gate count exceeds the `u32` index capacity (see
+    /// [`crate::error::ensure_u32_indexable`]).
+    pub fn fanout(&self) -> Fanout {
+        let n = self.len();
+        ensure_u32_indexable(n).unwrap_or_else(|e| panic!("{e}"));
+        // Inclusive prefix sums of the per-driver counts leave
+        // `offsets[d]` at the end of row `d`. Filling consumers in
+        // descending gate order, each cursor counting down, leaves every
+        // row ascending and `offsets[d]` at its start.
+        let mut offsets = vec![0u32; n + 1];
+        for p in &self.pins {
+            offsets[p.index()] += 1;
+        }
+        let mut end = 0u32;
+        for o in &mut offsets[..n] {
+            end += *o;
+            *o = end;
+        }
+        offsets[n] = end;
+        let mut fan = vec![0u32; self.pins.len()];
+        for g in (0..n).rev() {
+            for p in self.gate(GateId(g)).inputs() {
+                let at = &mut offsets[p.index()];
+                *at -= 1;
+                fan[*at as usize] = g as u32;
             }
         }
-        out
+        Fanout { offsets, fan }
     }
 
-    /// Validates structural invariants: reference bounds, arity and
-    /// combinational acyclicity.
+    /// Validates structural invariants: reference bounds, arity, primary
+    /// inputs and outputs, and combinational acyclicity.
     ///
     /// # Errors
     ///
     /// Returns the first [`NetlistError`] found.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        let n = self.gates.len();
-        for (i, g) in self.gates.iter().enumerate() {
-            for &inp in g.inputs() {
-                if inp.index() >= n {
-                    return Err(NetlistError::DanglingInput {
-                        gate: GateId(i),
-                        missing: inp,
-                    });
-                }
+        let n = self.len();
+        for (id, g) in self.iter() {
+            if let Some(&missing) = g.inputs().iter().find(|p| p.index() >= n) {
+                return Err(NetlistError::DanglingInput { gate: id, missing });
             }
             let found = g.inputs().len();
             match g.kind().fixed_arity() {
                 Some(want) if found != want => {
                     return Err(NetlistError::BadArity {
-                        gate: GateId(i),
+                        gate: id,
                         expected: Some(want),
                         found,
                     })
                 }
                 None if found < 2 => {
                     return Err(NetlistError::BadArity {
-                        gate: GateId(i),
+                        gate: id,
                         expected: None,
                         found,
                     })
                 }
                 _ => {}
             }
+        }
+        if let Some(&gate) = self
+            .inputs
+            .iter()
+            .find(|&&pi| self.get(pi).map(Gate::kind) != Some(GateKind::Input))
+        {
+            return Err(NetlistError::UnknownInput { gate });
+        }
+        if let Some((name, _)) = self.outputs.iter().find(|(_, g)| g.index() >= n) {
+            return Err(NetlistError::UnknownOutput { name: name.clone() });
         }
         // Combinational cycle check via DFS, cutting edges at DFF outputs.
         // 0 = white, 1 = grey, 2 = black.
@@ -191,7 +281,7 @@ impl Netlist {
             stack.push((start, 0));
             colour[start] = 1;
             while let Some(&mut (node, ref mut edge)) = stack.last_mut() {
-                let g = &self.gates[node];
+                let g = self.gate(GateId(node));
                 // DFF outputs act as pseudo-inputs: do not traverse into them.
                 let preds: &[GateId] = if g.kind().is_sequential() {
                     &[]
@@ -236,7 +326,6 @@ impl Netlist {
 mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
-    use crate::gate::GateKind;
 
     fn tiny() -> Netlist {
         let mut b = NetlistBuilder::new("tiny");
@@ -245,6 +334,19 @@ mod tests {
         let x = b.and(a, c);
         b.output("y", x);
         b.finish()
+    }
+
+    /// Seals gates given as `(kind, pins)` with `inputs` as the PI list.
+    fn from_gates(
+        gates: &[(GateKind, &[usize])],
+        inputs: &[usize],
+    ) -> Result<Netlist, NetlistError> {
+        let mut net = Netlist::with_capacity("t", 0, 0);
+        for &(kind, pins) in gates {
+            net.push(kind, pins.iter().map(|&p| GateId(p)));
+        }
+        net.inputs = inputs.iter().map(|&p| GateId(p)).collect();
+        net.finish()
     }
 
     #[test]
@@ -260,55 +362,81 @@ mod tests {
         assert_eq!(n.find("a"), Some(GateId(0)));
         assert_eq!(n.gate_name(GateId(0)), Some("a"));
         assert!(n.find("zzz").is_none());
+        assert_eq!(n.pin_offsets(), &[0, 0, 0, 2]);
+        assert_eq!(n.pins(), &[GateId(0), GateId(1)]);
+        assert_eq!(n.get(GateId(2)), Some(n.gate(GateId(2))));
+        assert_eq!(n.get(GateId(3)), None);
     }
 
     #[test]
     fn fanout_lists() {
         let n = tiny();
         let fo = n.fanout();
-        assert_eq!(fo[0], vec![GateId(2)]);
-        assert_eq!(fo[1], vec![GateId(2)]);
-        assert!(fo[2].is_empty());
+        assert_eq!(fo.of(GateId(0)).collect::<Vec<_>>(), vec![GateId(2)]);
+        assert_eq!(fo.of(GateId(1)).collect::<Vec<_>>(), vec![GateId(2)]);
+        assert_eq!(fo.of(GateId(2)).len(), 0);
+    }
+
+    #[test]
+    fn fanout_keeps_every_pin_and_dff_edges_in_gate_order() {
+        use GateKind::*;
+        // g2 = AND(g0, g0), g3 = DFF(g0), g4 = OR(g2, g0)
+        let gates: &[(GateKind, &[usize])] = &[
+            (Input, &[]),
+            (Input, &[]),
+            (And, &[0, 0]),
+            (Dff, &[0]),
+            (Or, &[2, 0]),
+        ];
+        let n = from_gates(gates, &[0, 1]).unwrap();
+        let (offsets, fan) = n.fanout().into_parts();
+        assert_eq!(offsets, [0, 4, 4, 5, 5, 5]);
+        assert_eq!(fan, [2, 2, 3, 4, 4]);
     }
 
     #[test]
     fn validate_catches_dangling() {
-        let gates = vec![Gate::new(GateKind::Not, vec![GateId(9)])];
-        let err = Netlist::from_parts("bad", gates, vec![], vec![], HashMap::new()).unwrap_err();
+        let err = from_gates(&[(GateKind::Not, &[9])], &[]).unwrap_err();
         assert!(matches!(err, NetlistError::DanglingInput { .. }));
     }
 
     #[test]
     fn validate_catches_arity() {
-        let gates = vec![
-            Gate::new(GateKind::Input, vec![]),
-            Gate::new(GateKind::And, vec![GateId(0)]),
-        ];
-        let err =
-            Netlist::from_parts("bad", gates, vec![GateId(0)], vec![], HashMap::new()).unwrap_err();
+        let gates: &[(GateKind, &[usize])] = &[(GateKind::Input, &[]), (GateKind::And, &[0])];
+        let err = from_gates(gates, &[0]).unwrap_err();
         assert!(matches!(err, NetlistError::BadArity { .. }));
     }
 
     #[test]
     fn validate_catches_comb_loop() {
-        let gates = vec![
-            Gate::new(GateKind::Input, vec![]),
-            Gate::new(GateKind::And, vec![GateId(0), GateId(2)]),
-            Gate::new(GateKind::Not, vec![GateId(1)]),
+        let gates: &[(GateKind, &[usize])] = &[
+            (GateKind::Input, &[]),
+            (GateKind::And, &[0, 2]),
+            (GateKind::Not, &[1]),
         ];
-        let err =
-            Netlist::from_parts("bad", gates, vec![GateId(0)], vec![], HashMap::new()).unwrap_err();
+        let err = from_gates(gates, &[0]).unwrap_err();
         assert!(matches!(err, NetlistError::CombinationalLoop { .. }));
+    }
+
+    #[test]
+    fn validate_catches_bad_primary_inputs() {
+        let gates: &[(GateKind, &[usize])] = &[(GateKind::Input, &[]), (GateKind::Not, &[0])];
+        for pis in [&[5][..], &[1]] {
+            let err = from_gates(gates, pis).unwrap_err();
+            assert_eq!(
+                err,
+                NetlistError::UnknownInput {
+                    gate: GateId(pis[0])
+                }
+            );
+        }
     }
 
     #[test]
     fn dff_feedback_is_legal() {
         // counter bit: q -> not -> d
-        let gates = vec![
-            Gate::new(GateKind::Dff, vec![GateId(1)]),
-            Gate::new(GateKind::Not, vec![GateId(0)]),
-        ];
-        let n = Netlist::from_parts("tff", gates, vec![], vec![], HashMap::new()).unwrap();
+        let gates: &[(GateKind, &[usize])] = &[(GateKind::Dff, &[1]), (GateKind::Not, &[0])];
+        let n = from_gates(gates, &[]).unwrap();
         assert!(n.is_sequential());
         assert_eq!(n.dffs(), &[GateId(0)]);
     }

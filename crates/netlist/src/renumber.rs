@@ -13,10 +13,9 @@
 //! netlist, never mixed with ids from the original.
 
 use crate::error::ensure_u32_indexable;
-use crate::gate::{Gate, GateId};
+use crate::gate::GateId;
 use crate::level::Levelization;
 use crate::netlist::Netlist;
-use std::collections::HashMap;
 
 /// Renumbers `netlist` so gate ids ascend with logic level.
 ///
@@ -40,25 +39,25 @@ pub fn levelized(netlist: &Netlist) -> (Netlist, Vec<u32>) {
         new_of[old as usize] = new_id as u32;
     }
     let remap = |id: GateId| GateId(new_of[id.index()] as usize);
-    let mut gates = Vec::with_capacity(n);
+    let mut out = Netlist::with_capacity(netlist.name(), n, netlist.pins().len());
     for &old in &by_level {
         let g = netlist.gate(GateId(old as usize));
-        let inputs = g.inputs().iter().map(|&i| remap(i)).collect();
-        gates.push(Gate::new(g.kind(), inputs));
+        out.push(g.kind(), g.inputs().iter().map(|&i| remap(i)));
     }
-    let inputs: Vec<GateId> = netlist.primary_inputs().iter().map(|&i| remap(i)).collect();
-    let outputs: Vec<(String, GateId)> = netlist
+    out.inputs = netlist.primary_inputs().iter().map(|&i| remap(i)).collect();
+    out.outputs = netlist
         .primary_outputs()
         .iter()
         .map(|(name, g)| (name.clone(), remap(*g)))
         .collect();
-    let mut names = HashMap::new();
-    for old in netlist.ids() {
-        if let Some(name) = netlist.gate_name(old) {
-            names.insert(remap(old), name.to_string());
-        }
-    }
-    let renumbered = Netlist::from_parts(netlist.name().to_string(), gates, inputs, outputs, names)
+    out.names = netlist
+        .names
+        .iter()
+        .filter(|(id, _)| id.index() < n)
+        .map(|(&id, name)| (remap(id), name.clone()))
+        .collect();
+    let renumbered = out
+        .finish()
         .expect("levelized renumbering preserves structural validity");
     (renumbered, new_of)
 }

@@ -45,14 +45,21 @@ fn random_sequential(n_inputs: usize, n_dffs: usize, n_gates: usize, seed: u64) 
     b.finish()
 }
 
-/// Levels, order and depth from Kahn's algorithm over
-/// [`Netlist::fanout`], one `Vec` per gate: the loop `Levelization::new`
-/// ran before its CSR rewrite, kept as the reference it must match.
+/// Levels, order and depth from Kahn's algorithm over fanout lists, one
+/// `Vec` per gate built here from the gates' input pins: the loop
+/// `Levelization::new` ran before its CSR rewrite, kept as the reference
+/// it must match. It reads no fanout CSR, so it stays independent of
+/// [`Netlist::fanout`].
 fn fanout_list_levelization(netlist: &Netlist) -> (Vec<u32>, Vec<GateId>, u32) {
     let n = netlist.len();
     let mut levels = vec![0u32; n];
     let mut indeg = vec![0usize; n];
-    let fanout = netlist.fanout();
+    let mut fanout: Vec<Vec<GateId>> = vec![Vec::new(); n];
+    for (id, g) in netlist.iter() {
+        for &p in g.inputs() {
+            fanout[p.index()].push(id);
+        }
+    }
     let mut queue: Vec<GateId> = Vec::new();
     for (id, g) in netlist.iter() {
         let comb_preds = if g.kind().is_sequential() {

@@ -1,13 +1,12 @@
 //! Compiled flat-arena netlist representation shared by all simulators.
 //!
-//! [`CompiledNetlist`] lowers a [`Netlist`] into a CSR (compressed sparse
-//! row) arena so the simulation hot loops touch only dense `u32`/`u64`
-//! arrays instead of chasing per-gate `Gate` structs and re-collecting
-//! input buffers:
+//! [`CompiledNetlist`] lowers a [`Netlist`] into one flat arena of dense
+//! `u32` arrays: the netlist's own CSR (compressed sparse row) graph plus
+//! everything levelization derives from it.
 //!
 //! * `kinds[g]` — the [`GateKind`] of gate `g`;
 //! * `pins[pin_offsets[g] .. pin_offsets[g + 1]]` — gate `g`'s input
-//!   gate indices, contiguous in one flat arena (CSR row `g`);
+//!   gate indices (CSR row `g`), copied from the netlist's pin CSR;
 //! * `order` — the full levelized evaluation order;
 //!   `eval_order` — the same order with `Input`/`Dff` sources removed,
 //!   so evaluation loops carry no per-gate kind dispatch for sources;
@@ -15,8 +14,8 @@
 //!   `order` (the inverse permutation), used by incremental fault
 //!   propagation to walk fanout cones in dependency order;
 //! * `fan[fan_offsets[g] .. fan_offsets[g + 1]]` — gate `g`'s direct
-//!   consumers (fanout CSR), computed once at compile time instead of
-//!   per [`Netlist::fanout`] call;
+//!   consumers: the [`Netlist::fanout`] CSR that levelization ran over,
+//!   kept as built, so one compile builds one fanout;
 //! * `pis` / `po_drivers` / `is_po` / `dffs` / `dff_d` — primary inputs,
 //!   output driver gates, an output-driver membership mask, DFF gates
 //!   and each DFF's `D`-input gate.
@@ -32,7 +31,7 @@ use crate::error::SimError;
 use crate::logic::Logic;
 use crate::sweep::SweepPlan;
 use crate::wide::SimWord;
-use rescue_netlist::{GateId, GateKind, Netlist, NetlistError};
+use rescue_netlist::{GateId, GateKind, Levelization, Netlist, NetlistError};
 
 /// Flat-arena, levelized form of a [`Netlist`]. See the module docs for
 /// the layout.
@@ -94,17 +93,11 @@ impl CompiledNetlist {
     pub fn try_new(netlist: &Netlist) -> Result<Self, NetlistError> {
         let n = netlist.len();
         rescue_netlist::ensure_u32_indexable(n)?;
-        let lv = netlist.levelize();
-
-        let mut kinds = Vec::with_capacity(n);
-        let mut pin_offsets = Vec::with_capacity(n + 1);
-        let mut pins = Vec::new();
-        pin_offsets.push(0);
-        for (_, g) in netlist.iter() {
-            kinds.push(g.kind());
-            pins.extend(g.inputs().iter().map(|p| p.index() as u32));
-            pin_offsets.push(pins.len() as u32);
-        }
+        let (lv, fanout) = Levelization::with_fanout(netlist);
+        let (fan_offsets, fan) = fanout.into_parts();
+        let kinds = netlist.kinds().to_vec();
+        let pin_offsets = netlist.pin_offsets().to_vec();
+        let pins: Vec<u32> = netlist.pins().iter().map(|p| p.index() as u32).collect();
 
         let order: Vec<u32> = lv.order().iter().map(|g| g.index() as u32).collect();
         let mut topo_pos = vec![0u32; n];
@@ -117,25 +110,6 @@ impl CompiledNetlist {
             .filter(|&g| !matches!(kinds[g as usize], GateKind::Input | GateKind::Dff))
             .collect();
         let levels: Vec<u32> = (0..n).map(|i| lv.level(GateId(i))).collect();
-
-        // Fanout CSR via counting sort over the pin arena.
-        let mut fan_counts = vec![0u32; n];
-        for &p in &pins {
-            fan_counts[p as usize] += 1;
-        }
-        let mut fan_offsets = Vec::with_capacity(n + 1);
-        fan_offsets.push(0u32);
-        for g in 0..n {
-            fan_offsets.push(fan_offsets[g] + fan_counts[g]);
-        }
-        let mut fan = vec![0u32; pins.len()];
-        let mut cursor: Vec<u32> = fan_offsets[..n].to_vec();
-        for g in 0..n {
-            for &p in &pins[pin_offsets[g] as usize..pin_offsets[g + 1] as usize] {
-                fan[cursor[p as usize] as usize] = g as u32;
-                cursor[p as usize] += 1;
-            }
-        }
 
         let pis: Vec<u32> = netlist
             .primary_inputs()
@@ -875,7 +849,6 @@ pub fn eval_logic_from<I: Iterator<Item = Logic>>(kind: GateKind, mut ins: I) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logic::{eval_gate, eval_gate_bool, eval_gate_word};
     use rescue_netlist::generate;
 
     #[test]
@@ -897,15 +870,21 @@ mod tests {
 
     #[test]
     fn fanout_csr_matches_netlist_fanout() {
+        // The arena keeps the netlist's fanout CSR: the transpose of the
+        // pins, consumers in gate order.
         let net = generate::random_logic(6, 50, 3, 11);
         let c = CompiledNetlist::new(&net);
         let fo = net.fanout();
-        for (g, fan) in fo.iter().enumerate() {
-            let mut a: Vec<u32> = c.fanout_of(g).to_vec();
-            let mut b: Vec<u32> = fan.iter().map(|x| x.index() as u32).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "gate {g}");
+        let mut want = vec![Vec::new(); c.len()];
+        for g in 0..c.len() {
+            for &p in c.pins_of(g) {
+                want[p as usize].push(g as u32);
+            }
+        }
+        for (g, row) in want.iter().enumerate() {
+            assert_eq!(c.fanout_of(g), &row[..], "gate {g}");
+            let fo_row: Vec<u32> = fo.of(GateId(g)).map(|s| s.index() as u32).collect();
+            assert_eq!(fo_row, *row, "gate {g}");
         }
     }
 
@@ -920,45 +899,6 @@ mod tests {
         for &g in c.eval_order() {
             for &p in c.pins_of(g as usize) {
                 assert!(c.topo_pos(p as usize) < c.topo_pos(g as usize));
-            }
-        }
-    }
-
-    #[test]
-    fn kernels_agree_with_slice_kernels() {
-        use rescue_netlist::GateKind::*;
-        for kind in [And, Nand, Or, Nor, Xor, Xnor] {
-            for a in [false, true] {
-                for b in [false, true] {
-                    let ins = [a, b];
-                    assert_eq!(
-                        eval_bool_from(kind, ins.iter().copied()),
-                        eval_gate_bool(kind, &ins)
-                    );
-                    let words = [if a { u64::MAX } else { 0 }, if b { u64::MAX } else { 0 }];
-                    assert_eq!(
-                        eval_word_from(kind, words.iter().copied()),
-                        eval_gate_word(kind, &words)
-                    );
-                    let logics = [Logic::from_bool(a), Logic::from_bool(b)];
-                    assert_eq!(
-                        eval_logic_from(kind, logics.iter().copied()),
-                        eval_gate(kind, &logics)
-                    );
-                }
-            }
-        }
-        // Mux X-select resolution matches the reference kernel.
-        for sel in [Logic::Zero, Logic::One, Logic::X, Logic::Z] {
-            for a in [Logic::Zero, Logic::One, Logic::X] {
-                for b in [Logic::Zero, Logic::One, Logic::X] {
-                    let ins = [sel, a, b];
-                    assert_eq!(
-                        eval_logic_from(Mux, ins.iter().copied()),
-                        eval_gate(Mux, &ins),
-                        "{ins:?}"
-                    );
-                }
             }
         }
     }

@@ -290,34 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_eval_consistency_across_domains() {
-        // For every 2-input combinational kind, bool, word and 4-valued
-        // evaluation agree on binary inputs.
-        let kinds = [
-            GateKind::And,
-            GateKind::Nand,
-            GateKind::Or,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-        ];
-        for kind in kinds {
-            for a in [false, true] {
-                for b in [false, true] {
-                    let vb = eval_gate_bool(kind, &[a, b]);
-                    let vl = eval_gate(kind, &[a.into(), b.into()]);
-                    let w = eval_gate_word(
-                        kind,
-                        &[if a { u64::MAX } else { 0 }, if b { u64::MAX } else { 0 }],
-                    );
-                    assert_eq!(vl.to_bool(), Some(vb));
-                    assert_eq!(w & 1 == 1, vb);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn mux_eval() {
         assert!(!eval_gate_bool(GateKind::Mux, &[false, false, true]));
         assert!(eval_gate_bool(GateKind::Mux, &[true, false, true]));

@@ -298,7 +298,7 @@ impl TimedSimulator {
             if !changed {
                 continue;
             }
-            for &f in &fanout[g.index()] {
+            for f in fanout.of(g) {
                 if netlist.gate(f).kind().is_sequential() {
                     continue;
                 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation engines.
 
 use proptest::prelude::*;
-use rescue_netlist::{generate, GateId, Netlist, NetlistBuilder};
+use rescue_netlist::{cone, format, generate, GateId, Netlist, NetlistBuilder};
 use rescue_sim::comb::{eval, eval_bool};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::parallel::{pack_patterns, ParallelSimulator};
@@ -214,5 +214,65 @@ proptest! {
             bytes[bit / 8] ^= 1 << (bit % 8);
             decode_and_eval(&bytes);
         }
+    }
+}
+
+/// Parses `text` and, when that succeeds, compiles, levelizes and walks
+/// the observable set of the result. Whether it parsed.
+fn parse_and_use(text: &str) -> bool {
+    let Ok(net) = format::from_text(text) else {
+        return false;
+    };
+    CompiledNetlist::try_new(&net).unwrap();
+    net.levelize();
+    cone::observable_set(&net);
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Truncated `.rnl` text, a dropped or duplicated line, or one `g<k>`
+    /// token swapped for a random id (in range or not) never panics:
+    /// each parses to an error, or to a netlist that compiles, levelizes
+    /// and walks its observable cone.
+    #[test]
+    fn mutated_netlist_text_parses_or_errs(
+        seed in 1u64..500,
+        n_dffs in 1usize..8,
+        cut in any::<u64>(),
+        line in any::<u64>(),
+        token in any::<u64>(),
+        id in 0usize..100,
+    ) {
+        let text = format::to_text(&random_sequential(n_dffs, 40, seed));
+        prop_assert!(parse_and_use(&text));
+        parse_and_use(&text[..cut as usize % text.len()]);
+        let lines: Vec<&str> = text.lines().collect();
+        let at = line as usize % lines.len();
+        let mut dropped = lines.clone();
+        dropped.remove(at);
+        parse_and_use(&dropped.join("\n"));
+        let mut duplicated = lines.clone();
+        duplicated.insert(at, lines[at]);
+        parse_and_use(&duplicated.join("\n"));
+        let mut words: Vec<Vec<String>> = lines
+            .iter()
+            .map(|l| l.split_whitespace().map(String::from).collect())
+            .collect();
+        let ids: Vec<(usize, usize)> = words
+            .iter()
+            .enumerate()
+            .flat_map(|(i, w)| {
+                w.iter()
+                    .enumerate()
+                    .filter(|(_, t)| t.strip_prefix('g').is_some_and(|k| k.parse::<usize>().is_ok()))
+                    .map(move |(j, _)| (i, j))
+            })
+            .collect();
+        let (i, j) = ids[token as usize % ids.len()];
+        words[i][j] = format!("g{id}");
+        let swapped: Vec<String> = words.iter().map(|w| w.join(" ")).collect();
+        parse_and_use(&swapped.join("\n"));
     }
 }
