@@ -11,9 +11,12 @@
 //! one, and reassembles verdicts and merged stats bit-identically to an
 //! uninterrupted run. Units held by a live peer are polled until their
 //! results land; claims of dead owners are broken and re-claimed.
+//! What the units execute against is built by a prepare step only once
+//! this process has a unit to execute, so a re-submission the store
+//! answers in full reads records and builds nothing.
 
 use crate::driver::Campaign;
-use crate::manifest::CampaignManifest;
+use crate::manifest::{CampaignManifest, UnitSpec};
 use crate::store::{ClaimOutcome, ResultStore, StatsDelta, UnitRecord};
 use rescue_telemetry::{metrics, span};
 use std::time::{Duration, Instant};
@@ -49,7 +52,8 @@ pub struct DurableRun<R> {
     pub units_waited: usize,
     /// Stale claims (dead owners) this run broke.
     pub stale_claims_broken: usize,
-    /// End-to-end wall-clock, nanoseconds.
+    /// End-to-end wall-clock, nanoseconds, less the prepare step of
+    /// [`Campaign::run_store`].
     pub elapsed_ns: u64,
     /// Busy nanoseconds of each executing worker (empty on a pure cache
     /// hit).
@@ -68,8 +72,15 @@ impl Campaign {
     /// Closure contract (`work`/`scratch` as in
     /// [`Campaign::run_dynamic`], per unit range):
     ///
-    /// * `work(scratch, range.start, &items[range])` → one result per
-    ///   item of the unit;
+    /// * `prepare()` builds the read-only state every unit executes
+    ///   against (golden values, a detection engine). It runs at most
+    ///   once, on the calling thread, after the store probe and before
+    ///   the first unit this process executes — so a run that executes
+    ///   no unit never calls it. Its time is kept out of
+    ///   [`DurableRun::elapsed_ns`] and `worker_ns`;
+    /// * `scratch(prepared, worker)` / `work(prepared, scratch,
+    ///   range.start, &items[range])` receive what `prepare` returned;
+    ///   `work` yields one result per item of the unit;
     /// * `encode(results)` / `decode(bytes)` — byte serialization of a
     ///   unit's results (`decode` returning `None` marks the record
     ///   corrupt: the unit is re-executed and the record overwritten);
@@ -77,17 +88,23 @@ impl Campaign {
     ///   contribution (persisted alongside the payload so merged stats
     ///   survive restarts bit-identically).
     ///
+    /// A stored record is trusted only when it names the unit it was
+    /// fetched for ([`UnitRecord::unit`]) and decodes to one result per
+    /// item; anything else counts toward `store.corrupt_records` and
+    /// re-executes.
+    ///
     /// # Panics
     ///
     /// Panics when `manifest.total_items != items.len()`, when a worker
     /// panics, or when peer-held units fail to materialize within the
     /// wait limit.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_store<T, S, R, FS, FW, EN, DE, DL>(
+    pub fn run_store<T, P, S, R, FP, FS, FW, EN, DE, DL>(
         &self,
         items: &[T],
         manifest: &CampaignManifest,
         store: &dyn ResultStore,
+        prepare: FP,
         scratch: FS,
         work: FW,
         encode: EN,
@@ -96,9 +113,11 @@ impl Campaign {
     ) -> DurableRun<R>
     where
         T: Sync,
+        P: Sync,
         R: Send,
-        FS: Fn(usize) -> S + Sync,
-        FW: Fn(&mut S, usize, &[T]) -> Vec<R> + Sync,
+        FP: FnOnce() -> P,
+        FS: Fn(&P, usize) -> S + Sync,
+        FW: Fn(&P, &mut S, usize, &[T]) -> Vec<R> + Sync,
         EN: Fn(&[R]) -> Vec<u8> + Sync,
         DE: Fn(&[u8]) -> Option<Vec<R>> + Sync,
         DL: Fn(&[R]) -> StatsDelta + Sync,
@@ -128,27 +147,37 @@ impl Campaign {
         let mut worker_ns: Vec<u64> = Vec::new();
         let mut chunks = 0usize;
         let mut steals = 0u64;
+        let mut prepare = Some(prepare);
+        let mut prepared: Option<P> = None;
+        let mut prepare_ns = 0u64;
 
-        // A unit found in the store whose payload fails `decode` is
-        // forced into local execution: overwriting a corrupt record with
-        // freshly computed (identical) bytes is idempotent, so no claim
-        // is needed.
+        // A stored record answers a unit only when it names that unit
+        // and decodes to one result per item; `None` marks it corrupt.
+        let trusted = |unit: &UnitSpec, rec: UnitRecord| {
+            let results = (rec.unit == unit.id)
+                .then(|| decode(&rec.payload))
+                .flatten()
+                .filter(|results| results.len() == unit.range.len());
+            if results.is_none() {
+                metrics::counter("store.corrupt_records").add(1);
+            }
+            results.map(|results| (rec.stats, results))
+        };
+
+        // A unit found in the store whose record is corrupt is forced
+        // into local execution: overwriting it with freshly computed
+        // (identical) bytes is idempotent, so no claim is needed.
         let mut force: Vec<usize> = Vec::new();
         let mut pending: Vec<usize> = Vec::new();
         for (ui, unit) in manifest.units.iter().enumerate() {
-            match store.get(unit.id) {
-                Some(rec) => match decode(&rec.payload) {
-                    Some(results) if results.len() == unit.range.len() => {
-                        merged.merge(&rec.stats);
-                        slots[ui] = Some(results);
-                        cached += 1;
-                        fleet.add_cached(1);
-                    }
-                    _ => {
-                        metrics::counter("store.corrupt_records").add(1);
-                        force.push(ui);
-                    }
-                },
+            match store.get(unit.id).map(|rec| trusted(unit, rec)) {
+                Some(Some((stats, results))) => {
+                    merged.merge(&stats);
+                    slots[ui] = Some(results);
+                    cached += 1;
+                    fleet.add_cached(1);
+                }
+                Some(None) => force.push(ui),
                 None => pending.push(ui),
             }
         }
@@ -169,20 +198,28 @@ impl Campaign {
                 }
             }
             if !mine.is_empty() {
+                let ready: &P = prepared.get_or_insert_with(|| {
+                    let t = Instant::now();
+                    let p = prepare.take().expect("prepare runs at most once")();
+                    prepare_ns = t.elapsed().as_nanos() as u64;
+                    p
+                });
                 // The existing work-stealing scheduler, generalized over
                 // the store-backed queue: items are now unit indices, and
                 // each unit executes + publishes inside the worker.
                 let run = self.run_dynamic(
                     &mine,
-                    &scratch,
+                    |w| scratch(ready, w),
                     |s: &mut S, _off: usize, unit_ids: &[usize]| {
                         unit_ids
                             .iter()
                             .map(|&ui| {
                                 let unit = &manifest.units[ui];
-                                let out = work(s, unit.range.start, &items[unit.range.clone()]);
+                                let out =
+                                    work(ready, s, unit.range.start, &items[unit.range.clone()]);
                                 assert_eq!(out.len(), unit.range.len(), "one result per item");
                                 let rec = UnitRecord {
+                                    unit: unit.id,
                                     stats: delta(&out),
                                     payload: encode(&out),
                                 };
@@ -211,19 +248,14 @@ impl Campaign {
             stale_broken += store.break_stale_claims();
             for ui in busy {
                 let unit = &manifest.units[ui];
-                match store.get(unit.id) {
-                    Some(rec) => match decode(&rec.payload) {
-                        Some(results) if results.len() == unit.range.len() => {
-                            merged.merge(&rec.stats);
-                            slots[ui] = Some(results);
-                            waited += 1;
-                            fleet.tick_waited();
-                        }
-                        _ => {
-                            metrics::counter("store.corrupt_records").add(1);
-                            force.push(ui);
-                        }
-                    },
+                match store.get(unit.id).map(|rec| trusted(unit, rec)) {
+                    Some(Some((stats, results))) => {
+                        merged.merge(&stats);
+                        slots[ui] = Some(results);
+                        waited += 1;
+                        fleet.tick_waited();
+                    }
+                    Some(None) => force.push(ui),
                     None => pending.push(ui),
                 }
             }
@@ -255,7 +287,7 @@ impl Campaign {
             units_executed: executed,
             units_waited: waited,
             stale_claims_broken: stale_broken,
-            elapsed_ns: start.elapsed().as_nanos() as u64,
+            elapsed_ns: (start.elapsed().as_nanos() as u64).saturating_sub(prepare_ns),
             worker_ns,
             chunks,
             steals,
@@ -274,19 +306,31 @@ mod tests {
         CampaignManifest::build(h.finish(), items, grain)
     }
 
-    /// Runs the toy campaign (`x * 3`) durably against `store`.
+    /// Runs the toy campaign (`x * 3`, the factor coming from the
+    /// prepare step) durably against `store`.
     fn run_toy(
         campaign: &Campaign,
         items: &[u64],
         manifest: &CampaignManifest,
         store: &dyn ResultStore,
     ) -> DurableRun<u64> {
+        run_toy_prepared(campaign, items, manifest, store, || 3)
+    }
+
+    fn run_toy_prepared(
+        campaign: &Campaign,
+        items: &[u64],
+        manifest: &CampaignManifest,
+        store: &dyn ResultStore,
+        prepare: impl FnOnce() -> u64,
+    ) -> DurableRun<u64> {
         campaign.run_store(
             items,
             manifest,
             store,
-            |_| (),
-            |_, _, range: &[u64]| range.iter().map(|&x| x * 3).collect(),
+            prepare,
+            |_, _| (),
+            |&k, _, _, range: &[u64]| range.iter().map(|&x| x * k).collect(),
             |rs: &[u64]| rs.iter().flat_map(|r| r.to_le_bytes()).collect(),
             |bytes: &[u8]| {
                 if !bytes.len().is_multiple_of(8) {
@@ -373,6 +417,7 @@ mod tests {
         store.put(
             manifest.units[1].id,
             &UnitRecord {
+                unit: manifest.units[1].id,
                 stats: StatsDelta::default(),
                 payload: vec![1, 2, 3], // not a multiple of 8
             },
@@ -384,6 +429,55 @@ mod tests {
         // The store now holds the healed record.
         let healed = store.get(manifest.units[1].id).unwrap();
         assert_eq!(healed.stats.injections, 10);
+    }
+
+    #[test]
+    fn record_filed_under_another_unit_is_reexecuted() {
+        let items: Vec<u64> = (0..30).collect();
+        let manifest = manifest_for(items.len(), 10);
+        let store = MemStore::new();
+        let campaign = Campaign::serial();
+        let baseline = run_toy(&campaign, &items, &manifest, &store);
+        // Unit 0's record, same length as unit 1's, filed under unit 1.
+        let (u0, u1) = (manifest.units[0].id, manifest.units[1].id);
+        store.put(u1, &store.get(u0).unwrap());
+        let resumed = run_toy(&campaign, &items, &manifest, &store);
+        assert_eq!(resumed.units_executed, 1, "the misfiled record re-ran");
+        assert_eq!(resumed.results, baseline.results);
+        assert_eq!(resumed.delta, baseline.delta);
+        assert_eq!(store.get(u1).unwrap().unit, u1, "the record is healed");
+    }
+
+    #[test]
+    fn prepare_runs_once_and_only_when_a_unit_executes() {
+        let items: Vec<u64> = (0..64).collect();
+        let manifest = manifest_for(items.len(), 8);
+        let store = MemStore::new();
+        let campaign = Campaign::new(0, 2);
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let pause = Duration::from_millis(60);
+        let prepare = || {
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            std::thread::sleep(pause);
+            3
+        };
+        let t = Instant::now();
+        let cold = run_toy_prepared(&campaign, &items, &manifest, &store, prepare);
+        let wall = t.elapsed().as_nanos() as u64;
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert_eq!(cold.units_executed, manifest.units.len());
+        // The prepare step stays out of the run's elapsed and busy
+        // figures.
+        let bound = wall - pause.as_nanos() as u64;
+        assert!(cold.elapsed_ns <= bound, "elapsed includes prepare");
+        assert!(cold.worker_ns.iter().all(|&ns| ns <= bound));
+        let warm = run_toy_prepared(&campaign, &items, &manifest, &store, prepare);
+        assert_eq!(
+            calls.load(std::sync::atomic::Ordering::Relaxed),
+            1,
+            "a fully cached run never prepares"
+        );
+        assert_eq!(warm.results, cold.results);
     }
 
     #[test]

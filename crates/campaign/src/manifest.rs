@@ -66,12 +66,13 @@ impl CampaignManifest {
         }
     }
 
-    /// Unit indices whose results are missing from `store`.
+    /// Unit indices whose results are missing from `store`. A record
+    /// that names another unit does not count as this unit's result.
     pub fn missing(&self, store: &dyn crate::store::ResultStore) -> Vec<usize> {
         self.units
             .iter()
             .enumerate()
-            .filter(|(_, u)| store.get(u.id).is_none())
+            .filter(|(_, u)| store.get(u.id).is_none_or(|rec| rec.unit != u.id))
             .map(|(i, _)| i)
             .collect()
     }
@@ -139,13 +140,15 @@ mod tests {
         let m = CampaignManifest::build(ContentHash(4), 10, 4);
         let store = MemStore::new();
         assert_eq!(m.missing(&store), vec![0, 1, 2]);
-        store.put(
-            m.units[1].id,
-            &UnitRecord {
-                stats: StatsDelta::default(),
-                payload: vec![],
-            },
-        );
+        let record = |unit: &UnitSpec| UnitRecord {
+            unit: unit.id,
+            stats: StatsDelta::default(),
+            payload: vec![],
+        };
+        store.put(m.units[1].id, &record(&m.units[1]));
+        assert_eq!(m.missing(&store), vec![0, 2]);
+        // A record filed under another unit's id answers nothing.
+        store.put(m.units[2].id, &record(&m.units[0]));
         assert_eq!(m.missing(&store), vec![0, 2]);
     }
 

@@ -86,7 +86,9 @@ pub struct CampaignStats {
     /// Walked faults resolved purely by critical-path tracing: their
     /// backward sensitization chain reaches a primary output or dies
     /// without crossing a reconvergent stem, so no event-driven cone walk
-    /// was ever needed for them. Zero for non-tracing engines.
+    /// was ever needed for them. It is a property of the trace plan, so
+    /// it is zero for non-tracing engines and for a run that builds no
+    /// plan (a durable re-submission the store answers in full).
     pub faults_traced: usize,
     /// Content-addressed work units in the campaign plan (0 for
     /// non-durable runs).

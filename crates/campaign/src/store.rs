@@ -252,19 +252,31 @@ impl StatsDelta {
     }
 }
 
-/// Magic + version of the serialized unit record envelope.
+/// Magic + version of the serialized unit record envelope. Version 2
+/// added the unit id; a version-1 record reads as corrupt.
 const RECORD_MAGIC: &[u8; 4] = b"RSCU";
-const RECORD_VERSION: u16 = 1;
+const RECORD_VERSION: u16 = 2;
 
-/// One persisted work-unit result: an engine-defined verdict payload
-/// plus the unit's [`StatsDelta`].
+/// One persisted work-unit result: the id of the unit it answers, an
+/// engine-defined verdict payload and the unit's [`StatsDelta`].
+///
+/// The record names its unit so that one filed under another unit's id
+/// (a copied file, a misplaced `put`) is caught: [`Campaign::run_store`]
+/// treats a record whose `unit` differs from the key it was fetched
+/// under as corrupt and re-executes the unit.
 ///
 /// The byte envelope ([`UnitRecord::encode`]) carries magic, version,
-/// delta, length-prefixed payload and an FNV-64 checksum;
+/// unit id, delta, length-prefixed payload and an FNV-64 checksum;
 /// [`UnitRecord::decode`] rejects anything torn, truncated or from a
-/// different format version.
+/// different format version. Records written before version 2 (which
+/// did not name their unit) therefore read as corrupt, and each such
+/// unit re-executes once.
+///
+/// [`Campaign::run_store`]: crate::Campaign::run_store
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitRecord {
+    /// The unit this record answers (its [`crate::UnitSpec::id`]).
+    pub unit: ContentHash,
     /// Deterministic stats contribution of the unit.
     pub stats: StatsDelta,
     /// Engine-defined verdict encoding (e.g. packed first-detection
@@ -273,11 +285,16 @@ pub struct UnitRecord {
 }
 
 impl UnitRecord {
+    /// Envelope bytes before the payload: magic, version, unit id, delta
+    /// and payload length.
+    const HEADER_LEN: usize = 4 + 2 + 16 + StatsDelta::ENCODED_LEN + 8;
+
     /// Serializes the record envelope.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 2 + StatsDelta::ENCODED_LEN + 8 + self.payload.len());
+        let mut out = Vec::with_capacity(Self::HEADER_LEN + self.payload.len() + 8);
         out.extend_from_slice(RECORD_MAGIC);
         out.extend_from_slice(&RECORD_VERSION.to_le_bytes());
+        out.extend_from_slice(&self.unit.0.to_le_bytes());
         self.stats.encode_into(&mut out);
         out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.payload);
@@ -289,8 +306,7 @@ impl UnitRecord {
     /// Deserializes an envelope; `None` on any corruption (bad magic,
     /// version, length or checksum).
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let header = 4 + 2 + StatsDelta::ENCODED_LEN + 8;
-        if bytes.len() < header + 8 || &bytes[..4] != RECORD_MAGIC {
+        if bytes.len() < Self::HEADER_LEN + 8 || &bytes[..4] != RECORD_MAGIC {
             return None;
         }
         if u16::from_le_bytes(bytes[4..6].try_into().ok()?) != RECORD_VERSION {
@@ -301,14 +317,16 @@ impl UnitRecord {
         if fnv64(body) != sum {
             return None;
         }
-        let stats = StatsDelta::decode(&bytes[6..6 + StatsDelta::ENCODED_LEN])?;
-        let len_at = 6 + StatsDelta::ENCODED_LEN;
+        let unit = ContentHash(u128::from_le_bytes(bytes[6..22].try_into().ok()?));
+        let stats = StatsDelta::decode(&bytes[22..22 + StatsDelta::ENCODED_LEN])?;
+        let len_at = 22 + StatsDelta::ENCODED_LEN;
         let payload_len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().ok()?) as usize;
-        let payload = &bytes[header..bytes.len() - 8];
+        let payload = &body[Self::HEADER_LEN..];
         if payload.len() != payload_len {
             return None;
         }
         Some(UnitRecord {
+            unit,
             stats,
             payload: payload.to_vec(),
         })
@@ -478,14 +496,18 @@ impl FsStore {
 
     /// Opens (creating if needed) a store rooted at `root`.
     ///
-    /// # Panics
-    ///
-    /// Panics when the layout directories cannot be created.
+    /// A layout directory that cannot be created (say, `root` sits under
+    /// a regular file) is counted in `store.write_errors`, not fatal.
+    /// Such a store persists nothing: reads miss, and failed claims and
+    /// writes are counted as well. A campaign run against it executes
+    /// every unit and keeps the verdicts in memory, so its report stays
+    /// correct and only persistence is lost.
     pub fn open(root: impl Into<PathBuf>) -> Self {
         let root = root.into();
         for sub in ["units", "claims", "journal"] {
-            std::fs::create_dir_all(root.join(sub))
-                .unwrap_or_else(|e| panic!("create store dir {sub} under {root:?}: {e}"));
+            if std::fs::create_dir_all(root.join(sub)).is_err() {
+                store_metrics().write_errors.incr();
+            }
         }
         FsStore { root }
     }
@@ -585,6 +607,13 @@ impl ResultStore for FsStore {
         let _ = std::fs::remove_file(claim);
     }
 
+    /// Takes the unit through a create-exclusive file under `claims/`:
+    /// `Done` once its record has landed, `Busy` only when the claim file
+    /// already exists (a peer holds the unit), `Acquired` otherwise. A
+    /// claim file that cannot be created for any other reason (the claims
+    /// directory is missing or is not a directory) is counted in
+    /// `store.write_errors` and answers `Acquired`, so the unit executes
+    /// unclaimed instead of waiting on a peer that cannot exist.
     fn claim(&self, id: ContentHash) -> ClaimOutcome {
         if self.unit_path(id).exists() {
             return ClaimOutcome::Done;
@@ -610,15 +639,21 @@ impl ResultStore for FsStore {
                 store_metrics().claims.incr();
                 ClaimOutcome::Acquired
             }
+            // Lost the race: either someone is executing the unit or its
+            // result landed between our two checks.
+            Err(_) if self.unit_path(id).exists() => ClaimOutcome::Done,
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                store_metrics().claims_contended.incr();
+                ClaimOutcome::Busy
+            }
             Err(_) => {
-                // Lost the race — either the claim exists (someone is
-                // executing) or the result landed between our two checks.
-                if self.unit_path(id).exists() {
-                    ClaimOutcome::Done
-                } else {
-                    store_metrics().claims_contended.incr();
-                    ClaimOutcome::Busy
-                }
+                // The claims directory is unusable (missing, or not a
+                // directory), so no peer can hold a claim in it either.
+                // Execute unclaimed: records are content-addressed and
+                // published by atomic rename, so two writers of one unit
+                // land the same bytes.
+                store_metrics().write_errors.incr();
+                ClaimOutcome::Acquired
             }
         }
     }
@@ -773,6 +808,7 @@ mod tests {
 
     fn sample_record(seed: u8) -> UnitRecord {
         UnitRecord {
+            unit: ContentHash(0x5eed_0000 + seed as u128),
             stats: StatsDelta {
                 injections: 10 + seed as u64,
                 detected: 7,
@@ -826,6 +862,24 @@ mod tests {
         // Truncation fails too.
         assert_eq!(UnitRecord::decode(&bytes[..bytes.len() - 3]), None);
         assert_eq!(UnitRecord::decode(b""), None);
+        // The unit id is part of the checksummed body.
+        let mut other = bytes.clone();
+        other[6] ^= 1;
+        assert_eq!(UnitRecord::decode(&other), None);
+    }
+
+    #[test]
+    fn version_one_records_read_as_corrupt() {
+        // A version-1 envelope (no unit id) with a valid checksum.
+        let rec = sample_record(4);
+        let mut v1 = RECORD_MAGIC.to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        rec.stats.encode_into(&mut v1);
+        v1.extend_from_slice(&(rec.payload.len() as u64).to_le_bytes());
+        v1.extend_from_slice(&rec.payload);
+        let sum = fnv64(&v1);
+        v1.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(UnitRecord::decode(&v1), None);
     }
 
     #[test]
@@ -962,6 +1016,61 @@ mod tests {
             .histogram("store.claim_age_ms")
             .expect("claim age histogram registered");
         assert!(ages.total >= 1, "the put resolved this test's claim");
+    }
+
+    #[test]
+    fn fs_store_claims_without_a_claims_directory() {
+        use rescue_telemetry::TelemetryConfig;
+        let _serial = rescue_telemetry::exclusive();
+        let store = temp_store("no-claims-dir");
+        let claims = store.root().join("claims");
+        std::fs::remove_dir_all(&claims).unwrap();
+        std::fs::write(&claims, b"not a directory").unwrap();
+        TelemetryConfig::on().install();
+        let before = metrics::counter("store.write_errors").get();
+        let id = ContentHash(0xc1a1);
+        assert_eq!(
+            store.claim(id),
+            ClaimOutcome::Acquired,
+            "no peer can hold it"
+        );
+        assert_eq!(store.claim(id), ClaimOutcome::Acquired);
+        store.put(id, &sample_record(5));
+        assert_eq!(store.claim(id), ClaimOutcome::Done);
+        let errors = metrics::counter("store.write_errors").get() - before;
+        TelemetryConfig::off().install();
+        assert_eq!(errors, 2, "each failed claim is counted");
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn fs_store_opens_under_a_regular_file_without_panicking() {
+        use rescue_telemetry::TelemetryConfig;
+        let _serial = rescue_telemetry::exclusive();
+        let file = std::env::temp_dir().join(format!(
+            "rescue-store-file-{}-{:x}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        std::fs::write(&file, b"a regular file").unwrap();
+        TelemetryConfig::on().install();
+        let before = metrics::counter("store.write_errors").get();
+        let store = FsStore::open(file.join("store"));
+        let opened = metrics::counter("store.write_errors").get() - before;
+        let id = ContentHash(0xf11e);
+        assert_eq!(store.get(id), None);
+        assert_eq!(store.claim(id), ClaimOutcome::Acquired);
+        store.put(id, &sample_record(6));
+        assert_eq!(store.get(id), None, "nothing persists");
+        let total = metrics::counter("store.write_errors").get() - before;
+        TelemetryConfig::off().install();
+        let _ = std::fs::remove_file(&file);
+        assert_eq!(opened, 3, "one count per layout directory");
+        assert_eq!(total, 5, "plus the failed claim and the failed put");
+        assert_eq!(store.completed_units(), 0);
     }
 
     #[test]

@@ -235,7 +235,7 @@ impl FaultSimulator {
         let _span = span!("sim.compile", gates = netlist.len());
         let compiled = load_or_build(
             Some(artifacts),
-            crate::content::compiled_key(netlist),
+            || crate::content::compiled_key(netlist),
             CompiledNetlist::from_bytes,
             CompiledNetlist::to_bytes,
             || CompiledNetlist::new(netlist),
@@ -437,8 +437,12 @@ impl FaultSimulator {
     /// A killed run resumes where it stopped; a second process pointed
     /// at the same store shares the work via create-exclusive claims
     /// without ever double-executing a unit; re-submitting a finished
-    /// campaign executes zero units. Verdicts and stats tallies are
-    /// bit-identical to [`FaultSimulator::campaign_packed`] for every
+    /// campaign executes zero units. A fully cached re-submission reads
+    /// the store and expands the verdicts, nothing more: golden values
+    /// and the detection engine (with its plan-cache lookup) are built
+    /// only once a unit misses the store, so such a run reports
+    /// [`CampaignStats::faults_traced`] as 0. Verdicts and stats tallies
+    /// are bit-identical to [`FaultSimulator::campaign_packed`] for every
     /// store state, worker count, schedule and unit grain;
     /// [`CampaignStats::units_cached`] / `units_executed` record how the
     /// run split between store and engine. Units partition the walk
@@ -491,9 +495,12 @@ impl FaultSimulator {
     }
 
     /// The width-generic body of every stuck-at campaign: walk list,
-    /// golden chunks and engine, then the in-process schedule or — with
-    /// a store and unit grain in `durable` — the durable unit drain, then
-    /// verdict expansion. Runs under a `fault.campaign` span, or
+    /// then the in-process schedule or — with a store and unit grain in
+    /// `durable` — the durable unit drain, then verdict expansion. The
+    /// golden chunks and the engine are built only when this process
+    /// walks faults: always on the plain path, and on the durable path
+    /// only once a unit misses the store (the prepare step of
+    /// [`Campaign::run_store`]). Runs under a `fault.campaign` span, or
     /// `fault.campaign_durable` (also the fleet stage) when durable.
     fn packed_w<Wd: SimWord>(
         &self,
@@ -515,14 +522,22 @@ impl FaultSimulator {
         let manifest =
             durable.map(|(_, grain)| self.manifest_for(faults, patterns, opts, walk.len(), grain));
         let durable = durable.map(|(store, _)| store).zip(manifest.as_ref());
-        let chunks = self.golden_chunks::<Wd>(patterns);
-        let (run, faults_traced) = if opts.tracing {
-            let engine = TraceEngine::build(c, &walk, campaign.workers, opts);
-            let run = execute(campaign, &walk, &engine, &chunks, opts, durable);
-            (run, engine.tplan.statically_traced())
+        let geometry = ChunkGeometry::<Wd>::new(patterns.len());
+        let workers = campaign.workers;
+        // A run that builds no trace plan reports no traced faults.
+        let mut faults_traced = 0;
+        let run = if opts.tracing {
+            execute(campaign, &walk, &geometry, opts, durable, || {
+                let chunks = self.golden_chunks(patterns, &geometry, workers);
+                let engine = TraceEngine::build(c, &walk, workers, opts);
+                faults_traced = engine.tplan.statically_traced();
+                (chunks, engine)
+            })
         } else {
-            let engine = WalkEngine::build(c, &walk, campaign.workers, opts);
-            (execute(campaign, &walk, &engine, &chunks, opts, durable), 0)
+            execute(campaign, &walk, &geometry, opts, durable, || {
+                let chunks = self.golden_chunks(patterns, &geometry, workers);
+                (chunks, WalkEngine::build(c, &walk, workers, opts))
+            })
         };
         let stats = CampaignStats {
             injections: faults.len(),
@@ -538,7 +553,7 @@ impl FaultSimulator {
             units_executed: run.units_executed,
             ..CampaignStats::default()
         };
-        finish_packed::<Wd>(faults, patterns, opts, &chunks, expand, run.results, stats)
+        finish_packed(faults, opts, &geometry, expand, run.results, stats)
     }
 
     /// The deterministic unit plan a durable campaign executes: the walk
@@ -566,6 +581,7 @@ impl FaultSimulator {
         walk_len: usize,
         unit_faults: usize,
     ) -> CampaignManifest {
+        let _span = span!("exec.manifest", faults = walk_len);
         let grain = if unit_faults == 0 {
             DEFAULT_UNIT_FAULTS
         } else {
@@ -593,6 +609,7 @@ impl FaultSimulator {
         faults: &[Fault],
         opts: &PackedOptions,
     ) -> (Vec<Fault>, Option<Vec<Option<u32>>>) {
+        let _span = span!("exec.walk_list", faults = faults.len());
         let c = &self.compiled;
         match opts.collapsed {
             None => (faults.to_vec(), None),
@@ -623,41 +640,61 @@ impl FaultSimulator {
         }
     }
 
-    /// Golden values and live mask per chunk, computed once and shared
-    /// read-only by all workers. The live mask is the one shared
-    /// ragged-tail guard: a final chunk of fewer than `Wd::LANES`
-    /// patterns must not let dead lanes report detections.
+    /// Golden values of every chunk of `patterns`, computed once and
+    /// shared read-only by all workers; `geometry` supplies the chunk
+    /// count and live masks.
     ///
-    /// The arena is one flat allocation for all chunks (plus one reused
-    /// input-packing buffer), so building it costs two allocations total
-    /// instead of two per chunk — the setup half of the zero-alloc
-    /// steady state. Runs under an `exec.golden` span; wall-clock is also
+    /// The arena is one flat allocation for all chunks, so building it
+    /// costs one allocation plus one input-packing buffer per filling
+    /// thread instead of two per chunk — the setup half of the
+    /// zero-alloc steady state. Above [`PARALLEL_FILL_MIN`] words the
+    /// arena is split with `chunks_mut` into at most `workers` disjoint
+    /// runs of whole chunks, each filled on a scoped thread; chunks are
+    /// evaluated independently, so the arena is bit-identical for any
+    /// worker count. Runs under an `exec.golden` span; wall-clock is also
     /// recorded in the `exec.golden_ms` histogram when telemetry is
     /// enabled.
-    fn golden_chunks<Wd: SimWord>(&self, patterns: &[Vec<bool>]) -> GoldenChunks<Wd> {
+    fn golden_chunks<'g, Wd: SimWord>(
+        &self,
+        patterns: &[Vec<bool>],
+        geometry: &'g ChunkGeometry<Wd>,
+        workers: usize,
+    ) -> GoldenChunks<'g, Wd> {
         let start = Instant::now();
         let n_gates = self.compiled.len();
-        let n_chunks = patterns.len().div_ceil(Wd::LANES.max(1));
+        let n_chunks = geometry.len();
         let _span = span!("exec.golden", chunks = n_chunks);
         let mut words = vec![Wd::ZERO; n_chunks * n_gates];
-        let mut live = Vec::with_capacity(n_chunks);
-        let mut inputs: Vec<Wd> = Vec::new();
-        for (ci, chunk) in patterns.chunks(Wd::LANES).enumerate() {
-            pack_patterns_wide_into(chunk, &mut inputs);
-            self.compiled
-                .eval_words_fill(&inputs, None, &mut words[ci * n_gates..(ci + 1) * n_gates])
-                .expect("input word count mismatch");
-            live.push(Wd::live_mask(chunk.len()));
+        // Fills a run of whole chunks starting at chunk `first`.
+        let fill = |first: usize, arena: &mut [Wd]| {
+            let mut inputs: Vec<Wd> = Vec::new();
+            let chunks = patterns[first * Wd::LANES..].chunks(Wd::LANES);
+            for (values, chunk) in arena.chunks_mut(n_gates.max(1)).zip(chunks) {
+                pack_patterns_wide_into(chunk, &mut inputs);
+                self.compiled
+                    .eval_words_fill(&inputs, None, values)
+                    .expect("input word count mismatch");
+            }
+        };
+        let per = n_chunks.div_ceil(workers.max(1));
+        if per == n_chunks || words.len() < PARALLEL_FILL_MIN {
+            fill(0, &mut words);
+        } else {
+            std::thread::scope(|scope| {
+                for (i, arena) in words.chunks_mut(per * n_gates).enumerate() {
+                    let fill = &fill;
+                    scope.spawn(move || fill(i * per, arena));
+                }
+            });
         }
         if rescue_telemetry::enabled() {
             metrics::histogram("exec.golden_ms", &metrics::pow2_bounds(16))
                 .record(start.elapsed().as_millis() as u64);
         }
         GoldenChunks {
+            geometry,
             words,
-            live,
             n_gates,
-            patterns: patterns.len(),
         }
     }
 
@@ -699,8 +736,9 @@ impl FaultSimulator {
             .collect();
         let plan = CampaignPlan::build(c, &specs.iter().map(|s| s.2).collect::<Vec<_>>());
         let pairs = patterns.len().saturating_sub(1);
-        let launch = self.golden_chunks::<u64>(&patterns[..pairs]);
-        let capture = self.golden_chunks::<u64>(&patterns[patterns.len() - pairs..]);
+        let geometry = ChunkGeometry::<u64>::new(pairs);
+        let launch = self.golden_chunks(&patterns[..pairs], &geometry, 1);
+        let capture = self.golden_chunks(&patterns[patterns.len() - pairs..], &geometry, 1);
         let mut first_detection: Vec<Option<usize>> = vec![None; faults.len()];
         let mut scratch = FaultScratch::new(c.len());
         for ci in 0..capture.len() {
@@ -833,36 +871,59 @@ impl FaultSimulator {
 /// fine enough that a killed run loses little finished work.
 pub const DEFAULT_UNIT_FAULTS: usize = 256;
 
-/// The per-chunk golden data of one campaign: every chunk's golden
-/// values in one flat arena (`n_chunks × n_gates` words) plus the live
-/// mask per chunk. One allocation for the whole campaign instead of one
-/// `Vec` per chunk, and chunk access is a slice borrow — nothing on the
-/// steady-state execution path allocates.
-struct GoldenChunks<Wd> {
-    words: Vec<Wd>,
+/// Arenas below this many words fill on the calling thread even when
+/// workers are available — thread startup would dominate.
+const PARALLEL_FILL_MIN: usize = 1 << 15;
+
+/// How a campaign's patterns cut into `Wd::LANES`-pattern chunks: the
+/// pattern count and each chunk's live mask. The live mask is the one
+/// shared ragged-tail guard: a final chunk of fewer than `Wd::LANES`
+/// patterns must not let dead lanes report detections. The geometry
+/// needs no golden value, so verdict decoding, unit deltas and the
+/// final expansion read it even when no chunk is ever evaluated.
+struct ChunkGeometry<Wd> {
     live: Vec<Wd>,
-    n_gates: usize,
-    /// Patterns the chunks hold (the last chunk may be ragged).
     patterns: usize,
 }
 
-impl<Wd: SimWord> GoldenChunks<Wd> {
-    /// Number of golden chunks (pattern words).
+impl<Wd: SimWord> ChunkGeometry<Wd> {
+    fn new(patterns: usize) -> Self {
+        let live = (0..patterns)
+            .step_by(Wd::LANES)
+            .map(|first| Wd::live_mask((patterns - first).min(Wd::LANES)))
+            .collect();
+        ChunkGeometry { live, patterns }
+    }
+
+    /// Number of chunks (pattern words).
     fn len(&self) -> usize {
         self.live.len()
+    }
+}
+
+/// The golden values of one campaign: every chunk's values in one flat
+/// arena (`chunks × n_gates` words) beside the campaign's
+/// [`ChunkGeometry`]. One allocation for the whole campaign instead of
+/// one `Vec` per chunk, and chunk access is a slice borrow — nothing on
+/// the steady-state execution path allocates.
+struct GoldenChunks<'g, Wd> {
+    geometry: &'g ChunkGeometry<Wd>,
+    words: Vec<Wd>,
+    n_gates: usize,
+}
+
+impl<Wd: SimWord> GoldenChunks<'_, Wd> {
+    /// Number of golden chunks (pattern words).
+    fn len(&self) -> usize {
+        self.geometry.len()
     }
 
     /// Chunk `ci`'s golden values and live mask.
     fn chunk(&self, ci: usize) -> (&[Wd], Wd) {
         (
             &self.words[ci * self.n_gates..(ci + 1) * self.n_gates],
-            self.live[ci],
+            self.geometry.live[ci],
         )
-    }
-
-    /// Live masks of every chunk, in chunk order.
-    fn live_masks(&self) -> &[Wd] {
-        &self.live
     }
 }
 
@@ -916,10 +977,12 @@ impl<S> DrainScratch<S> {
 /// into `decode`). Corrupt, foreign or stale-version payloads fall
 /// through to a rebuild (and overwrite the bad entry). `plan.cache_hits` /
 /// `plan.cache_misses` count how a workload's setup split; a failed
-/// publish is counted by the store and never stops the campaign.
+/// publish is counted by the store and never stops the campaign. The
+/// content key hashes the whole arena, so `key` runs only when a cache
+/// is given.
 fn load_or_build<T>(
     artifacts: Option<&ArtifactStore>,
-    key: rescue_campaign::ContentHash,
+    key: impl FnOnce() -> rescue_campaign::ContentHash,
     decode: impl Fn(&[u8]) -> Option<T>,
     encode: impl Fn(&T) -> Vec<u8>,
     build: impl FnOnce() -> T,
@@ -927,6 +990,7 @@ fn load_or_build<T>(
     let Some(store) = artifacts else {
         return build();
     };
+    let key = key();
     if let Some(artifact) = store.load(key).and_then(|bytes| decode(&bytes)) {
         metrics::counter("plan.cache_hits").add(1);
         return artifact;
@@ -948,7 +1012,7 @@ impl<'a> WalkEngine<'a> {
     fn build(c: &'a CompiledNetlist, walk: &[Fault], workers: usize, opts: &PackedOptions) -> Self {
         let plan = load_or_build(
             opts.artifacts,
-            crate::content::plan_key(c, walk, false),
+            || crate::content::plan_key(c, walk, false),
             |bytes| CampaignPlan::from_bytes(bytes).filter(|p| p.validate(c)),
             CampaignPlan::to_bytes,
             || CampaignPlan::build_with(c, walk, workers),
@@ -999,7 +1063,7 @@ impl<'a> TraceEngine<'a> {
     fn build(c: &'a CompiledNetlist, walk: &[Fault], workers: usize, opts: &PackedOptions) -> Self {
         let tplan = load_or_build(
             opts.artifacts,
-            crate::content::plan_key(c, walk, true),
+            || crate::content::plan_key(c, walk, true),
             |bytes| TracePlan::from_bytes(bytes).filter(|p| p.validate(c)),
             TracePlan::to_bytes,
             || TracePlan::build_with(c, walk, workers),
@@ -1107,26 +1171,27 @@ struct RunFigures {
     units_executed: usize,
 }
 
-/// Executes the walk list with `engine`: through `durable`'s store and
-/// manifest when given, otherwise under the campaign's schedule and
-/// [`PackedOptions::drop_scope`]. Wall-clock is recorded in the
+/// Executes the walk list with the golden chunks and engine `prepare`
+/// builds: through `durable`'s store and manifest when given (where
+/// `prepare` runs only if a unit misses the store), otherwise under the
+/// campaign's schedule and [`PackedOptions::drop_scope`]. The run's
+/// elapsed time, which leaves `prepare` out, is recorded in the
 /// `exec.walk_ms` / `exec.trace_ms` histogram (per
 /// [`PackedOptions::tracing`]) when telemetry is enabled.
-fn execute<Wd: SimWord, E: PackedDetect<Wd>>(
+fn execute<'g, Wd: SimWord, E: PackedDetect<Wd>>(
     campaign: &Campaign,
     walk: &[Fault],
-    engine: &E,
-    chunks: &GoldenChunks<Wd>,
+    geometry: &ChunkGeometry<Wd>,
     opts: &PackedOptions,
     durable: Option<(&dyn ResultStore, &CampaignManifest)>,
+    prepare: impl FnOnce() -> (GoldenChunks<'g, Wd>, E),
 ) -> RunFigures
 where
     E::Scratch: Send,
 {
-    let start = Instant::now();
-    let figures = match (durable, opts.drop_scope) {
-        (Some((store, manifest)), _) => {
-            let run = run_durable(campaign, walk, engine, chunks, manifest, store);
+    let figures = match durable {
+        Some((store, manifest)) => {
+            let run = run_durable(campaign, walk, geometry, manifest, store, prepare);
             RunFigures {
                 results: run.results,
                 elapsed_ns: run.elapsed_ns,
@@ -1138,17 +1203,22 @@ where
                 ..RunFigures::default()
             }
         }
-        (None, DropScope::Unit) => {
-            let run = run_plain(campaign, walk, engine, chunks);
-            RunFigures {
-                results: run.results,
-                elapsed_ns: run.elapsed_ns,
-                worker_ns: run.worker_ns,
-                steals: run.steals,
-                ..RunFigures::default()
+        None => {
+            let (chunks, engine) = prepare();
+            match opts.drop_scope {
+                DropScope::Unit => {
+                    let run = run_plain(campaign, walk, &engine, &chunks);
+                    RunFigures {
+                        results: run.results,
+                        elapsed_ns: run.elapsed_ns,
+                        worker_ns: run.worker_ns,
+                        steals: run.steals,
+                        ..RunFigures::default()
+                    }
+                }
+                DropScope::Global => run_global(campaign, walk, &engine, &chunks),
             }
         }
-        (None, DropScope::Global) => run_global(campaign, walk, engine, chunks),
     };
     if rescue_telemetry::enabled() {
         let name = if opts.tracing {
@@ -1156,8 +1226,7 @@ where
         } else {
             "exec.walk_ms"
         };
-        metrics::histogram(name, &metrics::pow2_bounds(16))
-            .record(start.elapsed().as_millis() as u64);
+        metrics::histogram(name, &metrics::pow2_bounds(16)).record(figures.elapsed_ns / 1_000_000);
     }
     figures
 }
@@ -1285,30 +1354,33 @@ where
 
 /// Runs the walk list through [`Campaign::run_store`]: same drain loop
 /// as [`run_plain`], but partitioned into the manifest's units with
-/// verdicts persisted (and answered) through the result store.
-fn run_durable<Wd: SimWord, E: PackedDetect<Wd>>(
+/// verdicts persisted (and answered) through the result store. The
+/// golden chunks and engine are the store run's prepare step, so a
+/// store that answers every unit never builds them.
+fn run_durable<'g, Wd: SimWord, E: PackedDetect<Wd>>(
     campaign: &Campaign,
     walk: &[Fault],
-    engine: &E,
-    chunks: &GoldenChunks<Wd>,
+    geometry: &ChunkGeometry<Wd>,
     manifest: &CampaignManifest,
     store: &dyn ResultStore,
+    prepare: impl FnOnce() -> (GoldenChunks<'g, Wd>, E),
 ) -> DurableRun<Option<usize>>
 where
     E::Scratch: Send,
 {
-    let n_chunks = chunks.len();
     campaign.run_store(
         walk,
         manifest,
         store,
-        |_w| DrainScratch::new(engine.scratch()),
-        |scratch: &mut DrainScratch<E::Scratch>, _offset: usize, range: &[Fault]| {
-            drain_unit(engine, chunks, scratch, range)
-        },
+        prepare,
+        |(_, engine): &(GoldenChunks<Wd>, E), _w| DrainScratch::new(engine.scratch()),
+        |(chunks, engine): &(GoldenChunks<Wd>, E),
+         scratch: &mut DrainScratch<E::Scratch>,
+         _offset: usize,
+         range: &[Fault]| drain_unit(engine, chunks, scratch, range),
         encode_verdicts,
-        |bytes: &[u8]| decode_verdicts(bytes, chunks.patterns),
-        move |rs: &[Option<usize>]| unit_delta::<Wd>(rs, n_chunks),
+        |bytes: &[u8]| decode_verdicts(bytes, geometry.patterns),
+        |rs: &[Option<usize>]| unit_delta::<Wd>(rs, geometry.len()),
     )
 }
 
@@ -1369,20 +1441,20 @@ fn unit_delta<Wd: SimWord>(rs: &[Option<usize>], n_chunks: usize) -> StatsDelta 
 
 /// Shared tail of the plain and durable packed campaigns: lane
 /// telemetry, verdict expansion over the full universe and the final
-/// tally/drop accounting, under an `exec.expand` span. `stats` arrives
-/// with the timing, worker and unit figures already filled by the
-/// respective driver.
+/// tally/drop accounting, under an `exec.expand` span. It reads only the
+/// chunk geometry, never a golden value. `stats` arrives with the
+/// timing, worker and unit figures already filled by the respective
+/// driver.
 fn finish_packed<Wd: SimWord>(
     faults: &[Fault],
-    patterns: &[Vec<bool>],
     opts: &PackedOptions,
-    chunks: &GoldenChunks<Wd>,
+    geometry: &ChunkGeometry<Wd>,
     expand: Option<Vec<Option<u32>>>,
     results: Vec<Option<usize>>,
     mut stats: CampaignStats,
 ) -> CampaignRun {
     let _span = span!("exec.expand", faults = faults.len());
-    let n_chunks = chunks.len();
+    let n_chunks = geometry.len();
     if rescue_telemetry::enabled() {
         // Bounds cover every supported width (64 * {1, 2, 4, 8}) so
         // one histogram serves all lane widths.
@@ -1390,7 +1462,7 @@ fn finish_packed<Wd: SimWord>(
             "fault.packed_lanes",
             &[8, 16, 24, 32, 40, 48, 56, 64, 128, 192, 256, 384, 512],
         );
-        for live in chunks.live_masks() {
+        for live in &geometry.live {
             lanes.record(live.count_ones() as u64);
         }
         rescue_telemetry::metrics::gauge("fault.lane_width").set(Wd::LANES as i64);
@@ -1405,7 +1477,7 @@ fn finish_packed<Wd: SimWord>(
                 .add(stats.dropped_global as u64);
         }
     }
-    for live in chunks.live_masks() {
+    for live in &geometry.live {
         stats.record_lanes(live.count_ones() as u64, Wd::LANES as u64);
     }
     // Expand representative verdicts back over the full universe; a
@@ -1420,7 +1492,7 @@ fn finish_packed<Wd: SimWord>(
     let report = CampaignReport {
         faults: faults.to_vec(),
         first_detection,
-        patterns: patterns.len(),
+        patterns: geometry.patterns,
     };
     stats.tally.detected = report.detected_count();
     stats.tally.undetected = faults.len() - stats.tally.detected;
@@ -1613,6 +1685,54 @@ mod tests {
                 "{threads} threads"
             );
         }
+    }
+
+    /// Fills `patterns` through 1–4 workers and checks each arena and
+    /// its live masks against the one-worker fill.
+    fn check_parallel_fill<Wd: SimWord + std::fmt::Debug>(
+        sim: &FaultSimulator,
+        patterns: &[Vec<bool>],
+    ) {
+        let geometry = ChunkGeometry::<Wd>::new(patterns.len());
+        let expect: Vec<Wd> = patterns
+            .chunks(Wd::LANES)
+            .map(|chunk| Wd::live_mask(chunk.len()))
+            .collect();
+        assert_eq!(geometry.live, expect, "live masks");
+        let serial = sim.golden_chunks(patterns, &geometry, 1);
+        assert!(
+            serial.words.len() >= PARALLEL_FILL_MIN,
+            "the arena must cross the parallel floor"
+        );
+        for workers in 2..=4 {
+            let parallel = sim.golden_chunks(patterns, &geometry, workers);
+            assert!(
+                parallel.words == serial.words,
+                "{workers} workers, {} chunks",
+                geometry.len()
+            );
+            for ci in 0..geometry.len() {
+                assert_eq!(parallel.chunk(ci).1, serial.chunk(ci).1);
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_golden_fill_is_bit_identical() {
+        let net = generate::random_logic(12, 12_000, 8, 3);
+        let sim = FaultSimulator::new(&net);
+        let patterns: Vec<Vec<bool>> = (0..1100u32)
+            .map(|p| {
+                (0..12)
+                    .map(|i| p.wrapping_mul(2654435761) >> (i + 5) & 1 == 1)
+                    .collect()
+            })
+            .collect();
+        // Ragged last chunks throughout; 3 chunks is fewer than 4 workers.
+        check_parallel_fill::<u64>(&sim, &patterns[..130]);
+        check_parallel_fill::<u64>(&sim, &patterns[..700]);
+        check_parallel_fill::<PackedWord<4>>(&sim, &patterns[..600]);
+        check_parallel_fill::<PackedWord<4>>(&sim, &patterns);
     }
 
     #[test]

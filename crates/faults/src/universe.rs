@@ -8,7 +8,7 @@ use rescue_netlist::{GateKind, Netlist};
 ///
 /// Constants are excluded (a stuck constant is either redundant or the
 /// same constant), as are output faults on primary-input gates' pins
-/// (inputs have no pins).
+/// (inputs have no pins). Runs under a `faults.universe` span.
 ///
 /// # Examples
 ///
@@ -22,6 +22,7 @@ use rescue_netlist::{GateKind, Netlist};
 /// assert_eq!(faults.len(), 46);
 /// ```
 pub fn stuck_at_universe(netlist: &Netlist) -> Vec<Fault> {
+    let _span = rescue_telemetry::span!("faults.universe", gates = netlist.len());
     let mut faults = Vec::new();
     for (id, g) in netlist.iter() {
         match g.kind() {

@@ -38,12 +38,14 @@ impl Levelization {
     }
 
     /// [`Levelization::new`], also returning the [`Netlist::fanout`] it
-    /// ran over.
+    /// ran over. Runs under a `netlist.levelize` span, so every caller
+    /// (`renumber::levelized`, the compiled arena) shows the pass.
     ///
     /// # Panics
     ///
     /// As [`Levelization::new`].
     pub fn with_fanout(netlist: &Netlist) -> (Self, Fanout) {
+        let _span = rescue_telemetry::span!("netlist.levelize", gates = netlist.len());
         let fanout = netlist.fanout();
         let n = netlist.len();
         // Combinational in-degrees. DFFs keep in-degree 0: they are

@@ -268,11 +268,11 @@ impl SeuCampaign {
     /// ([`Self::durable_plan`]) whose verdicts persist through `store`,
     /// and only missing units execute — killed runs resume, concurrent
     /// processes share one store via claims, and an identical
-    /// re-submission executes zero units. The report is bit-identical to
-    /// [`Self::run_sampled_on`] for every store state. The campaign key
-    /// deliberately excludes [`SeuCampaign::lane_width`]: SEU verdicts
-    /// are width-invariant, so a store warmed at one width answers
-    /// campaigns at every other.
+    /// re-submission executes zero units and records no golden trace.
+    /// The report is bit-identical to [`Self::run_sampled_on`] for every
+    /// store state. The campaign key deliberately excludes
+    /// [`SeuCampaign::lane_width`]: SEU verdicts are width-invariant, so a
+    /// store warmed at one width answers campaigns at every other.
     ///
     /// `unit_points` is the unit grain in injection points (0 =
     /// [`DEFAULT_UNIT_POINTS`]).
@@ -400,17 +400,26 @@ impl SeuCampaign {
         rescue_campaign::fleet::set_stage("seu.campaign_durable");
         let _campaign_span = span!("seu.campaign_durable", points = points.len());
         let compiled = CompiledNetlist::new(netlist);
-        let trace = GoldenTrace::record(&compiled, inputs, cycles - 1 + self.horizon)
-            .expect("input width checked by caller");
+        assert_eq!(
+            inputs.len(),
+            compiled.primary_inputs().len(),
+            "SEU input width mismatch"
+        );
         let input_words = splat_inputs::<Wd>(inputs);
         let manifest = self.manifest_for(&compiled, inputs, points, unit_points);
 
+        // The golden trace is the store run's prepare step: a store that
+        // answers every unit never records it.
         let run = campaign.run_store(
             points,
             &manifest,
             store,
-            |_| LaneMachine::<Wd>::new(&compiled),
-            |machine, _off, range: &[(usize, usize)]| {
+            || {
+                GoldenTrace::record(&compiled, inputs, cycles - 1 + self.horizon)
+                    .expect("input width checked by caller")
+            },
+            |_, _| LaneMachine::<Wd>::new(&compiled),
+            |trace, machine, _off, range: &[(usize, usize)]| {
                 // Same cycle-grouped lane packing as the plain engine,
                 // scoped to the unit: all lanes of a word share one
                 // golden snapshot, and verdicts are lane-placement
@@ -423,7 +432,7 @@ impl SeuCampaign {
                 for (cycle, list) in by_cycle.into_iter().enumerate() {
                     for chunk in list.chunks(Wd::LANES) {
                         for (i, inj) in
-                            self.run_batch(&compiled, &trace, &input_words, machine, cycle, chunk)
+                            self.run_batch(&compiled, trace, &input_words, machine, cycle, chunk)
                         {
                             out[i] = Some(inj);
                         }
