@@ -36,7 +36,7 @@ pub fn duty_of(netlist: &Netlist, patterns: &[Vec<bool>]) -> DutyStats {
     let mut total = 0usize;
     for chunk in patterns.chunks(64) {
         let words = pack_patterns(chunk);
-        let values = sim.run(netlist, &words).expect("pattern width");
+        let values = sim.run(&words).expect("pattern width");
         let live = chunk.len();
         for (i, w) in values.iter().enumerate() {
             let masked = if live < 64 {

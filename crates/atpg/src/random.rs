@@ -273,7 +273,7 @@ fn weighted_tpg_engine<Wd: SimWord>(
             .collect();
         let words = pack_patterns_wide::<Wd>(&batch);
         let mut golden = Vec::new();
-        c.eval_words_into(&words, None, &mut golden)
+        c.eval_words_into(&words, &mut golden)
             .expect("input word count matches primary inputs");
         engine.load_golden(&golden);
         // Shared ragged-tail guard: dead lanes of a short final batch

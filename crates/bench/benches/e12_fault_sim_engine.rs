@@ -16,7 +16,7 @@
 //! comparable across machines.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rescue_bench::{banner, blog, env_json, host_cpus};
+use rescue_bench::{banner, blog, env_json, host_cpus, random_patterns};
 use rescue_core::campaign::Campaign;
 use rescue_core::faults::reference::ReferenceFaultSimulator;
 use rescue_core::faults::simulate::{FaultSimulator, PackedOptions};
@@ -30,22 +30,6 @@ const N_GATES: usize = 2000;
 const N_OUTPUTS: usize = 4;
 const N_PATTERNS: usize = 1000;
 const SEED: u64 = 12;
-
-fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
-    (0..count)
-        .map(|_| {
-            (0..n_inputs)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
 
 /// Median wall-clock seconds of `f` over `runs` executions.
 fn median_secs<F: FnMut()>(mut f: F, runs: usize) -> f64 {
@@ -196,7 +180,7 @@ fn bench(c: &mut Criterion) {
     c.bench_function("e12_golden_eval_64pat", |b| {
         b.iter(|| {
             compiled
-                .eval_words_into(std::hint::black_box(&words), None, &mut values)
+                .eval_words_into(std::hint::black_box(&words), &mut values)
                 .unwrap()
         })
     });

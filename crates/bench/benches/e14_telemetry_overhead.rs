@@ -18,7 +18,7 @@
 //! recording checks but skips the overhead assertion and JSON export.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rescue_bench::{banner, blog, env_json};
+use rescue_bench::{banner, blog, env_json, random_patterns};
 use rescue_core::campaign::Campaign;
 use rescue_core::faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_core::faults::universe;
@@ -29,22 +29,6 @@ use std::time::Instant;
 
 const OVERHEAD_LIMIT_PCT: f64 = 2.0;
 const PAIRS: usize = 7;
-
-fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
-    (0..count)
-        .map(|_| {
-            (0..n_inputs)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
 
 /// Minima of `pairs` alternating (off, on) runs of `f`. Alternation
 /// makes thermal/cache drift hit both arms symmetrically, and the

@@ -27,7 +27,7 @@
 //! the run journal to `e16_smoke.jsonl` for `journal_check` validation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rescue_bench::{banner, blog, env_json, host_cpus};
+use rescue_bench::{banner, blog, env_json, host_cpus, random_patterns};
 use rescue_core::campaign::Campaign;
 use rescue_core::faults::collapse::collapse;
 use rescue_core::faults::reference::ReferenceFaultSimulator;
@@ -43,22 +43,6 @@ const N_OUTPUTS: usize = 4;
 const N_PATTERNS: usize = 1000;
 const SEED: u64 = 12;
 const WORKERS: usize = 4;
-
-fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
-    (0..count)
-        .map(|_| {
-            (0..n_inputs)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
 
 /// Median wall-clock seconds of `f` over `runs` executions.
 fn median_secs<F: FnMut()>(mut f: F, runs: usize) -> f64 {

@@ -34,7 +34,7 @@
 //! journal to `e17_smoke.jsonl` for `journal_check` validation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rescue_bench::{banner, blog, env_json, host_cpus, warn_env_drift};
+use rescue_bench::{banner, blog, env_json, host_cpus, random_patterns, warn_env_drift};
 use rescue_core::campaign::Campaign;
 use rescue_core::faults::collapse::collapse;
 use rescue_core::faults::reference::ReferenceFaultSimulator;
@@ -55,22 +55,6 @@ const BIG_OUTPUTS: usize = 8;
 const BIG_PATTERNS: usize = 512;
 const BIG_SEED: u64 = 17;
 const WORKERS: usize = 1;
-
-fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
-    (0..count)
-        .map(|_| {
-            (0..n_inputs)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
 
 /// Median wall-clock seconds of `f` over `runs` executions.
 fn median_secs<F: FnMut()>(mut f: F, runs: usize) -> f64 {

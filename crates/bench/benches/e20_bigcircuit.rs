@@ -36,7 +36,9 @@
 //! `e20_smoke.jsonl` for `journal_check` validation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rescue_bench::{banner, blog, env_json, host_cpus, warn_env_drift};
+use rescue_bench::{
+    banner, blog, env_json, host_cpus, random_patterns, secs, secs_min, warn_env_drift,
+};
 use rescue_core::campaign::{ArtifactStore, Campaign};
 use rescue_core::faults::collapse::{collapse_with, CollapsedUniverse};
 use rescue_core::faults::engine::po_reachable;
@@ -46,9 +48,9 @@ use rescue_core::faults::{content, universe, Fault};
 use rescue_core::netlist::generate::{scaling_ladder, ScaleRung};
 use rescue_core::netlist::renumber;
 use rescue_core::sim::compiled::CompiledNetlist;
+use rescue_core::sim::sweep::{fold, GateValue};
 use rescue_core::sim::wide::{pack_patterns_wide, PackedWord, SimWord};
 use rescue_core::telemetry::{journal, TelemetryConfig};
-use std::time::Instant;
 
 const PATTERNS: usize = 256;
 const SMOKE_PATTERNS: usize = 64;
@@ -62,43 +64,6 @@ const DROP_PATTERNS: usize = 4096;
 /// the ordering. The minimum over `MEASURE_RUNS` fresh runs is the
 /// standard noise floor estimator; smoke mode keeps N=1 for CI budget.
 const MEASURE_RUNS: usize = 3;
-
-fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
-    (0..count)
-        .map(|_| {
-            (0..n_inputs)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn secs<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t = Instant::now();
-    let out = f();
-    (out, t.elapsed().as_secs_f64())
-}
-
-/// Min-of-`n` timing: runs `f` `n` times, returns the last output and
-/// the fastest wall-clock. `setup` runs before each repetition outside
-/// the timed region (e.g. wiping the artifact store for cold passes).
-fn secs_min<T>(n: usize, mut setup: impl FnMut(), mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..n.max(1) {
-        setup();
-        let (o, t) = secs(&mut f);
-        best = best.min(t);
-        out = Some(o);
-    }
-    (out.expect("n >= 1"), best)
-}
 
 /// The walk list the packed engines plan over: PO-reachable collapse
 /// representatives in order of first appearance over the universe —
@@ -135,7 +100,6 @@ struct RungResult {
     t_plan_reload: f64,
     t_campaign_cold: f64,
     t_campaign_warm: f64,
-    t_campaign_warm_no_sweep: f64,
     t_golden_sweep: f64,
     t_golden_gate_order: f64,
     coverage: f64,
@@ -150,19 +114,13 @@ impl RungResult {
     fn reload_speedup(&self) -> f64 {
         self.t_plan_serial / self.t_plan_reload
     }
-    /// Speedup of the level-blocked sweep kernels on the phase they
-    /// target: full-design golden-chunk evaluation. The event-driven
-    /// walks touch a handful of gates per fault, so the batch kernels
-    /// cannot help there — this is the kernel number, not the
-    /// whole-campaign wall clock (that's [`Self::ablation_speedup`]).
+    /// Speedup of the gate table's level runs on the phase they
+    /// target: full-design golden-chunk evaluation, against the generic
+    /// fold applied gate by gate in `eval_order`. The event-driven walks
+    /// touch a handful of gates per fault, so the runs cannot help
+    /// there — this is the kernel number, not the campaign wall clock.
     fn sweep_speedup(&self) -> f64 {
         self.t_golden_gate_order / self.t_golden_sweep
-    }
-    /// Whole-campaign warm-execution effect of disabling the sweep:
-    /// diluted by walk/trace and verdict-expansion time, so expect a
-    /// few percent, not the kernel ratio.
-    fn ablation_speedup(&self) -> f64 {
-        self.t_campaign_warm_no_sweep / self.t_campaign_warm
     }
 }
 
@@ -170,7 +128,7 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
     blog!("  [{}] building {} gates...", rung.name, rung.gates);
     let (net, t_generate) = secs(|| rung.build());
     let ((lev, _map), t_levelize) = secs(|| renumber::levelized(&net));
-    let (mut c, t_compile) = secs(|| CompiledNetlist::new(&lev));
+    let (c, t_compile) = secs(|| CompiledNetlist::new(&lev));
     let faults = universe::stuck_at_universe(&lev);
     let (collapsed, t_collapse) = secs(|| collapse_with(&lev, &faults, workers));
     let walk = walk_list_of(&c, &collapsed, &faults);
@@ -224,50 +182,38 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         rung.gates
     );
     // Golden-kernel ablation: one full-design packed evaluation (the
-    // phase the sweep kernels target) with the level-blocked runs vs
-    // the gate-order fold, on the identical resident arena.
-    let kernel_words = pack_patterns_wide::<PackedWord<4>>(
-        &patterns[..patterns.len().min(PackedWord::<4>::LANES)],
-    );
-    let mut kernel_values = vec![PackedWord::<4>::ZERO; c.len()];
-    assert!(c.sweep_plan().is_some(), "levelized arena must sweep");
+    // phase the level runs target) through the runs vs the generic fold
+    // over each gate's CSR pins in `eval_order`, on the identical arena.
+    type Wd = PackedWord<4>;
+    let kernel_words = pack_patterns_wide::<Wd>(&patterns[..patterns.len().min(Wd::LANES)]);
+    let mut swept = vec![Wd::ZERO; c.len()];
     let (_, t_golden_sweep) = secs_min(
         runs,
         || {},
-        || {
-            c.eval_words_fill(&kernel_words, None, &mut kernel_values)
-                .unwrap()
-        },
+        || c.eval_words_fill(&kernel_words, &mut swept).unwrap(),
     );
-    c.set_sweep(false);
+    let mut gate_order = vec![Wd::ZERO; c.len()];
     let (_, t_golden_gate_order) = secs_min(
         runs,
         || {},
         || {
-            c.eval_words_fill(&kernel_words, None, &mut kernel_values)
-                .unwrap()
-        },
-    );
-    c.set_sweep(true);
-    drop(kernel_values);
-
-    // Sweep ablation on the identical warm campaign: gate-order kernels
-    // instead of the level-blocked sweep runs. Verdicts must not move.
-    let (no_sweep, t_campaign_warm_no_sweep) = secs_min(
-        runs,
-        || {},
-        || {
-            let mut sim = FaultSimulator::new_cached(&lev, &store);
-            sim.set_sweep(false);
-            sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store))
+            for (&pi, &w) in c.primary_inputs().iter().zip(&kernel_words) {
+                gate_order[pi as usize] = w;
+            }
+            for &g in c.eval_order() {
+                let ins = c
+                    .pins_of(g as usize)
+                    .iter()
+                    .map(|&p| gate_order[p as usize]);
+                gate_order[g as usize] = fold(c.kind(g as usize), ins);
+            }
         },
     );
     assert_eq!(
-        warm.report.first_detection(),
-        no_sweep.report.first_detection(),
-        "{}-gate rung: sweep ablation changed verdicts",
-        rung.gates
+        swept, gate_order,
+        "level runs diverged from the gate-order fold"
     );
+    drop((swept, gate_order));
 
     let key = content::plan_key(&c, &walk, true);
     let (reloaded, t_plan_reload) = secs(|| {
@@ -294,7 +240,6 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         t_plan_reload,
         t_campaign_cold,
         t_campaign_warm,
-        t_campaign_warm_no_sweep,
         t_golden_sweep,
         t_golden_gate_order,
         coverage: warm.report.coverage(),
@@ -484,14 +429,11 @@ fn bench(c: &mut Criterion) {
             r.t_campaign_warm * 1e3
         );
         blog!(
-            "    exec: golden chunk sweep {:>6.1} ms vs gate-order {:>6.1} ms ({:.2}x kernel); \
-             whole-campaign ablation {:>7.1} ms vs {:>7.1} ms ({:.2}x)",
+            "    exec: golden chunk level runs {:>6.1} ms vs gate-order fold {:>6.1} ms \
+             ({:.2}x kernel)",
             r.t_golden_sweep * 1e3,
             r.t_golden_gate_order * 1e3,
-            r.sweep_speedup(),
-            r.t_campaign_warm * 1e3,
-            r.t_campaign_warm_no_sweep * 1e3,
-            r.ablation_speedup()
+            r.sweep_speedup()
         );
     }
 
@@ -530,18 +472,17 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Acceptance guard: the level-blocked sweep kernels must carry the
-    // 1M rung's golden-chunk execution >= 1.3x over the gate-order
-    // kernels. This is the phase the kernels rebuild (full-design
-    // packed evaluation); the event-driven walks evaluate a handful of
-    // scattered gates per fault, so the whole-campaign ablation number
-    // is deliberately reported separately and not gated. Single-thread
-    // kernel efficiency, so no CPU-count gate.
+    // Acceptance guard: the gate table's level runs must carry the 1M
+    // rung's golden-chunk execution >= 1.3x over the generic fold applied
+    // gate by gate in `eval_order`. This is the phase the runs serve
+    // (full-design packed evaluation); the event-driven walks evaluate a
+    // handful of scattered gates per fault. Single-thread kernel
+    // efficiency, so no CPU-count gate.
     let million = results.last().expect("ladder has rungs");
     assert!(
         million.sweep_speedup() >= 1.3,
-        "acceptance criterion: sweep kernels must be >= 1.3x on the {} rung's \
-         golden-chunk execution (got {:.2}x: {:.1} ms swept vs {:.1} ms gate-order)",
+        "acceptance criterion: level runs must be >= 1.3x on the {} rung's \
+         golden-chunk execution (got {:.2}x: {:.1} ms runs vs {:.1} ms gate-order fold)",
         million.name,
         million.sweep_speedup(),
         million.t_golden_sweep * 1e3,
@@ -594,9 +535,7 @@ fn bench(c: &mut Criterion) {
              \"campaign_warm\": {:.6}\n      }},\n      \"exec\": {{\n        \
              \"golden_sweep\": {:.6},\n        \
              \"golden_gate_order\": {:.6},\n        \
-             \"sweep_speedup\": {:.2},\n        \
-             \"campaign_warm_no_sweep\": {:.6},\n        \
-             \"campaign_ablation_speedup\": {:.2}\n      }},\n      \
+             \"sweep_speedup\": {:.2}\n      }},\n      \
              \"plan_parallel_speedup\": {:.2},\n      \
              \"plan_reload_speedup\": {:.2}\n    }}",
             r.gates,
@@ -615,8 +554,6 @@ fn bench(c: &mut Criterion) {
             r.t_golden_sweep,
             r.t_golden_gate_order,
             r.sweep_speedup(),
-            r.t_campaign_warm_no_sweep,
-            r.ablation_speedup(),
             r.plan_speedup(),
             r.reload_speedup(),
         )

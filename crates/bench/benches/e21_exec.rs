@@ -33,7 +33,9 @@
 //! for `journal_check` validation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rescue_bench::{banner, blog, env_json, guard_regression, host_cpus, warn_env_drift};
+use rescue_bench::{
+    banner, blog, env_json, guard_regression, host_cpus, random_patterns, secs_min, warn_env_drift,
+};
 use rescue_core::campaign::{ArtifactStore, Campaign};
 use rescue_core::faults::collapse::{collapse_with, CollapsedUniverse};
 use rescue_core::faults::simulate::{CampaignRun, FaultSimulator, PackedOptions};
@@ -42,7 +44,6 @@ use rescue_core::netlist::generate::{scaling_ladder, ScaleRung};
 use rescue_core::netlist::renumber;
 use rescue_core::netlist::Netlist;
 use rescue_core::telemetry::{journal, metrics, TelemetryConfig};
-use std::time::Instant;
 
 const PATTERNS: usize = 256;
 const DROP_PATTERNS: usize = 4096;
@@ -50,41 +51,6 @@ const SMOKE_PATTERNS: usize = 64;
 const MEASURE_RUNS: usize = 3;
 /// Warm-campaign regression tolerance vs the committed baseline.
 const REGRESSION_TOLERANCE: f64 = 0.25;
-
-fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
-    (0..count)
-        .map(|_| {
-            (0..n_inputs)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn secs<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t = Instant::now();
-    let out = f();
-    (out, t.elapsed().as_secs_f64())
-}
-
-/// Min-of-`n` timing with an untimed per-repetition `setup`.
-fn secs_min<T>(n: usize, mut setup: impl FnMut(), mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..n.max(1) {
-        setup();
-        let (o, t) = secs(&mut f);
-        best = best.min(t);
-        out = Some(o);
-    }
-    (out.expect("n >= 1"), best)
-}
 
 fn detected_set(run: &CampaignRun) -> Vec<bool> {
     run.report

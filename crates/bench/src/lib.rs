@@ -36,6 +36,47 @@ pub fn banner(id: &str, title: &str) {
     blog!("\n=== {id}: {title} ===");
 }
 
+/// `count` seeded xorshift patterns of `n_inputs` bits each: the one
+/// pattern source of the engine benches, so every experiment grading
+/// the same design with the same seed sees the same patterns.
+pub fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
+    let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
+    (0..count)
+        .map(|_| {
+            (0..n_inputs)
+                .map(|_| {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    s & 1 == 1
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs `f` once; returns its output and wall-clock seconds.
+pub fn secs<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t = std::time::Instant::now();
+    let out = f();
+    (out, t.elapsed().as_secs_f64())
+}
+
+/// Min-of-`n` timing: runs `f` `n` times, returns the last output and
+/// the fastest wall-clock. `setup` runs before each repetition outside
+/// the timed region (e.g. wiping the artifact store for cold passes).
+pub fn secs_min<T>(n: usize, mut setup: impl FnMut(), mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..n.max(1) {
+        setup();
+        let (o, t) = secs(&mut f);
+        best = best.min(t);
+        out = Some(o);
+    }
+    (out.expect("n >= 1"), best)
+}
+
 /// Logical CPUs visible to this process (1 when undetectable).
 ///
 /// Parallel-speedup guards must gate on this: a 4-worker campaign

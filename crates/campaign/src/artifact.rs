@@ -15,19 +15,20 @@
 //!
 //! Layout: `<root>/artifacts/<hash>.art`, one file per artifact, written
 //! via atomic rename. Each file wraps the payload in a small envelope
-//! (magic, version, FNV-64 checksum, length) so torn or foreign files read
-//! as missing — a corrupt cache degrades to a rebuild, never a panic — and
-//! are deleted on sight so they cannot re-fail forever.
+//! (magic, version, the key it was saved under, FNV-64 checksum, length)
+//! so torn, foreign or misfiled files read as missing — a corrupt cache
+//! degrades to a rebuild, never a panic — and are deleted on sight so
+//! they cannot re-fail forever.
 
 use crate::store::{fnv64, write_file_atomic, ContentHash};
 use std::path::{Path, PathBuf};
 
 /// Envelope magic: `RSCA` ("RESCUE artifact").
 const MAGIC: [u8; 4] = *b"RSCA";
-/// Envelope format version.
-const VERSION: u8 = 1;
-/// Envelope overhead: magic + version + checksum + payload length.
-const HEADER_LEN: usize = 4 + 1 + 8 + 8;
+/// Envelope format version. Version 2 added the key.
+const VERSION: u8 = 2;
+/// Envelope overhead: magic + version + key + checksum + payload length.
+const HEADER_LEN: usize = 4 + 1 + 16 + 8 + 8;
 
 /// Filesystem store for content-addressed compiled artifacts.
 ///
@@ -58,15 +59,15 @@ impl ArtifactStore {
     /// Opens (creating if needed) an artifact cache under `root`.
     ///
     /// The same `root` can host an [`crate::store::FsStore`]; artifacts
-    /// live in their own `artifacts/` subdirectory.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the directory cannot be created.
+    /// live in their own `artifacts/` subdirectory. A directory that
+    /// cannot be created is counted in `plan.cache_write_errors`, and the
+    /// store still opens: its loads miss and its saves fail (and are
+    /// counted), so the work it would have sped up runs uncached.
     pub fn open(root: impl Into<PathBuf>) -> Self {
         let dir = root.into().join("artifacts");
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("create artifact dir {dir:?}: {e}"));
+        if std::fs::create_dir_all(&dir).is_err() {
+            rescue_telemetry::metrics::counter("plan.cache_write_errors").incr();
+        }
         ArtifactStore { dir }
     }
 
@@ -93,6 +94,7 @@ impl ArtifactStore {
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         bytes.extend_from_slice(&MAGIC);
         bytes.push(VERSION);
+        bytes.extend_from_slice(&key.0.to_le_bytes());
         bytes.extend_from_slice(&fnv64(payload).to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(payload);
@@ -105,12 +107,12 @@ impl ArtifactStore {
 
     /// Returns the payload stored under `key`, or `None` when the key is
     /// absent or its file fails envelope validation (wrong magic or
-    /// version, truncated, checksum mismatch). Invalid files are removed
-    /// so the next save repopulates them.
+    /// version, saved under another key, truncated, checksum mismatch).
+    /// Invalid files are removed so the next save repopulates them.
     pub fn load(&self, key: ContentHash) -> Option<Vec<u8>> {
         let path = self.path_of(key);
         let bytes = std::fs::read(&path).ok()?;
-        match decode(&bytes) {
+        match decode(&bytes, key) {
             Some(payload) => Some(payload.to_vec()),
             None => {
                 let _ = std::fs::remove_file(&path);
@@ -126,14 +128,19 @@ impl ArtifactStore {
     }
 }
 
-/// Validates the envelope and returns the payload slice.
-fn decode(bytes: &[u8]) -> Option<&[u8]> {
+/// Validates the envelope of a file read under `key` and returns the
+/// payload slice.
+fn decode(bytes: &[u8], key: ContentHash) -> Option<&[u8]> {
     if bytes.len() < HEADER_LEN || bytes[..4] != MAGIC || bytes[4] != VERSION {
         return None;
     }
-    let checksum = u64::from_le_bytes(bytes[5..13].try_into().ok()?);
-    let len = u64::from_le_bytes(bytes[13..21].try_into().ok()?);
+    let filed_under = u128::from_le_bytes(bytes[5..21].try_into().ok()?);
+    let checksum = u64::from_le_bytes(bytes[21..29].try_into().ok()?);
+    let len = u64::from_le_bytes(bytes[29..37].try_into().ok()?);
     let payload = &bytes[HEADER_LEN..];
+    if filed_under != key.0 {
+        return None;
+    }
     if payload.len() as u64 != len || fnv64(payload) != checksum {
         return None;
     }
@@ -204,6 +211,34 @@ mod tests {
         // A fresh save repopulates.
         store.save(key, b"good bytes").unwrap();
         assert_eq!(store.load(key).as_deref(), Some(&b"good bytes"[..]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_file_filed_under_another_key_reads_as_missing() {
+        let dir = scratch_dir("misfiled");
+        let store = ArtifactStore::open(&dir);
+        let (a, b) = (ContentHash(1), ContentHash(2));
+        store.save(a, b"artifact of a").unwrap();
+        let path_b = store.dir().join(format!("{b}.art"));
+        std::fs::copy(store.dir().join(format!("{a}.art")), &path_b).unwrap();
+        assert!(store.load(b).is_none(), "a's envelope is not b's artifact");
+        assert!(!path_b.exists(), "the misfiled file is deleted");
+        assert_eq!(store.load(a).as_deref(), Some(&b"artifact of a"[..]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_root_that_cannot_hold_a_directory_opens_a_store_that_misses() {
+        let dir = scratch_dir("blocked");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("a-file");
+        std::fs::write(&file, b"not a directory").unwrap();
+        let store = ArtifactStore::open(&file);
+        let key = ContentHash(3);
+        assert!(store.save(key, b"payload").is_err());
+        assert!(store.load(key).is_none());
+        assert!(!store.contains(key));
         std::fs::remove_dir_all(&dir).ok();
     }
 

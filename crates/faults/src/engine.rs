@@ -288,7 +288,7 @@ impl CampaignPlan {
             FaultSite::Output(_) => word,
             FaultSite::Pin { pin, .. } => match compiled.kind(root) {
                 GateKind::Input | GateKind::Dff => golden[root],
-                _ => compiled.eval_word_pin_forced(root, golden, pin, word),
+                _ => compiled.eval_pin_forced(root, golden, pin, word),
             },
         };
         fault_value ^ golden[root]
@@ -720,7 +720,7 @@ impl<Wd: SimWord> WideScratch<Wd> {
             while let Some(&g) = self.buckets[lvl].get(i) {
                 i += 1;
                 let gi = g as usize;
-                let v = compiled.eval_word(gi, &self.val);
+                let v = compiled.eval(gi, &self.val);
                 if v == golden[gi] {
                     continue;
                 }
@@ -790,7 +790,7 @@ mod tests {
         let plan = CampaignPlan::build(&compiled, &faults);
         let words: Vec<u64> = (0..7).map(|i| 0x5bd1_e995u64.wrapping_mul(i + 3)).collect();
         let mut golden = Vec::new();
-        compiled.eval_words_into(&words, None, &mut golden).unwrap();
+        compiled.eval_words_into(&words, &mut golden).unwrap();
         // Split the outputs into two arbitrary observer groups.
         let pos = compiled.po_drivers();
         let (a, b): (Vec<u32>, Vec<u32>) =
@@ -869,14 +869,14 @@ mod tests {
             .map(|i| 0x9e37_79b9_7f4a_7c15u64.rotate_left(i * 17))
             .collect();
         let mut golden = Vec::new();
-        c.eval_words_into(&words, None, &mut golden).unwrap();
+        c.eval_words_into(&words, &mut golden).unwrap();
         let mut scratch = FaultScratch::new(c.len());
         for root in 0..c.len() {
             scratch.load_golden(&golden);
             let mut flipped = golden.clone();
             flipped[root] = !golden[root];
             for &g in c.eval_order().iter().filter(|&&g| g as usize != root) {
-                flipped[g as usize] = c.eval_word(g as usize, &flipped);
+                flipped[g as usize] = c.eval(g as usize, &flipped);
             }
             let want = c
                 .po_drivers()
@@ -904,7 +904,7 @@ mod tests {
         let obs = ObserverGroups::new(&compiled, &outputs[..1], &outputs[1..]);
         let words: Vec<u64> = (0..5).map(|i| 0xdead_beef_u64 << i).collect();
         let mut golden = Vec::new();
-        compiled.eval_words_into(&words, None, &mut golden).unwrap();
+        compiled.eval_words_into(&words, &mut golden).unwrap();
         let mut scratch = FaultScratch::new(compiled.len());
         scratch.load_golden(&golden);
         for &fault in &faults {

@@ -248,15 +248,6 @@ impl FaultSimulator {
         &self.compiled
     }
 
-    /// Ablation hook forwarding [`CompiledNetlist::set_sweep`]: toggles
-    /// the level-blocked sweep kernels (when the arena is levelized) for
-    /// every campaign this simulator runs. Verdicts are identical either
-    /// way; only throughput moves. Benches use it to report the sweep
-    /// speedup as a measured number.
-    pub fn set_sweep(&mut self, enabled: bool) {
-        self.compiled.set_sweep(enabled);
-    }
-
     /// Golden (fault-free) 64-way evaluation. `words[i]` is input `i`.
     ///
     /// # Panics
@@ -339,8 +330,8 @@ impl FaultSimulator {
         for &g in c.eval_order() {
             let gi = g as usize;
             let mut v = match stuck_pin {
-                Some((fg, fp)) if fg == gi => c.eval_word_pin_forced(gi, &values, fp, stuck_word),
-                _ => c.eval_word(gi, &values),
+                Some((fg, fp)) if fg == gi => c.eval_pin_forced(gi, &values, fp, stuck_word),
+                _ => c.eval(gi, &values),
             };
             if stuck_out == Some(gi) {
                 v = stuck_word;
@@ -672,7 +663,7 @@ impl FaultSimulator {
             for (values, chunk) in arena.chunks_mut(n_gates.max(1)).zip(chunks) {
                 pack_patterns_wide_into(chunk, &mut inputs);
                 self.compiled
-                    .eval_words_fill(&inputs, None, values)
+                    .eval_words_fill(&inputs, values)
                     .expect("input word count mismatch");
             }
         };
@@ -848,9 +839,9 @@ impl FaultSimulator {
             let gi = g as usize;
             let mut v = match stuck {
                 Some((FaultSite::Pin { gate, pin }, fv)) if gate.index() == gi => {
-                    c.eval_bool_pin_forced(gi, values, pin, fv)
+                    c.eval_pin_forced(gi, values, pin, fv)
                 }
-                _ => c.eval_bool(gi, values),
+                _ => c.eval(gi, values),
             };
             if let Some((FaultSite::Output(fg), fv)) = stuck {
                 if fg.index() == gi {

@@ -405,7 +405,7 @@ impl TracePlan {
                 };
                 let c = consumer as usize;
                 let sens =
-                    compiled.eval_word_pin_forced(c, golden, pin as usize, !golden[gi]) ^ golden[c];
+                    compiled.eval_pin_forced(c, golden, pin as usize, !golden[gi]) ^ golden[c];
                 val &= sens;
             }
             scratch.memoize(gi, val);

@@ -73,7 +73,7 @@ fn traced_masks_match_scalar<Wd: SimWord>(seed: u64) {
     for chunk in patterns.chunks(Wd::LANES) {
         let words = pack_patterns_wide::<Wd>(chunk);
         let mut golden = Vec::new();
-        c.eval_words_into(&words, None, &mut golden).unwrap();
+        c.eval_words_into(&words, &mut golden).unwrap();
         traced.load_golden(&golden);
         let live = Wd::live_mask(chunk.len());
         for &fault in &faults {
@@ -187,7 +187,7 @@ fn reconvergent_stem_takes_fallback_walk() {
     let mut traced = TraceScratch::<u64>::new(c.len());
     let words = pack_patterns_wide::<u64>(&patterns);
     let mut golden = Vec::new();
-    c.eval_words_into(&words, None, &mut golden).unwrap();
+    c.eval_words_into(&words, &mut golden).unwrap();
     traced.load_golden(&golden);
     let live = u64::live_mask(patterns.len());
     for &fault in &faults {
@@ -229,7 +229,7 @@ fn unplanned_site_is_a_typed_error() {
         .collect();
     let words = pack_patterns_wide::<u64>(&patterns);
     let mut golden = Vec::new();
-    c.eval_words_into(&words, None, &mut golden).unwrap();
+    c.eval_words_into(&words, &mut golden).unwrap();
     let mut traced = TraceScratch::<u64>::new(c.len());
     traced.load_golden(&golden);
     assert_eq!(
@@ -292,7 +292,7 @@ fn pin_faults_trace_like_the_oracle() {
     for chunk in patterns.chunks(128) {
         let words = pack_patterns_wide::<PackedWord<2>>(chunk);
         let mut golden = Vec::new();
-        c.eval_words_into(&words, None, &mut golden).unwrap();
+        c.eval_words_into(&words, &mut golden).unwrap();
         traced.load_golden(&golden);
         let live = PackedWord::<2>::live_mask(chunk.len());
         for &fault in &faults {

@@ -172,7 +172,7 @@ proptest! {
         let donor = universe::stuck_at_universe(&donor_net);
         let words = pack_patterns_wide::<u64>(&random_patterns(6, 64, seed));
         let mut golden = Vec::new();
-        c.eval_words_into(&words, None, &mut golden).unwrap();
+        c.eval_words_into(&words, &mut golden).unwrap();
         let wires = [
             (
                 CampaignPlan::build(&c, &faults).to_bytes(),

@@ -1,11 +1,12 @@
 //! Property tests pinning the two execution-path equivalences of the
 //! million-gate campaign engine:
 //!
-//! * the level-blocked **sweep kernels** evaluate byte-for-byte
-//!   identically to the gate-order kernels for every supported lane
-//!   width (`W ∈ {1, 2, 4, 8}`), including ragged final chunks and the
-//!   pin-forced single-gate kernels the cone walks and CPT chain ascent
-//!   dispatch through;
+//! * the gate table's **level runs** evaluate every gate byte-for-byte
+//!   as the oracle's gate table (`logic.rs`) does when applied gate by
+//!   gate in `order`, for every supported lane width (`W ∈ {1, 2, 4,
+//!   8}`), including ragged final chunks, on levelized and original-id
+//!   arenas alike; so does the pin-forced single-gate kernel the cone
+//!   walks and CPT chain ascent dispatch through;
 //! * **`DropScope::Global`** (cross-worker fault dropping over the
 //!   shared detected bitmap) reports exactly the masks-mode detected
 //!   *set* for every schedule, worker count and engine family — only
@@ -15,8 +16,9 @@ use proptest::prelude::*;
 use rescue_campaign::{Campaign, Schedule};
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::universe;
-use rescue_netlist::{generate, renumber, Netlist};
+use rescue_netlist::{generate, renumber, GateKind, Netlist};
 use rescue_sim::compiled::CompiledNetlist;
+use rescue_sim::logic::eval_gate_word;
 use rescue_sim::wide::{pack_patterns_wide, PackedWord, SimWord};
 
 fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
@@ -35,44 +37,82 @@ fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Asserts sweep eval == gate-order eval over every chunk of `patterns`
-/// (full value arena, byte for byte), plus the pin-forced per-gate
-/// kernel on every multi-pin gate of the first chunk.
-fn assert_sweep_matches<Wd: SimWord>(c: &mut CompiledNetlist, patterns: &[Vec<bool>]) {
+/// A packed word as its 64-lane limbs: the oracle's `eval_gate_word`
+/// answers one limb at a time.
+trait Limbs: SimWord {
+    fn limb(self, i: usize) -> u64;
+    fn from_limbs(limb: impl FnMut(usize) -> u64) -> Self;
+}
+
+impl Limbs for u64 {
+    fn limb(self, _: usize) -> u64 {
+        self
+    }
+    fn from_limbs(mut limb: impl FnMut(usize) -> u64) -> Self {
+        limb(0)
+    }
+}
+
+impl<const W: usize> Limbs for PackedWord<W> {
+    fn limb(self, i: usize) -> u64 {
+        self.0[i]
+    }
+    fn from_limbs(limb: impl FnMut(usize) -> u64) -> Self {
+        PackedWord(std::array::from_fn(limb))
+    }
+}
+
+/// The oracle's value of a `kind` gate reading `ins`, limb by limb.
+fn oracle<Wd: Limbs>(kind: GateKind, ins: &[Wd]) -> Wd {
+    Wd::from_limbs(|i| eval_gate_word(kind, &ins.iter().map(|w| w.limb(i)).collect::<Vec<_>>()))
+}
+
+/// Asserts the level runs equal `logic.rs` applied gate by gate in
+/// `order` over every chunk of `patterns` (full value arena, byte for
+/// byte), plus the pin-forced kernel on every pin of every gate of the
+/// first chunk, forced to the complement of its driver.
+fn assert_runs_match_oracle<Wd: Limbs>(c: &CompiledNetlist, patterns: &[Vec<bool>]) {
+    let source = |g: usize| matches!(c.kind(g), GateKind::Input | GateKind::Dff);
     for (ci, chunk) in patterns.chunks(Wd::LANES).enumerate() {
         let words = pack_patterns_wide::<Wd>(chunk);
-        c.set_sweep(true);
-        assert!(c.sweep_plan().is_some(), "levelized arena must sweep");
-        let mut swept = Vec::new();
-        c.eval_words_into(&words, None, &mut swept).unwrap();
-        c.set_sweep(false);
-        let mut gate_order = Vec::new();
-        c.eval_words_into(&words, None, &mut gate_order).unwrap();
+        let mut want = vec![Wd::ZERO; c.len()];
+        for (&pi, &w) in c.primary_inputs().iter().zip(&words) {
+            want[pi as usize] = w;
+        }
+        for g in c
+            .order()
+            .iter()
+            .map(|&g| g as usize)
+            .filter(|&g| !source(g))
+        {
+            let ins: Vec<Wd> = c.pins_of(g).iter().map(|&p| want[p as usize]).collect();
+            want[g] = oracle(c.kind(g), &ins);
+        }
+        let mut runs = Vec::new();
+        c.eval_words_into(&words, &mut runs).unwrap();
         assert_eq!(
-            swept,
-            gate_order,
+            runs,
+            want,
             "chunk {ci} ({} patterns, {} lanes)",
             chunk.len(),
             Wd::LANES
         );
         if ci == 0 {
-            // The pin-forced kernel the cone walks / CPT sensitization
-            // use: force each pin of each gate to the inverse of its
-            // driver and compare dispatch paths.
-            for g in 0..c.len() {
-                for pin in 0..c.pins_of(g).len() {
-                    let driver = c.pins_of(g)[pin] as usize;
-                    let forced = !gate_order[driver];
-                    c.set_sweep(true);
-                    let fast = c.eval_word_pin_forced(g, &gate_order, pin, forced);
-                    c.set_sweep(false);
-                    let slow = c.eval_word_pin_forced(g, &gate_order, pin, forced);
-                    assert_eq!(fast, slow, "gate {g} pin {pin}");
+            for g in (0..c.len()).filter(|&g| !source(g)) {
+                let mut ins: Vec<Wd> = c.pins_of(g).iter().map(|&p| want[p as usize]).collect();
+                for pin in 0..ins.len() {
+                    let forced = !ins[pin];
+                    let kept = std::mem::replace(&mut ins[pin], forced);
+                    assert_eq!(
+                        c.eval_pin_forced(g, &want, pin, forced),
+                        oracle(c.kind(g), &ins),
+                        "gate {g} pin {pin}"
+                    );
+                    ins[pin] = kept;
                 }
             }
         }
     }
-    c.set_sweep(true);
 }
 
 /// Detected-set fingerprint of a campaign run: one bool per fault.
@@ -83,20 +123,22 @@ fn detected_set(first: &[Option<usize>]) -> Vec<bool> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// (a) Levelized sweep eval ≡ gate-order eval byte-for-byte for
-    /// W ∈ {1, 2, 4, 8}, including ragged tails.
+    /// (a) Level runs ≡ `logic.rs` gate by gate in `order`, byte for
+    /// byte, for W ∈ {1, 2, 4, 8} including ragged tails, on the
+    /// original and the level-ordered numbering.
     #[test]
     fn sweep_eval_matches_gate_order_all_widths(seed in 1u64..400, ragged in 1usize..63) {
         let net = generate::random_logic(8, 220, 4, seed);
         let (lev, _) = renumber::levelized(&net);
-        let mut c = CompiledNetlist::new(&lev);
-        // One full chunk plus a ragged tail at every width: 64·W + r
-        // patterns exercise both the steady-state and tail kernels.
-        let pats = |lanes: usize| random_patterns(8, lanes + ragged, seed);
-        assert_sweep_matches::<u64>(&mut c, &pats(64));
-        assert_sweep_matches::<PackedWord<2>>(&mut c, &pats(128));
-        assert_sweep_matches::<PackedWord<4>>(&mut c, &pats(256));
-        assert_sweep_matches::<PackedWord<8>>(&mut c, &pats(512));
+        for c in [CompiledNetlist::new(&net), CompiledNetlist::new(&lev)] {
+            // One full chunk plus a ragged tail at every width: 64·W + r
+            // patterns exercise both the steady-state and tail kernels.
+            let pats = |lanes: usize| random_patterns(8, lanes + ragged, seed);
+            assert_runs_match_oracle::<u64>(&c, &pats(64));
+            assert_runs_match_oracle::<PackedWord<2>>(&c, &pats(128));
+            assert_runs_match_oracle::<PackedWord<4>>(&c, &pats(256));
+            assert_runs_match_oracle::<PackedWord<8>>(&c, &pats(512));
+        }
     }
 
     /// (b) `DropScope::Global` detected set ≡ masks-mode detected set

@@ -50,7 +50,7 @@ fn masks_match_scalar<Wd: SimWord>(seed: u64) {
     for chunk in patterns.chunks(Wd::LANES) {
         let words = pack_patterns_wide::<Wd>(chunk);
         let mut golden = Vec::new();
-        c.eval_words_into(&words, None, &mut golden).unwrap();
+        c.eval_words_into(&words, &mut golden).unwrap();
         wide.load_golden(&golden);
         let live = Wd::live_mask(chunk.len());
         for &fault in &faults {

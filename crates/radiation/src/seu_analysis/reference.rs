@@ -33,7 +33,7 @@ fn record(netlist: &Netlist, inputs: &[bool], cycles: usize) -> ScalarTrace {
     let mut snapshots = vec![sim.state().to_vec()];
     let mut outputs = Vec::with_capacity(cycles);
     for _ in 0..cycles {
-        outputs.push(sim.step(netlist, inputs).expect("width checked by caller"));
+        outputs.push(sim.step(inputs).expect("width checked by caller"));
         snapshots.push(sim.state().to_vec());
     }
     ScalarTrace { snapshots, outputs }
@@ -54,7 +54,7 @@ fn inject_from(
     faulty.flip_state(dff);
     let mut first_mismatch = None;
     for k in 0..campaign.horizon {
-        let fo = faulty.step(netlist, inputs).expect("width checked");
+        let fo = faulty.step(inputs).expect("width checked");
         if fo != trace.outputs[cycle + k] && first_mismatch.is_none() {
             first_mismatch = Some(k);
         }
@@ -145,14 +145,14 @@ pub fn inject_naive(
     let mut golden = SeqSimulator::new(netlist);
     let mut faulty = SeqSimulator::new(netlist);
     for _ in 0..cycle {
-        golden.step(netlist, inputs).expect("width checked");
-        faulty.step(netlist, inputs).expect("width checked");
+        golden.step(inputs).expect("width checked");
+        faulty.step(inputs).expect("width checked");
     }
     faulty.flip_state(dff);
     let mut first_mismatch = None;
     for k in 0..campaign.horizon {
-        let go = golden.step(netlist, inputs).expect("width checked");
-        let fo = faulty.step(netlist, inputs).expect("width checked");
+        let go = golden.step(inputs).expect("width checked");
+        let fo = faulty.step(inputs).expect("width checked");
         if go != fo && first_mismatch.is_none() {
             first_mismatch = Some(k);
         }

@@ -19,7 +19,7 @@ use rescue_netlist::Netlist;
 ///
 /// let c = generate::c17();
 /// let sim = CombSimulator::new(&c);
-/// let vals = sim.run(&c, &[Logic::One; 5])?;
+/// let vals = sim.run(&[Logic::One; 5])?;
 /// assert!(!vals.is_empty());
 /// # Ok::<(), rescue_sim::SimError>(())
 /// ```
@@ -36,7 +36,7 @@ impl CombSimulator {
         }
     }
 
-    /// Evaluates `netlist` with four-valued `inputs` (one per primary
+    /// Evaluates the design with four-valued `inputs` (one per primary
     /// input, in declaration order). DFF outputs evaluate to `X`.
     ///
     /// Returns the value of every gate, indexed by [`rescue_netlist::GateId`].
@@ -44,23 +44,9 @@ impl CombSimulator {
     /// # Errors
     ///
     /// [`SimError::InputWidthMismatch`] when `inputs` has the wrong length.
-    pub fn run(&self, _netlist: &Netlist, inputs: &[Logic]) -> Result<Vec<Logic>, SimError> {
-        let c = &self.compiled;
-        let pis = c.primary_inputs();
-        if inputs.len() != pis.len() {
-            return Err(SimError::InputWidthMismatch {
-                expected: pis.len(),
-                found: inputs.len(),
-            });
-        }
-        let mut values = vec![Logic::X; c.len()];
-        for (i, &pi) in pis.iter().enumerate() {
-            values[pi as usize] = inputs[i];
-        }
-        for &g in c.eval_order() {
-            let v = c.eval_logic(g as usize, &values);
-            values[g as usize] = v;
-        }
+    pub fn run(&self, inputs: &[Logic]) -> Result<Vec<Logic>, SimError> {
+        let mut values = vec![Logic::X; self.compiled.len()];
+        self.compiled.eval_into(inputs, None, &mut values)?;
         Ok(values)
     }
 }
@@ -71,7 +57,7 @@ impl CombSimulator {
 ///
 /// [`SimError::InputWidthMismatch`] when `inputs` has the wrong length.
 pub fn eval(netlist: &Netlist, inputs: &[Logic]) -> Result<Vec<Logic>, SimError> {
-    CombSimulator::new(netlist).run(netlist, inputs)
+    CombSimulator::new(netlist).run(inputs)
 }
 
 /// One-shot two-valued evaluation of a combinational netlist.

@@ -8,8 +8,7 @@
 //! * `pins[pin_offsets[g] .. pin_offsets[g + 1]]` — gate `g`'s input
 //!   gate indices (CSR row `g`), copied from the netlist's pin CSR;
 //! * `order` — the full levelized evaluation order;
-//!   `eval_order` — the same order with `Input`/`Dff` sources removed,
-//!   so evaluation loops carry no per-gate kind dispatch for sources;
+//!   `eval_order` — the same order with `Input`/`Dff` sources removed;
 //! * `levels[g]` / `topo_pos[g]` — gate level and position within
 //!   `order` (the inverse permutation), used by incremental fault
 //!   propagation to walk fanout cones in dependency order;
@@ -20,16 +19,18 @@
 //!   output driver gates, an output-driver membership mask, DFF gates
 //!   and each DFF's `D`-input gate.
 //!
-//! Evaluation kernels come in three value domains (64-way packed `u64`
-//! words, `bool`, four-valued [`Logic`]) and fold directly over the CSR
-//! pin slice — no `buf.clear()/extend()` per gate. A `*_pin_forced`
-//! variant substitutes one input pin, which is how pin stuck-at faults
-//! are injected without touching the arena.
+//! Every evaluation goes through the arena's gate table (see
+//! [`crate::sweep`]), in any [`GateValue`] domain: `bool`, four-valued
+//! [`crate::Logic`], 64-lane `u64` words or wide
+//! [`crate::wide::PackedWord`]s. Full evaluations run the table's level
+//! runs; single gates go through [`CompiledNetlist::eval`] and
+//! [`CompiledNetlist::eval_pin_forced`], the latter substituting one
+//! input pin, which is how pin stuck-at faults are injected without
+//! touching the arena.
 
 use crate::codec::{put_bits, put_len, put_u32s, take_bits, take_len, take_u32s};
 use crate::error::SimError;
-use crate::logic::Logic;
-use crate::sweep::SweepPlan;
+use crate::sweep::{GateTable, GateValue};
 use crate::wide::SimWord;
 use rescue_netlist::{GateId, GateKind, Levelization, Netlist, NetlistError};
 
@@ -57,13 +58,11 @@ pub struct CompiledNetlist {
     /// count fault-effect propagation sees within a chunk.
     comb_fan_degree: Vec<u32>,
     depth: u32,
-    /// Level-blocked sweep schedule, present when the arena is levelized
-    /// (gate ids ascend with logic level, the [`rescue_netlist`]
-    /// `renumber::levelized` contract). **Derived state**: recomputed
-    /// identically by [`CompiledNetlist::try_new`] and
-    /// [`CompiledNetlist::from_bytes`], never serialized, so the wire
-    /// format and content hashes are independent of it.
-    sweep: Option<SweepPlan>,
+    /// Opcodes and level runs. **Derived state**: rebuilt identically by
+    /// [`CompiledNetlist::try_new`] and [`CompiledNetlist::from_bytes`],
+    /// never serialized, so the wire format and content hashes are
+    /// independent of it.
+    table: GateTable,
 }
 
 impl CompiledNetlist {
@@ -158,26 +157,10 @@ impl CompiledNetlist {
             fan,
             comb_fan_degree,
             depth: lv.depth(),
-            sweep: None,
+            table: GateTable::default(),
         };
-        c.sweep = c.derive_sweep();
+        c.table = GateTable::build(&c);
         Ok(c)
-    }
-
-    /// Builds the level-blocked sweep schedule when the arena is
-    /// levelized (levels nondecreasing over gate ids — guaranteed after
-    /// `renumber::levelized`, the opt-in hook). Non-levelized arenas
-    /// keep the gate-order kernels: the sweep would still be correct but
-    /// its SoA runs would gather from scattered ids, defeating the
-    /// locality the level blocking buys.
-    fn derive_sweep(&self) -> Option<SweepPlan> {
-        // Decoded arenas reach this only after `validate`, so every index
-        // the plan build reads is in range.
-        if !self.is_empty() && self.levels.windows(2).all(|w| w[0] <= w[1]) {
-            Some(SweepPlan::build(self))
-        } else {
-            None
-        }
     }
 
     /// Whether the arena is one [`CompiledNetlist::try_new`] could have
@@ -297,19 +280,6 @@ impl CompiledNetlist {
                 .all(|(&q, &d)| self.pins_of(q as usize) == [d])
     }
 
-    /// The derived sweep schedule, when the arena is levelized.
-    pub fn sweep_plan(&self) -> Option<&SweepPlan> {
-        self.sweep.as_ref()
-    }
-
-    /// Forces the sweep kernels off (or re-derives them): the ablation
-    /// hook benches use to time gate-order vs. level-blocked execution
-    /// on the same arena. No effect on results — both paths are
-    /// byte-identical.
-    pub fn set_sweep(&mut self, enabled: bool) {
-        self.sweep = if enabled { self.derive_sweep() } else { None };
-    }
-
     /// Number of gates.
     pub fn len(&self) -> usize {
         self.kinds.len()
@@ -404,115 +374,24 @@ impl CompiledNetlist {
         &self.dff_d
     }
 
-    fn check_width(&self, found: usize) -> Result<(), SimError> {
-        if found != self.pis.len() {
-            return Err(SimError::InputWidthMismatch {
-                expected: self.pis.len(),
-                found,
-            });
-        }
-        Ok(())
+    /// Evaluates gate `g` from `values`, through the gate table. A DFF
+    /// evaluates to [`GateValue::DFF`]; an `Input` is the caller's job.
+    #[inline]
+    pub fn eval<V: GateValue>(&self, g: usize, values: &[V]) -> V {
+        self.table.eval(self, g, values)
     }
 
-    /// Evaluates gate `g` over one packed pattern word (64 lanes for
-    /// `u64`, `64 * W` for [`crate::wide::PackedWord`]) from `values`.
-    /// `Dff` evaluates to the all-zero word; `Input` is the caller's job.
-    /// Dispatches through the sweep fast descriptors when the arena is
-    /// levelized (same result, no CSR fold).
+    /// [`CompiledNetlist::eval`] with input pin `pin` reading `v`: the
+    /// pin stuck-at injection primitive.
     #[inline]
-    pub fn eval_word<Wd: SimWord>(&self, g: usize, values: &[Wd]) -> Wd {
-        match &self.sweep {
-            Some(plan) => plan.eval_gate(self, g, values),
-            None => self.eval_word_generic(g, values),
-        }
-    }
-
-    /// The CSR-fold gate evaluation the sweep fast path falls back to
-    /// for shapes without a dedicated kernel.
-    #[inline]
-    pub(crate) fn eval_word_generic<Wd: SimWord>(&self, g: usize, values: &[Wd]) -> Wd {
-        eval_word_from(
-            self.kinds[g],
-            self.pins_of(g).iter().map(|&p| values[p as usize]),
-        )
-    }
-
-    /// Like [`CompiledNetlist::eval_word`] with input pin `pin` replaced
-    /// by `word` — the pin stuck-at injection primitive.
-    #[inline]
-    pub fn eval_word_pin_forced<Wd: SimWord>(
-        &self,
-        g: usize,
-        values: &[Wd],
-        pin: usize,
-        word: Wd,
-    ) -> Wd {
-        match &self.sweep {
-            Some(plan) => plan.eval_gate_pin_forced(self, g, values, pin, word),
-            None => self.eval_word_pin_forced_generic(g, values, pin, word),
-        }
-    }
-
-    /// CSR-fold form of [`CompiledNetlist::eval_word_pin_forced`].
-    #[inline]
-    pub(crate) fn eval_word_pin_forced_generic<Wd: SimWord>(
-        &self,
-        g: usize,
-        values: &[Wd],
-        pin: usize,
-        word: Wd,
-    ) -> Wd {
-        eval_word_from(
-            self.kinds[g],
-            self.pins_of(g).iter().enumerate().map(|(i, &p)| {
-                if i == pin {
-                    word
-                } else {
-                    values[p as usize]
-                }
-            }),
-        )
-    }
-
-    /// Evaluates gate `g` two-valued. `Dff` evaluates to `false`.
-    #[inline]
-    pub fn eval_bool(&self, g: usize, values: &[bool]) -> bool {
-        eval_bool_from(
-            self.kinds[g],
-            self.pins_of(g).iter().map(|&p| values[p as usize]),
-        )
-    }
-
-    /// Like [`CompiledNetlist::eval_bool`] with input pin `pin` replaced
-    /// by `value`.
-    #[inline]
-    pub fn eval_bool_pin_forced(&self, g: usize, values: &[bool], pin: usize, value: bool) -> bool {
-        eval_bool_from(
-            self.kinds[g],
-            self.pins_of(g).iter().enumerate().map(|(i, &p)| {
-                if i == pin {
-                    value
-                } else {
-                    values[p as usize]
-                }
-            }),
-        )
-    }
-
-    /// Evaluates gate `g` four-valued. `Dff` evaluates to `X`.
-    #[inline]
-    pub fn eval_logic(&self, g: usize, values: &[Logic]) -> Logic {
-        eval_logic_from(
-            self.kinds[g],
-            self.pins_of(g).iter().map(|&p| values[p as usize]),
-        )
+    pub fn eval_pin_forced<V: GateValue>(&self, g: usize, values: &[V], pin: usize, v: V) -> V {
+        self.table.eval_pin_forced(self, g, values, pin, v)
     }
 
     /// Full packed evaluation into a reusable buffer (cleared and
-    /// resized), one word of [`SimWord::LANES`] patterns per gate.
-    /// `input_words[i]` carries primary input `i`; DFF outputs evaluate
-    /// to all-zero words. Optionally forces one gate's output word (the
-    /// stuck-at-output injection hook).
+    /// resized), one word of [`crate::wide::SimWord::LANES`] patterns per
+    /// gate. `input_words[i]` carries primary input `i`; DFF outputs
+    /// evaluate to all-zero words.
     ///
     /// # Errors
     ///
@@ -520,14 +399,11 @@ impl CompiledNetlist {
     pub fn eval_words_into<Wd: SimWord>(
         &self,
         input_words: &[Wd],
-        force: Option<(u32, Wd)>,
         values: &mut Vec<Wd>,
     ) -> Result<(), SimError> {
-        self.check_width(input_words.len())?;
         values.clear();
         values.resize(self.len(), Wd::ZERO);
-        self.eval_words_fill_inner(input_words, force, values);
-        Ok(())
+        self.eval_into(input_words, None, values)
     }
 
     /// Slice form of [`CompiledNetlist::eval_words_into`] for reusable
@@ -547,55 +423,9 @@ impl CompiledNetlist {
     pub fn eval_words_fill<Wd: SimWord>(
         &self,
         input_words: &[Wd],
-        force: Option<(u32, Wd)>,
         values: &mut [Wd],
     ) -> Result<(), SimError> {
-        self.check_width(input_words.len())?;
-        assert_eq!(values.len(), self.len(), "value arena width mismatch");
-        self.eval_words_fill_inner(input_words, force, values);
-        Ok(())
-    }
-
-    /// Shared full-evaluation body: sources first, then the sweep
-    /// schedule when available (unforced only — forcing needs the
-    /// gate-major site check) or the gate-order walk.
-    fn eval_words_fill_inner<Wd: SimWord>(
-        &self,
-        input_words: &[Wd],
-        force: Option<(u32, Wd)>,
-        values: &mut [Wd],
-    ) {
-        for (i, &pi) in self.pis.iter().enumerate() {
-            values[pi as usize] = input_words[i];
-        }
-        for &d in &self.dffs {
-            values[d as usize] = Wd::ZERO;
-        }
-        match force {
-            None => match &self.sweep {
-                Some(plan) => plan.eval_sweep(self, values),
-                None => {
-                    for &g in &self.eval_order {
-                        let v = self.eval_word(g as usize, values);
-                        values[g as usize] = v;
-                    }
-                }
-            },
-            Some((site, word)) => {
-                // Sources are outside eval_order; force them up front.
-                if matches!(self.kinds[site as usize], GateKind::Input | GateKind::Dff) {
-                    values[site as usize] = word;
-                }
-                for &g in &self.eval_order {
-                    let v = if g == site {
-                        word
-                    } else {
-                        self.eval_word(g as usize, values)
-                    };
-                    values[g as usize] = v;
-                }
-            }
-        }
+        self.eval_into(input_words, None, values)
     }
 
     /// Two-valued full evaluation into a reusable buffer. DFF outputs
@@ -612,25 +442,49 @@ impl CompiledNetlist {
         state: &[bool],
         values: &mut Vec<bool>,
     ) -> Result<(), SimError> {
-        self.check_width(inputs.len())?;
-        if state.len() != self.dffs.len() {
+        values.clear();
+        values.resize(self.len(), false);
+        self.eval_into(inputs, Some(state), values)
+    }
+
+    /// The one full-evaluation body: places the sources (`inputs` on the
+    /// primary inputs; `state[i]` on DFF `i`, or [`GateValue::DFF`] on
+    /// every DFF when `state` is `None`), then runs the gate table's
+    /// level runs over every other gate.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InputWidthMismatch`] or [`SimError::StateWidthMismatch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values.len() != self.len()`.
+    pub(crate) fn eval_into<V: GateValue>(
+        &self,
+        inputs: &[V],
+        state: Option<&[V]>,
+        values: &mut [V],
+    ) -> Result<(), SimError> {
+        if inputs.len() != self.pis.len() {
+            return Err(SimError::InputWidthMismatch {
+                expected: self.pis.len(),
+                found: inputs.len(),
+            });
+        }
+        if let Some(state) = state.filter(|s| s.len() != self.dffs.len()) {
             return Err(SimError::StateWidthMismatch {
                 expected: self.dffs.len(),
                 found: state.len(),
             });
         }
-        values.clear();
-        values.resize(self.len(), false);
-        for (i, &pi) in self.pis.iter().enumerate() {
-            values[pi as usize] = inputs[i];
+        assert_eq!(values.len(), self.len(), "value arena width mismatch");
+        for (&pi, &v) in self.pis.iter().zip(inputs) {
+            values[pi as usize] = v;
         }
         for (i, &dff) in self.dffs.iter().enumerate() {
-            values[dff as usize] = state[i];
+            values[dff as usize] = state.map_or(V::DFF, |s| s[i]);
         }
-        for &g in &self.eval_order {
-            let v = self.eval_bool(g as usize, values);
-            values[g as usize] = v;
-        }
+        self.table.eval_levels(self, values);
         Ok(())
     }
 
@@ -727,124 +581,19 @@ impl CompiledNetlist {
             fan,
             comb_fan_degree,
             depth,
-            sweep: None,
+            table: GateTable::default(),
         };
         if !c.validate() {
             return None;
         }
-        // The sweep schedule is derived, not serialized: recompute it so
-        // a cache hit behaves exactly like a fresh compile.
-        c.sweep = c.derive_sweep();
+        // The gate table is derived, not serialized: rebuild it so a
+        // cache hit behaves exactly like a fresh compile.
+        c.table = GateTable::build(&c);
         Some(c)
     }
 }
 
 const WIRE_VERSION: u8 = 1;
-
-/// Word-domain gate function over an input iterator, generic over the
-/// packed lane width. `Dff` yields the all-zero word (the packed-pattern
-/// convention); `Input` has no combinational function.
-///
-/// # Panics
-///
-/// Panics on `GateKind::Input`.
-#[inline]
-pub fn eval_word_from<Wd: SimWord, I: Iterator<Item = Wd>>(kind: GateKind, mut ins: I) -> Wd {
-    match kind {
-        GateKind::Const0 => Wd::ZERO,
-        GateKind::Const1 => Wd::ONES,
-        GateKind::Buf => ins.next().unwrap(),
-        GateKind::Not => !ins.next().unwrap(),
-        GateKind::And => ins.fold(Wd::ONES, |a, b| a & b),
-        GateKind::Nand => !ins.fold(Wd::ONES, |a, b| a & b),
-        GateKind::Or => ins.fold(Wd::ZERO, |a, b| a | b),
-        GateKind::Nor => !ins.fold(Wd::ZERO, |a, b| a | b),
-        GateKind::Xor => ins.fold(Wd::ZERO, |a, b| a ^ b),
-        GateKind::Xnor => !ins.fold(Wd::ZERO, |a, b| a ^ b),
-        GateKind::Mux => {
-            let s = ins.next().unwrap();
-            let a = ins.next().unwrap();
-            let b = ins.next().unwrap();
-            (!s & a) | (s & b)
-        }
-        GateKind::Dff => Wd::ZERO,
-        GateKind::Input => panic!("eval_word_from called on an Input gate"),
-    }
-}
-
-/// Bool-domain gate function over an input iterator. `Dff` yields
-/// `false`; `Input` has no combinational function.
-///
-/// # Panics
-///
-/// Panics on `GateKind::Input`.
-#[inline]
-pub fn eval_bool_from<I: Iterator<Item = bool>>(kind: GateKind, mut ins: I) -> bool {
-    match kind {
-        GateKind::Const0 => false,
-        GateKind::Const1 => true,
-        GateKind::Buf => ins.next().unwrap(),
-        GateKind::Not => !ins.next().unwrap(),
-        GateKind::And => ins.all(|b| b),
-        GateKind::Nand => !ins.all(|b| b),
-        GateKind::Or => ins.any(|b| b),
-        GateKind::Nor => !ins.any(|b| b),
-        GateKind::Xor => ins.fold(false, |a, b| a ^ b),
-        GateKind::Xnor => !ins.fold(false, |a, b| a ^ b),
-        GateKind::Mux => {
-            let s = ins.next().unwrap();
-            let a = ins.next().unwrap();
-            let b = ins.next().unwrap();
-            if s {
-                b
-            } else {
-                a
-            }
-        }
-        GateKind::Dff => false,
-        GateKind::Input => panic!("eval_bool_from called on an Input gate"),
-    }
-}
-
-/// Four-valued gate function over an input iterator. `Dff` yields `X`;
-/// `Input` has no combinational function.
-///
-/// # Panics
-///
-/// Panics on `GateKind::Input`.
-#[inline]
-pub fn eval_logic_from<I: Iterator<Item = Logic>>(kind: GateKind, mut ins: I) -> Logic {
-    match kind {
-        GateKind::Const0 => Logic::Zero,
-        GateKind::Const1 => Logic::One,
-        GateKind::Buf => ins.next().unwrap(),
-        GateKind::Not => !ins.next().unwrap(),
-        GateKind::And => ins.fold(Logic::One, Logic::and),
-        GateKind::Nand => !ins.fold(Logic::One, Logic::and),
-        GateKind::Or => ins.fold(Logic::Zero, Logic::or),
-        GateKind::Nor => !ins.fold(Logic::Zero, Logic::or),
-        GateKind::Xor => ins.fold(Logic::Zero, Logic::xor),
-        GateKind::Xnor => !ins.fold(Logic::Zero, Logic::xor),
-        GateKind::Mux => {
-            let s = ins.next().unwrap();
-            let a = ins.next().unwrap();
-            let b = ins.next().unwrap();
-            match s.to_bool() {
-                Some(false) => a,
-                Some(true) => b,
-                None => {
-                    if a == b && !a.is_unknown() {
-                        a
-                    } else {
-                        Logic::X
-                    }
-                }
-            }
-        }
-        GateKind::Dff => Logic::X,
-        GateKind::Input => panic!("eval_logic_from called on an Input gate"),
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -911,7 +660,7 @@ mod tests {
             .map(|i| 0x9e3779b97f4a7c15u64.rotate_left(i))
             .collect();
         let mut values = Vec::new();
-        c.eval_words_into(&words, None, &mut values).unwrap();
+        c.eval_words_into(&words, &mut values).unwrap();
         for p in 0..64 {
             let pattern: Vec<bool> = words.iter().map(|w| w >> p & 1 == 1).collect();
             let serial = crate::comb::eval_bool(&net, &pattern).unwrap();
@@ -965,7 +714,7 @@ mod tests {
         let c = CompiledNetlist::new(&net);
         let mut buf = Vec::new();
         assert!(matches!(
-            c.eval_words_into(&[0; 3], None, &mut buf),
+            c.eval_words_into(&[0u64; 3], &mut buf),
             Err(SimError::InputWidthMismatch {
                 expected: 5,
                 found: 3
@@ -974,36 +723,35 @@ mod tests {
     }
 
     #[test]
-    fn sweep_engages_only_on_levelized_arenas_and_matches_gate_order() {
+    fn level_runs_match_gate_order_on_both_layouts() {
         let net = generate::random_logic(8, 300, 4, 9);
         let (lev, _) = rescue_netlist::renumber::levelized(&net);
-        let mut c = CompiledNetlist::new(&lev);
-        assert!(c.sweep_plan().is_some(), "levelized ids select the sweep");
         let words: Vec<u64> = (0..8)
             .map(|i| 0xdeadbeefcafef00du64.rotate_left(i))
             .collect();
-        let mut swept = Vec::new();
-        c.eval_words_into(&words, None, &mut swept).unwrap();
-        c.set_sweep(false);
-        assert!(c.sweep_plan().is_none());
-        let mut gate_order = Vec::new();
-        c.eval_words_into(&words, None, &mut gate_order).unwrap();
-        assert_eq!(swept, gate_order, "sweep must be byte-identical");
-        c.set_sweep(true);
-        assert!(c.sweep_plan().is_some(), "toggle re-derives the plan");
-        // The slice variant fills a dirty arena to the same bytes.
-        let mut arena = vec![u64::MAX; c.len()];
-        c.eval_words_fill(&words, None, &mut arena).unwrap();
-        assert_eq!(arena, gate_order);
+        for c in [CompiledNetlist::new(&net), CompiledNetlist::new(&lev)] {
+            let mut runs = Vec::new();
+            c.eval_words_into(&words, &mut runs).unwrap();
+            let mut gate_order = vec![0u64; c.len()];
+            for (&pi, &w) in c.primary_inputs().iter().zip(&words) {
+                gate_order[pi as usize] = w;
+            }
+            for &g in c.eval_order() {
+                gate_order[g as usize] = c.eval(g as usize, &gate_order);
+            }
+            assert_eq!(runs, gate_order, "level runs must be byte-identical");
+            // The slice variant fills a dirty arena to the same bytes.
+            let mut arena = vec![u64::MAX; c.len()];
+            c.eval_words_fill(&words, &mut arena).unwrap();
+            assert_eq!(arena, gate_order);
+        }
     }
 
     #[test]
     fn decoded_arena_rederives_the_sweep() {
-        let (lev, _) = rescue_netlist::renumber::levelized(&generate::random_logic(7, 250, 3, 4));
-        let c = CompiledNetlist::new(&lev);
+        let c = CompiledNetlist::new(&generate::random_logic(7, 250, 3, 4));
         let back = CompiledNetlist::from_bytes(&c.to_bytes()).expect("decode");
-        assert!(back.sweep_plan().is_some(), "cache hits keep the sweep");
-        assert_eq!(c, back);
+        assert_eq!(c, back, "the decoded arena carries the same table");
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!    machine word to `64 * W` lanes). The golden snapshot is broadcast
 //!    into every lane, then each lane flips *its own* flop via
 //!    [`LaneMachine::flip_lane`]. One [`LaneMachine::step`] then advances
-//!    all lanes with the same gate kernels the scalar engine uses
-//!    ([`crate::compiled::eval_word_from`]), so each lane's trajectory is
+//!    all lanes through the same gate table and level runs the scalar
+//!    engine uses ([`crate::sweep`]), so each lane's trajectory is
 //!    bit-identical to a scalar run of that injection.
 //!
 //! Comparison against the golden trace is also word-wide:
@@ -260,23 +260,8 @@ impl<Wd: SimWord> LaneMachine<Wd> {
     /// [`SimError::InputWidthMismatch`] when `input_words` has the wrong
     /// length.
     pub fn step(&mut self, compiled: &CompiledNetlist, input_words: &[Wd]) -> Result<(), SimError> {
-        if input_words.len() != compiled.primary_inputs().len() {
-            return Err(SimError::InputWidthMismatch {
-                expected: compiled.primary_inputs().len(),
-                found: input_words.len(),
-            });
-        }
+        compiled.eval_into(input_words, Some(&self.state), &mut self.values)?;
         self.steps += 1;
-        for (i, &pi) in compiled.primary_inputs().iter().enumerate() {
-            self.values[pi as usize] = input_words[i];
-        }
-        for (i, &dff) in compiled.dffs().iter().enumerate() {
-            self.values[dff as usize] = self.state[i];
-        }
-        for &g in compiled.eval_order() {
-            let v = compiled.eval_word(g as usize, &self.values);
-            self.values[g as usize] = v;
-        }
         for (i, &d) in compiled.dff_d().iter().enumerate() {
             self.state[i] = self.values[d as usize];
         }
@@ -328,7 +313,7 @@ mod tests {
         let mut sim = SeqSimulator::new(&net);
         assert_eq!(trace.snapshot(0), sim.state());
         for c in 0..12 {
-            let out = sim.step(&net, &[]).unwrap();
+            let out = sim.step(&[]).unwrap();
             assert_eq!(trace.outputs_at(c), &out[..], "outputs cycle {c}");
             assert_eq!(trace.snapshot(c + 1), sim.state(), "state cycle {c}");
         }
@@ -342,7 +327,7 @@ mod tests {
         let mut sim = SeqSimulator::new(&net);
         for cycle in 0..10 {
             m.step(&compiled, &[]).unwrap();
-            sim.step(&net, &[]).unwrap();
+            sim.step(&[]).unwrap();
             for (i, w) in m.state_words().iter().enumerate() {
                 let expect = broadcast(sim.state()[i]);
                 assert_eq!(*w, expect, "cycle {cycle}, flop {i}: all lanes agree");
@@ -364,7 +349,7 @@ mod tests {
         scalar.flip_state(2);
         for k in 0..5 {
             m.step(&compiled, &[]).unwrap();
-            let out = scalar.step(&net, &[]).unwrap();
+            let out = scalar.step(&[]).unwrap();
             // Lane 7 state equals the scalar faulty machine.
             for (i, w) in m.state_words().iter().enumerate() {
                 assert_eq!(w >> 7 & 1 == 1, scalar.state()[i], "step {k}, flop {i}");

@@ -24,8 +24,9 @@
 //! The combinational, parallel-pattern and sequential engines share the
 //! [`compiled::CompiledNetlist`] flat-arena representation (CSR pin
 //! slices, baked-in levelized order, fanout CSR), compiled once per
-//! design; the fault-simulation crate runs its packed detection walk on
-//! the same arena.
+//! design, and evaluate through its one gate table ([`sweep`]) in every
+//! value domain; the fault-simulation crate runs its packed detection
+//! walk on the same arena.
 //!
 //! # Examples
 //!

@@ -8,7 +8,7 @@
 use crate::compiled::CompiledNetlist;
 use crate::error::SimError;
 use crate::wide::SimWord;
-use rescue_netlist::{GateId, Netlist};
+use rescue_netlist::Netlist;
 
 /// Mask selecting the `n` live pattern bits of a partially filled 64-wide
 /// chunk (all ones for a full chunk). Guards the `n == 64` shift overflow
@@ -53,7 +53,7 @@ pub fn pack_patterns(patterns: &[Vec<bool>]) -> Vec<u64> {
 /// let c = generate::c17();
 /// let sim = ParallelSimulator::new(&c);
 /// let pats = vec![vec![true; 5], vec![false; 5]];
-/// let words = sim.run(&c, &pack_patterns(&pats))?;
+/// let words = sim.run(&pack_patterns(&pats))?;
 /// assert_eq!(words.len(), c.len());
 /// # Ok::<(), rescue_sim::SimError>(())
 /// ```
@@ -82,31 +82,9 @@ impl ParallelSimulator {
     ///
     /// [`SimError::InputWidthMismatch`] when the word count differs from
     /// the primary-input count.
-    pub fn run(&self, netlist: &Netlist, input_words: &[u64]) -> Result<Vec<u64>, SimError> {
-        self.run_with_forced(netlist, input_words, None)
-    }
-
-    /// Like [`ParallelSimulator::run`], but optionally forces the output
-    /// of one gate to a fixed word — the hook used for stuck-at fault
-    /// simulation (`force = Some((site, 0))` is stuck-at-0 across all 64
-    /// patterns, `u64::MAX` stuck-at-1).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InputWidthMismatch`] when the word count differs from
-    /// the primary-input count.
-    pub fn run_with_forced(
-        &self,
-        _netlist: &Netlist,
-        input_words: &[u64],
-        force: Option<(GateId, u64)>,
-    ) -> Result<Vec<u64>, SimError> {
+    pub fn run(&self, input_words: &[u64]) -> Result<Vec<u64>, SimError> {
         let mut values = Vec::new();
-        self.compiled.eval_words_into(
-            input_words,
-            force.map(|(site, word)| (site.index() as u32, word)),
-            &mut values,
-        )?;
+        self.compiled.eval_words_into(input_words, &mut values)?;
         Ok(values)
     }
 }
@@ -127,7 +105,7 @@ mod tests {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
             patterns.push((0..8).map(|i| s >> (i + 3) & 1 == 1).collect::<Vec<_>>());
         }
-        let words = sim.run(&net, &pack_patterns(&patterns)).unwrap();
+        let words = sim.run(&pack_patterns(&patterns)).unwrap();
         for (p, pat) in patterns.iter().enumerate() {
             let serial = eval_bool(&net, pat).unwrap();
             for id in net.ids() {
@@ -135,33 +113,6 @@ mod tests {
                 assert_eq!(bit, serial[id.index()], "pattern {p}, gate {id}");
             }
         }
-    }
-
-    #[test]
-    fn forcing_injects_stuck_value() {
-        let c = generate::c17();
-        let sim = ParallelSimulator::new(&c);
-        let pats = vec![vec![true; 5]];
-        let packed = pack_patterns(&pats);
-        let site = GateId(5); // G10 = nand(G1,G3), normally 0 on all-ones
-        let good = sim.run(&c, &packed).unwrap();
-        assert_eq!(good[site.index()] & 1, 0);
-        let bad = sim
-            .run_with_forced(&c, &packed, Some((site, u64::MAX)))
-            .unwrap();
-        assert_eq!(bad[site.index()] & 1, 1);
-        // G22 = nand(G10, G16); flipping G10 must flip G22 here.
-        assert_ne!(good[9] & 1, bad[9] & 1);
-    }
-
-    #[test]
-    fn force_on_primary_input() {
-        let c = generate::c17();
-        let sim = ParallelSimulator::new(&c);
-        let packed = pack_patterns(&[vec![true; 5]]);
-        let pi = c.primary_inputs()[0];
-        let v = sim.run_with_forced(&c, &packed, Some((pi, 0))).unwrap();
-        assert_eq!(v[pi.index()], 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use rescue_netlist::Netlist;
 /// let counter = generate::counter(3);
 /// let mut sim = SeqSimulator::new(&counter);
 /// for _ in 0..5 {
-///     sim.step(&counter, &[])?;
+///     sim.step(&[])?;
 /// }
 /// assert_eq!(sim.state_value(), 5);
 /// # Ok::<(), rescue_sim::SimError>(())
@@ -107,14 +107,19 @@ impl SeqSimulator {
     /// # Errors
     ///
     /// [`SimError::InputWidthMismatch`] when `inputs` has the wrong length.
-    pub fn step(&mut self, netlist: &Netlist, inputs: &[bool]) -> Result<Vec<bool>, SimError> {
-        let values = self.evaluate(netlist, inputs)?;
+    pub fn step(&mut self, inputs: &[bool]) -> Result<Vec<bool>, SimError> {
+        let values = self.evaluate(inputs)?;
         // Capture next state: DFF input values become the new state.
         for (i, &d) in self.compiled.dff_d().iter().enumerate() {
             self.state[i] = values[d as usize];
         }
         self.cycles += 1;
-        Ok(crate::comb::outputs_of(netlist, &values))
+        Ok(self
+            .compiled
+            .po_drivers()
+            .iter()
+            .map(|&g| values[g as usize])
+            .collect())
     }
 
     /// Evaluates the combinational logic for the present state without
@@ -123,7 +128,7 @@ impl SeqSimulator {
     /// # Errors
     ///
     /// [`SimError::InputWidthMismatch`] when `inputs` has the wrong length.
-    pub fn evaluate(&self, _netlist: &Netlist, inputs: &[bool]) -> Result<Vec<bool>, SimError> {
+    pub fn evaluate(&self, inputs: &[bool]) -> Result<Vec<bool>, SimError> {
         let mut values = Vec::new();
         self.compiled
             .eval_bools_into(inputs, &self.state, &mut values)?;
@@ -136,13 +141,8 @@ impl SeqSimulator {
     /// # Errors
     ///
     /// Propagates errors from [`SeqSimulator::step`].
-    pub fn run(
-        &mut self,
-        netlist: &Netlist,
-        inputs: &[bool],
-        cycles: usize,
-    ) -> Result<Vec<Vec<bool>>, SimError> {
-        (0..cycles).map(|_| self.step(netlist, inputs)).collect()
+    pub fn run(&mut self, inputs: &[bool], cycles: usize) -> Result<Vec<Vec<bool>>, SimError> {
+        (0..cycles).map(|_| self.step(inputs)).collect()
     }
 }
 
@@ -157,7 +157,7 @@ mod tests {
         let mut sim = SeqSimulator::new(&c);
         for expect in 0u64..20 {
             assert_eq!(sim.state_value(), expect % 16);
-            sim.step(&c, &[]).unwrap();
+            sim.step(&[]).unwrap();
         }
         assert_eq!(sim.cycles(), 20);
         sim.reset();
@@ -170,13 +170,13 @@ mod tests {
         let s = generate::shift_register(4);
         let mut sim = SeqSimulator::new(&s);
         // Feed 1 for one cycle then 0s; the 1 marches down the chain.
-        sim.step(&s, &[true]).unwrap();
+        sim.step(&[true]).unwrap();
         assert_eq!(sim.state(), &[true, false, false, false]);
-        sim.step(&s, &[false]).unwrap();
+        sim.step(&[false]).unwrap();
         assert_eq!(sim.state(), &[false, true, false, false]);
-        let out = sim.step(&s, &[false]).unwrap();
+        let out = sim.step(&[false]).unwrap();
         assert_eq!(out, vec![false]);
-        sim.step(&s, &[false]).unwrap();
+        sim.step(&[false]).unwrap();
         // After 4 total shifts the 1 is at the output register.
         assert_eq!(sim.state(), &[false, false, false, true]);
     }
@@ -188,7 +188,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for _ in 0..20 {
             seen.insert(sim.state_value());
-            sim.step(&l, &[]).unwrap();
+            sim.step(&[]).unwrap();
         }
         assert!(seen.len() > 2, "lfsr must visit several states");
     }
@@ -198,19 +198,19 @@ mod tests {
         let f = generate::control_fsm();
         let mut sim = SeqSimulator::new(&f);
         // IDLE: busy=0
-        let v = sim.evaluate(&f, &[false, false]).unwrap();
+        let v = sim.evaluate(&[false, false]).unwrap();
         let busy = crate::comb::outputs_of(&f, &v)[0];
         assert!(!busy);
         // go -> RUN
-        sim.step(&f, &[true, false]).unwrap();
-        let v = sim.evaluate(&f, &[false, false]).unwrap();
+        sim.step(&[true, false]).unwrap();
+        let v = sim.evaluate(&[false, false]).unwrap();
         assert!(crate::comb::outputs_of(&f, &v)[0], "busy in RUN");
         // RUN -> DONE
-        sim.step(&f, &[false, false]).unwrap();
-        let v = sim.evaluate(&f, &[false, false]).unwrap();
+        sim.step(&[false, false]).unwrap();
+        let v = sim.evaluate(&[false, false]).unwrap();
         assert!(crate::comb::outputs_of(&f, &v)[1], "done asserted");
         // DONE -> IDLE
-        sim.step(&f, &[false, false]).unwrap();
+        sim.step(&[false, false]).unwrap();
         assert_eq!(sim.state_value(), 0);
     }
 
@@ -220,14 +220,14 @@ mod tests {
         let mut golden = SeqSimulator::new(&c);
         let mut faulty = SeqSimulator::new(&c);
         for _ in 0..3 {
-            golden.step(&c, &[]).unwrap();
-            faulty.step(&c, &[]).unwrap();
+            golden.step(&[]).unwrap();
+            faulty.step(&[]).unwrap();
         }
         faulty.flip_state(2); // SEU in bit 2
         assert_ne!(golden.state_value(), faulty.state_value());
         // the flip persists (counter has no correction)
-        golden.step(&c, &[]).unwrap();
-        faulty.step(&c, &[]).unwrap();
+        golden.step(&[]).unwrap();
+        faulty.step(&[]).unwrap();
         assert_ne!(golden.state_value(), faulty.state_value());
     }
 

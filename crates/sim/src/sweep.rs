@@ -1,44 +1,82 @@
-//! Level-blocked sweep kernels for full-design packed evaluation.
+//! The engine's one gate table: opcodes, level runs and the gate
+//! functions they dispatch to, in every value domain.
 //!
-//! [`crate::compiled::CompiledNetlist::eval_words_into`] walks
-//! `eval_order` one gate at a time: every gate pays a kind dispatch, two
-//! CSR offset loads and an iterator fold over its pin slice. At a million
-//! gates that per-gate overhead — not the bitwise logic — dominates
-//! golden-chunk simulation.
+//! `GateTable` is built once per compiled arena, levelized or not. It
+//! flattens every gate into an *opcode* (the operator shape: 2-input
+//! AND, inverter, …) with its first two input indices resolved from the
+//! CSR, and it cuts `eval_order` into *level runs*: groups of gates on
+//! the same logic level with the same opcode, stored structure-of-arrays
+//! (one `out[]` index array plus the `a[]`/`b[]` operands). A gate only
+//! reads values from strictly lower levels, so any evaluation order
+//! within a level produces the same values; cutting the runs needs only
+//! the topological `eval_order` every arena has. Levelized gate ids buy
+//! locality, not correctness.
 //!
-//! [`SweepPlan`] removes it. At compile time the evaluation order is cut
-//! into *runs*: maximal groups of gates on the same logic level with the
-//! same operator shape (2-input AND, inverter, …). Each run is stored
-//! structure-of-arrays — one `out[]` index array plus the `a[]`/`b[]`
-//! input indices resolved from the CSR — and evaluated as a tight loop
-//! of one fixed bitwise expression, no kind dispatch and no pin-slice
-//! iterators inside. Levelization makes the reordering sound: a gate
-//! only ever reads values from strictly lower levels, so any evaluation
-//! order *within* a level produces the same words. Gates whose shape has
-//! no dedicated kernel (MUXes, variadic AND/OR/XOR trees) fall back to
-//! the generic fold per gate, so the sweep is byte-identical to
-//! gate-order evaluation for every netlist.
+//! Each opcode's function is written once (`apply`), generic over
+//! [`GateValue`], which `bool`, [`Logic`], `u64` and
+//! [`crate::wide::PackedWord`] implement. Shapes without an opcode of
+//! their own (MUXes, variadic AND/OR/XOR families) take the one generic
+//! [`fold`] over the gate's CSR pins. Three entry points dispatch
+//! through the table: the level-run body behind every full evaluation
+//! of a [`CompiledNetlist`], and the single-gate
+//! [`CompiledNetlist::eval`] and [`CompiledNetlist::eval_pin_forced`]
+//! behind the event-driven walks and the critical-path-tracing chain
+//! ascent in `rescue-faults`.
 //!
-//! The same compile step also flattens every gate into a per-gate *fast
-//! descriptor* (opcode byte + two resolved input indices), which
-//! [`SweepPlan::eval_gate`] and [`SweepPlan::eval_gate_pin_forced`]
-//! dispatch on. Single-gate callers — the event-driven cone walks and
-//! the critical-path-tracing chain ascent in `rescue-faults` — go
-//! through these instead of the CSR fold, shaving the dispatch overhead
-//! off the incremental paths too.
+//! The oracle's gate table (`crate::logic`) stays separate on purpose,
+//! so the reference simulator and the engine never share a bug.
 //!
-//! The plan is **derived state**: it is recomputed from the arena both
+//! The table is **derived state**: it is recomputed from the arena both
 //! at compile time and on artifact-cache decode, never serialized, so
 //! the compiled wire format and its content hashes are unchanged.
 
 use crate::compiled::CompiledNetlist;
-use crate::wide::SimWord;
+use crate::logic::Logic;
 use rescue_netlist::GateKind;
+use std::ops::{BitAnd, BitOr, BitXor, Not};
 
-/// Fast-descriptor opcodes. Runs only ever carry `OP_CONST0..=OP_XNOR2`
-/// and `OP_GENERIC`; `OP_DFF` appears in per-gate descriptors (packed
-/// evaluation treats DFF outputs as all-zero) and `Input` gates map to
-/// `OP_GENERIC` so the fallback keeps the historical panic.
+/// A value domain the engine evaluates gates in: one bit (`bool`),
+/// four-valued [`Logic`], or packed lanes ([`crate::wide::SimWord`]).
+pub trait GateValue:
+    Copy + Not<Output = Self> + BitAnd<Output = Self> + BitOr<Output = Self> + BitXor<Output = Self>
+{
+    /// Logic 0 (in every lane).
+    const ZERO: Self;
+    /// Logic 1 (in every lane).
+    const ONES: Self;
+    /// A DFF's value when asked combinationally: `ZERO` unless the
+    /// domain can say "unknown".
+    const DFF: Self = Self::ZERO;
+
+    /// 2:1 multiplexer: `a` where `s` is 0, `b` where it is 1.
+    #[inline]
+    fn mux(s: Self, a: Self, b: Self) -> Self {
+        (!s & a) | (s & b)
+    }
+}
+
+impl GateValue for bool {
+    const ZERO: Self = false;
+    const ONES: Self = true;
+}
+
+impl GateValue for Logic {
+    const ZERO: Self = Logic::Zero;
+    const ONES: Self = Logic::One;
+    const DFF: Self = Logic::X;
+
+    /// An unknown select still yields a known value when both data
+    /// inputs agree on one.
+    fn mux(s: Self, a: Self, b: Self) -> Self {
+        match s.to_bool() {
+            Some(false) => a,
+            Some(true) => b,
+            None if a == b && !a.is_unknown() => a,
+            None => Logic::X,
+        }
+    }
+}
+
 const OP_CONST0: u8 = 0;
 const OP_CONST1: u8 = 1;
 const OP_BUF: u8 = 2;
@@ -49,20 +87,16 @@ const OP_OR2: u8 = 6;
 const OP_NOR2: u8 = 7;
 const OP_XOR2: u8 = 8;
 const OP_XNOR2: u8 = 9;
-const OP_DFF: u8 = 10;
-const OP_GENERIC: u8 = 11;
+/// Shapes without an opcode: the generic [`fold`] over the CSR pins.
+/// The sources map here too: a DFF folds to [`GateValue::DFF`], and an
+/// `Input` keeps its panic.
+const OP_FOLD: u8 = 10;
+const OPS: usize = 11;
 
-/// Opcodes eligible for level runs, in the emission order within each
-/// level. `OP_DFF` is excluded (sources are not in `eval_order`).
-const RUN_OPS: [u8; 11] = [
-    OP_AND2, OP_NAND2, OP_OR2, OP_NOR2, OP_XOR2, OP_XNOR2, OP_BUF, OP_NOT, OP_CONST0, OP_CONST1,
-    OP_GENERIC,
-];
-
-/// Operator shape of one gate: a dedicated kernel opcode when the kind
-/// *and* arity match one, `OP_GENERIC` otherwise. Only exact matches get
-/// a kernel — a 3-input AND folds generically — so every kernel is
-/// algebraically identical to the generic fold it replaces.
+/// Opcode of one gate: a dedicated opcode when the kind *and* arity
+/// match one, `OP_FOLD` otherwise. Only exact matches get an opcode (a
+/// 3-input AND folds), so every opcode is algebraically the fold it
+/// replaces.
 fn classify(kind: GateKind, arity: usize) -> u8 {
     match (kind, arity) {
         (GateKind::Const0, _) => OP_CONST0,
@@ -75,237 +109,216 @@ fn classify(kind: GateKind, arity: usize) -> u8 {
         (GateKind::Nor, 2) => OP_NOR2,
         (GateKind::Xor, 2) => OP_XOR2,
         (GateKind::Xnor, 2) => OP_XNOR2,
-        (GateKind::Dff, _) => OP_DFF,
-        _ => OP_GENERIC,
+        _ => OP_FOLD,
     }
 }
 
-/// One same-level, same-shape gate run: `len` gates starting at `start`
-/// in the plan's structure-of-arrays arenas.
+/// Each opcode's gate function, written once for every value domain.
+/// `x` and `y` read the first and second operand; an opcode reads only
+/// the operands it has.
+#[inline(always)]
+fn apply<V: GateValue>(op: u8, x: impl FnOnce() -> V, y: impl FnOnce() -> V) -> V {
+    match op {
+        OP_CONST0 => V::ZERO,
+        OP_CONST1 => V::ONES,
+        OP_BUF => x(),
+        OP_NOT => !x(),
+        OP_AND2 => x() & y(),
+        OP_NAND2 => !(x() & y()),
+        OP_OR2 => x() | y(),
+        OP_NOR2 => !(x() | y()),
+        OP_XOR2 => x() ^ y(),
+        OP_XNOR2 => !(x() ^ y()),
+        _ => unreachable!("opcode {op} has no operand form"),
+    }
+}
+
+/// The engine's generic gate fold over an input iterator: the function
+/// of every gate kind at any arity. The table sends only the shapes
+/// without an opcode here (MUXes and variadic AND/OR/XOR families).
+///
+/// # Panics
+///
+/// Panics on `GateKind::Input`, which has no combinational function,
+/// and when `ins` yields fewer values than the kind reads.
+#[inline]
+pub fn fold<V: GateValue>(kind: GateKind, mut ins: impl Iterator<Item = V>) -> V {
+    let mut next = || ins.next().expect("a pin per operand");
+    match kind {
+        GateKind::Const0 => V::ZERO,
+        GateKind::Const1 => V::ONES,
+        GateKind::Buf => next(),
+        GateKind::Not => !next(),
+        GateKind::Mux => {
+            let (s, a, b) = (next(), next(), next());
+            V::mux(s, a, b)
+        }
+        GateKind::Dff => V::DFF,
+        GateKind::And => ins.fold(V::ONES, |a, b| a & b),
+        GateKind::Nand => !ins.fold(V::ONES, |a, b| a & b),
+        GateKind::Or => ins.fold(V::ZERO, |a, b| a | b),
+        GateKind::Nor => !ins.fold(V::ZERO, |a, b| a | b),
+        GateKind::Xor => ins.fold(V::ZERO, |a, b| a ^ b),
+        GateKind::Xnor => !ins.fold(V::ZERO, |a, b| a ^ b),
+        GateKind::Input => panic!("an Input gate has no gate function"),
+    }
+}
+
+/// One same-level, same-opcode run: `len` gates from `start` in the
+/// table's structure-of-arrays arenas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SweepRun {
+struct Run {
     op: u8,
     start: u32,
     len: u32,
 }
 
-/// Level-blocked sweep schedule plus per-gate fast descriptors, derived
-/// once from a [`CompiledNetlist`]. See the module docs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepPlan {
-    /// Level-major run schedule over `eval_order`'s gates.
-    runs: Vec<SweepRun>,
-    /// SoA arenas indexed by the runs: output gate and resolved inputs.
-    out: Vec<u32>,
-    a: Vec<u32>,
-    b: Vec<u32>,
-    /// Per-gate fast descriptors over *all* gates (single-gate dispatch).
+/// Per-gate opcodes and operands plus the level runs, derived once from
+/// a [`CompiledNetlist`]. See the module docs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct GateTable {
+    /// Per gate: opcode and first two resolved operands (0 when unused).
     ops: Vec<u8>,
     pa: Vec<u32>,
     pb: Vec<u32>,
-    /// Gates evaluated by a dedicated kernel (non-generic run entries).
-    swept: usize,
+    /// Level-major runs over `eval_order`'s gates.
+    runs: Vec<Run>,
+    /// SoA arenas indexed by the runs: output gate and its operands.
+    out: Vec<u32>,
+    a: Vec<u32>,
+    b: Vec<u32>,
 }
 
-impl SweepPlan {
-    /// Derives the sweep schedule and fast descriptors from a compiled
-    /// arena. `O(gates)` and allocation-bounded by four `u32` arenas.
-    pub fn build(c: &CompiledNetlist) -> SweepPlan {
+impl GateTable {
+    /// Derives the table from a compiled arena in `O(gates)`, under a
+    /// `sim.gate_table` span. `eval_order` is cut at every change of
+    /// level, and each stretch is counting-sorted by opcode, so runs
+    /// keep `eval_order`'s order within an opcode.
+    pub(crate) fn build(c: &CompiledNetlist) -> GateTable {
+        let _span = rescue_telemetry::span!("sim.gate_table", gates = c.len());
         let n = c.len();
         let mut ops = vec![0u8; n];
         let mut pa = vec![0u32; n];
         let mut pb = vec![0u32; n];
         for g in 0..n {
             let pins = c.pins_of(g);
-            let op = classify(c.kind(g), pins.len());
-            ops[g] = op;
-            match op {
-                OP_BUF | OP_NOT => pa[g] = pins[0],
-                OP_AND2..=OP_XNOR2 => {
-                    pa[g] = pins[0];
-                    pb[g] = pins[1];
-                }
-                _ => {}
+            ops[g] = classify(c.kind(g), pins.len());
+            if ops[g] != OP_FOLD {
+                pa[g] = pins.first().copied().unwrap_or(0);
+                pb[g] = pins.get(1).copied().unwrap_or(0);
             }
         }
 
         let eo = c.eval_order();
+        let (mut out, mut a, mut b) = (vec![0; eo.len()], vec![0; eo.len()], vec![0; eo.len()]);
         let mut runs = Vec::new();
-        let mut out = Vec::with_capacity(eo.len());
-        let mut ra = Vec::with_capacity(eo.len());
-        let mut rb = Vec::with_capacity(eo.len());
-        let mut swept = 0usize;
-        // eval_order is levelized, so each level is one contiguous
-        // stretch; bucket it by shape in the fixed RUN_OPS order.
-        let mut i = 0usize;
-        while i < eo.len() {
-            let lvl = c.level(eo[i] as usize);
-            let mut j = i;
-            while j < eo.len() && c.level(eo[j] as usize) == lvl {
-                j += 1;
+        let mut start = 0usize;
+        for stretch in eo.chunk_by(|&x, &y| c.level(x as usize) == c.level(y as usize)) {
+            let mut at = [0usize; OPS + 1];
+            for &g in stretch {
+                at[ops[g as usize] as usize + 1] += 1;
             }
-            for op in RUN_OPS {
-                let start = out.len();
-                for &g in &eo[i..j] {
-                    if ops[g as usize] == op {
-                        out.push(g);
-                        ra.push(pa[g as usize]);
-                        rb.push(pb[g as usize]);
-                    }
-                }
-                let len = out.len() - start;
+            for op in 0..OPS {
+                let len = at[op + 1];
+                at[op + 1] = at[op] + len;
                 if len > 0 {
-                    if op != OP_GENERIC {
-                        swept += len;
-                    }
-                    runs.push(SweepRun {
-                        op,
-                        start: start as u32,
+                    runs.push(Run {
+                        op: op as u8,
+                        start: (start + at[op]) as u32,
                         len: len as u32,
                     });
                 }
             }
-            i = j;
+            for &g in stretch {
+                let slot = &mut at[ops[g as usize] as usize];
+                let k = start + *slot;
+                *slot += 1;
+                (out[k], a[k], b[k]) = (g, pa[g as usize], pb[g as usize]);
+            }
+            start += stretch.len();
         }
-        SweepPlan {
-            runs,
-            out,
-            a: ra,
-            b: rb,
+        GateTable {
             ops,
             pa,
             pb,
-            swept,
+            runs,
+            out,
+            a,
+            b,
         }
     }
 
-    /// Number of same-level, same-shape runs in the schedule.
-    pub fn runs(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Gates evaluated by a dedicated kernel (the rest take the generic
-    /// per-gate fold inside the sweep).
-    pub fn swept_gates(&self) -> usize {
-        self.swept
-    }
-
-    /// Full-design sweep evaluation: sources (PIs, DFFs) must already be
-    /// set in `values`; every other gate is written exactly once, in
-    /// level-major run order. Byte-identical to walking `eval_order`
-    /// gate by gate.
-    pub fn eval_sweep<Wd: SimWord>(&self, c: &CompiledNetlist, values: &mut [Wd]) {
-        for run in &self.runs {
-            let s = run.start as usize;
-            let e = s + run.len as usize;
-            let out = &self.out[s..e];
-            let a = &self.a[s..e];
-            let b = &self.b[s..e];
-            macro_rules! bin_run {
-                ($expr:expr) => {
-                    for k in 0..out.len() {
-                        let x = values[a[k] as usize];
-                        let y = values[b[k] as usize];
-                        values[out[k] as usize] = $expr(x, y);
-                    }
-                };
-            }
-            match run.op {
-                OP_AND2 => bin_run!(|x: Wd, y: Wd| x & y),
-                OP_NAND2 => bin_run!(|x: Wd, y: Wd| !(x & y)),
-                OP_OR2 => bin_run!(|x: Wd, y: Wd| x | y),
-                OP_NOR2 => bin_run!(|x: Wd, y: Wd| !(x | y)),
-                OP_XOR2 => bin_run!(|x: Wd, y: Wd| x ^ y),
-                OP_XNOR2 => bin_run!(|x: Wd, y: Wd| !(x ^ y)),
-                OP_BUF => {
-                    for k in 0..out.len() {
-                        values[out[k] as usize] = values[a[k] as usize];
-                    }
-                }
-                OP_NOT => {
-                    for k in 0..out.len() {
-                        values[out[k] as usize] = !values[a[k] as usize];
-                    }
-                }
-                OP_CONST0 => {
-                    for &g in out {
-                        values[g as usize] = Wd::ZERO;
-                    }
-                }
-                OP_CONST1 => {
-                    for &g in out {
-                        values[g as usize] = Wd::ONES;
-                    }
-                }
-                _ => {
-                    for &g in out {
-                        let v = c.eval_word_generic(g as usize, values);
-                        values[g as usize] = v;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Single-gate fast dispatch: the descriptor replaces the kind
-    /// match and CSR fold of [`CompiledNetlist::eval_word`]; shapes
-    /// without a kernel fall back to the generic fold.
+    /// Evaluates gate `g` from `values`. A DFF evaluates to
+    /// [`GateValue::DFF`]; an `Input` panics.
     #[inline]
-    pub fn eval_gate<Wd: SimWord>(&self, c: &CompiledNetlist, g: usize, values: &[Wd]) -> Wd {
+    pub(crate) fn eval<V: GateValue>(&self, c: &CompiledNetlist, g: usize, values: &[V]) -> V {
         match self.ops[g] {
-            OP_CONST0 => Wd::ZERO,
-            OP_CONST1 => Wd::ONES,
-            OP_BUF => values[self.pa[g] as usize],
-            OP_NOT => !values[self.pa[g] as usize],
-            OP_AND2 => values[self.pa[g] as usize] & values[self.pb[g] as usize],
-            OP_NAND2 => !(values[self.pa[g] as usize] & values[self.pb[g] as usize]),
-            OP_OR2 => values[self.pa[g] as usize] | values[self.pb[g] as usize],
-            OP_NOR2 => !(values[self.pa[g] as usize] | values[self.pb[g] as usize]),
-            OP_XOR2 => values[self.pa[g] as usize] ^ values[self.pb[g] as usize],
-            OP_XNOR2 => !(values[self.pa[g] as usize] ^ values[self.pb[g] as usize]),
-            OP_DFF => Wd::ZERO,
-            _ => c.eval_word_generic(g, values),
+            OP_FOLD => fold(c.kind(g), c.pins_of(g).iter().map(|&p| values[p as usize])),
+            op => apply(
+                op,
+                || values[self.pa[g] as usize],
+                || values[self.pb[g] as usize],
+            ),
         }
     }
 
-    /// Single-gate fast dispatch with input pin `pin` replaced by `word`
-    /// (the pin stuck-at injection primitive of the cone walks and the
-    /// CPT sensitization kernel).
+    /// [`GateTable::eval`] with input pin `pin` reading `v`: the pin
+    /// stuck-at injection primitive. A `pin` past the gate's arity
+    /// forces nothing.
     #[inline]
-    pub fn eval_gate_pin_forced<Wd: SimWord>(
+    pub(crate) fn eval_pin_forced<V: GateValue>(
         &self,
         c: &CompiledNetlist,
         g: usize,
-        values: &[Wd],
+        values: &[V],
         pin: usize,
-        word: Wd,
-    ) -> Wd {
-        let op = self.ops[g];
-        if (OP_AND2..=OP_XNOR2).contains(&op) {
-            let x = if pin == 0 {
-                word
-            } else {
-                values[self.pa[g] as usize]
-            };
-            let y = if pin == 1 {
-                word
-            } else {
-                values[self.pb[g] as usize]
-            };
-            return match op {
-                OP_AND2 => x & y,
-                OP_NAND2 => !(x & y),
-                OP_OR2 => x | y,
-                OP_NOR2 => !(x | y),
-                OP_XOR2 => x ^ y,
-                _ => !(x ^ y),
-            };
+        v: V,
+    ) -> V {
+        let read = |i: usize, p: u32| if i == pin { v } else { values[p as usize] };
+        match self.ops[g] {
+            OP_FOLD => fold(
+                c.kind(g),
+                c.pins_of(g).iter().enumerate().map(|(i, &p)| read(i, p)),
+            ),
+            op => apply(op, || read(0, self.pa[g]), || read(1, self.pb[g])),
         }
-        match op {
-            OP_BUF if pin == 0 => word,
-            OP_NOT if pin == 0 => !word,
-            _ => c.eval_word_pin_forced_generic(g, values, pin, word),
+    }
+
+    /// Evaluates every gate of `eval_order` run by run. The sources
+    /// (primary inputs and DFF outputs) must already be in `values`;
+    /// every other gate is written exactly once.
+    pub(crate) fn eval_levels<V: GateValue>(&self, c: &CompiledNetlist, values: &mut [V]) {
+        for run in &self.runs {
+            let r = run.start as usize..(run.start + run.len) as usize;
+            let (out, a, b) = (&self.out[r.clone()], &self.a[r.clone()], &self.b[r]);
+            match run.op {
+                OP_CONST0 => kernel::<OP_CONST0, V>(values, out, a, b),
+                OP_CONST1 => kernel::<OP_CONST1, V>(values, out, a, b),
+                OP_BUF => kernel::<OP_BUF, V>(values, out, a, b),
+                OP_NOT => kernel::<OP_NOT, V>(values, out, a, b),
+                OP_AND2 => kernel::<OP_AND2, V>(values, out, a, b),
+                OP_NAND2 => kernel::<OP_NAND2, V>(values, out, a, b),
+                OP_OR2 => kernel::<OP_OR2, V>(values, out, a, b),
+                OP_NOR2 => kernel::<OP_NOR2, V>(values, out, a, b),
+                OP_XOR2 => kernel::<OP_XOR2, V>(values, out, a, b),
+                OP_XNOR2 => kernel::<OP_XNOR2, V>(values, out, a, b),
+                _ => {
+                    for &g in out {
+                        values[g as usize] = self.eval(c, g as usize, values);
+                    }
+                }
+            }
         }
+    }
+}
+
+/// One run of opcode `OP`: a tight loop of one fixed expression, no
+/// dispatch inside.
+#[inline(always)]
+fn kernel<const OP: u8, V: GateValue>(values: &mut [V], out: &[u32], a: &[u32], b: &[u32]) {
+    for k in 0..out.len() {
+        let v = apply(OP, || values[a[k] as usize], || values[b[k] as usize]);
+        values[out[k] as usize] = v;
     }
 }
 
@@ -317,38 +330,53 @@ mod tests {
     #[test]
     fn classify_requires_exact_arity() {
         assert_eq!(classify(GateKind::And, 2), OP_AND2);
-        assert_eq!(classify(GateKind::And, 3), OP_GENERIC);
-        assert_eq!(classify(GateKind::Mux, 3), OP_GENERIC);
-        assert_eq!(classify(GateKind::Input, 0), OP_GENERIC);
-        assert_eq!(classify(GateKind::Dff, 1), OP_DFF);
+        assert_eq!(classify(GateKind::And, 3), OP_FOLD);
+        assert_eq!(classify(GateKind::Mux, 3), OP_FOLD);
+        assert_eq!(classify(GateKind::Input, 0), OP_FOLD);
+        assert_eq!(classify(GateKind::Dff, 1), OP_FOLD);
+    }
+
+    /// Both layouts: original ids and level-ordered ids.
+    fn arenas(seed: u64) -> [CompiledNetlist; 2] {
+        let net = generate::random_logic(8, 400, 4, seed);
+        let (lev, _) = renumber::levelized(&net);
+        [CompiledNetlist::new(&net), CompiledNetlist::new(&lev)]
     }
 
     #[test]
     fn runs_cover_eval_order_exactly_once() {
-        let (net, _) = renumber::levelized(&generate::random_logic(8, 400, 4, 21));
-        let c = CompiledNetlist::new(&net);
-        let plan = SweepPlan::build(&c);
-        let mut seen: Vec<u32> = plan.out.clone();
-        seen.sort_unstable();
-        let mut want: Vec<u32> = c.eval_order().to_vec();
-        want.sort_unstable();
-        assert_eq!(seen, want, "every evaluated gate appears in one run");
-        assert!(plan.swept_gates() > 0, "random logic has 2-input shapes");
+        for c in arenas(21) {
+            let table = GateTable::build(&c);
+            let mut seen: Vec<u32> = table.out.clone();
+            seen.sort_unstable();
+            let mut want: Vec<u32> = c.eval_order().to_vec();
+            want.sort_unstable();
+            assert_eq!(seen, want, "every evaluated gate appears in one run");
+            let covered: usize = table.runs.iter().map(|r| r.len as usize).sum();
+            assert_eq!(covered, want.len());
+            assert!(table
+                .runs
+                .iter()
+                .any(|r| r.op == OP_AND2 || r.op == OP_NAND2));
+        }
     }
 
     #[test]
     fn runs_never_read_their_own_level() {
-        let (net, _) = renumber::levelized(&generate::random_logic(8, 400, 4, 5));
-        let c = CompiledNetlist::new(&net);
-        let plan = SweepPlan::build(&c);
-        for run in &plan.runs {
-            for k in run.start as usize..(run.start + run.len) as usize {
-                let g = plan.out[k] as usize;
-                for &p in c.pins_of(g) {
-                    assert!(
-                        c.level(p as usize) < c.level(g),
-                        "gate {g} reads same-level input {p}"
-                    );
+        for c in arenas(5) {
+            let table = GateTable::build(&c);
+            let mut last = 0;
+            for run in &table.runs {
+                let gates = &table.out[run.start as usize..(run.start + run.len) as usize];
+                let level = c.level(gates[0] as usize);
+                assert!(level >= last, "runs are level-major");
+                last = level;
+                for &g in gates {
+                    assert_eq!(c.level(g as usize), level, "one level per run");
+                    assert_eq!(table.ops[g as usize], run.op, "one opcode per run");
+                    for &p in c.pins_of(g as usize) {
+                        assert!(c.level(p as usize) < level, "gate {g} reads input {p}");
+                    }
                 }
             }
         }
@@ -356,17 +384,20 @@ mod tests {
 
     #[test]
     fn fast_descriptors_match_csr() {
-        let net = generate::random_logic(6, 200, 3, 9);
-        let c = CompiledNetlist::new(&net);
-        let plan = SweepPlan::build(&c);
-        for g in 0..c.len() {
-            let pins = c.pins_of(g);
-            match plan.ops[g] {
-                OP_BUF | OP_NOT => assert_eq!(plan.pa[g], pins[0]),
-                op if (OP_AND2..=OP_XNOR2).contains(&op) => {
-                    assert_eq!([plan.pa[g], plan.pb[g]], [pins[0], pins[1]]);
-                }
-                _ => {}
+        for c in arenas(9) {
+            let table = GateTable::build(&c);
+            for g in 0..c.len() {
+                let pins = c.pins_of(g);
+                let want = match table.ops[g] {
+                    OP_BUF | OP_NOT => [pins[0], 0],
+                    OP_AND2..=OP_XNOR2 => [pins[0], pins[1]],
+                    _ => [0, 0],
+                };
+                assert_eq!([table.pa[g], table.pb[g]], want, "gate {g}");
+            }
+            for (k, &g) in table.out.iter().enumerate() {
+                let g = g as usize;
+                assert_eq!([table.a[k], table.b[k]], [table.pa[g], table.pb[g]]);
             }
         }
     }

@@ -22,6 +22,7 @@
 //! of every observability/excitation/detection word before popcounts or
 //! first-lane scans — otherwise ragged tails silently over-count.
 
+use crate::sweep::GateValue;
 use std::fmt::Debug;
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
 
@@ -29,28 +30,13 @@ use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, N
 /// evaluated by every bitwise op at once.
 ///
 /// Implementors are plain-old-data bit vectors; all operations are
-/// lane-wise. See the module docs for the lane numbering convention.
+/// lane-wise, and [`GateValue`]'s `ZERO`/`ONES` clear/set every lane.
+/// See the module docs for the lane numbering convention.
 pub trait SimWord:
-    Copy
-    + Eq
-    + Debug
-    + Send
-    + Sync
-    + 'static
-    + Not<Output = Self>
-    + BitAnd<Output = Self>
-    + BitOr<Output = Self>
-    + BitXor<Output = Self>
-    + BitAndAssign
-    + BitOrAssign
-    + BitXorAssign
+    GateValue + Eq + Debug + Send + Sync + 'static + BitAndAssign + BitOrAssign + BitXorAssign
 {
     /// Number of one-bit lanes carried per word.
     const LANES: usize;
-    /// All lanes clear.
-    const ZERO: Self;
-    /// All lanes set.
-    const ONES: Self;
 
     /// Broadcasts one bit to every lane.
     fn splat(bit: bool) -> Self;
@@ -98,10 +84,13 @@ pub trait SimWord:
     fn for_each_lane(self, f: impl FnMut(usize));
 }
 
-impl SimWord for u64 {
-    const LANES: usize = 64;
+impl GateValue for u64 {
     const ZERO: Self = 0;
     const ONES: Self = u64::MAX;
+}
+
+impl SimWord for u64 {
+    const LANES: usize = 64;
 
     #[inline]
     fn splat(bit: bool) -> Self {
@@ -212,10 +201,13 @@ packed_binop!(BitAnd, bitand, BitAndAssign, bitand_assign, &=);
 packed_binop!(BitOr, bitor, BitOrAssign, bitor_assign, |=);
 packed_binop!(BitXor, bitxor, BitXorAssign, bitxor_assign, ^=);
 
-impl<const W: usize> SimWord for PackedWord<W> {
-    const LANES: usize = 64 * W;
+impl<const W: usize> GateValue for PackedWord<W> {
     const ZERO: Self = PackedWord([0; W]);
     const ONES: Self = PackedWord([u64::MAX; W]);
+}
+
+impl<const W: usize> SimWord for PackedWord<W> {
+    const LANES: usize = 64 * W;
 
     #[inline]
     fn splat(bit: bool) -> Self {

@@ -28,7 +28,7 @@ proptest! {
             })
             .collect();
         let sim = ParallelSimulator::new(&net);
-        let words = sim.run(&net, &pack_patterns(&patterns)).unwrap();
+        let words = sim.run(&pack_patterns(&patterns)).unwrap();
         for (p, pat) in patterns.iter().enumerate() {
             let serial = eval_bool(&net, pat).unwrap();
             for id in net.ids() {
@@ -115,14 +115,14 @@ proptest! {
         let mut sim = SeqSimulator::new(&net);
         let first: Vec<u64> = (0..cycles)
             .map(|_| {
-                sim.step(&net, &[]).unwrap();
+                sim.step(&[]).unwrap();
                 sim.state_value()
             })
             .collect();
         sim.reset();
         let second: Vec<u64> = (0..cycles)
             .map(|_| {
-                sim.step(&net, &[]).unwrap();
+                sim.step(&[]).unwrap();
                 sim.state_value()
             })
             .collect();
@@ -178,7 +178,7 @@ fn decode_and_eval(bytes: &[u8]) -> bool {
     );
     let words = vec![0x9e37_79b9_7f4a_7c15u64; c.primary_inputs().len()];
     let mut values = Vec::new();
-    c.eval_words_into(&words, None, &mut values).unwrap();
+    c.eval_words_into(&words, &mut values).unwrap();
     assert_eq!(values.len(), c.len());
     true
 }
