@@ -48,7 +48,14 @@ impl Progress {
     /// total: a zero-duration or zero-progress snapshot reports 0.0
     /// rate and `None` ETA instead of dividing by zero.
     pub fn snapshot(&self) -> ProgressSnapshot {
-        let done = self.done().min(self.total);
+        self.snapshot_at(self.done())
+    }
+
+    /// [`Progress::snapshot`] with `done` items completed: the count a
+    /// worker's [`Progress::add`] returned, which other workers may
+    /// already have moved past.
+    fn snapshot_at(&self, done: usize) -> ProgressSnapshot {
+        let done = done.min(self.total);
         let elapsed_secs = self.start.elapsed().as_secs_f64();
         let items_per_sec = if elapsed_secs > 0.0 {
             done as f64 / elapsed_secs
@@ -114,7 +121,9 @@ impl Campaign {
     /// [`Campaign::run_sharded`] with a progress observer: `observe` is
     /// called with a fresh [`ProgressSnapshot`] whenever a completed
     /// item lands on a multiple of `every` (and again after the final
-    /// item), from whichever worker crossed the boundary.
+    /// item), from whichever worker crossed the boundary. The snapshot
+    /// reports that boundary count, whatever the other workers have
+    /// finished since.
     ///
     /// # Panics
     ///
@@ -141,7 +150,7 @@ impl Campaign {
             let r = work(s, index, item);
             let done = progress.add(1);
             if done.is_multiple_of(every) || done == progress.total() {
-                observe(progress.snapshot());
+                observe(progress.snapshot_at(done));
             }
             r
         })

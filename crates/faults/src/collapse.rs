@@ -134,6 +134,21 @@ impl CollapsedUniverse {
         self.representatives.len() as f64 / self.original_len as f64
     }
 
+    /// The slot of `fault`'s representative and the gate that
+    /// representative sits on, or `None` for a fault outside the design
+    /// (never collapsed, never detected). Lets the campaign's walk list
+    /// deduplicate classes on a `u32` and decode a [`Fault`] only for the
+    /// representatives it walks.
+    #[inline]
+    pub(crate) fn representative_slot(&self, fault: Fault) -> Option<(u32, usize)> {
+        let slot = self.slot_of(fault)?;
+        Some(match self.rep[slot] {
+            u32::MAX => (slot as u32, fault.site().gate().index()),
+            // The rules fold only into output faults, slot `4 * gate + kind`.
+            r => (r, r as usize >> 2),
+        })
+    }
+
     /// Dense slot of `fault`, or `None` for faults outside the design.
     #[inline]
     fn slot_of(&self, fault: Fault) -> Option<usize> {
@@ -142,7 +157,7 @@ impl CollapsedUniverse {
 
     /// Inverse of [`CollapsedUniverse::slot_of`].
     #[inline]
-    fn fault_of(&self, slot: u32) -> Fault {
+    pub(crate) fn fault_of(&self, slot: u32) -> Fault {
         let s = slot as usize;
         let kind = kind_decode(s & 3);
         let x = s >> 2;

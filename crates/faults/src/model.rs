@@ -99,6 +99,15 @@ impl fmt::Display for FaultKind {
 
 /// A single permanent fault: a site plus a behaviour.
 ///
+/// Eight bytes: one `u64` sort key packs the site variant (1 bit), the
+/// gate (32 bits), the pin (29 bits, 0 for an output) and the kind (2
+/// bits), most significant first. Comparing keys compares `(variant,
+/// gate, pin, kind)` lexicographically, which is the order of the site
+/// (outputs before pins, then by gate and pin) followed by the kind, so
+/// the derived `Ord`, `Eq` and `Hash` act on the key alone. Multi-million
+/// fault universes stay a quarter of the size an unpacked
+/// `(FaultSite, FaultKind)` takes.
+///
 /// # Examples
 ///
 /// ```
@@ -108,45 +117,101 @@ impl fmt::Display for FaultKind {
 /// let f = Fault::stuck_at(FaultSite::Output(GateId(3)), true);
 /// assert_eq!(f.kind(), FaultKind::StuckAt1);
 /// assert_eq!(f.to_string(), "g3.out/sa1");
+/// assert_eq!(std::mem::size_of::<Fault>(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fault {
-    site: FaultSite,
-    kind: FaultKind,
+    /// `variant << 63 | gate << 31 | pin << 2 | kind`.
+    key: u64,
 }
+
+/// Bits of the pin field; a pin index must stay below `2^PIN_BITS`.
+const PIN_BITS: u32 = 29;
+const KIND_BITS: u32 = 2;
+const GATE_SHIFT: u32 = PIN_BITS + KIND_BITS;
+const VARIANT_SHIFT: u32 = GATE_SHIFT + 32;
+const PIN_MASK: u64 = (1 << PIN_BITS) - 1;
+const _: () = assert!(std::mem::size_of::<Fault>() == 8);
 
 impl Fault {
     /// Creates a fault of arbitrary kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the site's gate index exceeds `u32::MAX` or its pin
+    /// index is `2^29` or more.
     pub fn new(site: FaultSite, kind: FaultKind) -> Self {
-        Fault { site, kind }
-    }
-
-    /// Creates a stuck-at fault with the given stuck `value`.
-    pub fn stuck_at(site: FaultSite, value: bool) -> Self {
+        let (variant, gate, pin) = match site {
+            FaultSite::Output(g) => (0, g.index(), 0),
+            FaultSite::Pin { gate, pin } => (1, gate.index(), pin),
+        };
+        let gate = u32::try_from(gate)
+            .unwrap_or_else(|_| panic!("fault gate index {gate} exceeds u32::MAX"));
+        assert!(
+            (pin as u64) <= PIN_MASK,
+            "fault pin index {pin} needs more than {PIN_BITS} bits"
+        );
         Fault {
-            site,
-            kind: if value {
-                FaultKind::StuckAt1
-            } else {
-                FaultKind::StuckAt0
-            },
+            key: variant << VARIANT_SHIFT
+                | u64::from(gate) << GATE_SHIFT
+                | (pin as u64) << KIND_BITS
+                // Declaration order: the discriminants `kind` decodes.
+                | kind as u64,
         }
     }
 
+    /// Creates a stuck-at fault with the given stuck `value`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Fault::new`].
+    pub fn stuck_at(site: FaultSite, value: bool) -> Self {
+        let kind = if value {
+            FaultKind::StuckAt1
+        } else {
+            FaultKind::StuckAt0
+        };
+        Fault::new(site, kind)
+    }
+
     /// The fault site.
+    #[inline]
     pub fn site(self) -> FaultSite {
-        self.site
+        let gate = GateId((self.key >> GATE_SHIFT) as u32 as usize);
+        if self.key >> VARIANT_SHIFT == 0 {
+            FaultSite::Output(gate)
+        } else {
+            FaultSite::Pin {
+                gate,
+                pin: (self.key >> KIND_BITS & PIN_MASK) as usize,
+            }
+        }
     }
 
     /// The fault behaviour.
+    #[inline]
     pub fn kind(self) -> FaultKind {
-        self.kind
+        match self.key & 3 {
+            0 => FaultKind::StuckAt0,
+            1 => FaultKind::StuckAt1,
+            2 => FaultKind::SlowToRise,
+            _ => FaultKind::SlowToFall,
+        }
+    }
+}
+
+impl fmt::Debug for Fault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Fault")
+            .field("site", &self.site())
+            .field("kind", &self.kind())
+            .finish()
     }
 }
 
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.site, self.kind)
+        write!(f, "{}/{}", self.site(), self.kind())
     }
 }
 
@@ -176,6 +241,7 @@ impl fmt::Display for BridgingFault {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn display_forms() {
@@ -194,6 +260,103 @@ mod tests {
             wired_and: true,
         };
         assert!(b.to_string().contains("AND"));
+    }
+
+    /// Every kind, in declaration (= `Ord`) order.
+    const KINDS: [FaultKind; 4] = [
+        FaultKind::StuckAt0,
+        FaultKind::StuckAt1,
+        FaultKind::SlowToRise,
+        FaultKind::SlowToFall,
+    ];
+
+    fn site(pin_site: bool, gate: usize, pin: usize) -> FaultSite {
+        if pin_site {
+            FaultSite::Pin {
+                gate: GateId(gate),
+                pin,
+            }
+        } else {
+            FaultSite::Output(GateId(gate))
+        }
+    }
+
+    #[test]
+    fn debug_and_display_keep_the_field_forms() {
+        let out = Fault::stuck_at(FaultSite::Output(GateId(3)), true);
+        let pin = Fault::new(site(true, 2, 1), FaultKind::SlowToFall);
+        assert_eq!(
+            format!("{out:?}"),
+            "Fault { site: Output(GateId(3)), kind: StuckAt1 }"
+        );
+        assert_eq!(
+            format!("{pin:?}"),
+            "Fault { site: Pin { gate: GateId(2), pin: 1 }, kind: SlowToFall }"
+        );
+        assert_eq!(
+            format!("{out:#?}"),
+            "Fault {\n    site: Output(\n        GateId(\n            3,\n        ),\n    ),\n    kind: StuckAt1,\n}"
+        );
+        assert_eq!(out.to_string(), "g3.out/sa1");
+        assert_eq!(pin.to_string(), "g2.in1/stf");
+    }
+
+    #[test]
+    fn fields_round_trip_at_their_limits() {
+        let max_pin = (1 << 29) - 1;
+        for pin_site in [false, true] {
+            for gate in [0, 1, u32::MAX as usize - 1, u32::MAX as usize] {
+                for pin in [0, 1, max_pin - 1, max_pin] {
+                    let pin = if pin_site { pin } else { 0 };
+                    for kind in KINDS {
+                        let f = Fault::new(site(pin_site, gate, pin), kind);
+                        assert_eq!(f.site(), site(pin_site, gate, pin));
+                        assert_eq!(f.kind(), kind);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn a_gate_past_u32_panics() {
+        Fault::stuck_at(FaultSite::Output(GateId(u32::MAX as usize + 1)), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs more than 29 bits")]
+    fn a_pin_of_2_pow_29_panics() {
+        Fault::new(site(true, 0, 1 << 29), FaultKind::StuckAt0);
+    }
+
+    /// Gate and pin values that cluster at both ends of their fields.
+    fn field(max: usize) -> impl Strategy<Value = usize> {
+        prop_oneof![0..4usize, max - 3..=max, 0..=max]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `Ord` and `Eq` on the packed key are the lexicographic order
+        /// of `(variant, gate, pin, kind)`, the order the unpacked
+        /// `(FaultSite, FaultKind)` derived.
+        #[test]
+        fn key_order_is_the_tuple_order(
+            a in (any::<bool>(), field(u32::MAX as usize), field((1 << 29) - 1), 0..4usize),
+            b in (any::<bool>(), field(u32::MAX as usize), field((1 << 29) - 1), 0..4usize),
+        ) {
+            // An output site has no pin: it reads back as 0.
+            let norm = |(v, g, p, k): (bool, usize, usize, usize)| (v, g, if v { p } else { 0 }, k);
+            let (a, b) = (norm(a), norm(b));
+            let fault = |(v, g, p, k): (bool, usize, usize, usize)| Fault::new(site(v, g, p), KINDS[k]);
+            let (fa, fb) = (fault(a), fault(b));
+            prop_assert_eq!(fa.cmp(&fb), a.cmp(&b));
+            prop_assert_eq!(fa == fb, a == b);
+            prop_assert_eq!((fa.site(), fa.kind()).cmp(&(fb.site(), fb.kind())), a.cmp(&b));
+            prop_assert_eq!(fa.site(), site(a.0, a.1, a.2));
+            prop_assert_eq!(fa.kind(), KINDS[a.3]);
+        }
     }
 
     #[test]

@@ -98,9 +98,10 @@ impl ReferenceFaultSimulator {
                 kind => {
                     buf.clear();
                     buf.extend(g.inputs().iter().map(|&p| values[p.index()]));
+                    // A pin past the arity forces nothing.
                     if let Some((fg, fp)) = stuck_pin {
-                        if fg == id {
-                            buf[fp] = stuck_word;
+                        if let Some(pin) = buf.get_mut(fp).filter(|_| fg == id) {
+                            *pin = stuck_word;
                         }
                     }
                     values[id.index()] = eval_gate_word(kind, &buf);

@@ -23,6 +23,8 @@ use rescue_netlist::{GateKind, Netlist};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::wide::{pack_patterns_wide_into, PackedWord, SimWord, SUPPORTED_LANE_WIDTHS};
 use rescue_telemetry::{metrics, span};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Outcome of a fault-simulation campaign.
@@ -592,43 +594,61 @@ impl FaultSimulator {
     /// mask and expand to "undetected" without a walk. Exact because
     /// equivalent faults have identical detection masks (the property
     /// the `collapse` tests pin down), so even first-detection indices
-    /// expand unchanged. The returned map remembers which walked slot
-    /// answers each original fault (`None` = unobservable class, never
-    /// detected; the map itself is `None` when collapsing is off).
-    fn walk_list(
+    /// expand unchanged. Classes are told apart by their representative's
+    /// `u32` slot ([`CollapsedUniverse::representative_slot`]), so only
+    /// the walked representatives are decoded into [`Fault`]s.
+    ///
+    /// Faults outside the design (a gate past the end, or, when
+    /// collapsing, a pin past its gate's arity) are never walked: no
+    /// pattern detects them. The returned map gives the walked slot that
+    /// answers each original fault ([`UNWALKED`]: never detected). It is
+    /// `None`, and the walk list borrows `faults`, when collapsing is off
+    /// and every fault sits inside the design.
+    fn walk_list<'f>(
         &self,
-        faults: &[Fault],
+        faults: &'f [Fault],
         opts: &PackedOptions,
-    ) -> (Vec<Fault>, Option<Vec<Option<u32>>>) {
+    ) -> (Cow<'f, [Fault]>, Option<Vec<u32>>) {
         let _span = span!("exec.walk_list", faults = faults.len());
         let c = &self.compiled;
-        match opts.collapsed {
-            None => (faults.to_vec(), None),
-            Some(cu) => {
-                // O(gates + edges) reachability sweep first, so the plan
-                // covers only the faults that will actually be walked.
-                // Then one hashing pass over the
-                // universe: per fault, one representative lookup and
-                // one slot lookup.
-                let reachable = crate::engine::po_reachable(c);
-                let mut slot_of = std::collections::HashMap::new();
-                let mut walk = Vec::new();
-                let mut map = Vec::with_capacity(faults.len());
-                for &f in faults {
-                    let rep = cu.representative(f);
-                    if !reachable[rep.site().gate().index()] {
-                        map.push(None);
-                        continue;
-                    }
-                    let slot = *slot_of.entry(rep).or_insert_with(|| {
-                        walk.push(rep);
-                        walk.len() as u32 - 1
-                    });
-                    map.push(Some(slot));
-                }
-                (walk, Some(map))
+        let Some(cu) = opts.collapsed else {
+            let inside = |f: &Fault| f.site().gate().index() < c.len();
+            if faults.iter().all(inside) {
+                return (Cow::Borrowed(faults), None);
             }
-        }
+            let mut walk = Vec::new();
+            let map = faults
+                .iter()
+                .map(|&f| {
+                    if !inside(&f) {
+                        return UNWALKED;
+                    }
+                    walk.push(f);
+                    walk.len() as u32 - 1
+                })
+                .collect();
+            return (Cow::Owned(walk), Some(map));
+        };
+        // O(gates + edges) reachability sweep first, so the plan covers
+        // only the faults that will actually be walked. Then one pass
+        // over the universe: per fault, one slot lookup, and a hash
+        // probe only when the class is observable.
+        let reachable = crate::engine::po_reachable(c);
+        let mut index_of: HashMap<u32, u32> = HashMap::new();
+        let mut walk = Vec::new();
+        let map = faults
+            .iter()
+            .map(|&f| match cu.representative_slot(f) {
+                Some((slot, gate)) if reachable[gate] => {
+                    *index_of.entry(slot).or_insert_with(|| {
+                        walk.push(cu.fault_of(slot));
+                        walk.len() as u32 - 1
+                    })
+                }
+                _ => UNWALKED,
+            })
+            .collect();
+        (Cow::Owned(walk), Some(map))
     }
 
     /// Golden values of every chunk of `patterns`, computed once and
@@ -855,6 +875,10 @@ impl FaultSimulator {
         }
     }
 }
+
+/// Expansion-map entry of a fault no walked fault answers: an
+/// unobservable class or a fault outside the design, never detected.
+const UNWALKED: u32 = u32::MAX;
 
 /// Default durable-campaign unit grain, in walked faults per unit.
 /// Matches the work-stealing chunk ceiling so one unit is a few
@@ -1431,16 +1455,16 @@ fn unit_delta<Wd: SimWord>(rs: &[Option<usize>], n_chunks: usize) -> StatsDelta 
 }
 
 /// Shared tail of the plain and durable packed campaigns: lane
-/// telemetry, verdict expansion over the full universe and the final
-/// tally/drop accounting, under an `exec.expand` span. It reads only the
-/// chunk geometry, never a golden value. `stats` arrives with the
-/// timing, worker and unit figures already filled by the respective
-/// driver.
+/// telemetry, then one pass that expands the verdicts over the full
+/// universe and tallies the detected and dropped faults, under an
+/// `exec.expand` span. It reads only the chunk geometry, never a golden
+/// value. `stats` arrives with the timing, worker and unit figures
+/// already filled by the respective driver.
 fn finish_packed<Wd: SimWord>(
     faults: &[Fault],
     opts: &PackedOptions,
     geometry: &ChunkGeometry<Wd>,
-    expand: Option<Vec<Option<u32>>>,
+    expand: Option<Vec<u32>>,
     results: Vec<Option<usize>>,
     mut stats: CampaignStats,
 ) -> CampaignRun {
@@ -1471,30 +1495,37 @@ fn finish_packed<Wd: SimWord>(
     for live in &geometry.live {
         stats.record_lanes(live.count_ones() as u64, Wd::LANES as u64);
     }
-    // Expand representative verdicts back over the full universe; a
-    // `None` slot is an unobservable class, never detected.
-    let first_detection: Vec<Option<usize>> = match &expand {
-        None => results,
+    // A fault counts as dropped when it retired before the final
+    // pattern word (same rule as the fault.dropped counter).
+    let (mut detected, mut dropped) = (0, 0);
+    let mut tally = |d: Option<usize>| {
+        if let Some(p) = d {
+            detected += 1;
+            dropped += usize::from(p / Wd::LANES + 1 < n_chunks);
+        }
+        d
+    };
+    let first_detection: Vec<Option<usize>> = match expand {
+        None => results.into_iter().map(&mut tally).collect(),
         Some(map) => map
             .iter()
-            .map(|&slot| slot.and_then(|s| results[s as usize]))
+            .map(|&s| {
+                tally(if s == UNWALKED {
+                    None
+                } else {
+                    results[s as usize]
+                })
+            })
             .collect(),
     };
+    stats.tally.detected = detected;
+    stats.tally.undetected = faults.len() - detected;
+    stats.dropped = dropped;
     let report = CampaignReport {
         faults: faults.to_vec(),
         first_detection,
         patterns: geometry.patterns,
     };
-    stats.tally.detected = report.detected_count();
-    stats.tally.undetected = faults.len() - stats.tally.detected;
-    // A fault counts as dropped when it retired before the final
-    // pattern word (same rule as the fault.dropped counter).
-    stats.dropped = report
-        .first_detection
-        .iter()
-        .flatten()
-        .filter(|&&p| p / Wd::LANES + 1 < n_chunks)
-        .count();
     CampaignRun { report, stats }
 }
 

@@ -23,11 +23,24 @@ use rescue_netlist::{GateKind, Netlist};
 /// ```
 pub fn stuck_at_universe(netlist: &Netlist) -> Vec<Fault> {
     let _span = rescue_telemetry::span!("faults.universe", gates = netlist.len());
-    let mut faults = Vec::new();
+    let is_const = |k: GateKind| matches!(k, GateKind::Const0 | GateKind::Const1);
+    // Sized exactly up front: at a million gates the list is millions of
+    // faults, and growing it by doubling would copy it and overshoot.
+    let len: usize = netlist
+        .iter()
+        .filter(|(_, g)| !is_const(g.kind()))
+        .map(|(_, g)| {
+            2 + if g.inputs().len() >= 2 {
+                2 * g.inputs().len()
+            } else {
+                0
+            }
+        })
+        .sum();
+    let mut faults = Vec::with_capacity(len);
     for (id, g) in netlist.iter() {
-        match g.kind() {
-            GateKind::Const0 | GateKind::Const1 => continue,
-            _ => {}
+        if is_const(g.kind()) {
+            continue;
         }
         faults.push(Fault::stuck_at(FaultSite::Output(id), false));
         faults.push(Fault::stuck_at(FaultSite::Output(id), true));
@@ -41,6 +54,7 @@ pub fn stuck_at_universe(netlist: &Netlist) -> Vec<Fault> {
             }
         }
     }
+    debug_assert_eq!(faults.len(), len);
     faults
 }
 

@@ -9,12 +9,12 @@
 //! parallel campaign must match the oracle for any worker count.
 
 use proptest::prelude::*;
-use rescue_campaign::Campaign;
+use rescue_campaign::{Campaign, MemStore};
 use rescue_faults::model::BridgingFault;
 use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
-use rescue_faults::{universe, Fault, FaultSite};
-use rescue_netlist::generate;
+use rescue_faults::{collapse, universe, Fault, FaultSite};
+use rescue_netlist::{generate, GateId};
 use rescue_sim::parallel::pack_patterns;
 
 fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
@@ -205,4 +205,82 @@ fn c17_exhaustive_equivalence() {
     let b = ReferenceFaultSimulator::new(&c).campaign(&c, &faults, &patterns);
     assert_eq!(a.first_detection(), b.first_detection());
     assert_eq!(a.coverage(), 1.0);
+}
+
+/// Faults outside the design — a gate past the end, a pin past its
+/// gate's arity — are graded, not panicked on: the oracle and the packed
+/// engine read them as never detected at W ∈ {1, 4}, with and without
+/// collapsing and tracing, on the plain and the durable path (cold and
+/// resubmitted), and every other verdict stays the oracle's.
+#[test]
+fn faults_outside_the_design_are_never_detected() {
+    let designs = [
+        (generate::c17(), 5),
+        (generate::random_logic(7, 90, 4, 3), 7),
+    ];
+    for (net, n_inputs) in designs {
+        let n = net.len();
+        let wide = net
+            .ids()
+            .find(|&g| net.gate(g).inputs().len() >= 2)
+            .expect("a multi-input gate");
+        let arity = net.gate(wide).inputs().len();
+        let pin = |gate, pin, value| Fault::stuck_at(FaultSite::Pin { gate, pin }, value);
+        let outside = [
+            Fault::stuck_at(FaultSite::Output(GateId(n)), false),
+            Fault::stuck_at(FaultSite::Output(GateId(n + 7)), true),
+            pin(GateId(n), 0, true),
+            pin(wide, arity, false),
+            pin(wide, arity + 3, true),
+        ];
+        // Outside faults at the front, in the middle and at the end.
+        let mut faults = universe::stuck_at_universe(&net);
+        for (k, &f) in outside.iter().enumerate() {
+            faults.insert(k * faults.len() / (outside.len() - 1), f);
+        }
+        let at: Vec<usize> = outside
+            .iter()
+            .map(|o| faults.iter().position(|f| f == o).unwrap())
+            .collect();
+        let patterns = random_patterns(n_inputs, 150, n as u64);
+        let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
+        assert!(oracle.detected_count() > 0, "{}", net.name());
+        for &k in &at {
+            assert_eq!(oracle.first_detection()[k], None, "oracle: {}", faults[k]);
+        }
+        let sim = FaultSimulator::new(&net);
+        let collapsed = collapse::collapse(&net, &faults);
+        let campaign = Campaign::new(0, 2);
+        for lane_width in [1, 4] {
+            for collapse in [false, true] {
+                for tracing in [false, true] {
+                    let mut opts = PackedOptions::wide(lane_width);
+                    if collapse {
+                        opts = opts.with_collapsed(&collapsed);
+                    }
+                    if tracing {
+                        opts = opts.traced();
+                    }
+                    let cell = format!("{} W={lane_width} {collapse} {tracing}", net.name());
+                    let store = MemStore::new();
+                    let reports = [
+                        sim.campaign_packed(&faults, &patterns, &campaign, opts),
+                        sim.campaign_packed_durable(
+                            &faults, &patterns, &campaign, opts, &store, 16,
+                        ),
+                        sim.campaign_packed_durable(
+                            &faults, &patterns, &campaign, opts, &store, 16,
+                        ),
+                    ]
+                    .map(|run| run.report);
+                    for (path, report) in ["plain", "durable", "resumed"].iter().zip(&reports) {
+                        assert_eq!(report, &oracle, "{cell} {path}");
+                        for &k in &at {
+                            assert_eq!(report.first_detection()[k], None, "{cell} {path}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -270,8 +270,21 @@ impl Netlist {
         if let Some((name, _)) = self.outputs.iter().find(|(_, g)| g.index() >= n) {
             return Err(NetlistError::UnknownOutput { name: name.clone() });
         }
-        // Combinational cycle check via DFS, cutting edges at DFF outputs.
-        // 0 = white, 1 = grey, 2 = black.
+        // Ids in topological order prove the design acyclic in one
+        // linear pass: a cycle needs an edge from some combinational gate
+        // to an id at or above its own that is not a DFF output (those
+        // cut the graph). Generated and levelized netlists pass here.
+        let ascending = self.iter().all(|(id, g)| {
+            g.kind().is_sequential()
+                || g.inputs()
+                    .iter()
+                    .all(|p| p.index() < id.index() || self.kinds[p.index()].is_sequential())
+        });
+        if ascending {
+            return Ok(());
+        }
+        // Otherwise find the first cycle by DFS, cutting edges at DFF
+        // outputs. 0 = white, 1 = grey, 2 = black.
         let mut colour = vec![0u8; n];
         let mut stack: Vec<(usize, usize)> = Vec::new();
         for start in 0..n {

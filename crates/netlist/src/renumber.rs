@@ -32,11 +32,24 @@ pub fn levelized(netlist: &Netlist) -> (Netlist, Vec<u32>) {
     let n = netlist.len();
     ensure_u32_indexable(n).unwrap_or_else(|e| panic!("{e}"));
     let levels = Levelization::new(netlist);
-    let mut by_level: Vec<u32> = (0..n as u32).collect();
-    by_level.sort_by_key(|&g| (levels.level(GateId(g as usize)), g));
+    // Counting sort by level: `next[l]` is the next free id on level
+    // `l`, and gates are dealt out in old-id order, so each level keeps
+    // its original relative order.
+    let level = |g: usize| levels.level(GateId(g)) as usize;
+    let mut next = vec![0u32; levels.depth() as usize + 2];
+    for g in 0..n {
+        next[level(g) + 1] += 1;
+    }
+    for l in 1..next.len() {
+        next[l] += next[l - 1];
+    }
     let mut new_of = vec![0u32; n];
-    for (new_id, &old) in by_level.iter().enumerate() {
-        new_of[old as usize] = new_id as u32;
+    let mut by_level = vec![0u32; n];
+    for (g, new_id) in new_of.iter_mut().enumerate() {
+        let slot = &mut next[level(g)];
+        *new_id = *slot;
+        by_level[*slot as usize] = g as u32;
+        *slot += 1;
     }
     let remap = |id: GateId| GateId(new_of[id.index()] as usize);
     let mut out = Netlist::with_capacity(netlist.name(), n, netlist.pins().len());
@@ -78,6 +91,22 @@ mod tests {
             seen[m as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn permutation_sorts_by_level_then_old_id() {
+        for seed in [1, 7, 42] {
+            let net = random_logic(8, 300, 4, seed);
+            let levels = Levelization::new(&net);
+            let mut want: Vec<u32> = (0..net.len() as u32).collect();
+            want.sort_by_key(|&g| (levels.level(GateId(g as usize)), g));
+            let (_, new_of) = levelized(&net);
+            let mut got = vec![0u32; net.len()];
+            for (old, &new_id) in new_of.iter().enumerate() {
+                got[new_id as usize] = old as u32;
+            }
+            assert_eq!(got, want, "seed {seed}");
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property-based tests for the netlist substrate.
 
 use proptest::prelude::*;
-use rescue_netlist::{cone, format, generate, renumber, GateId, Netlist, NetlistBuilder};
+use rescue_netlist::{
+    cone, format, generate, renumber, GateId, GateKind, Netlist, NetlistBuilder, NetlistError,
+};
 
 /// A random sequential design: `n_dffs` flip-flops whose D pins close
 /// feedback loops through `n_gates` random gates of every kind. Pins are
@@ -97,7 +99,153 @@ fn fanout_list_levelization(netlist: &Netlist) -> (Vec<u32>, Vec<GateId>, u32) {
     (levels, order, depth)
 }
 
+/// A netlist as raw gate lines, free to hold a combinational cycle: per
+/// gate its kind and input ids, plus the primary-output drivers.
+#[derive(Clone)]
+struct Image {
+    gates: Vec<(GateKind, Vec<usize>)>,
+    outputs: Vec<usize>,
+}
+
+impl Image {
+    fn of(net: &Netlist) -> Self {
+        Image {
+            gates: net
+                .iter()
+                .map(|(_, g)| (g.kind(), g.inputs().iter().map(|p| p.index()).collect()))
+                .collect(),
+            outputs: net.output_ids().iter().map(|g| g.index()).collect(),
+        }
+    }
+
+    /// The image with gate `g` renamed `perm[g]`.
+    fn permuted(&self, perm: &[usize]) -> Self {
+        let mut gates = vec![(GateKind::Input, Vec::new()); perm.len()];
+        for (g, (kind, ins)) in self.gates.iter().enumerate() {
+            gates[perm[g]] = (*kind, ins.iter().map(|&p| perm[p]).collect());
+        }
+        Image {
+            gates,
+            outputs: self.outputs.iter().map(|&o| perm[o]).collect(),
+        }
+    }
+
+    /// The `.rnl` text of the image; parsing it runs `Netlist::validate`.
+    fn text(&self) -> String {
+        let mut s = String::from("circuit image\n");
+        for (g, (kind, ins)) in self.gates.iter().enumerate() {
+            if *kind == GateKind::Input {
+                s += &format!("input i{g} g{g}\n");
+            } else {
+                s += &format!("g{g} = {}", kind.mnemonic());
+                for p in ins {
+                    s += &format!(" g{p}");
+                }
+                s.push('\n');
+            }
+        }
+        for (k, o) in self.outputs.iter().enumerate() {
+            s += &format!("output o{k} g{o}\n");
+        }
+        s
+    }
+
+    /// Whether Kahn's algorithm over the combinational edges (DFF `D`
+    /// pins cut) orders every gate, i.e. the image has no
+    /// combinational cycle.
+    fn kahn_orders_every_gate(&self) -> bool {
+        let n = self.gates.len();
+        let mut fanout = vec![Vec::new(); n];
+        let mut indeg = vec![0usize; n];
+        for (g, (kind, ins)) in self.gates.iter().enumerate() {
+            if !kind.is_sequential() {
+                indeg[g] = ins.len();
+                for &p in ins {
+                    fanout[p].push(g);
+                }
+            }
+        }
+        let mut queue: Vec<usize> = (0..n).filter(|&g| indeg[g] == 0).collect();
+        let mut head = 0;
+        while head < queue.len() {
+            let u = queue[head];
+            head += 1;
+            for &v in &fanout[u] {
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    queue.push(v);
+                }
+            }
+        }
+        queue.len() == n
+    }
+}
+
 proptest! {
+    /// `Netlist::validate` accepts an image exactly when Kahn orders
+    /// every gate, whatever the id order: original, levelized and
+    /// shuffled ids of random combinational and sequential designs, each
+    /// as is and with one pin rewired to a random gate and to a gate of
+    /// its own fanout cone (a back edge, a cycle unless it meets a DFF).
+    #[test]
+    fn validate_accepts_exactly_what_kahn_orders(
+        n_g in 4usize..120,
+        n_dffs in 1usize..6,
+        seed in 1u64..5000,
+    ) {
+        let mut s = seed;
+        let mut below = move |k: usize| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % k as u64) as usize
+        };
+        let comb = generate::random_logic(5, n_g, 3, seed);
+        let seq = random_sequential(3, n_dffs, n_g, seed);
+        for net in [&comb, &seq] {
+            let n = net.len();
+            let mut perm: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, below(i + 1));
+            }
+            let (_, levelized) = renumber::levelized(net);
+            let levelized: Vec<usize> = levelized.iter().map(|&g| g as usize).collect();
+            let base = Image::of(net);
+            for image in [base.clone(), base.permuted(&levelized), base.permuted(&perm)] {
+                prop_assert!(format::from_text(&image.text()).is_ok());
+                let sinks: Vec<usize> =
+                    (0..n).filter(|&g| !image.gates[g].1.is_empty()).collect();
+                let g = sinks[below(sinks.len())];
+                let pin = below(image.gates[g].1.len());
+                // A gate of `g`'s fanout cone: a random walk down from `g`.
+                let mut down = g;
+                for _ in 0..below(4) {
+                    let next: Vec<usize> =
+                        (0..n).filter(|&h| image.gates[h].1.contains(&down)).collect();
+                    if next.is_empty() {
+                        break;
+                    }
+                    down = next[below(next.len())];
+                }
+                for target in [below(n), down] {
+                    let mut rewired = image.clone();
+                    rewired.gates[g].1[pin] = target;
+                    let verdict = format::from_text(&rewired.text());
+                    prop_assert_eq!(
+                        verdict.is_ok(),
+                        rewired.kahn_orders_every_gate(),
+                        "{:?}", verdict.err()
+                    );
+                    // In a combinational design the walk closes a cycle.
+                    prop_assert!(net.is_sequential() || target != down || verdict.is_err());
+                    if let Err(e) = verdict {
+                        prop_assert!(matches!(e, NetlistError::CombinationalLoop { .. }), "{e:?}");
+                    }
+                }
+            }
+        }
+    }
+
     /// The CSR levelization matches the fanout-list reference exactly on
     /// random combinational designs, their level-renumbered images, and
     /// random sequential designs with DFF feedback and repeated pins.
