@@ -15,7 +15,7 @@
 //!   populated one, min-of-N (the same estimator that fixed E20's
 //!   warm-slower-than-cold artifact);
 //! * **exec phase split** — one telemetry-on pass records the
-//!   `exec.golden_ms` / `exec.walk_ms` / `exec.trace_ms` histograms,
+//!   `exec.golden_us` / `exec.walk_us` / `exec.trace_us` histograms,
 //!   so the golden/walk/trace shares are measured, not inferred;
 //! * **global drop** — the identical verdict-mode campaign at 4096
 //!   patterns under unit scope vs `DropScope::Global`; the detected
@@ -29,8 +29,9 @@
 //!
 //! Set `E21_SMOKE=1` for a seconds-scale CI run: the 200 k rung with a
 //! reduced pattern block and telemetry on, asserting unit ≡ global
-//! detected sets and exporting the run journal to `e21_smoke.jsonl`
-//! for `journal_check` validation.
+//! detected sets and non-empty, non-zero `exec.golden_us` and
+//! `exec.trace_us` histograms, and exporting the run journal to
+//! `e21_smoke.jsonl` for `journal_check` validation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rescue_bench::{
@@ -89,13 +90,27 @@ impl ExecRung {
     }
 }
 
+/// One `exec.*_us` histogram's samples and their sum, in microseconds,
+/// recorded by one telemetry-on campaign.
+#[derive(Debug, Clone, Copy)]
+struct Phase {
+    samples: u64,
+    us: u64,
+}
+
+impl Phase {
+    fn ms(self) -> f64 {
+        self.us as f64 / 1e3
+    }
+}
+
 struct ExecResult {
     name: &'static str,
     t_cold: f64,
     t_warm: f64,
-    golden_ms: u64,
-    walk_ms: u64,
-    trace_ms: u64,
+    golden: Phase,
+    walk: Phase,
+    trace: Phase,
     t_unit: f64,
     t_global: f64,
     dropped_global: usize,
@@ -171,8 +186,14 @@ fn run_exec(rung: &ExecRung, workers: usize, runs: usize) -> ExecResult {
         TelemetryConfig::off().install();
     }
     let after = metrics::snapshot();
-    let phase_ms = |name: &str| {
-        after.histogram(name).map_or(0, |h| h.sum) - before.histogram(name).map_or(0, |h| h.sum)
+    let phase = |name: &str| {
+        let samples_us =
+            |m: &metrics::MetricsSnapshot| m.histogram(name).map_or((0, 0), |h| (h.total, h.sum));
+        let ((n0, s0), (n1, s1)) = (samples_us(&before), samples_us(&after));
+        Phase {
+            samples: n1 - n0,
+            us: s1 - s0,
+        }
     };
     std::fs::remove_dir_all(&dir).ok();
 
@@ -206,9 +227,9 @@ fn run_exec(rung: &ExecRung, workers: usize, runs: usize) -> ExecResult {
         name: rung.name,
         t_cold,
         t_warm,
-        golden_ms: phase_ms("exec.golden_ms"),
-        walk_ms: phase_ms("exec.walk_ms"),
-        trace_ms: phase_ms("exec.trace_ms"),
+        golden: phase("exec.golden_us"),
+        walk: phase("exec.walk_us"),
+        trace: phase("exec.trace_us"),
         t_unit,
         t_global,
         dropped_global: global.stats.dropped_global,
@@ -229,17 +250,25 @@ fn smoke(rung: &ScaleRung, workers: usize) {
         .expect("write smoke journal");
     blog!(
         "  smoke [{}]: cold {:.0} ms, warm {:.0} ms, exec golden/walk/trace \
-         {}/{}/{} ms, global drop {:.2}x ({} dropped), {} journal events -> {path}",
+         {:.3}/{:.3}/{:.3} ms, global drop {:.2}x ({} dropped), {} journal events -> {path}",
         r.name,
         r.t_cold * 1e3,
         r.t_warm * 1e3,
-        r.golden_ms,
-        r.walk_ms,
-        r.trace_ms,
+        r.golden.ms(),
+        r.walk.ms(),
+        r.trace.ms(),
         r.drop_speedup(),
         r.dropped_global,
         j.len()
     );
+    for (name, p) in [("exec.golden_us", r.golden), ("exec.trace_us", r.trace)] {
+        assert!(
+            p.samples > 0 && p.us > 0,
+            "{name}: {} samples summing to {} µs on the traced warm campaign",
+            p.samples,
+            p.us
+        );
+    }
 }
 
 fn bench(c: &mut Criterion) {
@@ -270,10 +299,10 @@ fn bench(c: &mut Criterion) {
             r.t_warm * 1e3
         );
         blog!(
-            "    exec phases (telemetry): golden {} ms   walk {} ms   trace {} ms",
-            r.golden_ms,
-            r.walk_ms,
-            r.trace_ms
+            "    exec phases (telemetry): golden {:.3} ms   walk {:.3} ms   trace {:.3} ms",
+            r.golden.ms(),
+            r.walk.ms(),
+            r.trace.ms()
         );
         blog!(
             "    global drop ({} patterns, verdict mode): unit {:>7.1} ms   \
@@ -323,16 +352,16 @@ fn bench(c: &mut Criterion) {
     let rung_json = |r: &ExecResult| {
         format!(
             "{{\n      \"seconds\": {{\n        \"campaign_cold\": {:.6},\n        \
-             \"campaign_warm\": {:.6}\n      }},\n      \"exec_ms\": {{\n        \
+             \"campaign_warm\": {:.6}\n      }},\n      \"exec_us\": {{\n        \
              \"golden\": {},\n        \"walk\": {},\n        \"trace\": {}\n      }},\n      \
              \"global_drop\": {{\n        \"patterns\": {DROP_PATTERNS},\n        \
              \"campaign_unit\": {:.6},\n        \"campaign_global\": {:.6},\n        \
              \"global_speedup\": {:.2},\n        \"dropped_global\": {}\n      }}\n    }}",
             r.t_cold,
             r.t_warm,
-            r.golden_ms,
-            r.walk_ms,
-            r.trace_ms,
+            r.golden.us,
+            r.walk.us,
+            r.trace.us,
             r.t_unit,
             r.t_global,
             r.drop_speedup(),

@@ -2,7 +2,7 @@
 //!
 //! One loop shape covers every fault-injection campaign in the workspace:
 //! a read-only *plan* (compiled netlist, golden values, fault list), a
-//! mutable per-worker *scratch* (value arrays, undo logs, lane machines),
+//! mutable per-worker *scratch* (value arrays, walk stamps, lane machines),
 //! and an item list whose verdicts are independent of each other. The
 //! driver splits the items into contiguous ranges over scoped threads,
 //! builds each worker's scratch exactly once inside its thread, and

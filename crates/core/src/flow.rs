@@ -70,9 +70,9 @@ pub struct FlowReport {
     /// sourced from the telemetry journal's `flow.*` spans in pipeline
     /// order. Empty when telemetry is disabled.
     pub stage_spans: Vec<(&'static str, u64)>,
-    /// Per-phase execution breakdown `(histogram, samples, mean ms)`
-    /// from the packed engine's `exec.golden_ms` / `exec.walk_ms` /
-    /// `exec.trace_ms` telemetry histograms. The metrics registry is
+    /// Per-phase execution breakdown `(histogram, samples, mean µs)`
+    /// from the packed engine's `exec.golden_us` / `exec.walk_us` /
+    /// `exec.trace_us` telemetry histograms. The metrics registry is
     /// process-cumulative, so the figures cover every campaign this
     /// process ran with telemetry on, not only this flow. Empty when
     /// telemetry is disabled.
@@ -271,7 +271,7 @@ impl HolisticFlow {
             .collect();
         let exec_phases: Vec<(&'static str, u64, f64)> = {
             let m = rescue_telemetry::metrics::snapshot();
-            ["exec.golden_ms", "exec.walk_ms", "exec.trace_ms"]
+            ["exec.golden_us", "exec.walk_us", "exec.trace_us"]
                 .into_iter()
                 .filter_map(|name| {
                     let h = m.histogram(name)?;

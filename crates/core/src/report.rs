@@ -84,8 +84,8 @@ pub fn render_report(report: &FlowReport) -> String {
             let _ = writeln!(s);
             let _ = writeln!(s, "| phase | samples | mean |");
             let _ = writeln!(s, "|---|---|---|");
-            for (phase, samples, mean_ms) in &report.exec_phases {
-                let _ = writeln!(s, "| {phase} | {samples} | {mean_ms:.1} ms |");
+            for (phase, samples, mean_us) in &report.exec_phases {
+                let _ = writeln!(s, "| {phase} | {samples} | {mean_us:.1} µs |");
             }
             let _ = writeln!(s);
         }
@@ -162,7 +162,7 @@ mod tests {
         assert!(md.contains("| flow.atpg |"));
         assert!(md.contains("| flow.fault_sim |"));
         assert!(md.contains("#### Execution phases (telemetry histograms)"));
-        assert!(md.contains("| exec.golden_ms |"));
+        assert!(md.contains("| exec.golden_us |"));
         assert!(md.contains("| global drops |"));
     }
 

@@ -20,9 +20,12 @@
 //!   ascending order, so it evaluates only gates with a changed fanin
 //!   (typical walks change ~a dozen gates in a 500-gate cone). Levels
 //!   strictly increase along combinational edges, so every gate is
-//!   evaluated after all of its changed fanins. A touched-list undo
-//!   restores the golden values afterwards, so campaigns allocate
-//!   nothing per fault.
+//!   evaluated after all of its changed fanins. The walk stamps the root
+//!   and every gate it evaluates with its walk id and reads an operand
+//!   from its scratch only when the operand carries that stamp, from the
+//!   shared golden chunk otherwise. An unstamped operand did not change,
+//!   so the walk is exact without a private copy of the chunk: switching
+//!   chunks copies nothing, and campaigns allocate nothing per fault.
 //! * **Static observability pruning** — a site whose cone contains no
 //!   primary output can never be detected; its faults are answered with
 //!   `0` without any walk ([`CampaignPlan::observable`]). The same
@@ -39,7 +42,8 @@
 //! ([`CampaignPlan::detect_observed`]) all run it. Equivalence with the
 //! full-resimulation oracle ([`crate::reference`]) is enforced by the
 //! property tests in `tests/ppsfp_equivalence.rs` and
-//! `tests/engine_equivalence.rs`.
+//! `tests/engine_equivalence.rs`, and for one scratch reused across
+//! chunks by `tests/scratch_reuse.rs`.
 
 use crate::error::FaultError;
 use crate::model::{Fault, FaultSite};
@@ -197,8 +201,8 @@ impl CampaignPlan {
             planned[fault.site().gate().index()] = true;
         }
         if rescue_telemetry::enabled() {
-            metrics::histogram("plan.build_ms", &metrics::pow2_bounds(16))
-                .record(t0.elapsed().as_millis() as u64);
+            metrics::histogram("plan.build_us", &metrics::pow2_bounds(26))
+                .record(t0.elapsed().as_micros() as u64);
         }
         CampaignPlan {
             planned,
@@ -330,9 +334,10 @@ impl CampaignPlan {
     /// exact situation the all-lanes-flip observability walk computed).
     /// Hence `mask = observability & excitation`.
     ///
-    /// `scratch.val` must equal `golden` on entry (use
-    /// [`WideScratch::load_golden`] once per chunk) and is golden again
-    /// on return.
+    /// Call [`WideScratch::load_golden`] (or [`WideScratch::load_chunk`])
+    /// once per chunk before its first detection: it empties the
+    /// scratch's per-chunk observability cache. The walk reads `golden`
+    /// in place and copies none of it.
     ///
     /// # Errors
     ///
@@ -525,10 +530,10 @@ pub struct ScratchCounters {
     /// Walks that stopped with every lane already recorded while events
     /// were still queued.
     pub horizon_exits: u64,
-    /// Scratch cells restored through the touched-list undo log (the
-    /// summed undo-list depth; divide by `excitations` for the mean).
+    /// Gates the walks changed, root included, summed over walks
+    /// (divide by `obs_walks` for the mean).
     pub undo_writes: u64,
-    /// Deepest single undo list seen.
+    /// Most gates a single walk changed, root included.
     pub undo_depth_max: u64,
     /// Levelized walks performed: one per live site per chunk on the
     /// PPSFP path, one per excited fault per chunk on the observer-group
@@ -570,18 +575,20 @@ impl ScratchCounters {
     }
 }
 
-/// Reusable per-worker scratch: a value array mirroring the chunk
-/// golden, the touched-list undo log, the event stamps and level
-/// buckets of the packed walk and the per-chunk observability cache. No
-/// allocation per fault.
+/// Reusable per-worker scratch: the values and stamps of the gates the
+/// current walk evaluated, the level buckets of the packed walk and the
+/// per-chunk observability cache. No allocation per fault and no copy
+/// per chunk: the walk reads every gate it has not evaluated from the
+/// shared golden chunk.
 /// Generic over the packed lane width; [`FaultScratch`] is the 64-lane
 /// `u64` instantiation every scalar-width campaign uses.
 #[derive(Debug, Clone)]
 pub struct WideScratch<Wd: SimWord> {
+    /// Values written by the current walk: `val[g]` is `g`'s value
+    /// under the flip only while `stamp[g] == walk_id`.
     val: Vec<Wd>,
-    touched: Vec<u32>,
-    /// Event stamps: `stamp[g] == walk_id` marks `g` as queued during
-    /// the current packed walk.
+    /// Walk stamps: `stamp[g] == walk_id` marks `g` as the root or a
+    /// queued gate of the current packed walk.
     stamp: Vec<u32>,
     walk_id: u32,
     /// Event queue of the packed walk: one bucket per logic level, sized
@@ -592,9 +599,9 @@ pub struct WideScratch<Wd: SimWord> {
     /// [`WideScratch::load_golden`]) and its observability word.
     obs_root: u32,
     obs_word: Wd,
-    /// Golden-chunk tag of the value array (`u32::MAX` = untagged):
-    /// [`WideScratch::load_chunk`] skips the full-design reload when the
-    /// requested chunk is already resident. Crate-visible so
+    /// Golden-chunk tag of the per-chunk caches (`u32::MAX` = untagged):
+    /// [`WideScratch::load_chunk`] keeps them when the requested chunk
+    /// is the one already loaded. Crate-visible so
     /// [`crate::trace::TraceScratch`] can share the tag.
     pub(crate) loaded_chunk: u32,
     /// Engine telemetry accumulated by this worker (see
@@ -610,7 +617,6 @@ impl<Wd: SimWord> WideScratch<Wd> {
     pub fn new(len: usize) -> Self {
         WideScratch {
             val: vec![Wd::ZERO; len],
-            touched: Vec::new(),
             stamp: vec![0; len],
             walk_id: 0,
             buckets: Vec::new(),
@@ -621,24 +627,26 @@ impl<Wd: SimWord> WideScratch<Wd> {
         }
     }
 
-    /// Loads a chunk's golden values (call once per chunk, not per fault).
+    /// Starts a chunk whose golden values are `golden` (call once per
+    /// chunk, not per fault): empties the per-chunk observability
+    /// cache. It copies nothing; each walk reads the gates it has not
+    /// evaluated from the `golden` slice it is given.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `golden` does not hold one word per gate.
     pub fn load_golden(&mut self, golden: &[Wd]) {
-        self.val.copy_from_slice(golden);
-        self.touched.clear();
+        assert_eq!(golden.len(), self.val.len(), "one golden word per gate");
         self.obs_root = u32::MAX;
         // Manual loads carry no chunk identity; only load_chunk tags.
         self.loaded_chunk = u32::MAX;
     }
 
     /// [`WideScratch::load_golden`] keyed by golden-chunk index: when
-    /// `chunk` is the chunk already resident, the full-design reload —
-    /// the dominant per-(fault-range, chunk) cost on warm campaigns —
-    /// collapses to one tag compare, and the per-chunk observability
-    /// cache stays warm too. Sound because every detect call restores
-    /// `val == golden` through the touched-list undo before returning,
-    /// so a matching tag proves the value array is still the chunk's
-    /// golden image. `chunk` must not be `u32::MAX` (the untagged
-    /// sentinel).
+    /// `chunk` is the chunk already loaded, nothing happens, so the
+    /// per-chunk observability cache stays warm across the fault ranges
+    /// that share the chunk. `chunk` must not be `u32::MAX` (the
+    /// untagged sentinel).
     pub fn load_chunk(&mut self, chunk: u32, golden: &[Wd]) {
         debug_assert_ne!(chunk, u32::MAX, "u32::MAX is the untagged sentinel");
         if self.loaded_chunk == chunk {
@@ -694,8 +702,14 @@ impl<Wd: SimWord> WideScratch<Wd> {
     /// the levels in ascending order; a gate's fanins all sit at lower
     /// levels, so it is evaluated after every changed fanin. It stops
     /// when the queue is empty or the sink is saturated — sink masks can
-    /// only grow. `self.val` must equal `golden` on entry and is
-    /// restored before returning.
+    /// only grow.
+    ///
+    /// The root and every queued gate carry this walk's stamp, and every
+    /// evaluated value goes to `self.val`, changed or not. An operand is
+    /// read from `self.val` when stamped and from `golden` otherwise.
+    /// That is exact: a stamped operand sits at a strictly lower level,
+    /// so the walk has already evaluated it, and an unstamped operand
+    /// did not change.
     fn walk<S: WalkSink<Wd>>(
         &mut self,
         compiled: &CompiledNetlist,
@@ -710,8 +724,9 @@ impl<Wd: SimWord> WideScratch<Wd> {
         }
         let id = self.next_walk_id();
         sink.record(compiled, root, Wd::ONES);
+        self.stamp[root] = id;
         self.val[root] = !golden[root];
-        self.touched.push(root as u32);
+        let mut changed = 1u64;
         let mut top = 0usize;
         self.schedule_fanouts(compiled, reachable, root, id, &mut top);
         let mut lvl = compiled.level(root) as usize + 1;
@@ -720,12 +735,13 @@ impl<Wd: SimWord> WideScratch<Wd> {
             while let Some(&g) = self.buckets[lvl].get(i) {
                 i += 1;
                 let gi = g as usize;
-                let v = compiled.eval(gi, &self.val);
+                let (stamp, val) = (&self.stamp, &self.val);
+                let v = compiled.eval_by(gi, |p| if stamp[p] == id { val[p] } else { golden[p] });
+                self.val[gi] = v;
                 if v == golden[gi] {
                     continue;
                 }
-                self.val[gi] = v;
-                self.touched.push(g);
+                changed += 1;
                 sink.record(compiled, gi, v ^ golden[gi]);
                 self.schedule_fanouts(compiled, reachable, gi, id, &mut top);
             }
@@ -739,7 +755,8 @@ impl<Wd: SimWord> WideScratch<Wd> {
                 bucket.clear();
             }
         }
-        self.undo(golden);
+        self.counters.undo_writes += changed;
+        self.counters.undo_depth_max = self.counters.undo_depth_max.max(changed);
         self.counters.obs_walks += 1;
         sink
     }
@@ -764,16 +781,6 @@ impl<Wd: SimWord> WideScratch<Wd> {
                 *top = (*top).max(l);
             }
         }
-    }
-
-    fn undo(&mut self, golden: &[Wd]) {
-        let depth = self.touched.len() as u64;
-        self.counters.undo_writes += depth;
-        self.counters.undo_depth_max = self.counters.undo_depth_max.max(depth);
-        for &t in &self.touched {
-            self.val[t as usize] = golden[t as usize];
-        }
-        self.touched.clear();
     }
 }
 
@@ -885,35 +892,11 @@ mod tests {
             let exits = scratch.counters.horizon_exits;
             let got = scratch.observability(&c, &reachable, &golden, root);
             assert_eq!(got, want, "root {root}");
-            assert_eq!(scratch.val, golden, "walk from {root} left stale values");
             if root == g1.index() {
                 assert_eq!(got, u64::MAX);
                 assert_eq!(scratch.counters.horizon_exits, exits + 1, "no early stop");
             }
         }
         assert!(scratch.buckets.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn scratch_undo_restores_golden() {
-        let net = generate::c17();
-        let compiled = CompiledNetlist::new(&net);
-        let faults = crate::universe::stuck_at_universe(&net);
-        let plan = CampaignPlan::build(&compiled, &faults);
-        let outputs = compiled.po_drivers().to_vec();
-        let obs = ObserverGroups::new(&compiled, &outputs[..1], &outputs[1..]);
-        let words: Vec<u64> = (0..5).map(|i| 0xdead_beef_u64 << i).collect();
-        let mut golden = Vec::new();
-        compiled.eval_words_into(&words, &mut golden).unwrap();
-        let mut scratch = FaultScratch::new(compiled.len());
-        scratch.load_golden(&golden);
-        for &fault in &faults {
-            plan.detect_packed(&compiled, &golden, &mut scratch, fault)
-                .unwrap();
-            plan.detect_observed(&compiled, &golden, &mut scratch, fault, &obs)
-                .unwrap();
-            assert_eq!(scratch.val, golden, "scratch must be golden after {fault}");
-            assert!(scratch.touched.is_empty());
-        }
     }
 }

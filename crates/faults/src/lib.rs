@@ -13,7 +13,7 @@
 //!   with fault dropping, for both combinational and sequential designs.
 //! * [`engine`] — the packed single-fault detection core: one levelized
 //!   event walk per fault site and pattern word, PO-reachability
-//!   pruning, touched-list undo.
+//!   pruning, walk-stamped reads of the shared golden chunk.
 //! * [`trace`] — critical-path tracing: per-net observability words by
 //!   backward sensitization over fanout-free regions, with the exact
 //!   event-driven walk kept as the reconvergent-stem fallback.

@@ -3,8 +3,9 @@
 //! [`FaultSimulator`] runs on the [`CompiledNetlist`] flat arena and
 //! detects stuck-at faults with the packed levelized walk from
 //! [`crate::engine`] (or the tracing hybrid from [`crate::trace`]): one
-//! event-driven walk per (fault site, pattern word), with touched-list
-//! undo so campaigns allocate nothing per fault. The three stuck-at
+//! event-driven walk per (fault site, pattern word) that reads the
+//! shared golden chunk in place, so campaigns allocate nothing per fault
+//! and copy nothing per chunk. The three stuck-at
 //! campaign entry points — [`FaultSimulator::campaign`],
 //! [`FaultSimulator::campaign_packed`] and
 //! [`FaultSimulator::campaign_packed_durable`] — run one body. Verdicts
@@ -663,8 +664,8 @@ impl FaultSimulator {
     /// runs of whole chunks, each filled on a scoped thread; chunks are
     /// evaluated independently, so the arena is bit-identical for any
     /// worker count. Runs under an `exec.golden` span; wall-clock is also
-    /// recorded in the `exec.golden_ms` histogram when telemetry is
-    /// enabled.
+    /// recorded in microseconds in the `exec.golden_us` histogram when
+    /// telemetry is enabled.
     fn golden_chunks<'g, Wd: SimWord>(
         &self,
         patterns: &[Vec<bool>],
@@ -699,8 +700,8 @@ impl FaultSimulator {
             });
         }
         if rescue_telemetry::enabled() {
-            metrics::histogram("exec.golden_ms", &metrics::pow2_bounds(16))
-                .record(start.elapsed().as_millis() as u64);
+            metrics::histogram("exec.golden_us", &metrics::pow2_bounds(26))
+                .record(start.elapsed().as_micros() as u64);
         }
         GoldenChunks {
             geometry,
@@ -954,10 +955,10 @@ trait PackedDetect<Wd: SimWord>: Sync {
     fn scratch(&self) -> Self::Scratch;
     /// Can any fault rooted at `gate` ever reach a primary output?
     fn observable(&self, gate: usize) -> bool;
-    /// Prepares the scratch for golden chunk `chunk` — a no-op when that
-    /// chunk is already resident (the engines tag their scratch with the
-    /// loaded chunk), which is what makes re-draining the same chunk
-    /// across consecutive fault ranges nearly free.
+    /// Prepares the scratch for golden chunk `chunk`: invalidates its
+    /// per-chunk caches, or keeps them warm when that chunk is already
+    /// loaded (the engines tag their scratch with the loaded chunk).
+    /// Copies nothing; detection reads `golden` in place.
     fn load(&self, scratch: &mut Self::Scratch, chunk: u32, golden: &[Wd]);
     /// Detection mask of `fault` under the loaded chunk.
     fn detect(&self, scratch: &mut Self::Scratch, golden: &[Wd], fault: Fault) -> Wd;
@@ -1190,8 +1191,8 @@ struct RunFigures {
 /// builds: through `durable`'s store and manifest when given (where
 /// `prepare` runs only if a unit misses the store), otherwise under the
 /// campaign's schedule and [`PackedOptions::drop_scope`]. The run's
-/// elapsed time, which leaves `prepare` out, is recorded in the
-/// `exec.walk_ms` / `exec.trace_ms` histogram (per
+/// elapsed time, which leaves `prepare` out, is recorded in microseconds
+/// in the `exec.walk_us` / `exec.trace_us` histogram (per
 /// [`PackedOptions::tracing`]) when telemetry is enabled.
 fn execute<'g, Wd: SimWord, E: PackedDetect<Wd>>(
     campaign: &Campaign,
@@ -1237,11 +1238,11 @@ where
     };
     if rescue_telemetry::enabled() {
         let name = if opts.tracing {
-            "exec.trace_ms"
+            "exec.trace_us"
         } else {
-            "exec.walk_ms"
+            "exec.walk_us"
         };
-        metrics::histogram(name, &metrics::pow2_bounds(16)).record(figures.elapsed_ns / 1_000_000);
+        metrics::histogram(name, &metrics::pow2_bounds(26)).record(figures.elapsed_ns / 1_000);
     }
     figures
 }

@@ -422,8 +422,9 @@ impl TracePlan {
     /// for reconvergent stems — one per stem per chunk, shared by the
     /// whole FFR below it.
     ///
-    /// `scratch` must have seen [`TraceScratch::load_golden`] for this
-    /// chunk; the inner value array is golden again on return.
+    /// `scratch` must have seen [`TraceScratch::load_golden`] (or
+    /// [`TraceScratch::load_chunk`]) for this chunk, so its per-net memo
+    /// belongs to this chunk; the stem walks read `golden` in place.
     ///
     /// # Errors
     ///
@@ -458,7 +459,7 @@ impl TracePlan {
 }
 
 /// Per-worker scratch for the hybrid tracer: the inner [`WideScratch`]
-/// (value array + stamps for the stem fallback walks) plus the
+/// (walk values and stamps for the stem fallback walks) plus the
 /// epoch-tagged per-net observability memo. Epoch tagging makes
 /// [`TraceScratch::load_golden`] O(1) — no per-chunk memo clearing.
 #[derive(Debug, Clone)]
@@ -485,8 +486,13 @@ impl<Wd: SimWord> TraceScratch<Wd> {
         }
     }
 
-    /// Loads a chunk's golden values and invalidates the per-net memo
-    /// (call once per chunk, not per fault).
+    /// Starts a chunk whose golden values are `golden`: invalidates the
+    /// per-net memo and the inner walk cache (call once per chunk, not
+    /// per fault). Copies nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `golden` does not hold one word per gate.
     pub fn load_golden(&mut self, golden: &[Wd]) {
         self.inner.load_golden(golden);
         if self.epoch == u32::MAX {
@@ -499,13 +505,11 @@ impl<Wd: SimWord> TraceScratch<Wd> {
     }
 
     /// [`TraceScratch::load_golden`] keyed by golden-chunk index: when
-    /// `chunk` is already resident, both the value reload and the epoch
-    /// bump are skipped — so the per-net observability memo (including
-    /// every stem fallback walk recorded in it) stays warm across all
-    /// the fault ranges that share the chunk, not just within one.
-    /// Soundness mirrors [`WideScratch::load_chunk`]: detections undo
-    /// their writes, and the memo is a pure function of the chunk's
-    /// golden values.
+    /// `chunk` is the chunk already loaded, the epoch bump is skipped —
+    /// so the per-net observability memo (including every stem fallback
+    /// walk recorded in it) stays warm across all the fault ranges that
+    /// share the chunk, not just within one. Sound because the memo is
+    /// a pure function of the chunk's golden values.
     pub fn load_chunk(&mut self, chunk: u32, golden: &[Wd]) {
         debug_assert_ne!(chunk, u32::MAX, "u32::MAX is the untagged sentinel");
         if self.inner.loaded_chunk == chunk {

@@ -3,14 +3,14 @@
 //!
 //! The million-gate execution path promises that after the first pass
 //! over a (golden chunk, fault range) workload — which populates the
-//! scratch arenas, touched-list capacity, obs memo and trace paths —
-//! repeating the per-chunk loop (`eval_words_fill` into a flat golden
-//! arena, `load_chunk` tag-skip, `detect_packed` / `detect_traced` per
-//! fault, and the levelized event walks both engines run through their
-//! per-level bucket queues) never touches the allocator again. A wrapping
-//! `#[global_allocator]` counts every `alloc`/`realloc`; the test warms
-//! up, snapshots the counter, re-runs the loop and asserts a zero
-//! delta.
+//! scratch arenas, level buckets, obs memo and trace paths — repeating
+//! the per-chunk loop (`eval_words_fill` into a flat golden arena,
+//! `load_chunk`, which copies nothing, `detect_packed` / `detect_traced`
+//! per fault, and the levelized event walks both engines run through
+//! their per-level bucket queues) never touches the allocator again. A
+//! wrapping `#[global_allocator]` counts every `alloc`/`realloc`; the
+//! test warms up, snapshots the counter, re-runs the loop and asserts a
+//! zero delta.
 //!
 //! One `#[test]` only: a second concurrent test in this binary would
 //! allocate behind the counter's back and poison the delta.

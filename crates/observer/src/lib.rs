@@ -18,6 +18,12 @@
 //!   liveness and age.
 //! * `GET /healthz` — `ok` (liveness probe).
 //!
+//! A request head (request line plus headers) may take 8 KiB and must
+//! arrive within one 5 s deadline. A longer head gets `431`, a request
+//! line that is not `METHOD PATH HTTP/x` gets `400`, any method but
+//! `GET` gets `405`, and a head that is cut off by the deadline gets no
+//! reply.
+//!
 //! # Opt-in
 //!
 //! Nothing listens unless asked. [`serve_from_env`] reads
@@ -38,19 +44,23 @@
 //! observer.shutdown();
 //! ```
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Environment variable naming the listen address (`host:port`).
 pub const OBSERVE_ENV: &str = "RESCUE_OBSERVE";
 
-/// Per-connection socket timeout: a stalled scraper must not wedge the
-/// serve loop.
+/// Socket timeout: a stalled scraper must not wedge the serve loop. The
+/// whole request head shares one such deadline, and so does each write.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Most bytes a request head (request line plus headers) may take; a
+/// longer one gets `431` and the connection closes.
+const MAX_HEAD: u64 = 8 * 1024;
 
 /// A running observability endpoint: background listener thread plus
 /// shutdown switch.
@@ -139,7 +149,7 @@ fn serve_loop(listener: TcpListener, stop: &AtomicBool) {
             break;
         }
         let Ok(stream) = conn else { continue };
-        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+        // Reads time out against the head's deadline in `read_head`.
         let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
         let _ = handle(stream);
     }
@@ -167,31 +177,75 @@ fn respond(path: &str) -> (&'static str, &'static str, String) {
     }
 }
 
-/// Serves one HTTP/1.1 request on `stream` and closes the connection.
-fn handle(stream: TcpStream) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain the header block; scrape requests carry no body.
+/// Reads the request head from `stream`: bytes up to and including the
+/// first blank line, or up to the end of input when the client closes
+/// first. `None` when the head runs past [`MAX_HEAD`] bytes. All reads
+/// share one `deadline`, so a client that trickles bytes cannot hold
+/// the serial serve loop past it.
+fn read_head(stream: &TcpStream, deadline: Instant) -> std::io::Result<Option<Vec<u8>>> {
+    let mut limited = stream.take(MAX_HEAD);
+    let mut head = Vec::new();
+    let mut buf = [0u8; 1024];
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header.trim().is_empty() {
-            break;
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
+        let n = limited.read(&mut buf)?;
+        if n == 0 {
+            return Ok((limited.limit() > 0).then_some(head));
+        }
+        // A blank line may straddle two reads: rescan two old bytes.
+        let from = head.len().saturating_sub(2);
+        head.extend_from_slice(&buf[..n]);
+        if let Some(end) = blank_line_end(&head, from) {
+            head.truncate(end);
+            return Ok(Some(head));
         }
     }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, content_type, body) = if method == "GET" {
-        respond(path)
-    } else {
-        (
-            "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "method not allowed\n".to_string(),
-        )
+}
+
+/// The offset just past the first blank line that starts in
+/// `bytes[from..]` after a line break (`\n\n` or `\n\r\n`).
+fn blank_line_end(bytes: &[u8], from: usize) -> Option<usize> {
+    (from..bytes.len()).find_map(|i| {
+        [&b"\n\n"[..], b"\n\r\n"]
+            .into_iter()
+            .find(|t| bytes[i..].starts_with(t))
+            .map(|t| i + t.len())
+    })
+}
+
+/// Status line, content type and body for a request head.
+fn reply(head: Option<&[u8]>) -> (&'static str, &'static str, String) {
+    const TEXT: &str = "text/plain; charset=utf-8";
+    let Some(head) = head else {
+        return (
+            "431 Request Header Fields Too Large",
+            TEXT,
+            "request head too large\n".to_string(),
+        );
     };
-    let mut stream = reader.into_inner();
+    let line = head.split(|&b| b == b'\n').next().unwrap_or_default();
+    let parts: Option<Vec<&str>> = std::str::from_utf8(line)
+        .ok()
+        .map(|l| l.split_whitespace().collect());
+    match parts.as_deref() {
+        Some(["GET", path, version]) if version.starts_with("HTTP/") => respond(path),
+        Some([_, _, version]) if version.starts_with("HTTP/") => (
+            "405 Method Not Allowed",
+            TEXT,
+            "method not allowed\n".to_string(),
+        ),
+        _ => ("400 Bad Request", TEXT, "bad request\n".to_string()),
+    }
+}
+
+/// Serves one HTTP/1.1 request on `stream` and closes the connection.
+fn handle(mut stream: TcpStream) -> std::io::Result<()> {
+    let head = read_head(&stream, Instant::now() + IO_TIMEOUT)?;
+    let (status, content_type, body) = reply(head.as_deref());
     write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
@@ -280,6 +334,29 @@ mod tests {
         // The port stops answering (connect may still succeed briefly on
         // some hosts; a full request must fail).
         assert!(http_get(addr, "/healthz").is_err());
+    }
+
+    /// A client that trickles its head one byte at a time never waits
+    /// out a per-read timeout, but the head's one deadline still ends it.
+    #[test]
+    fn a_trickled_head_stops_at_its_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            for _ in 0..40 {
+                if stream.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let (server, _) = listener.accept().unwrap();
+        let t0 = Instant::now();
+        assert!(read_head(&server, t0 + Duration::from_millis(300)).is_err());
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        drop(server);
+        client.join().unwrap();
     }
 
     #[test]

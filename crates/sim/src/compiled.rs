@@ -378,7 +378,16 @@ impl CompiledNetlist {
     /// evaluates to [`GateValue::DFF`]; an `Input` is the caller's job.
     #[inline]
     pub fn eval<V: GateValue>(&self, g: usize, values: &[V]) -> V {
-        self.table.eval(self, g, values)
+        self.eval_by(g, |p| values[p])
+    }
+
+    /// [`CompiledNetlist::eval`] with each operand read through `read`:
+    /// `read(p)` is the value of operand gate `p`. The event-driven walk
+    /// in `rescue-faults` reads the gates it changed from its scratch
+    /// and every other operand from the shared golden values.
+    #[inline]
+    pub fn eval_by<V: GateValue>(&self, g: usize, read: impl Fn(usize) -> V) -> V {
+        self.table.eval_by(self, g, read)
     }
 
     /// [`CompiledNetlist::eval`] with input pin `pin` reading `v`: the

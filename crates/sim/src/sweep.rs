@@ -19,7 +19,8 @@
 //! [`fold`] over the gate's CSR pins. Three entry points dispatch
 //! through the table: the level-run body behind every full evaluation
 //! of a [`CompiledNetlist`], and the single-gate
-//! [`CompiledNetlist::eval`] and [`CompiledNetlist::eval_pin_forced`]
+//! [`CompiledNetlist::eval_by`] (with its slice form
+//! [`CompiledNetlist::eval`]) and [`CompiledNetlist::eval_pin_forced`]
 //! behind the event-driven walks and the critical-path-tracing chain
 //! ascent in `rescue-faults`.
 //!
@@ -248,23 +249,29 @@ impl GateTable {
         }
     }
 
-    /// Evaluates gate `g` from `values`. A DFF evaluates to
-    /// [`GateValue::DFF`]; an `Input` panics.
+    /// Evaluates gate `g`, reading operand gate `p`'s value as
+    /// `read(p)`. A DFF evaluates to [`GateValue::DFF`]; an `Input`
+    /// panics.
     #[inline]
-    pub(crate) fn eval<V: GateValue>(&self, c: &CompiledNetlist, g: usize, values: &[V]) -> V {
+    pub(crate) fn eval_by<V: GateValue>(
+        &self,
+        c: &CompiledNetlist,
+        g: usize,
+        read: impl Fn(usize) -> V,
+    ) -> V {
         match self.ops[g] {
-            OP_FOLD => fold(c.kind(g), c.pins_of(g).iter().map(|&p| values[p as usize])),
+            OP_FOLD => fold(c.kind(g), c.pins_of(g).iter().map(|&p| read(p as usize))),
             op => apply(
                 op,
-                || values[self.pa[g] as usize],
-                || values[self.pb[g] as usize],
+                || read(self.pa[g] as usize),
+                || read(self.pb[g] as usize),
             ),
         }
     }
 
-    /// [`GateTable::eval`] with input pin `pin` reading `v`: the pin
-    /// stuck-at injection primitive. A `pin` past the gate's arity
-    /// forces nothing.
+    /// [`GateTable::eval_by`] over `values` with input pin `pin` reading
+    /// `v`: the pin stuck-at injection primitive. A `pin` past the
+    /// gate's arity forces nothing.
     #[inline]
     pub(crate) fn eval_pin_forced<V: GateValue>(
         &self,
@@ -304,7 +311,7 @@ impl GateTable {
                 OP_XNOR2 => kernel::<OP_XNOR2, V>(values, out, a, b),
                 _ => {
                     for &g in out {
-                        values[g as usize] = self.eval(c, g as usize, values);
+                        values[g as usize] = self.eval_by(c, g as usize, |p| values[p]);
                     }
                 }
             }
