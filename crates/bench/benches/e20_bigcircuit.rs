@@ -1,9 +1,11 @@
 //! E20 — million-gate scaling ladder: parallel plan construction,
-//! level-ordered layouts and the compiled-artifact cache.
+//! level-ordered layouts, the compiled-artifact cache and the execution
+//! phase behind them.
 //!
 //! Three rungs from `generate::scaling_ladder()` — 50 k, 200 k and 10^6
 //! gates — each measuring the *setup* path that dominates big-circuit
-//! campaigns before the first pattern simulates:
+//! campaigns before the first pattern simulates, then what execution
+//! costs once setup is cached:
 //!
 //! * **generate / levelize / compile** — netlist construction, the
 //!   level-ordered renumbering (`renumber::levelized`, the
@@ -19,7 +21,14 @@
 //!   the cold pass builds and publishes compiled netlist + plan, the
 //!   warm pass decodes them (zero DFS / classification work), and the
 //!   warm plan-reload is timed directly against the serial build.
-//!   Verdict equality cold vs warm vs uncached is asserted per rung.
+//!   Verdict equality cold vs warm vs uncached is asserted per rung, and
+//!   so is warm ≤ cold at min-of-N;
+//! * **exec phase split** — one telemetry-on warm pass records the
+//!   `exec.golden_us` / `exec.walk_us` / `exec.trace_us` histograms, so
+//!   the golden/walk/trace shares are measured, not inferred;
+//! * **golden kernel** — one full-design packed evaluation through the
+//!   gate table's level runs vs the generic fold gate by gate (the 1 M
+//!   rung gates ≥ 1.3x).
 //!
 //! Campaign timings use 256 random patterns through the hybrid engine
 //! (W=4, collapsed, traced). On the 50 k rung the same campaign also runs
@@ -29,15 +38,21 @@
 //!
 //! Measurements land in `BENCH_bigcircuit.json` with the execution
 //! environment stamped; `warn_env_drift` flags regeneration on a host
-//! with a different CPU count than the committed figures.
+//! with a different CPU count than the committed figures. A
+//! perf-regression guard compares this host's warm 200 k campaign
+//! against the committed figure and fails beyond +25 % — skipped (with a
+//! note) on < 4-CPU hosts, under environment drift, or when no baseline
+//! is stamped.
 //!
 //! Set `E20_SMOKE=1` for a seconds-scale CI run: the 200 k rung with a
-//! reduced pattern block and telemetry on, exporting the run journal to
-//! `e20_smoke.jsonl` for `journal_check` validation.
+//! reduced pattern block and telemetry on, asserting non-empty, non-zero
+//! `exec.golden_us` and `exec.trace_us` histograms and exporting the run
+//! journal to `e20_smoke.jsonl` for `journal_check` validation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rescue_bench::{
-    banner, blog, env_json, host_cpus, random_patterns, secs, secs_min, warn_env_drift,
+    banner, blog, env_json, guard_regression, host_cpus, random_patterns, secs, secs_min,
+    warn_env_drift,
 };
 use rescue_core::campaign::{ArtifactStore, Campaign};
 use rescue_core::faults::collapse::{collapse_with, CollapsedUniverse};
@@ -50,20 +65,18 @@ use rescue_core::netlist::renumber;
 use rescue_core::sim::compiled::CompiledNetlist;
 use rescue_core::sim::sweep::{fold, GateValue};
 use rescue_core::sim::wide::{pack_patterns_wide, PackedWord, SimWord};
-use rescue_core::telemetry::{journal, TelemetryConfig};
+use rescue_core::telemetry::{journal, metrics, TelemetryConfig};
 
 const PATTERNS: usize = 256;
 const SMOKE_PATTERNS: usize = 64;
-/// Patterns for the verdict-mode global-drop run (64 chunks at W=4):
-/// enough chunk-dimension parallelism for the shared detected bitmap to
-/// pay off on a multi-core host.
-const DROP_PATTERNS: usize = 4096;
 /// Campaign timings are min-of-N: the ladder's original single-sample
 /// timing made the 200k rung report warm *slower* than cold — one
 /// allocator / page-cache hiccup in a 0.4 s sample was enough to invert
 /// the ordering. The minimum over `MEASURE_RUNS` fresh runs is the
 /// standard noise floor estimator; smoke mode keeps N=1 for CI budget.
 const MEASURE_RUNS: usize = 3;
+/// Warm-campaign regression tolerance vs the committed baseline.
+const REGRESSION_TOLERANCE: f64 = 0.25;
 
 /// The walk list the packed engines plan over: PO-reachable collapse
 /// representatives in order of first appearance over the universe —
@@ -86,6 +99,43 @@ fn walk_list_of(
     walk
 }
 
+/// One `exec.*_us` histogram's samples and their sum, in microseconds,
+/// recorded by one telemetry-on campaign.
+#[derive(Debug, Clone, Copy)]
+struct Phase {
+    samples: u64,
+    us: u64,
+}
+
+impl Phase {
+    fn ms(self) -> f64 {
+        self.us as f64 / 1e3
+    }
+}
+
+/// Runs `f` with telemetry on and returns what it added to the
+/// `exec.golden_us`, `exec.walk_us` and `exec.trace_us` histograms
+/// (they are process-cumulative, so the snapshots are diffed).
+fn exec_phases(f: impl FnOnce()) -> [Phase; 3] {
+    let telemetry_was_on = rescue_core::telemetry::enabled();
+    let before = metrics::snapshot();
+    TelemetryConfig::on().install();
+    f();
+    if !telemetry_was_on {
+        TelemetryConfig::off().install();
+    }
+    let after = metrics::snapshot();
+    ["exec.golden_us", "exec.walk_us", "exec.trace_us"].map(|name| {
+        let samples_us =
+            |m: &metrics::MetricsSnapshot| m.histogram(name).map_or((0, 0), |h| (h.total, h.sum));
+        let ((n0, s0), (n1, s1)) = (samples_us(&before), samples_us(&after));
+        Phase {
+            samples: n1 - n0,
+            us: s1 - s0,
+        }
+    })
+}
+
 struct RungResult {
     name: &'static str,
     gates: usize,
@@ -100,6 +150,8 @@ struct RungResult {
     t_plan_reload: f64,
     t_campaign_cold: f64,
     t_campaign_warm: f64,
+    /// `exec.golden_us`, `exec.walk_us`, `exec.trace_us` of one warm pass.
+    phases: [Phase; 3],
     t_golden_sweep: f64,
     t_golden_gate_order: f64,
     coverage: f64,
@@ -181,6 +233,10 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         "{}-gate rung: warm cache pass diverged from cold",
         rung.gates
     );
+    let phases = exec_phases(|| {
+        let sim = FaultSimulator::new_cached(&lev, &store);
+        sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store));
+    });
     // Golden-kernel ablation: one full-design packed evaluation (the
     // phase the level runs target) through the runs vs the generic fold
     // over each gate's CSR pins in `eval_order`, on the identical arena.
@@ -240,6 +296,7 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         t_plan_reload,
         t_campaign_cold,
         t_campaign_warm,
+        phases,
         t_golden_sweep,
         t_golden_gate_order,
         coverage: warm.report.coverage(),
@@ -284,73 +341,6 @@ fn layout_comparison(
     (times[0], times[1])
 }
 
-struct DropResult {
-    patterns: usize,
-    t_unit: f64,
-    t_global: f64,
-    dropped_global: usize,
-}
-
-impl DropResult {
-    fn speedup(&self) -> f64 {
-        self.t_unit / self.t_global
-    }
-}
-
-/// The verdict-mode global-drop run on the 50k rung: the identical
-/// `DROP_PATTERNS`-pattern campaign under the default unit drop scope
-/// and under [`DropScope::Global`]'s shared detected bitmap. The
-/// detected *set* must match exactly (only first-detection indices are
-/// schedule-dependent under global scope); the speedup comes from
-/// chunk-dimension parallelism on the undetected tail and is therefore
-/// a multi-core effect — the >= 2x guard is gated on `host_cpus >= 4`.
-fn global_drop_run(rung: &ScaleRung, workers: usize, runs: usize) -> DropResult {
-    let net = rung.build();
-    let (lev, _) = renumber::levelized(&net);
-    let faults = universe::stuck_at_universe(&lev);
-    let collapsed = collapse_with(&lev, &faults, workers);
-    let sim = FaultSimulator::new(&lev);
-    let patterns = random_patterns(
-        lev.primary_inputs().len(),
-        DROP_PATTERNS,
-        rung.seed ^ 0x9e37,
-    );
-    let campaign = Campaign::new(0, workers);
-    let opts = PackedOptions::wide(4).with_collapsed(&collapsed).traced();
-    let (unit, t_unit) = secs_min(
-        runs,
-        || {},
-        || sim.campaign_packed(&faults, &patterns, &campaign, opts),
-    );
-    let (global, t_global) = secs_min(
-        runs,
-        || {},
-        || sim.campaign_packed(&faults, &patterns, &campaign, opts.global_drop()),
-    );
-    let unit_set: Vec<bool> = unit
-        .report
-        .first_detection()
-        .iter()
-        .map(|d| d.is_some())
-        .collect();
-    let global_set: Vec<bool> = global
-        .report
-        .first_detection()
-        .iter()
-        .map(|d| d.is_some())
-        .collect();
-    assert_eq!(
-        unit_set, global_set,
-        "global drop scope changed the detected set"
-    );
-    DropResult {
-        patterns: DROP_PATTERNS,
-        t_unit,
-        t_global,
-        dropped_global: global.stats.dropped_global,
-    }
-}
-
 fn smoke(rung: &ScaleRung, workers: usize) {
     TelemetryConfig::on().install();
     let mark = journal::mark();
@@ -360,10 +350,11 @@ fn smoke(rung: &ScaleRung, workers: usize) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../e20_smoke.jsonl");
     j.export_jsonl(std::path::Path::new(path))
         .expect("write smoke journal");
+    let [golden, walk, trace] = r.phases;
     blog!(
         "  smoke [{}]: {} gates, {} faults ({} planned, {} walked, {} statically traced), \
          coverage {:.2}%, plan {:.0} ms serial / {:.0} ms parallel / {:.1} ms reload, \
-         {} journal events -> {path}",
+         exec golden/walk/trace {:.3}/{:.3}/{:.3} ms, {} journal events -> {path}",
         r.name,
         r.gates,
         r.faults,
@@ -374,8 +365,19 @@ fn smoke(rung: &ScaleRung, workers: usize) {
         r.t_plan_serial * 1e3,
         r.t_plan_parallel * 1e3,
         r.t_plan_reload * 1e3,
+        golden.ms(),
+        walk.ms(),
+        trace.ms(),
         j.len()
     );
+    for (name, p) in [("exec.golden_us", golden), ("exec.trace_us", trace)] {
+        assert!(
+            p.samples > 0 && p.us > 0,
+            "{name}: {} samples summing to {} µs on the traced warm campaign",
+            p.samples,
+            p.us
+        );
+    }
 }
 
 fn bench(c: &mut Criterion) {
@@ -428,6 +430,14 @@ fn bench(c: &mut Criterion) {
             r.t_campaign_cold * 1e3,
             r.t_campaign_warm * 1e3
         );
+        let [golden, walk, trace] = r.phases;
+        blog!(
+            "    exec phases (telemetry, one warm pass): golden {:.3} ms   walk {:.3} ms   \
+             trace {:.3} ms",
+            golden.ms(),
+            walk.ms(),
+            trace.ms()
+        );
         blog!(
             "    exec: golden chunk level runs {:>6.1} ms vs gate-order fold {:>6.1} ms \
              ({:.2}x kernel)",
@@ -458,10 +468,10 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    // Anomaly guard (min-of-N fix): on the 200k+ rungs a warm pass
-    // skips plan construction and artifact publication entirely, so the
-    // noise-floor estimate must come out no slower than cold.
-    for r in &results[1..] {
+    // Anomaly guard (min-of-N fix): a warm pass skips plan construction
+    // and artifact publication entirely, so the noise-floor estimate
+    // must come out no slower than cold on every rung.
+    for r in &results {
         assert!(
             r.t_campaign_warm <= r.t_campaign_cold,
             "{} rung: warm campaign ({:.1} ms) slower than cold ({:.1} ms) \
@@ -489,32 +499,18 @@ fn bench(c: &mut Criterion) {
         million.t_golden_gate_order * 1e3
     );
 
-    let drop = global_drop_run(&ladder[0], workers, MEASURE_RUNS);
-    blog!(
-        "\n  global drop (50k rung, {} patterns, verdict mode): unit {:.1} ms, \
-         global {:.1} ms ({:.2}x, {} walks dropped cross-worker)",
-        drop.patterns,
-        drop.t_unit * 1e3,
-        drop.t_global * 1e3,
-        drop.speedup(),
-        drop.dropped_global
+    // Perf-regression guard: this host's warm 200k campaign vs the
+    // committed figure (+25 % budget), read before it is overwritten.
+    // Skips on small hosts, drift or a missing baseline — see
+    // guard_regression.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_bigcircuit.json");
+    let guarded = guard_regression(
+        path,
+        "200k",
+        "campaign_warm",
+        results[1].t_campaign_warm,
+        REGRESSION_TOLERANCE,
     );
-    if host_cpus() >= 4 {
-        assert!(
-            drop.speedup() >= 2.0,
-            "acceptance criterion: DropScope::Global must be >= 2x on the \
-             {}-pattern verdict-mode run on a >= 4-CPU host (got {:.2}x on {} CPUs)",
-            drop.patterns,
-            drop.speedup(),
-            host_cpus()
-        );
-    } else {
-        blog!(
-            "  (skipping global-drop >= 2x assertion: host has {} CPU(s) — \
-             the win is chunk-dimension parallelism and needs cores)",
-            host_cpus()
-        );
-    }
 
     let (t_orig, t_lev) = layout_comparison(&ladder[0], workers, PATTERNS, MEASURE_RUNS);
     blog!(
@@ -532,7 +528,9 @@ fn bench(c: &mut Criterion) {
              \"levelize\": {:.6},\n        \"compile\": {:.6},\n        \"collapse\": {:.6},\n        \
              \"plan_serial\": {:.6},\n        \"plan_parallel\": {:.6},\n        \
              \"plan_reload\": {:.6},\n        \"campaign_cold\": {:.6},\n        \
-             \"campaign_warm\": {:.6}\n      }},\n      \"exec\": {{\n        \
+             \"campaign_warm\": {:.6}\n      }},\n      \"exec_us\": {{\n        \
+             \"golden\": {},\n        \"walk\": {},\n        \"trace\": {}\n      }},\n      \
+             \"exec\": {{\n        \
              \"golden_sweep\": {:.6},\n        \
              \"golden_gate_order\": {:.6},\n        \
              \"sweep_speedup\": {:.2}\n      }},\n      \
@@ -551,6 +549,9 @@ fn bench(c: &mut Criterion) {
             r.t_plan_reload,
             r.t_campaign_cold,
             r.t_campaign_warm,
+            r.phases[0].us,
+            r.phases[1].us,
+            r.phases[2].us,
             r.t_golden_sweep,
             r.t_golden_gate_order,
             r.sweep_speedup(),
@@ -564,23 +565,14 @@ fn bench(c: &mut Criterion) {
         .collect();
     let json = format!(
         "{{\n  \"experiment\": \"e20_bigcircuit\",\n  {},\n  \"patterns\": {PATTERNS},\n  \
-         \"measure_runs\": {MEASURE_RUNS},\n  \
-         \"rungs\": {{\n    {}\n  }},\n  \"global_drop_50k\": {{\n    \
-         \"patterns\": {},\n    \"campaign_unit\": {:.6},\n    \"campaign_global\": {:.6},\n    \
-         \"global_speedup\": {:.2},\n    \"dropped_global\": {}\n  }},\n  \
-         \"layout_50k\": {{\n    \"campaign_original_order\": {:.6},\n    \
+         \"measure_runs\": {MEASURE_RUNS},\n  \"regression_guard_ran\": {guarded},\n  \
+         \"rungs\": {{\n    {}\n  }},\n  \"layout_50k\": {{\n    \"campaign_original_order\": {:.6},\n    \
          \"campaign_level_order\": {:.6}\n  }}\n}}\n",
         env_json(workers, 256),
         rungs.join(",\n    "),
-        drop.patterns,
-        drop.t_unit,
-        drop.t_global,
-        drop.speedup(),
-        drop.dropped_global,
         t_orig,
         t_lev,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_bigcircuit.json");
     warn_env_drift(path);
     if let Err(e) = std::fs::write(path, &json) {
         blog!("  (could not write {path}: {e})");

@@ -36,6 +36,9 @@
 //!   without ever double-executing a unit — verdicts and merged stats
 //!   stay bit-identical to an uninterrupted run, and re-submitting an
 //!   identical campaign executes zero units.
+//! * [`artifact`] — the content-addressed cache of compiled netlists
+//!   and plans, so a repeat campaign decodes its setup instead of
+//!   rebuilding it.
 //!
 //! The crate depends only on `rescue-telemetry` (the workspace
 //! observability substrate — every run and shard is wrapped in a
@@ -67,7 +70,6 @@
 
 pub mod artifact;
 pub mod driver;
-pub mod drop;
 pub mod durable;
 pub mod fleet;
 pub mod manifest;
@@ -78,7 +80,6 @@ pub mod store;
 
 pub use artifact::ArtifactStore;
 pub use driver::{Campaign, Schedule, ShardedRun};
-pub use drop::{DetectedSet, DropScope};
 pub use durable::DurableRun;
 pub use fleet::{FleetEntry, FleetHandle};
 pub use manifest::{CampaignManifest, UnitSpec};

@@ -70,11 +70,6 @@ pub struct CampaignStats {
     /// Faults retired early by fault dropping (detected before the last
     /// pattern word, so later words never re-walked their cone).
     pub dropped: usize,
-    /// Walks skipped through the cross-worker detected bitmap
-    /// (`DropScope::Global`): another worker had already detected the
-    /// fault, so this worker never walked its cone at all. Zero under
-    /// the default unit-local scope.
-    pub dropped_global: usize,
     /// Faults the engine actually walked. Equal to `injections` unless
     /// the campaign ran over a collapsed universe, in which case only the
     /// equivalence-class representatives were simulated and the remaining
@@ -117,7 +112,6 @@ impl CampaignStats {
             lanes_used: 0,
             lanes_capacity: 0,
             dropped: 0,
-            dropped_global: 0,
             faults_walked: injections,
             chunks_stolen: run.steals,
             faults_traced: 0,
@@ -143,7 +137,6 @@ impl CampaignStats {
         self.lanes_used += other.lanes_used;
         self.lanes_capacity += other.lanes_capacity;
         self.dropped += other.dropped;
-        self.dropped_global += other.dropped_global;
         self.faults_walked += other.faults_walked;
         self.chunks_stolen += other.chunks_stolen;
         self.faults_traced += other.faults_traced;
@@ -290,7 +283,6 @@ mod tests {
             lanes_used: 10,
             lanes_capacity: 64,
             dropped: 3,
-            dropped_global: 2,
             faults_walked: 6,
             chunks_stolen: 2,
             faults_traced: 4,
@@ -311,7 +303,6 @@ mod tests {
             lanes_used: 5,
             lanes_capacity: 64,
             dropped: 4,
-            dropped_global: 1,
             faults_walked: 5,
             chunks_stolen: 1,
             faults_traced: 2,
@@ -329,7 +320,6 @@ mod tests {
         assert_eq!(a.workers, 2);
         assert_eq!(a.worker_ns, vec![50, 60, 40]);
         assert_eq!(a.dropped, 7);
-        assert_eq!(a.dropped_global, 3);
         assert_eq!(a.faults_walked, 11);
         assert_eq!(a.chunks_stolen, 3);
         assert_eq!(a.faults_traced, 6);

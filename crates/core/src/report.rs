@@ -50,9 +50,9 @@ pub fn render_report(report: &FlowReport) -> String {
         let _ = writeln!(s);
         let _ = writeln!(
             s,
-            "| stage | injections | walked | traced | collapse | inj/s | lane occupancy | dropped | global drops | stolen chunks | cached units |"
+            "| stage | injections | walked | traced | collapse | inj/s | lane occupancy | dropped | stolen chunks | cached units |"
         );
-        let _ = writeln!(s, "|---|---|---|---|---|---|---|---|---|---|---|");
+        let _ = writeln!(s, "|---|---|---|---|---|---|---|---|---|---|");
         for (stage, stats) in &report.stage_stats {
             // Durable stages report how much of the plan the result
             // store answered; non-durable stages have no units at all.
@@ -63,7 +63,7 @@ pub fn render_report(report: &FlowReport) -> String {
             };
             let _ = writeln!(
                 s,
-                "| {stage} | {} | {} | {} | {:.1} % | {:.0} | {:.1} % | {} | {} | {} | {cached} |",
+                "| {stage} | {} | {} | {} | {:.1} % | {:.0} | {:.1} % | {} | {} | {cached} |",
                 stats.injections,
                 stats.faults_walked,
                 stats.faults_traced,
@@ -71,7 +71,6 @@ pub fn render_report(report: &FlowReport) -> String {
                 stats.injections_per_sec(),
                 stats.lane_occupancy() * 100.0,
                 stats.dropped,
-                stats.dropped_global,
                 stats.chunks_stolen
             );
         }
@@ -163,7 +162,7 @@ mod tests {
         assert!(md.contains("| flow.fault_sim |"));
         assert!(md.contains("#### Execution phases (telemetry histograms)"));
         assert!(md.contains("| exec.golden_us |"));
-        assert!(md.contains("| global drops |"));
+        assert!(md.contains("| dropped | stolen chunks | cached units |"));
     }
 
     #[test]

@@ -178,13 +178,9 @@ pub fn hash_patterns(patterns: &[Vec<bool>]) -> ContentHash {
 /// on/off, tracing on/off. All three are keyed even though verdicts are
 /// engine-invariant, because the *unit partition* is not: a collapsed
 /// campaign units over walk-list representatives, and per-unit stats
-/// deltas (e.g. drop counts) depend on the lane width.
-///
-/// `drop_scope` is deliberately *excluded*: on the durable path the
-/// shared detected bitmap is publish-only (units partition walk
-/// positions, so no in-process consult can fire), which makes persisted
-/// unit verdicts bit-identical under either scope — keying it would
-/// only split stores that answer each other's units verbatim.
+/// deltas (e.g. drop counts) depend on the lane width. The artifact
+/// cache ([`PackedOptions::artifacts`]) is the one option left out: it
+/// changes wall-clock, never a verdict or a unit.
 pub fn hash_options(opts: &PackedOptions) -> ContentHash {
     let mut h = CanonicalHasher::new("rescue.options.v1");
     h.write_usize(opts.lane_width);
@@ -267,17 +263,6 @@ mod tests {
         assert_ne!(
             base,
             campaign_hash(&c, &faults, &patterns, &PackedOptions::default().traced())
-        );
-        // drop_scope does NOT key: durable unit verdicts are identical
-        // under either scope, so the stores are interchangeable.
-        assert_eq!(
-            base,
-            campaign_hash(
-                &c,
-                &faults,
-                &patterns,
-                &PackedOptions::default().global_drop()
-            )
         );
     }
 

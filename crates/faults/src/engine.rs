@@ -145,11 +145,15 @@ pub fn po_reachable_with(compiled: &CompiledNetlist, workers: usize) -> Vec<bool
     }
     let reachable: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let barrier = Barrier::new(w);
+    // The sweepers are joined, not left to the scope, so each has exited
+    // and handed back its malloc arena before the caller spawns its next
+    // threads (see `golden_chunks` in `simulate.rs`).
     std::thread::scope(|s| {
+        let mut sweepers = Vec::with_capacity(w);
         for wi in 0..w {
             let (reachable, barrier) = (&reachable, &barrier);
             let (level_gates, offsets) = (&level_gates, &offsets);
-            s.spawn(move || {
+            sweepers.push(s.spawn(move || {
                 for lvl in (0..=depth).rev() {
                     let lo = offsets[lvl] as usize;
                     let hi = offsets[lvl + 1] as usize;
@@ -174,7 +178,10 @@ pub fn po_reachable_with(compiled: &CompiledNetlist, workers: usize) -> Vec<bool
                     }
                     barrier.wait();
                 }
-            });
+            }));
+        }
+        for h in sweepers {
+            h.join().expect("reachability sweep worker panicked");
         }
     });
     reachable.into_iter().map(AtomicBool::into_inner).collect()

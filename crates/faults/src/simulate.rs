@@ -8,17 +8,19 @@
 //! and copy nothing per chunk. The three stuck-at
 //! campaign entry points — [`FaultSimulator::campaign`],
 //! [`FaultSimulator::campaign_packed`] and
-//! [`FaultSimulator::campaign_packed_durable`] — run one body. Verdicts
-//! are bit-identical to the full-resimulation oracle in
-//! [`crate::reference`] (enforced by property tests).
+//! [`FaultSimulator::campaign_packed_durable`] — run one body, and every
+//! fault range drains through one loop that drops a fault at its first
+//! detection. Verdicts, first-detection indices included, are
+//! bit-identical to the full-resimulation oracle in [`crate::reference`]
+//! for every worker count and schedule (enforced by property tests).
 
 use crate::collapse::CollapsedUniverse;
 use crate::engine::{CampaignPlan, FaultScratch, WideScratch};
 use crate::model::{BridgingFault, Fault, FaultKind, FaultSite};
 use crate::trace::{TracePlan, TraceScratch};
 use rescue_campaign::{
-    ArtifactStore, Campaign, CampaignManifest, CampaignStats, DetectedSet, DropScope, DurableRun,
-    ResultStore, ShardedRun, StatsDelta,
+    ArtifactStore, Campaign, CampaignManifest, CampaignStats, DurableRun, ResultStore, ShardedRun,
+    StatsDelta,
 };
 use rescue_netlist::{GateKind, Netlist};
 use rescue_sim::compiled::CompiledNetlist;
@@ -109,9 +111,9 @@ pub struct CampaignRun {
 }
 
 /// Engine configuration for [`FaultSimulator::campaign_packed`]: the
-/// packed lane width and an optional collapsed universe. The default
-/// (lane width 1, no collapsing, walking engine, unit-scope dropping)
-/// is what [`FaultSimulator::campaign`] runs.
+/// packed lane width, an optional collapsed universe, the detection
+/// engine and the plan cache. The default (lane width 1, no collapsing,
+/// walking engine, no cache) is what [`FaultSimulator::campaign`] runs.
 #[derive(Debug, Clone, Copy)]
 pub struct PackedOptions<'a> {
     /// Word width in 64-lane limbs: 1 (`u64`, 64 patterns per walk) or
@@ -138,18 +140,6 @@ pub struct PackedOptions<'a> {
     /// Deliberately excluded from [`crate::content::hash_options`]: the
     /// cache changes wall-clock, never results or unit partitions.
     pub artifacts: Option<&'a ArtifactStore>,
-    /// How far fault dropping reaches. The default
-    /// ([`DropScope::Unit`]) keeps dropping local to the loop that owns
-    /// each fault range: verdicts — including first-detection indices —
-    /// stay bit-identical across worker counts and schedules.
-    /// [`DropScope::Global`] additionally parallelizes the *pattern*
-    /// dimension ((golden chunk × fault range) tiles through the
-    /// work-stealing queue) and retires faults across workers through a
-    /// shared atomic [`DetectedSet`]: the detected *set* is exactly the
-    /// unit-scope set by construction, but first-detection indices
-    /// become wall-clock-dependent — opt in only for verdict-mode
-    /// campaigns where the set is what matters.
-    pub drop_scope: DropScope,
 }
 
 impl Default for PackedOptions<'_> {
@@ -159,7 +149,6 @@ impl Default for PackedOptions<'_> {
             collapsed: None,
             tracing: false,
             artifacts: None,
-            drop_scope: DropScope::Unit,
         }
     }
 }
@@ -192,14 +181,6 @@ impl<'a> PackedOptions<'a> {
     /// construction.
     pub fn with_artifacts(mut self, artifacts: &'a ArtifactStore) -> Self {
         self.artifacts = Some(artifacts);
-        self
-    }
-
-    /// Drops faults across workers through a shared detected bitmap
-    /// ([`DropScope::Global`]): same detected set, wall-clock-dependent
-    /// first-detection indices.
-    pub fn global_drop(mut self) -> Self {
-        self.drop_scope = DropScope::Global;
         self
     }
 }
@@ -401,11 +382,11 @@ impl FaultSimulator {
     /// [`PackedOptions`] picks the lane width (1/2/4/8 × 64 patterns per
     /// walk, autovectorized), an optional collapsed universe (walk
     /// equivalence-class representatives only, expand verdicts to the
-    /// rest for free), tracing, the artifact cache and the drop scope.
-    /// Verdicts are bit-identical to [`FaultSimulator::campaign`] for
-    /// every width, schedule, worker count and collapse setting
-    /// ([`DropScope::Global`] keeps the detected set, not the
-    /// first-detection indices); the returned [`CampaignRun`] adds
+    /// rest for free), tracing and the artifact cache. Each worker drops
+    /// the faults of the range it drains at their first detection, so
+    /// verdicts, first-detection indices included, are bit-identical to
+    /// [`FaultSimulator::campaign`] for every width, schedule, worker
+    /// count and collapse setting; the returned [`CampaignRun`] adds
     /// throughput/lane-occupancy/drop/steal observability, and
     /// [`CampaignStats::faults_walked`] records how much walking the
     /// collapse saved.
@@ -440,9 +421,8 @@ impl FaultSimulator {
     /// store state, worker count, schedule and unit grain;
     /// [`CampaignStats::units_cached`] / `units_executed` record how the
     /// run split between store and engine. Units partition the walk
-    /// list, so dropping is unit-scoped whatever
-    /// [`PackedOptions::drop_scope`] says, and first detections stay
-    /// deterministic.
+    /// list and each unit drains through the same loop as the plain
+    /// path, so first detections are deterministic on both.
     ///
     /// `unit_faults` is the unit grain in walked faults (0 =
     /// [`DEFAULT_UNIT_FAULTS`]).
@@ -520,7 +500,7 @@ impl FaultSimulator {
         let workers = campaign.workers;
         // A run that builds no trace plan reports no traced faults.
         let mut faults_traced = 0;
-        let run = if opts.tracing {
+        let (results, stats) = if opts.tracing {
             execute(campaign, &walk, &geometry, opts, durable, || {
                 let chunks = self.golden_chunks(patterns, &geometry, workers);
                 let engine = TraceEngine::build(c, &walk, workers, opts);
@@ -535,19 +515,11 @@ impl FaultSimulator {
         };
         let stats = CampaignStats {
             injections: faults.len(),
-            elapsed_ns: run.elapsed_ns,
-            workers: run.worker_ns.len(),
-            worker_ns: run.worker_ns,
-            chunks_stolen: run.steals,
-            dropped_global: run.dropped_global as usize,
             faults_walked: walk.len(),
             faults_traced,
-            units_total: run.units_total,
-            units_cached: run.units_cached,
-            units_executed: run.units_executed,
-            ..CampaignStats::default()
+            ..stats
         };
-        finish_packed(faults, opts, &geometry, expand, run.results, stats)
+        finish_packed(faults, opts, &geometry, expand, results, stats)
     }
 
     /// The deterministic unit plan a durable campaign executes: the walk
@@ -692,10 +664,18 @@ impl FaultSimulator {
         if per == n_chunks || words.len() < PARALLEL_FILL_MIN {
             fill(0, &mut words);
         } else {
+            // Joined, not left to the scope: a scope may return before its
+            // threads have exited and handed back their malloc arenas, so
+            // the campaign workers spawned next would open fresh ones and
+            // peak RSS would drift from run to run.
             std::thread::scope(|scope| {
+                let mut fillers = Vec::with_capacity(workers);
                 for (i, arena) in words.chunks_mut(per * n_gates).enumerate() {
                     let fill = &fill;
-                    scope.spawn(move || fill(i * per, arena));
+                    fillers.push(scope.spawn(move || fill(i * per, arena)));
+                }
+                for h in fillers {
+                    h.join().expect("golden fill worker panicked");
                 }
             });
         }
@@ -1120,8 +1100,8 @@ impl<Wd: SimWord> PackedDetect<Wd> for TraceEngine<'_> {
 
 /// Drains one fault range over every golden chunk with fault dropping —
 /// the single campaign inner loop, shared verbatim by the plain
-/// unit-scope schedules and the durable store-backed path (which is
-/// what keeps their verdicts bit-identical).
+/// schedules and the durable store-backed path (which is what keeps
+/// their verdicts bit-identical).
 fn drain_unit<Wd: SimWord, E: PackedDetect<Wd>>(
     engine: &E,
     chunks: &GoldenChunks<Wd>,
@@ -1169,30 +1149,13 @@ fn drain_unit<Wd: SimWord, E: PackedDetect<Wd>>(
     first
 }
 
-/// Driver-side figures of one executed campaign — the per-walked-fault
-/// first detections plus the fields [`CampaignStats`] copies out of the
-/// underlying run record, so the unit-scope, global-scope and durable
-/// runs share one stats tail.
-#[derive(Default)]
-struct RunFigures {
-    results: Vec<Option<usize>>,
-    elapsed_ns: u64,
-    worker_ns: Vec<u64>,
-    steals: u64,
-    dropped_global: u64,
-    units_total: usize,
-    /// Units this run did not execute itself: store hits plus units a
-    /// concurrent peer published while it waited.
-    units_cached: usize,
-    units_executed: usize,
-}
-
 /// Executes the walk list with the golden chunks and engine `prepare`
 /// builds: through `durable`'s store and manifest when given (where
 /// `prepare` runs only if a unit misses the store), otherwise under the
-/// campaign's schedule and [`PackedOptions::drop_scope`]. The run's
-/// elapsed time, which leaves `prepare` out, is recorded in microseconds
-/// in the `exec.walk_us` / `exec.trace_us` histogram (per
+/// campaign's schedule. Returns the per-walked-fault first detections
+/// and the run's timing, worker and unit figures. The run's elapsed
+/// time, which leaves `prepare` out, is recorded in microseconds in the
+/// `exec.walk_us` / `exec.trace_us` histogram (per
 /// [`PackedOptions::tracing`]) when telemetry is enabled.
 fn execute<'g, Wd: SimWord, E: PackedDetect<Wd>>(
     campaign: &Campaign,
@@ -1201,39 +1164,32 @@ fn execute<'g, Wd: SimWord, E: PackedDetect<Wd>>(
     opts: &PackedOptions,
     durable: Option<(&dyn ResultStore, &CampaignManifest)>,
     prepare: impl FnOnce() -> (GoldenChunks<'g, Wd>, E),
-) -> RunFigures
+) -> (Vec<Option<usize>>, CampaignStats)
 where
     E::Scratch: Send,
 {
-    let figures = match durable {
+    let (results, stats) = match durable {
         Some((store, manifest)) => {
             let run = run_durable(campaign, walk, geometry, manifest, store, prepare);
-            RunFigures {
-                results: run.results,
+            let stats = CampaignStats {
                 elapsed_ns: run.elapsed_ns,
+                workers: run.worker_ns.len(),
                 worker_ns: run.worker_ns,
-                steals: run.steals,
+                chunks_stolen: run.steals,
                 units_total: run.units_total,
+                // Units this run did not execute itself: store hits plus
+                // units a concurrent peer published while it waited.
                 units_cached: run.units_cached + run.units_waited,
                 units_executed: run.units_executed,
-                ..RunFigures::default()
-            }
+                ..CampaignStats::default()
+            };
+            (run.results, stats)
         }
         None => {
             let (chunks, engine) = prepare();
-            match opts.drop_scope {
-                DropScope::Unit => {
-                    let run = run_plain(campaign, walk, &engine, &chunks);
-                    RunFigures {
-                        results: run.results,
-                        elapsed_ns: run.elapsed_ns,
-                        worker_ns: run.worker_ns,
-                        steals: run.steals,
-                        ..RunFigures::default()
-                    }
-                }
-                DropScope::Global => run_global(campaign, walk, &engine, &chunks),
-            }
+            let run = run_plain(campaign, walk, &engine, &chunks);
+            let stats = CampaignStats::from_run(walk.len(), &run);
+            (run.results, stats)
         }
     };
     if rescue_telemetry::enabled() {
@@ -1242,9 +1198,9 @@ where
         } else {
             "exec.walk_us"
         };
-        metrics::histogram(name, &metrics::pow2_bounds(26)).record(figures.elapsed_ns / 1_000);
+        metrics::histogram(name, &metrics::pow2_bounds(26)).record(stats.elapsed_ns / 1_000);
     }
-    figures
+    (results, stats)
 }
 
 /// Runs the walk list through the campaign's schedule (in-process path).
@@ -1264,107 +1220,6 @@ where
     match campaign.schedule {
         rescue_campaign::Schedule::Static => campaign.run_ranges(walk, scratch, work),
         rescue_campaign::Schedule::Dynamic { .. } => campaign.run_dynamic(walk, scratch, work),
-    }
-}
-
-/// Work tile of the cross-worker-dropping schedule: one golden chunk
-/// crossed with one contiguous walk-list subrange.
-#[derive(Clone, Copy)]
-struct Tile {
-    chunk: u32,
-    start: u32,
-    end: u32,
-}
-
-/// Runs the walk list under [`DropScope::Global`]: (golden chunk ×
-/// fault range) tiles go through the work-stealing queue, every worker
-/// consults the shared [`DetectedSet`] before walking a fault and
-/// publishes each detection, so a fault detected by any worker on any
-/// chunk is never walked again anywhere. Tiles are ordered chunk-major:
-/// consecutive tiles a worker claims share their golden chunk (so the
-/// scratch's chunk tag skips nearly every reload), and the chunk-major
-/// merge below keeps first detections pattern-ordered wherever no skip
-/// raced.
-///
-/// The detected set equals the unit-scope set exactly — a skip only
-/// ever suppresses a redundant re-walk of an already-detected fault —
-/// but first-detection indices are wall-clock-dependent (a later chunk
-/// can win the race and suppress the earlier detection entirely),
-/// which is why this schedule is opt-in for verdict-mode campaigns.
-fn run_global<Wd: SimWord, E: PackedDetect<Wd>>(
-    campaign: &Campaign,
-    walk: &[Fault],
-    engine: &E,
-    chunks: &GoldenChunks<Wd>,
-) -> RunFigures
-where
-    E::Scratch: Send,
-{
-    let detected = DetectedSet::new(walk.len());
-    let grain = campaign.chunk_size(walk.len().max(1));
-    let ranges: Vec<(u32, u32)> = (0..walk.len())
-        .step_by(grain)
-        .map(|s| (s as u32, s.saturating_add(grain).min(walk.len()) as u32))
-        .collect();
-    let mut tiles = Vec::with_capacity(chunks.len() * ranges.len());
-    for ci in 0..chunks.len() as u32 {
-        for &(start, end) in &ranges {
-            tiles.push(Tile {
-                chunk: ci,
-                start,
-                end,
-            });
-        }
-    }
-    let run = campaign.run_dynamic(
-        &tiles,
-        |_w| engine.scratch(),
-        |scratch: &mut E::Scratch, _offset: usize, claimed: &[Tile]| {
-            let out: Vec<Vec<(u32, usize)>> = claimed
-                .iter()
-                .map(|t| {
-                    let (golden, live) = chunks.chunk(t.chunk as usize);
-                    engine.load(scratch, t.chunk, golden);
-                    let mut hits: Vec<(u32, usize)> = Vec::new();
-                    for fi in t.start..t.end {
-                        let fault = walk[fi as usize];
-                        if !engine.observable(fault.site().gate().index()) {
-                            continue;
-                        }
-                        if detected.is_detected(fi as usize) {
-                            detected.note_skip();
-                            continue;
-                        }
-                        let mask = engine.detect(scratch, golden, fault) & live;
-                        if let Some(lane) = mask.first_lane() {
-                            detected.mark(fi as usize);
-                            hits.push((fi, t.chunk as usize * Wd::LANES + lane));
-                        }
-                    }
-                    hits
-                })
-                .collect();
-            engine.flush(scratch);
-            out
-        },
-    );
-    // Chunk-major merge: results arrive in tile (= chunk-major) order,
-    // so the first recorded hit per fault is the lowest-chunk one.
-    let mut first: Vec<Option<usize>> = vec![None; walk.len()];
-    for hits in &run.results {
-        for &(fi, p) in hits {
-            if first[fi as usize].is_none() {
-                first[fi as usize] = Some(p);
-            }
-        }
-    }
-    RunFigures {
-        results: first,
-        elapsed_ns: run.elapsed_ns,
-        worker_ns: run.worker_ns,
-        steals: run.steals,
-        dropped_global: detected.skipped(),
-        ..RunFigures::default()
     }
 }
 
@@ -1487,10 +1342,6 @@ fn finish_packed<Wd: SimWord>(
         if opts.tracing {
             rescue_telemetry::metrics::gauge("fault.traced_fraction_pct")
                 .set((stats.traced_fraction() * 100.0).round() as i64);
-        }
-        if stats.dropped_global > 0 {
-            rescue_telemetry::metrics::counter("fault.dropped_global")
-                .add(stats.dropped_global as u64);
         }
     }
     for live in &geometry.live {

@@ -181,7 +181,7 @@ fn the_plain_path_fills_once_outside_the_schedule() {
     let patterns = random_patterns(8, 300, 29);
     let faults = universe::stuck_at_universe(&net);
     let sim = FaultSimulator::new(&net);
-    for opts in [PackedOptions::wide(1), PackedOptions::wide(4).global_drop()] {
+    for opts in [PackedOptions::wide(1), PackedOptions::wide(4)] {
         TelemetryConfig::on().install();
         let mark = journal::mark();
         sim.campaign_packed(&faults, &patterns, &Campaign::new(29, 2), opts);

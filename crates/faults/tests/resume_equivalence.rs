@@ -6,7 +6,7 @@
 //! holding any subset of finished units (a killed run), shares the
 //! store with a concurrent writer, or re-submits against a complete
 //! store (executing zero units) — across lane widths, collapse/tracing
-//! settings, drop scopes, schedules, worker counts and unit grains. A
+//! settings, schedules, worker counts and unit grains. A
 //! forged, misfiled, torn or spliced record is re-executed, never
 //! trusted, and a store directory that cannot hold claims or records
 //! costs persistence, never a verdict. The plan itself must be
@@ -70,17 +70,7 @@ fn temp_root(tag: &str) -> std::path::PathBuf {
 
 /// Runs the plain and durable engines over the same workload and
 /// checks cold/resume/warm equivalence for one engine configuration.
-/// The durable runs use the cross-worker drop scope when `global` is
-/// set: units partition the walk list, so they must still equal the
-/// unit-scope runs exactly and drop nothing across units.
-fn check_resume(
-    seed: u64,
-    lane_width: usize,
-    collapsed: bool,
-    tracing: bool,
-    workers: usize,
-    global: bool,
-) {
+fn check_resume(seed: u64, lane_width: usize, collapsed: bool, tracing: bool, workers: usize) {
     let w = Workload::new(seed);
     let faults = universe::stuck_at_universe(&w.net);
     let sim = FaultSimulator::new(&w.net);
@@ -95,47 +85,17 @@ fn check_resume(
         }
         opts
     };
-    let durable_opts = || {
-        if global {
-            mk_opts().global_drop()
-        } else {
-            mk_opts()
-        }
-    };
     let campaign = Campaign::new(seed, workers);
     let plain = sim.campaign_packed(&faults, &w.patterns, &campaign, mk_opts());
 
     // Cold durable run: everything executes, verdicts match plain.
     let store = MemStore::new();
     let grain = 32;
-    let cold = sim.campaign_packed_durable(
-        &faults,
-        &w.patterns,
-        &campaign,
-        durable_opts(),
-        &store,
-        grain,
-    );
+    let cold =
+        sim.campaign_packed_durable(&faults, &w.patterns, &campaign, mk_opts(), &store, grain);
     assert_eq!(cold.report, plain.report, "cold durable ≡ plain");
     assert_eq!(cold.stats.tally, plain.stats.tally);
     assert_eq!(cold.stats.dropped, plain.stats.dropped);
-    assert_eq!(cold.stats.dropped_global, 0);
-    if global {
-        let unit_scope = sim.campaign_packed_durable(
-            &faults,
-            &w.patterns,
-            &campaign,
-            mk_opts(),
-            &MemStore::new(),
-            grain,
-        );
-        assert_eq!(
-            cold.report, unit_scope.report,
-            "global ≡ unit-scope durable"
-        );
-        assert_eq!(cold.stats.tally, unit_scope.stats.tally);
-        assert_eq!(cold.stats.dropped, unit_scope.stats.dropped);
-    }
     let manifest = sim.durable_plan(&faults, &w.patterns, &mk_opts(), grain);
     assert_eq!(cold.stats.units_total, manifest.units.len());
     assert_eq!(cold.stats.units_executed, manifest.units.len());
@@ -154,14 +114,8 @@ fn check_resume(
         schedule: Schedule::Dynamic { chunk: 1 },
         ..Campaign::new(seed ^ 0xdead, workers % 3 + 1)
     };
-    let resumed = sim.campaign_packed_durable(
-        &faults,
-        &w.patterns,
-        &resumer,
-        durable_opts(),
-        &partial,
-        grain,
-    );
+    let resumed =
+        sim.campaign_packed_durable(&faults, &w.patterns, &resumer, mk_opts(), &partial, grain);
     assert_eq!(resumed.report, plain.report, "resumed ≡ uninterrupted");
     assert_eq!(resumed.stats.tally, plain.stats.tally);
     assert_eq!(resumed.stats.units_cached, kept);
@@ -172,14 +126,8 @@ fn check_resume(
     );
 
     // Warm re-submission: the store is now complete → zero executions.
-    let warm = sim.campaign_packed_durable(
-        &faults,
-        &w.patterns,
-        &campaign,
-        durable_opts(),
-        &partial,
-        grain,
-    );
+    let warm =
+        sim.campaign_packed_durable(&faults, &w.patterns, &campaign, mk_opts(), &partial, grain);
     assert_eq!(warm.report, plain.report);
     assert_eq!(warm.stats.units_executed, 0, "warm run executes nothing");
     assert_eq!(warm.stats.units_cached, manifest.units.len());
@@ -190,22 +138,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Scalar-width durable campaigns resume bit-identically across
-    /// collapse settings, worker counts and drop scopes.
+    /// collapse settings and worker counts.
     #[test]
-    fn resume_is_bit_identical_w1(
-        seed in 1u64..500,
-        collapsed: bool,
-        workers in 1usize..5,
-        global: bool,
-    ) {
-        check_resume(seed, 1, collapsed, false, workers, global);
+    fn resume_is_bit_identical_w1(seed in 1u64..500, collapsed: bool, workers in 1usize..5) {
+        check_resume(seed, 1, collapsed, false, workers);
     }
 
     /// Wide-word (W=4) durable campaigns resume bit-identically, with
     /// and without critical-path tracing.
     #[test]
     fn resume_is_bit_identical_w4(seed in 1u64..500, tracing: bool, workers in 1usize..5) {
-        check_resume(seed, 4, true, tracing, workers, false);
+        check_resume(seed, 4, true, tracing, workers);
     }
 }
 

@@ -1,22 +1,14 @@
-//! Property tests pinning the two execution-path equivalences of the
-//! million-gate campaign engine:
-//!
-//! * the gate table's **level runs** evaluate every gate byte-for-byte
-//!   as the oracle's gate table (`logic.rs`) does when applied gate by
-//!   gate in `order`, for every supported lane width (`W ∈ {1, 2, 4,
-//!   8}`), including ragged final chunks, on levelized and original-id
-//!   arenas alike; so does the pin-forced single-gate kernel the cone
-//!   walks and CPT chain ascent dispatch through;
-//! * **`DropScope::Global`** (cross-worker fault dropping over the
-//!   shared detected bitmap) reports exactly the masks-mode detected
-//!   *set* for every schedule, worker count and engine family — only
-//!   first-detection indices may differ, never membership.
+//! Property test pinning the execution-path equivalence of the
+//! million-gate campaign engine: the gate table's **level runs**
+//! evaluate every gate byte-for-byte as the oracle's gate table
+//! (`logic.rs`) does when applied gate by gate in `order`, for every
+//! supported lane width (`W ∈ {1, 2, 4, 8}`), including ragged final
+//! chunks, on levelized and original-id arenas alike; so does the
+//! pin-forced single-gate kernel the cone walks and CPT chain ascent
+//! dispatch through.
 
 use proptest::prelude::*;
-use rescue_campaign::{Campaign, Schedule};
-use rescue_faults::simulate::{FaultSimulator, PackedOptions};
-use rescue_faults::universe;
-use rescue_netlist::{generate, renumber, GateKind, Netlist};
+use rescue_netlist::{generate, renumber, GateKind};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::logic::eval_gate_word;
 use rescue_sim::wide::{pack_patterns_wide, PackedWord, SimWord};
@@ -115,15 +107,10 @@ fn assert_runs_match_oracle<Wd: Limbs>(c: &CompiledNetlist, patterns: &[Vec<bool
     }
 }
 
-/// Detected-set fingerprint of a campaign run: one bool per fault.
-fn detected_set(first: &[Option<usize>]) -> Vec<bool> {
-    first.iter().map(|d| d.is_some()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// (a) Level runs ≡ `logic.rs` gate by gate in `order`, byte for
+    /// Level runs ≡ `logic.rs` gate by gate in `order`, byte for
     /// byte, for W ∈ {1, 2, 4, 8} including ragged tails, on the
     /// original and the level-ordered numbering.
     #[test]
@@ -139,62 +126,5 @@ proptest! {
             assert_runs_match_oracle::<PackedWord<4>>(&c, &pats(256));
             assert_runs_match_oracle::<PackedWord<8>>(&c, &pats(512));
         }
-    }
-
-    /// (b) `DropScope::Global` detected set ≡ masks-mode detected set
-    /// across schedules, worker counts and both engine families.
-    #[test]
-    fn global_drop_set_matches_masks_mode(seed in 1u64..300, tracing in any::<bool>()) {
-        let net: Netlist = generate::random_logic(6, 90, 3, seed);
-        let faults = universe::stuck_at_universe(&net);
-        let patterns = random_patterns(6, 130, seed); // 3 chunks, ragged tail
-        let sim = FaultSimulator::new(&net);
-        let base_opts = if tracing {
-            PackedOptions::default().traced()
-        } else {
-            PackedOptions::default()
-        };
-        // Masks mode (bit-identical reference): serial unit-scope run.
-        let masks = sim.campaign_packed(&faults, &patterns, &Campaign::serial(), base_opts);
-        let want = detected_set(masks.report.first_detection());
-        for workers in [1usize, 2, 4] {
-            for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 3 }] {
-                let campaign = Campaign::new(7, workers).with_schedule(schedule);
-                let global =
-                    sim.campaign_packed(&faults, &patterns, &campaign, base_opts.global_drop());
-                let got = detected_set(global.report.first_detection());
-                prop_assert_eq!(
-                    &got, &want,
-                    "workers={} schedule={:?} tracing={}", workers, schedule, tracing
-                );
-                prop_assert_eq!(
-                    global.report.detected_count(),
-                    masks.report.detected_count()
-                );
-            }
-        }
-    }
-
-    /// Global scope never invents or loses detections even at width 4
-    /// with collapsing on — the expansion map composes with the shared
-    /// bitmap exactly as with unit scope.
-    #[test]
-    fn global_drop_composes_with_collapse_and_width(seed in 1u64..150) {
-        let net: Netlist = generate::random_logic(6, 70, 3, seed);
-        let faults = universe::stuck_at_universe(&net);
-        let patterns = random_patterns(6, 300, seed); // ragged at W=4
-        let sim = FaultSimulator::new(&net);
-        let collapsed = rescue_faults::collapse::collapse(&net, &faults);
-        let base = PackedOptions::wide(4).with_collapsed(&collapsed);
-        let masks = sim.campaign_packed(&faults, &patterns, &Campaign::serial(), base);
-        let global = sim.campaign_packed(
-            &faults,
-            &patterns,
-            &Campaign::new(3, 4),
-            base.global_drop(),
-        );
-        let want = detected_set(masks.report.first_detection());
-        let got = detected_set(global.report.first_detection());
-        prop_assert_eq!(got, want);
     }
 }

@@ -124,8 +124,8 @@ fn steady_state_chunk_loop_is_allocation_free() {
     let mut scratch = WideScratch::<Wd>::new(c.len());
     let mut tscratch = TraceScratch::<Wd>::new(c.len());
 
-    // Warm-up pass: touched lists, level buckets, obs memos and trace
-    // paths grow to their high-water marks here.
+    // Warm-up pass: level buckets, obs memos and trace paths grow to
+    // their high-water marks here.
     let warm = steady_pass(
         &c,
         &plan,
