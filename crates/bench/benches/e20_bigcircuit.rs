@@ -239,20 +239,23 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
     });
     // Golden-kernel ablation: one full-design packed evaluation (the
     // phase the level runs target) through the runs vs the generic fold
-    // over each gate's CSR pins in `eval_order`, on the identical arena.
+    // over each gate's CSR pins in `eval_order`, each into a reused
+    // buffer it clears and resizes first, as a golden chunk fill does.
     type Wd = PackedWord<4>;
     let kernel_words = pack_patterns_wide::<Wd>(&patterns[..patterns.len().min(Wd::LANES)]);
-    let mut swept = vec![Wd::ZERO; c.len()];
+    let mut swept = Vec::with_capacity(c.len());
     let (_, t_golden_sweep) = secs_min(
         runs,
         || {},
-        || c.eval_words_fill(&kernel_words, &mut swept).unwrap(),
+        || c.eval_words_into(&kernel_words, &mut swept).unwrap(),
     );
-    let mut gate_order = vec![Wd::ZERO; c.len()];
+    let mut gate_order = Vec::with_capacity(c.len());
     let (_, t_golden_gate_order) = secs_min(
         runs,
         || {},
         || {
+            gate_order.clear();
+            gate_order.resize(c.len(), Wd::ZERO);
             for (&pi, &w) in c.primary_inputs().iter().zip(&kernel_words) {
                 gate_order[pi as usize] = w;
             }

@@ -169,6 +169,7 @@ impl Campaign {
         // (identical) bytes is idempotent, so no claim is needed.
         let mut force: Vec<usize> = Vec::new();
         let mut pending: Vec<usize> = Vec::new();
+        let probe = span!("store.probe", units = n_units);
         for (ui, unit) in manifest.units.iter().enumerate() {
             match store.get(unit.id).map(|rec| trusted(unit, rec)) {
                 Some(Some((stats, results))) => {
@@ -181,6 +182,7 @@ impl Campaign {
                 None => pending.push(ui),
             }
         }
+        drop(probe);
 
         let wait_deadline = Instant::now() + PEER_WAIT_LIMIT;
         while !pending.is_empty() || !force.is_empty() {
@@ -188,6 +190,7 @@ impl Campaign {
             // missing units need an exclusive claim first.
             let mut mine = std::mem::take(&mut force);
             let mut busy: Vec<usize> = Vec::new();
+            let claim = span!("store.claim", units = pending.len());
             for ui in pending.drain(..) {
                 match store.claim(manifest.units[ui].id) {
                     ClaimOutcome::Acquired => mine.push(ui),
@@ -197,6 +200,7 @@ impl Campaign {
                     ClaimOutcome::Done => busy.push(ui),
                 }
             }
+            drop(claim);
             if !mine.is_empty() {
                 let ready: &P = prepared.get_or_insert_with(|| {
                     let t = Instant::now();
@@ -223,7 +227,9 @@ impl Campaign {
                                     stats: delta(&out),
                                     payload: encode(&out),
                                 };
+                                let put = span!("store.put");
                                 store.put(unit.id, &rec);
+                                drop(put);
                                 fleet.tick_executed();
                                 (rec.stats, out)
                             })
@@ -279,7 +285,7 @@ impl Campaign {
         for slot in slots {
             results.extend(slot.expect("every unit resolved"));
         }
-        DurableRun {
+        let run = DurableRun {
             results,
             delta: merged,
             units_total: n_units,
@@ -291,7 +297,13 @@ impl Campaign {
             worker_ns,
             chunks,
             steals,
-        }
+        };
+        // Freeing the prepared state (golden values, engine plans) is
+        // outside the execution time, under a span of its own.
+        let release = span!("campaign.release");
+        drop(prepared);
+        drop(release);
+        run
     }
 }
 

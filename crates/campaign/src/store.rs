@@ -66,6 +66,18 @@ fn store_metrics() -> &'static StoreMetrics {
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 /// 128-bit FNV-1a prime (2^88 + 2^8 + 0x3b).
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
+/// `FNV128_PRIME^k` for `k` in `0..=8`. FNV-1a absorbs a zero byte as a
+/// bare multiply by the prime, so `k` zero bytes are one multiply by
+/// entry `k`.
+const FNV128_PRIME_POW: [u128; 9] = {
+    let mut pow = [1u128; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV128_PRIME);
+        k += 1;
+    }
+    pow
+};
 
 /// Content hash of a campaign, unit or payload: 128-bit FNV-1a over the
 /// canonical byte encoding produced by [`CanonicalHasher`].
@@ -113,6 +125,17 @@ impl CanonicalHasher {
         }
     }
 
+    /// Absorbs the low `width` bytes of `v`, little-endian: the
+    /// significant bytes one at a time, then the zero high bytes as one
+    /// multiply. The state equals absorbing all `width` bytes.
+    fn absorb_le(&mut self, v: u64, width: usize) {
+        let significant = (u64::BITS - v.leading_zeros()).div_ceil(8) as usize;
+        self.absorb(&v.to_le_bytes()[..significant]);
+        self.state = self
+            .state
+            .wrapping_mul(FNV128_PRIME_POW[width - significant]);
+    }
+
     /// Writes one byte.
     pub fn write_u8(&mut self, v: u8) {
         self.absorb(&[v]);
@@ -120,12 +143,12 @@ impl CanonicalHasher {
 
     /// Writes a `u32`, little-endian.
     pub fn write_u32(&mut self, v: u32) {
-        self.absorb(&v.to_le_bytes());
+        self.absorb_le(v.into(), 4);
     }
 
     /// Writes a `u64`, little-endian.
     pub fn write_u64(&mut self, v: u64) {
-        self.absorb(&v.to_le_bytes());
+        self.absorb_le(v, 8);
     }
 
     /// Writes a `u128`, little-endian (e.g. a nested [`ContentHash`]).
@@ -792,6 +815,8 @@ impl FsStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn temp_store(tag: &str) -> FsStore {
         let dir = std::env::temp_dir().join(format!(
@@ -846,6 +871,79 @@ mod tests {
         e.write_str("a");
         e.write_str("bc");
         assert_ne!(d.finish(), e.finish());
+    }
+
+    /// One canonical write, for the zero-run property below.
+    #[derive(Debug, Clone)]
+    enum Write {
+        U8(u8),
+        U32(u32),
+        U64(u64),
+        Usize(usize),
+        Bytes(Vec<u8>),
+        Str(String),
+    }
+
+    /// Writes of every kind; integers of every significant width,
+    /// zero included, so every zero-run length is exercised.
+    fn write() -> impl Strategy<Value = Write> {
+        prop_oneof![
+            any::<u8>().prop_map(Write::U8),
+            (any::<u32>(), 0u32..=32).prop_map(|(v, s)| Write::U32(v.checked_shr(s).unwrap_or(0))),
+            (any::<u64>(), 0u32..=64).prop_map(|(v, s)| Write::U64(v.checked_shr(s).unwrap_or(0))),
+            (any::<usize>(), 0u32..=64)
+                .prop_map(|(v, s)| Write::Usize(v.checked_shr(s).unwrap_or(0))),
+            collection::vec(0u8..=2, 0..12).prop_map(Write::Bytes),
+            collection::vec(b'a'..=b'z', 0..12)
+                .prop_map(|b| Write::Str(String::from_utf8(b).expect("ASCII"))),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn zero_runs_hash_like_byte_at_a_time(writes in collection::vec(write(), 0..24)) {
+            // The canonical encoding, written out byte by byte.
+            fn prefixed(enc: &mut Vec<u8>, v: &[u8]) {
+                enc.extend_from_slice(&(v.len() as u64).to_le_bytes());
+                enc.extend_from_slice(v);
+            }
+            let mut h = CanonicalHasher::new("t.v1");
+            let mut enc = Vec::new();
+            prefixed(&mut enc, b"t.v1");
+            for w in &writes {
+                match w {
+                    Write::U8(v) => {
+                        h.write_u8(*v);
+                        enc.push(*v);
+                    }
+                    Write::U32(v) => {
+                        h.write_u32(*v);
+                        enc.extend_from_slice(&v.to_le_bytes());
+                    }
+                    Write::U64(v) => {
+                        h.write_u64(*v);
+                        enc.extend_from_slice(&v.to_le_bytes());
+                    }
+                    Write::Usize(v) => {
+                        h.write_usize(*v);
+                        enc.extend_from_slice(&(*v as u64).to_le_bytes());
+                    }
+                    Write::Bytes(v) => {
+                        h.write_bytes(v);
+                        prefixed(&mut enc, v);
+                    }
+                    Write::Str(v) => {
+                        h.write_str(v);
+                        prefixed(&mut enc, v.as_bytes());
+                    }
+                }
+            }
+            let reference = enc.iter().fold(FNV128_OFFSET, |state, &b| {
+                (state ^ b as u128).wrapping_mul(FNV128_PRIME)
+            });
+            prop_assert_eq!(h.finish(), ContentHash(reference));
+        }
     }
 
     #[test]

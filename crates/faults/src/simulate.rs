@@ -628,14 +628,15 @@ impl FaultSimulator {
     /// shared read-only by all workers; `geometry` supplies the chunk
     /// count and live masks.
     ///
-    /// The arena is one flat allocation for all chunks, so building it
-    /// costs one allocation plus one input-packing buffer per filling
-    /// thread instead of two per chunk — the setup half of the
-    /// zero-alloc steady state. Above [`PARALLEL_FILL_MIN`] words the
-    /// arena is split with `chunks_mut` into at most `workers` disjoint
-    /// runs of whole chunks, each filled on a scoped thread; chunks are
-    /// evaluated independently, so the arena is bit-identical for any
-    /// worker count. Runs under an `exec.golden` span; wall-clock is also
+    /// The calling thread allocates one buffer per chunk and writes none
+    /// of them; each buffer is zeroed and evaluated by the thread that
+    /// fills it, so its pages are first touched there, in parallel, and
+    /// no filler thread allocates arena memory. Above
+    /// [`PARALLEL_FILL_MIN`] words the buffers are split with
+    /// `chunks_mut` into at most `workers` disjoint runs of whole chunks,
+    /// each filled on a scoped thread; chunks are evaluated
+    /// independently, so the values are bit-identical for any worker
+    /// count. Runs under an `exec.golden` span; wall-clock is also
     /// recorded in microseconds in the `exec.golden_us` histogram when
     /// telemetry is enabled.
     fn golden_chunks<'g, Wd: SimWord>(
@@ -648,21 +649,21 @@ impl FaultSimulator {
         let n_gates = self.compiled.len();
         let n_chunks = geometry.len();
         let _span = span!("exec.golden", chunks = n_chunks);
-        let mut words = vec![Wd::ZERO; n_chunks * n_gates];
+        let mut chunks: Vec<Vec<Wd>> = (0..n_chunks).map(|_| Vec::with_capacity(n_gates)).collect();
         // Fills a run of whole chunks starting at chunk `first`.
-        let fill = |first: usize, arena: &mut [Wd]| {
+        let fill = |first: usize, run: &mut [Vec<Wd>]| {
             let mut inputs: Vec<Wd> = Vec::new();
-            let chunks = patterns[first * Wd::LANES..].chunks(Wd::LANES);
-            for (values, chunk) in arena.chunks_mut(n_gates.max(1)).zip(chunks) {
+            let lanes = patterns[first * Wd::LANES..].chunks(Wd::LANES);
+            for (values, chunk) in run.iter_mut().zip(lanes) {
                 pack_patterns_wide_into(chunk, &mut inputs);
                 self.compiled
-                    .eval_words_fill(&inputs, values)
+                    .eval_words_into(&inputs, values)
                     .expect("input word count mismatch");
             }
         };
         let per = n_chunks.div_ceil(workers.max(1));
-        if per == n_chunks || words.len() < PARALLEL_FILL_MIN {
-            fill(0, &mut words);
+        if per == n_chunks || n_chunks * n_gates < PARALLEL_FILL_MIN {
+            fill(0, &mut chunks);
         } else {
             // Joined, not left to the scope: a scope may return before its
             // threads have exited and handed back their malloc arenas, so
@@ -670,9 +671,9 @@ impl FaultSimulator {
             // peak RSS would drift from run to run.
             std::thread::scope(|scope| {
                 let mut fillers = Vec::with_capacity(workers);
-                for (i, arena) in words.chunks_mut(per * n_gates).enumerate() {
+                for (i, run) in chunks.chunks_mut(per).enumerate() {
                     let fill = &fill;
-                    fillers.push(scope.spawn(move || fill(i * per, arena)));
+                    fillers.push(scope.spawn(move || fill(i * per, run)));
                 }
                 for h in fillers {
                     h.join().expect("golden fill worker panicked");
@@ -683,11 +684,7 @@ impl FaultSimulator {
             metrics::histogram("exec.golden_us", &metrics::pow2_bounds(26))
                 .record(start.elapsed().as_micros() as u64);
         }
-        GoldenChunks {
-            geometry,
-            words,
-            n_gates,
-        }
+        GoldenChunks { geometry, chunks }
     }
 
     /// Transition-delay campaign over consecutive pattern *pairs*
@@ -867,8 +864,9 @@ const UNWALKED: u32 = u32::MAX;
 /// fine enough that a killed run loses little finished work.
 pub const DEFAULT_UNIT_FAULTS: usize = 256;
 
-/// Arenas below this many words fill on the calling thread even when
-/// workers are available — thread startup would dominate.
+/// Golden values below this many words in all fill on the calling
+/// thread even when workers are available — thread startup would
+/// dominate.
 const PARALLEL_FILL_MIN: usize = 1 << 15;
 
 /// How a campaign's patterns cut into `Wd::LANES`-pattern chunks: the
@@ -897,15 +895,12 @@ impl<Wd: SimWord> ChunkGeometry<Wd> {
     }
 }
 
-/// The golden values of one campaign: every chunk's values in one flat
-/// arena (`chunks × n_gates` words) beside the campaign's
-/// [`ChunkGeometry`]. One allocation for the whole campaign instead of
-/// one `Vec` per chunk, and chunk access is a slice borrow — nothing on
-/// the steady-state execution path allocates.
+/// The golden values of one campaign: one buffer of `n_gates` words per
+/// chunk beside the campaign's [`ChunkGeometry`]. Chunk access is a
+/// slice borrow — nothing on the steady-state execution path allocates.
 struct GoldenChunks<'g, Wd> {
     geometry: &'g ChunkGeometry<Wd>,
-    words: Vec<Wd>,
-    n_gates: usize,
+    chunks: Vec<Vec<Wd>>,
 }
 
 impl<Wd: SimWord> GoldenChunks<'_, Wd> {
@@ -916,10 +911,7 @@ impl<Wd: SimWord> GoldenChunks<'_, Wd> {
 
     /// Chunk `ci`'s golden values and live mask.
     fn chunk(&self, ci: usize) -> (&[Wd], Wd) {
-        (
-            &self.words[ci * self.n_gates..(ci + 1) * self.n_gates],
-            self.geometry.live[ci],
-        )
+        (&self.chunks[ci], self.geometry.live[ci])
     }
 }
 
@@ -987,10 +979,12 @@ fn load_or_build<T>(
         return build();
     };
     let key = key();
+    let load = span!("artifact.load");
     if let Some(artifact) = store.load(key).and_then(|bytes| decode(&bytes)) {
         metrics::counter("plan.cache_hits").add(1);
         return artifact;
     }
+    drop(load);
     metrics::counter("plan.cache_misses").add(1);
     let built = build();
     // The store counts a failed write; the campaign carries on.
@@ -1561,32 +1555,39 @@ mod tests {
         }
     }
 
-    /// Fills `patterns` through 1–4 workers and checks each arena and
-    /// its live masks against the one-worker fill.
+    /// Fills `patterns` through 1–5 workers and checks every chunk
+    /// against a standalone `eval_words_into` of its packed patterns, and
+    /// its live mask against the ragged tail.
     fn check_parallel_fill<Wd: SimWord + std::fmt::Debug>(
         sim: &FaultSimulator,
         patterns: &[Vec<bool>],
     ) {
+        let c = &sim.compiled;
         let geometry = ChunkGeometry::<Wd>::new(patterns.len());
-        let expect: Vec<Wd> = patterns
-            .chunks(Wd::LANES)
-            .map(|chunk| Wd::live_mask(chunk.len()))
-            .collect();
-        assert_eq!(geometry.live, expect, "live masks");
-        let serial = sim.golden_chunks(patterns, &geometry, 1);
+        let lanes: Vec<&[Vec<bool>]> = patterns.chunks(Wd::LANES).collect();
+        let live: Vec<Wd> = lanes.iter().map(|l| Wd::live_mask(l.len())).collect();
+        assert_eq!(geometry.live, live, "live masks");
         assert!(
-            serial.words.len() >= PARALLEL_FILL_MIN,
-            "the arena must cross the parallel floor"
+            lanes.len() == 1 || lanes.len() * c.len() >= PARALLEL_FILL_MIN,
+            "a multi-chunk fill must cross the parallel floor"
         );
-        for workers in 2..=4 {
-            let parallel = sim.golden_chunks(patterns, &geometry, workers);
-            assert!(
-                parallel.words == serial.words,
-                "{workers} workers, {} chunks",
-                geometry.len()
-            );
-            for ci in 0..geometry.len() {
-                assert_eq!(parallel.chunk(ci).1, serial.chunk(ci).1);
+        let expect: Vec<Vec<Wd>> = lanes
+            .iter()
+            .map(|chunk| {
+                let (mut inputs, mut values) = (Vec::new(), Vec::new());
+                pack_patterns_wide_into(chunk, &mut inputs);
+                c.eval_words_into(&inputs, &mut values).unwrap();
+                values
+            })
+            .collect();
+        for workers in 1..=5 {
+            let fill = sim.golden_chunks(patterns, &geometry, workers);
+            assert_eq!(fill.len(), expect.len());
+            for (ci, values) in expect.iter().enumerate() {
+                let (golden, live) = fill.chunk(ci);
+                let n = expect.len();
+                assert!(golden == values, "{workers} workers, chunk {ci} of {n}");
+                assert_eq!(live, geometry.live[ci]);
             }
         }
     }
@@ -1595,18 +1596,26 @@ mod tests {
     fn parallel_golden_fill_is_bit_identical() {
         let net = generate::random_logic(12, 12_000, 8, 3);
         let sim = FaultSimulator::new(&net);
-        let patterns: Vec<Vec<bool>> = (0..1100u32)
+        let patterns: Vec<Vec<bool>> = (0..2600u32)
             .map(|p| {
                 (0..12)
                     .map(|i| p.wrapping_mul(2654435761) >> (i + 5) & 1 == 1)
                     .collect()
             })
             .collect();
-        // Ragged last chunks throughout; 3 chunks is fewer than 4 workers.
+        // Per width: one chunk (filled serially), three chunks (fewer
+        // than four or five workers), and 11, 5 or 6 chunks (not
+        // divisible by most worker counts). Every shape but the first
+        // ends in a ragged chunk.
+        check_parallel_fill::<u64>(&sim, &patterns[..64]);
         check_parallel_fill::<u64>(&sim, &patterns[..130]);
         check_parallel_fill::<u64>(&sim, &patterns[..700]);
+        check_parallel_fill::<PackedWord<4>>(&sim, &patterns[..200]);
         check_parallel_fill::<PackedWord<4>>(&sim, &patterns[..600]);
-        check_parallel_fill::<PackedWord<4>>(&sim, &patterns);
+        check_parallel_fill::<PackedWord<4>>(&sim, &patterns[..1100]);
+        check_parallel_fill::<PackedWord<8>>(&sim, &patterns[..300]);
+        check_parallel_fill::<PackedWord<8>>(&sim, &patterns[..1100]);
+        check_parallel_fill::<PackedWord<8>>(&sim, &patterns);
     }
 
     #[test]

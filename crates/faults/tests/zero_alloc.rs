@@ -4,8 +4,8 @@
 //! The million-gate execution path promises that after the first pass
 //! over a (golden chunk, fault range) workload — which populates the
 //! scratch arenas, level buckets, obs memo and trace paths — repeating
-//! the per-chunk loop (`eval_words_fill` into a flat golden arena,
-//! `load_chunk`, which copies nothing, `detect_packed` / `detect_traced`
+//! the per-chunk loop (`eval_words_into` into a reused per-chunk golden
+//! buffer, `load_chunk`, which copies nothing, `detect_packed` / `detect_traced`
 //! per fault, and the levelized event walks both engines run through
 //! their per-level bucket queues) never touches the allocator again. A
 //! wrapping `#[global_allocator]` counts every `alloc`/`realloc`; the
@@ -46,7 +46,6 @@ use rescue_faults::trace::{TracePlan, TraceScratch};
 use rescue_faults::universe;
 use rescue_netlist::{generate, renumber};
 use rescue_sim::compiled::CompiledNetlist;
-use rescue_sim::sweep::GateValue;
 use rescue_sim::wide::{pack_patterns_wide_into, PackedWord, SimWord};
 
 fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
@@ -65,8 +64,8 @@ fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Runs the steady-state loop once: fill every golden chunk in the flat
-/// arena, then walk every fault against every chunk through both
+/// Runs the steady-state loop once: fill every golden chunk in its own
+/// buffer, then walk every fault against every chunk through both
 /// engines. Everything it writes lands in pre-sized buffers.
 #[allow(clippy::too_many_arguments)]
 fn steady_pass<Wd: SimWord>(
@@ -75,16 +74,13 @@ fn steady_pass<Wd: SimWord>(
     tplan: &TracePlan,
     faults: &[rescue_faults::Fault],
     input_words: &[Vec<Wd>],
-    golden: &mut [Wd],
+    golden: &mut [Vec<Wd>],
     scratch: &mut WideScratch<Wd>,
     tscratch: &mut TraceScratch<Wd>,
 ) -> u32 {
-    let n = c.len();
     let mut detected = 0u32;
-    for (ci, words) in input_words.iter().enumerate() {
-        let arena = &mut golden[ci * n..(ci + 1) * n];
-        c.eval_words_fill(words, arena).unwrap();
-        let arena = &golden[ci * n..(ci + 1) * n];
+    for (ci, (words, arena)) in input_words.iter().zip(golden).enumerate() {
+        c.eval_words_into(words, arena).unwrap();
         scratch.load_chunk(ci as u32, arena);
         tscratch.load_chunk(ci as u32, arena);
         for &fault in faults {
@@ -108,8 +104,8 @@ fn steady_state_chunk_loop_is_allocation_free() {
     let faults = universe::stuck_at_universe(&lev);
     let patterns = random_patterns(8, 3 * Wd::LANES, 0xA110C);
 
-    // Setup (allocations allowed): pack every chunk up front, size the
-    // flat golden arena, build both plans, size both scratches.
+    // Setup (allocations allowed): pack every chunk up front, allocate
+    // one golden buffer per chunk, build both plans, size both scratches.
     let input_words: Vec<Vec<Wd>> = patterns
         .chunks(Wd::LANES)
         .map(|chunk| {
@@ -118,7 +114,10 @@ fn steady_state_chunk_loop_is_allocation_free() {
             w
         })
         .collect();
-    let mut golden = vec![Wd::ZERO; input_words.len() * c.len()];
+    let mut golden: Vec<Vec<Wd>> = input_words
+        .iter()
+        .map(|_| Vec::with_capacity(c.len()))
+        .collect();
     let plan = CampaignPlan::build(&c, &faults);
     let tplan = TracePlan::build(&c, &faults);
     let mut scratch = WideScratch::<Wd>::new(c.len());

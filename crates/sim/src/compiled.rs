@@ -415,28 +415,6 @@ impl CompiledNetlist {
         self.eval_into(input_words, None, values)
     }
 
-    /// Slice form of [`CompiledNetlist::eval_words_into`] for reusable
-    /// flat arenas: no clear/resize, `values` must already hold exactly
-    /// [`CompiledNetlist::len`] words. Every gate is overwritten (PIs
-    /// from `input_words`, DFF outputs to zero, the rest by evaluation),
-    /// so stale contents never leak — the zero-allocation golden-chunk
-    /// path depends on this.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InputWidthMismatch`] on word-count mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `values.len() != self.len()`.
-    pub fn eval_words_fill<Wd: SimWord>(
-        &self,
-        input_words: &[Wd],
-        values: &mut [Wd],
-    ) -> Result<(), SimError> {
-        self.eval_into(input_words, None, values)
-    }
-
     /// Two-valued full evaluation into a reusable buffer. DFF outputs
     /// take their value from `state` (in [`CompiledNetlist::dffs`]
     /// order); pass `&[]`-initialized state for pure combinational use.
@@ -749,10 +727,10 @@ mod tests {
                 gate_order[g as usize] = c.eval(g as usize, &gate_order);
             }
             assert_eq!(runs, gate_order, "level runs must be byte-identical");
-            // The slice variant fills a dirty arena to the same bytes.
-            let mut arena = vec![u64::MAX; c.len()];
-            c.eval_words_fill(&words, &mut arena).unwrap();
-            assert_eq!(arena, gate_order);
+            // A reused buffer holding stale words fills to the same bytes.
+            let mut dirty = vec![u64::MAX; c.len() + 3];
+            c.eval_words_into(&words, &mut dirty).unwrap();
+            assert_eq!(dirty, gate_order);
         }
     }
 
