@@ -7,7 +7,8 @@
 //! campaign (every flop x every warmup cycle) over an lfsr(32)-class
 //! sequential design. The run first checks both engines produce
 //! identical reports, then times scalar reference vs. bit-parallel
-//! serial vs. bit-parallel sharded and writes the measurements —
+//! serial vs. bit-parallel sharded over `host_cpus()` workers and writes
+//! the measurements —
 //! including the lane occupancy recorded in [`CampaignStats`] — to
 //! `BENCH_seu_campaign.json` at the repo root.
 //!
@@ -15,7 +16,7 @@
 //! equivalence gate but skips the timing assertion and JSON export.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rescue_bench::{banner, blog, env_json};
+use rescue_bench::{banner, blog, env_json, host_cpus};
 use rescue_core::campaign::Campaign;
 use rescue_core::netlist::generate;
 use rescue_core::radiation::seu_analysis::{reference, SeuCampaign};
@@ -84,9 +85,10 @@ fn bench(c: &mut Criterion) {
         },
         5,
     );
+    let workers = host_cpus();
     let t_par = median_secs(
         || {
-            std::hint::black_box(seu.run_exhaustive_on(&net, &inputs, &Campaign::new(0, 4)));
+            std::hint::black_box(seu.run_exhaustive_on(&net, &inputs, &Campaign::new(0, workers)));
         },
         5,
     );
@@ -111,7 +113,7 @@ fn bench(c: &mut Criterion) {
         speedup
     );
     blog!(
-        "  bit-parallel, 4 workers    {:>9.1} ms   {:>10.1}   {:>7.2}x",
+        "  bit-parallel, {workers} workers    {:>9.1} ms   {:>10.1}   {:>7.2}x",
         t_par * 1e3,
         injections as f64 / t_par / 1e3,
         speedup_par
@@ -130,12 +132,12 @@ fn bench(c: &mut Criterion) {
          \"injections\": {injections},\n    \"avf\": {avf:.4}\n  }},\n  \
          \"lane_occupancy\": {occupancy:.4},\n  \"seconds\": {{\n    \
          \"reference_scalar\": {t_ref:.6},\n    \"bit_parallel_serial\": {t_word:.6},\n    \
-         \"bit_parallel_4_workers\": {t_par:.6}\n  }},\n  \
+         \"bit_parallel_sharded\": {t_par:.6}\n  }},\n  \
          \"speedup_over_reference\": {{\n    \"bit_parallel_serial\": {speedup:.2},\n    \
-         \"bit_parallel_4_workers\": {speedup_par:.2}\n  }},\n  \
+         \"bit_parallel_sharded\": {speedup_par:.2}\n  }},\n  \
          \"kilo_injections_per_sec\": {{\n    \"reference_scalar\": {:.1},\n    \
-         \"bit_parallel_serial\": {:.1},\n    \"bit_parallel_4_workers\": {:.1}\n  }}\n}}\n",
-        env_json(4, 64),
+         \"bit_parallel_serial\": {:.1},\n    \"bit_parallel_sharded\": {:.1}\n  }}\n}}\n",
+        env_json(workers, 64),
         net.len(),
         injections as f64 / t_ref / 1e3,
         injections as f64 / t_word / 1e3,

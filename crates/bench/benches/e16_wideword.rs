@@ -13,8 +13,8 @@
 //! * `w4_collapsed` — 256 lanes over the collapsed universe (only
 //!   observable equivalence-class representatives are walked, verdicts
 //!   expand to the rest);
-//! * `w4_dynamic4_collapsed` — the full stack: wide words, collapse and
-//!   the work-stealing scheduler at 4 workers.
+//! * `w4_dynamic_collapsed` — the full stack: wide words, collapse and
+//!   the work-stealing scheduler at `host_cpus()` workers.
 //!
 //! Measurements land in `BENCH_wideword.json` with the execution
 //! environment (workers, lane width, host CPUs) recorded. The W=4-over-
@@ -42,7 +42,6 @@ const N_GATES: usize = 2000;
 const N_OUTPUTS: usize = 4;
 const N_PATTERNS: usize = 1000;
 const SEED: u64 = 12;
-const WORKERS: usize = 4;
 
 /// Median wall-clock seconds of `f` over `runs` executions.
 fn median_secs<F: FnMut()>(mut f: F, runs: usize) -> f64 {
@@ -115,7 +114,8 @@ fn bench(c: &mut Criterion) {
     // bit-for-bit.
     let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);
     let serial = Campaign::new(0, 1);
-    let dynamic4 = Campaign::new(0, WORKERS);
+    let workers = host_cpus();
+    let dynamic = Campaign::new(0, workers);
     for lane_width in [1usize, 2, 4, 8] {
         for opts in [
             PackedOptions::wide(lane_width),
@@ -177,7 +177,7 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(sim.campaign_packed(
                 &faults,
                 &patterns,
-                &dynamic4,
+                &dynamic,
                 PackedOptions::wide(4).with_collapsed(&collapsed),
             ));
         },
@@ -203,7 +203,7 @@ fn bench(c: &mut Criterion) {
         ("wideword w4 (256 lanes)    ", t_w4),
         ("wideword w8 (512 lanes)    ", t_w8),
         ("w4 + collapsed universe    ", t_w4_collapsed),
-        ("w4 + collapse + dynamic4   ", t_full_stack),
+        ("w4 + collapse + dynamic    ", t_full_stack),
     ] {
         blog!(
             "  {name}  {:>9.1} ms   {:>10.1}   {:>7.2}x",
@@ -212,11 +212,11 @@ fn bench(c: &mut Criterion) {
             t_w1 / t
         );
     }
-    if host_cpus() >= WORKERS {
+    if host_cpus() >= 4 {
         assert!(
             w4_over_w1 >= 2.0,
             "acceptance criterion: W=4 must be >= 2x over W=1 on this \
-             workload on a >= {WORKERS}-CPU host (got {w4_over_w1:.2}x on {} CPUs)",
+             workload on a >= 4-CPU host (got {w4_over_w1:.2}x on {} CPUs)",
             host_cpus()
         );
     } else {
@@ -233,10 +233,10 @@ fn bench(c: &mut Criterion) {
          \"collapse_ratio\": {:.4},\n    \"patterns\": {},\n    \"coverage\": {:.4}\n  }},\n  \
          \"seconds\": {{\n    \"w1\": {:.6},\n    \"w2\": {:.6},\n    \"w4\": {:.6},\n    \
          \"w8\": {:.6},\n    \"w4_collapsed\": {:.6},\n    \
-         \"w4_dynamic_4_collapsed\": {:.6}\n  }},\n  \"speedup_over_w1\": {{\n    \
+         \"w4_dynamic_collapsed\": {:.6}\n  }},\n  \"speedup_over_w1\": {{\n    \
          \"w2\": {:.2},\n    \"w4\": {:.2},\n    \"w8\": {:.2},\n    \
-         \"w4_collapsed\": {:.2},\n    \"w4_dynamic_4_collapsed\": {:.2}\n  }}\n}}\n",
-        env_json(WORKERS, 256),
+         \"w4_collapsed\": {:.2},\n    \"w4_dynamic_collapsed\": {:.2}\n  }}\n}}\n",
+        env_json(workers, 256),
         net.len(),
         faults.len(),
         walked,
@@ -272,12 +272,12 @@ fn bench(c: &mut Criterion) {
             ))
         })
     });
-    c.bench_function("e16_wideword_w4_collapsed_dynamic4", |b| {
+    c.bench_function("e16_wideword_w4_collapsed_dynamic", |b| {
         b.iter(|| {
             std::hint::black_box(sim.campaign_packed(
                 &faults,
                 &patterns,
-                &dynamic4,
+                &dynamic,
                 PackedOptions::wide(4).with_collapsed(&collapsed),
             ))
         })

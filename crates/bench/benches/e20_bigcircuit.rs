@@ -13,16 +13,20 @@
 //! * **collapse** — the dense-slot equivalence rule pass
 //!   (`collapse_with`, sharded over workers);
 //! * **plan build, serial vs parallel** — `TracePlan::build` against
-//!   `TracePlan::build_with(workers)` on the campaign's walk list
+//!   `TracePlan::build_with(workers)` on the full arena and the walk list
 //!   (byte-identity asserted before timing; the >= 2x acceptance guard
 //!   on the 200 k+ rungs is gated on `host_cpus() >= 4`);
+//! * **output cone** — campaigns on these rungs evaluate only the
+//!   output cone (`campaign_arena`: every rung keeps under 3% of its
+//!   gates), so the plan they build and cache is the cone's, timed
+//!   serially;
 //! * **artifact cache, cold vs warm** — the same campaign through
 //!   `FaultSimulator::new_cached` + `PackedOptions::with_artifacts`:
 //!   the cold pass builds and publishes compiled netlist + plan, the
 //!   warm pass decodes them (zero DFS / classification work), and the
-//!   warm plan-reload is timed directly against the serial build.
-//!   Verdict equality cold vs warm vs uncached is asserted per rung, and
-//!   so is warm ≤ cold at min-of-N;
+//!   warm plan-reload is timed directly against the cone plan's serial
+//!   build. Verdict equality cold vs warm vs uncached is asserted per
+//!   rung, and so is warm ≤ cold at min-of-N;
 //! * **exec phase split** — one telemetry-on warm pass records the
 //!   `exec.golden_us` / `exec.walk_us` / `exec.trace_us` histograms, so
 //!   the golden/walk/trace shares are measured, not inferred;
@@ -57,7 +61,7 @@ use rescue_bench::{
 use rescue_core::campaign::{ArtifactStore, Campaign};
 use rescue_core::faults::collapse::{collapse_with, CollapsedUniverse};
 use rescue_core::faults::engine::po_reachable;
-use rescue_core::faults::simulate::{FaultSimulator, PackedOptions};
+use rescue_core::faults::simulate::{campaign_arena, FaultSimulator, PackedOptions};
 use rescue_core::faults::trace::TracePlan;
 use rescue_core::faults::{content, universe, Fault};
 use rescue_core::netlist::generate::{scaling_ladder, ScaleRung};
@@ -147,6 +151,9 @@ struct RungResult {
     t_collapse: f64,
     t_plan_serial: f64,
     t_plan_parallel: f64,
+    /// Gates of the arena campaigns evaluate (the output cone).
+    cone_gates: usize,
+    t_plan_cone: f64,
     t_plan_reload: f64,
     t_campaign_cold: f64,
     t_campaign_warm: f64,
@@ -164,7 +171,7 @@ impl RungResult {
         self.t_plan_serial / self.t_plan_parallel
     }
     fn reload_speedup(&self) -> f64 {
-        self.t_plan_serial / self.t_plan_reload
+        self.t_plan_cone / self.t_plan_reload
     }
     /// Speedup of the gate table's level runs on the phase they
     /// target: full-design golden-chunk evaluation, against the generic
@@ -196,6 +203,9 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         "{}-gate rung: parallel plan build diverged from serial",
         rung.gates
     );
+    // What campaigns plan: the output cone and the walk list in its ids.
+    let (cone, cone_walk) = campaign_arena(&c, &walk);
+    let (cone_plan, t_plan_cone) = secs(|| TracePlan::build(&cone, &cone_walk));
 
     // Artifact cache: cold publishes, warm decodes. The reload timing is
     // the direct "setup executes zero DFS" number.
@@ -274,13 +284,13 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
     );
     drop((swept, gate_order));
 
-    let key = content::plan_key(&c, &walk, true);
+    let key = content::plan_key(&cone, &cone_walk, true);
     let (reloaded, t_plan_reload) = secs(|| {
         TracePlan::from_bytes(&store.load(key).expect("cold pass published the trace plan"))
             .expect("stored plan decodes")
     });
     assert_eq!(
-        reloaded, serial_plan,
+        reloaded, cone_plan,
         "cache reload diverged from fresh build"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -296,6 +306,8 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         t_collapse,
         t_plan_serial,
         t_plan_parallel,
+        cone_gates: cone.len(),
+        t_plan_cone,
         t_plan_reload,
         t_campaign_cold,
         t_campaign_warm,
@@ -356,8 +368,9 @@ fn smoke(rung: &ScaleRung, workers: usize) {
     let [golden, walk, trace] = r.phases;
     blog!(
         "  smoke [{}]: {} gates, {} faults ({} planned, {} walked, {} statically traced), \
-         coverage {:.2}%, plan {:.0} ms serial / {:.0} ms parallel / {:.1} ms reload, \
-         exec golden/walk/trace {:.3}/{:.3}/{:.3} ms, {} journal events -> {path}",
+         coverage {:.2}%, plan {:.0} ms serial / {:.0} ms parallel, cone of {} gates: \
+         plan {:.1} ms / {:.1} ms reload, exec golden/walk/trace {:.3}/{:.3}/{:.3} ms, \
+         {} journal events -> {path}",
         r.name,
         r.gates,
         r.faults,
@@ -367,6 +380,8 @@ fn smoke(rung: &ScaleRung, workers: usize) {
         r.coverage * 100.0,
         r.t_plan_serial * 1e3,
         r.t_plan_parallel * 1e3,
+        r.cone_gates,
+        r.t_plan_cone * 1e3,
         r.t_plan_reload * 1e3,
         golden.ms(),
         walk.ms(),
@@ -419,11 +434,15 @@ fn bench(c: &mut Criterion) {
             r.t_collapse * 1e3
         );
         blog!(
-            "    plan: serial {:>8.1} ms   parallel({workers}) {:>8.1} ms ({:.2}x)   \
-             cache reload {:>6.2} ms ({:.0}x)",
+            "    plan: serial {:>8.1} ms   parallel({workers}) {:>8.1} ms ({:.2}x)",
             r.t_plan_serial * 1e3,
             r.t_plan_parallel * 1e3,
             r.plan_speedup(),
+        );
+        blog!(
+            "    cone: {} gates   plan {:>6.2} ms   cache reload {:>6.2} ms ({:.1}x)",
+            r.cone_gates,
+            r.t_plan_cone * 1e3,
             r.t_plan_reload * 1e3,
             r.reload_speedup()
         );
@@ -526,11 +545,12 @@ fn bench(c: &mut Criterion) {
 
     let rung_json = |r: &RungResult| {
         format!(
-            "{{\n      \"gates\": {},\n      \"faults\": {},\n      \"planned_roots\": {},\n      \
+            "{{\n      \"gates\": {},\n      \"cone_gates\": {},\n      \"faults\": {},\n      \
+             \"planned_roots\": {},\n      \
              \"coverage\": {:.4},\n      \"seconds\": {{\n        \"generate\": {:.6},\n        \
              \"levelize\": {:.6},\n        \"compile\": {:.6},\n        \"collapse\": {:.6},\n        \
              \"plan_serial\": {:.6},\n        \"plan_parallel\": {:.6},\n        \
-             \"plan_reload\": {:.6},\n        \"campaign_cold\": {:.6},\n        \
+             \"plan_cone\": {:.6},\n        \"plan_reload\": {:.6},\n        \"campaign_cold\": {:.6},\n        \
              \"campaign_warm\": {:.6}\n      }},\n      \"exec_us\": {{\n        \
              \"golden\": {},\n        \"walk\": {},\n        \"trace\": {}\n      }},\n      \
              \"exec\": {{\n        \
@@ -540,6 +560,7 @@ fn bench(c: &mut Criterion) {
              \"plan_parallel_speedup\": {:.2},\n      \
              \"plan_reload_speedup\": {:.2}\n    }}",
             r.gates,
+            r.cone_gates,
             r.faults,
             r.walk_len,
             r.coverage,
@@ -549,6 +570,7 @@ fn bench(c: &mut Criterion) {
             r.t_collapse,
             r.t_plan_serial,
             r.t_plan_parallel,
+            r.t_plan_cone,
             r.t_plan_reload,
             r.t_campaign_cold,
             r.t_campaign_warm,

@@ -108,17 +108,18 @@ impl ArtifactStore {
     /// Returns the payload stored under `key`, or `None` when the key is
     /// absent or its file fails envelope validation (wrong magic or
     /// version, saved under another key, truncated, checksum mismatch).
-    /// Invalid files are removed so the next save repopulates them.
+    /// Invalid files are removed so the next save repopulates them. The
+    /// payload comes back in the buffer the file was read into, with the
+    /// envelope header dropped in place.
     pub fn load(&self, key: ContentHash) -> Option<Vec<u8>> {
         let path = self.path_of(key);
-        let bytes = std::fs::read(&path).ok()?;
-        match decode(&bytes, key) {
-            Some(payload) => Some(payload.to_vec()),
-            None => {
-                let _ = std::fs::remove_file(&path);
-                None
-            }
+        let mut bytes = std::fs::read(&path).ok()?;
+        if decode(&bytes, key).is_none() {
+            let _ = std::fs::remove_file(&path);
+            return None;
         }
+        bytes.drain(..HEADER_LEN);
+        Some(bytes)
     }
 
     /// True when `key` has a stored artifact (without reading the

@@ -118,8 +118,10 @@ pub fn compiled_key(netlist: &Netlist) -> ContentHash {
 }
 
 /// Artifact-cache key of a built campaign or trace plan: the compiled
-/// netlist, the exact walk list (order-sensitive — the cone CSR is
-/// indexed by walk position) and which plan family (`tracing`) it is.
+/// arena the campaign evaluates on (its output cone when
+/// [`crate::simulate::campaign_arena`] restricts it), the exact walk
+/// list in that arena's ids (order-sensitive) and which plan family
+/// (`tracing`) it is.
 /// Worker count is deliberately absent: parallel builds are bit-identical
 /// to serial ones, so any worker count may reuse the artifact.
 pub fn plan_key(c: &CompiledNetlist, walk: &[Fault], tracing: bool) -> ContentHash {

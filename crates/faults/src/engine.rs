@@ -109,6 +109,37 @@ pub fn po_reachable(compiled: &CompiledNetlist) -> Vec<bool> {
     reachable
 }
 
+/// The design's output cone: every gate with a path to a primary-output
+/// driver through any pins, DFF `D` pins included, plus every primary
+/// input, in ascending id order. It is closed under pins, so
+/// [`CompiledNetlist::restrict`] evaluates it exactly as the design
+/// does, and it holds every gate [`po_reachable`] marks: no fault
+/// outside it can be detected. One reverse DFS over the pins of the
+/// cone, plus one scan over the gates.
+pub fn output_cone(compiled: &CompiledNetlist) -> Vec<u32> {
+    let mut kept = vec![false; compiled.len()];
+    let mut stack: Vec<u32> = Vec::new();
+    let roots = compiled
+        .po_drivers()
+        .iter()
+        .chain(compiled.primary_inputs());
+    for &g in roots {
+        if !std::mem::replace(&mut kept[g as usize], true) {
+            stack.push(g);
+        }
+    }
+    while let Some(g) = stack.pop() {
+        for &p in compiled.pins_of(g as usize) {
+            if !std::mem::replace(&mut kept[p as usize], true) {
+                stack.push(p);
+            }
+        }
+    }
+    (0..compiled.len() as u32)
+        .filter(|&g| kept[g as usize])
+        .collect()
+}
+
 /// Designs below this size take the serial [`po_reachable`] path even
 /// when workers are available — thread startup would dominate.
 const PARALLEL_SWEEP_MIN: usize = 1 << 15;
@@ -198,14 +229,17 @@ impl CampaignPlan {
 
     /// [`CampaignPlan::build`] with the PO-reachability sweep sharded
     /// across `workers` threads ([`po_reachable_with`]); bit-identical to
-    /// the serial build for any worker count.
+    /// the serial build for any worker count. A fault past the last gate
+    /// plans nothing.
     pub fn build_with(compiled: &CompiledNetlist, faults: &[Fault], workers: usize) -> Self {
         let _span = span!("plan.build", faults = faults.len());
         let t0 = Instant::now();
         let observable = po_reachable_with(compiled, workers);
         let mut planned = vec![false; compiled.len()];
         for fault in faults {
-            planned[fault.site().gate().index()] = true;
+            if let Some(p) = planned.get_mut(fault.site().gate().index()) {
+                *p = true;
+            }
         }
         if rescue_telemetry::enabled() {
             metrics::histogram("plan.build_us", &metrics::pow2_bounds(26))

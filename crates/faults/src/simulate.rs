@@ -10,7 +10,9 @@
 //! [`FaultSimulator::campaign_packed`] and
 //! [`FaultSimulator::campaign_packed_durable`] — run one body, and every
 //! fault range drains through one loop that drops a fault at its first
-//! detection. Verdicts, first-detection indices included, are
+//! detection. On a design whose output cone holds at most half of the
+//! gates, a campaign evaluates only that cone ([`campaign_arena`]).
+//! Verdicts, first-detection indices included, are
 //! bit-identical to the full-resimulation oracle in [`crate::reference`]
 //! for every worker count and schedule (enforced by property tests).
 
@@ -22,7 +24,7 @@ use rescue_campaign::{
     ArtifactStore, Campaign, CampaignManifest, CampaignStats, DurableRun, ResultStore, ShardedRun,
     StatsDelta,
 };
-use rescue_netlist::{GateKind, Netlist};
+use rescue_netlist::{GateId, GateKind, Netlist};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::wide::{pack_patterns_wide_into, PackedWord, SimWord, SUPPORTED_LANE_WIDTHS};
 use rescue_telemetry::{metrics, span};
@@ -471,11 +473,12 @@ impl FaultSimulator {
     /// The width-generic body of every stuck-at campaign: walk list,
     /// then the in-process schedule or — with a store and unit grain in
     /// `durable` — the durable unit drain, then verdict expansion. The
-    /// golden chunks and the engine are built only when this process
-    /// walks faults: always on the plain path, and on the durable path
-    /// only once a unit misses the store (the prepare step of
-    /// [`Campaign::run_store`]). Runs under a `fault.campaign` span, or
-    /// `fault.campaign_durable` (also the fleet stage) when durable.
+    /// campaign's arena ([`campaign_arena`]), its golden chunks and the
+    /// engine are built only when this process walks faults: always on
+    /// the plain path, and on the durable path only once a unit misses
+    /// the store (the prepare step of [`Campaign::run_store`]). Runs
+    /// under a `fault.campaign` span, or `fault.campaign_durable` (also
+    /// the fleet stage) when durable.
     fn packed_w<Wd: SimWord>(
         &self,
         faults: &[Fault],
@@ -484,7 +487,6 @@ impl FaultSimulator {
         opts: &PackedOptions,
         durable: Option<(&dyn ResultStore, usize)>,
     ) -> CampaignRun {
-        let c = &self.compiled;
         let stage = if durable.is_some() {
             rescue_campaign::fleet::set_stage("fault.campaign_durable");
             "fault.campaign_durable"
@@ -502,15 +504,26 @@ impl FaultSimulator {
         let mut faults_traced = 0;
         let (results, stats) = if opts.tracing {
             execute(campaign, &walk, &geometry, opts, durable, || {
-                let chunks = self.golden_chunks(patterns, &geometry, workers);
-                let engine = TraceEngine::build(c, &walk, workers, opts);
+                let (arena, walk) = campaign_arena(&self.compiled, &walk);
+                let chunks = Self::golden_chunks(&arena, patterns, &geometry, workers);
+                let engine = TraceEngine::build(arena, &walk, workers, opts);
                 faults_traced = engine.tplan.statically_traced();
-                (chunks, engine)
+                Prepared {
+                    walk,
+                    chunks,
+                    engine,
+                }
             })
         } else {
             execute(campaign, &walk, &geometry, opts, durable, || {
-                let chunks = self.golden_chunks(patterns, &geometry, workers);
-                (chunks, WalkEngine::build(c, &walk, workers, opts))
+                let (arena, walk) = campaign_arena(&self.compiled, &walk);
+                let chunks = Self::golden_chunks(&arena, patterns, &geometry, workers);
+                let engine = WalkEngine::build(arena, &walk, workers, opts);
+                Prepared {
+                    walk,
+                    chunks,
+                    engine,
+                }
             })
         };
         let stats = CampaignStats {
@@ -624,9 +637,9 @@ impl FaultSimulator {
         (Cow::Owned(walk), Some(map))
     }
 
-    /// Golden values of every chunk of `patterns`, computed once and
-    /// shared read-only by all workers; `geometry` supplies the chunk
-    /// count and live masks.
+    /// Golden values of every chunk of `patterns` on arena `c`, computed
+    /// once and shared read-only by all workers; `geometry` supplies the
+    /// chunk count and live masks.
     ///
     /// The calling thread allocates one buffer per chunk and writes none
     /// of them; each buffer is zeroed and evaluated by the thread that
@@ -640,13 +653,13 @@ impl FaultSimulator {
     /// recorded in microseconds in the `exec.golden_us` histogram when
     /// telemetry is enabled.
     fn golden_chunks<'g, Wd: SimWord>(
-        &self,
+        c: &CompiledNetlist,
         patterns: &[Vec<bool>],
         geometry: &'g ChunkGeometry<Wd>,
         workers: usize,
     ) -> GoldenChunks<'g, Wd> {
         let start = Instant::now();
-        let n_gates = self.compiled.len();
+        let n_gates = c.len();
         let n_chunks = geometry.len();
         let _span = span!("exec.golden", chunks = n_chunks);
         let mut chunks: Vec<Vec<Wd>> = (0..n_chunks).map(|_| Vec::with_capacity(n_gates)).collect();
@@ -656,8 +669,7 @@ impl FaultSimulator {
             let lanes = patterns[first * Wd::LANES..].chunks(Wd::LANES);
             for (values, chunk) in run.iter_mut().zip(lanes) {
                 pack_patterns_wide_into(chunk, &mut inputs);
-                self.compiled
-                    .eval_words_into(&inputs, values)
+                c.eval_words_into(&inputs, values)
                     .expect("input word count mismatch");
             }
         };
@@ -726,8 +738,8 @@ impl FaultSimulator {
         let plan = CampaignPlan::build(c, &specs.iter().map(|s| s.2).collect::<Vec<_>>());
         let pairs = patterns.len().saturating_sub(1);
         let geometry = ChunkGeometry::<u64>::new(pairs);
-        let launch = self.golden_chunks(&patterns[..pairs], &geometry, 1);
-        let capture = self.golden_chunks(&patterns[patterns.len() - pairs..], &geometry, 1);
+        let launch = Self::golden_chunks(c, &patterns[..pairs], &geometry, 1);
+        let capture = Self::golden_chunks(c, &patterns[patterns.len() - pairs..], &geometry, 1);
         let mut first_detection: Vec<Option<usize>> = vec![None; faults.len()];
         let mut scratch = FaultScratch::new(c.len());
         for ci in 0..capture.len() {
@@ -852,6 +864,40 @@ impl FaultSimulator {
             state[i] = values[d as usize];
         }
     }
+}
+
+/// The arena a packed campaign over the walk list `walk` on `c`
+/// evaluates on, and `walk` in that arena's ids. When at most half of
+/// the gates lie in the output cone ([`crate::engine::output_cone`]),
+/// this is the cone's arena ([`CompiledNetlist::restrict`], built under
+/// an `exec.cone` span whose argument is the kept gate count), so golden
+/// values, plans and scratch cover only gates a verdict can depend on. A
+/// walked fault outside the cone moves past the cone's last gate, where
+/// the plans leave it unplanned and the drain retires it as unobservable
+/// before the first chunk. Above half the restriction would save
+/// little, and this is `c` and `walk` as given.
+pub fn campaign_arena<'c, 'w>(
+    c: &'c CompiledNetlist,
+    walk: &'w [Fault],
+) -> (Cow<'c, CompiledNetlist>, Cow<'w, [Fault]>) {
+    let keep = crate::engine::output_cone(c);
+    if keep.len() * 2 > c.len() {
+        return (Cow::Borrowed(c), Cow::Borrowed(walk));
+    }
+    let _span = span!("exec.cone", gates = keep.len());
+    let arena = c.restrict(&keep);
+    let in_cone = |f: &Fault| {
+        let gate = GateId(
+            keep.binary_search(&(f.site().gate().index() as u32))
+                .unwrap_or(keep.len()),
+        );
+        let site = match f.site() {
+            FaultSite::Output(_) => FaultSite::Output(gate),
+            FaultSite::Pin { pin, .. } => FaultSite::Pin { gate, pin },
+        };
+        Fault::new(site, f.kind())
+    };
+    (Cow::Owned(arena), walk.iter().map(in_cone).collect())
 }
 
 /// Expansion-map entry of a fault no walked fault answers: an
@@ -992,20 +1038,26 @@ fn load_or_build<T>(
     built
 }
 
-/// The event-driven packed walker ([`CampaignPlan::detect_packed`]).
+/// The event-driven packed walker ([`CampaignPlan::detect_packed`])
+/// over the arena it owns or borrows.
 struct WalkEngine<'a> {
-    c: &'a CompiledNetlist,
+    c: Cow<'a, CompiledNetlist>,
     plan: CampaignPlan,
 }
 
 impl<'a> WalkEngine<'a> {
-    fn build(c: &'a CompiledNetlist, walk: &[Fault], workers: usize, opts: &PackedOptions) -> Self {
+    fn build(
+        c: Cow<'a, CompiledNetlist>,
+        walk: &[Fault],
+        workers: usize,
+        opts: &PackedOptions,
+    ) -> Self {
         let plan = load_or_build(
             opts.artifacts,
-            || crate::content::plan_key(c, walk, false),
-            |bytes| CampaignPlan::from_bytes(bytes).filter(|p| p.validate(c)),
+            || crate::content::plan_key(&c, walk, false),
+            |bytes| CampaignPlan::from_bytes(bytes).filter(|p| p.validate(&c)),
             CampaignPlan::to_bytes,
-            || CampaignPlan::build_with(c, walk, workers),
+            || CampaignPlan::build_with(&c, walk, workers),
         );
         WalkEngine { c, plan }
     }
@@ -1019,7 +1071,7 @@ impl<Wd: SimWord> PackedDetect<Wd> for WalkEngine<'_> {
     }
 
     fn observable(&self, gate: usize) -> bool {
-        self.plan.observable(gate)
+        gate < self.c.len() && self.plan.observable(gate)
     }
 
     fn load(&self, scratch: &mut WideScratch<Wd>, chunk: u32, golden: &[Wd]) {
@@ -1028,7 +1080,7 @@ impl<Wd: SimWord> PackedDetect<Wd> for WalkEngine<'_> {
 
     fn detect(&self, scratch: &mut WideScratch<Wd>, golden: &[Wd], fault: Fault) -> Wd {
         self.plan
-            .detect_packed(self.c, golden, scratch, fault)
+            .detect_packed(&self.c, golden, scratch, fault)
             .expect("fault root missing from campaign plan")
     }
 
@@ -1043,20 +1095,26 @@ impl<Wd: SimWord> PackedDetect<Wd> for WalkEngine<'_> {
 
 /// The hybrid CPT engine: observability by backward tracing over
 /// fanout-free regions, event-driven walks only at reconvergent stems
-/// (shared by the whole region below).
+/// (shared by the whole region below), over the arena it owns or
+/// borrows.
 struct TraceEngine<'a> {
-    c: &'a CompiledNetlist,
+    c: Cow<'a, CompiledNetlist>,
     tplan: TracePlan,
 }
 
 impl<'a> TraceEngine<'a> {
-    fn build(c: &'a CompiledNetlist, walk: &[Fault], workers: usize, opts: &PackedOptions) -> Self {
+    fn build(
+        c: Cow<'a, CompiledNetlist>,
+        walk: &[Fault],
+        workers: usize,
+        opts: &PackedOptions,
+    ) -> Self {
         let tplan = load_or_build(
             opts.artifacts,
-            || crate::content::plan_key(c, walk, true),
-            |bytes| TracePlan::from_bytes(bytes).filter(|p| p.validate(c)),
+            || crate::content::plan_key(&c, walk, true),
+            |bytes| TracePlan::from_bytes(bytes).filter(|p| p.validate(&c)),
             TracePlan::to_bytes,
-            || TracePlan::build_with(c, walk, workers),
+            || TracePlan::build_with(&c, walk, workers),
         );
         TraceEngine { c, tplan }
     }
@@ -1070,7 +1128,7 @@ impl<Wd: SimWord> PackedDetect<Wd> for TraceEngine<'_> {
     }
 
     fn observable(&self, gate: usize) -> bool {
-        self.tplan.po_reachable_gate(gate)
+        gate < self.c.len() && self.tplan.po_reachable_gate(gate)
     }
 
     fn load(&self, scratch: &mut TraceScratch<Wd>, chunk: u32, golden: &[Wd]) {
@@ -1079,7 +1137,7 @@ impl<Wd: SimWord> PackedDetect<Wd> for TraceEngine<'_> {
 
     fn detect(&self, scratch: &mut TraceScratch<Wd>, golden: &[Wd], fault: Fault) -> Wd {
         self.tplan
-            .detect_traced(self.c, golden, scratch, fault)
+            .detect_traced(&self.c, golden, scratch, fault)
             .expect("fault root missing from campaign plan")
     }
 
@@ -1143,12 +1201,23 @@ fn drain_unit<Wd: SimWord, E: PackedDetect<Wd>>(
     first
 }
 
-/// Executes the walk list with the golden chunks and engine `prepare`
-/// builds: through `durable`'s store and manifest when given (where
-/// `prepare` runs only if a unit misses the store), otherwise under the
-/// campaign's schedule. Returns the per-walked-fault first detections
-/// and the run's timing, worker and unit figures. The run's elapsed
-/// time, which leaves `prepare` out, is recorded in microseconds in the
+/// What a campaign builds before its first walk: the walk list in the
+/// ids of the arena the engine evaluates on ([`campaign_arena`]), that
+/// arena's golden chunks and the engine. Position `i` of `walk` is
+/// position `i` of the campaign's walk list, so units and schedules
+/// index both alike.
+struct Prepared<'g, Wd, E> {
+    walk: Cow<'g, [Fault]>,
+    chunks: GoldenChunks<'g, Wd>,
+    engine: E,
+}
+
+/// Executes the walk list with what `prepare` builds: through
+/// `durable`'s store and manifest when given (where `prepare` runs only
+/// if a unit misses the store), otherwise under the campaign's
+/// schedule. Returns the per-walked-fault first detections and the
+/// run's timing, worker and unit figures. The run's elapsed time, which
+/// leaves `prepare` out, is recorded in microseconds in the
 /// `exec.walk_us` / `exec.trace_us` histogram (per
 /// [`PackedOptions::tracing`]) when telemetry is enabled.
 fn execute<'g, Wd: SimWord, E: PackedDetect<Wd>>(
@@ -1157,7 +1226,7 @@ fn execute<'g, Wd: SimWord, E: PackedDetect<Wd>>(
     geometry: &ChunkGeometry<Wd>,
     opts: &PackedOptions,
     durable: Option<(&dyn ResultStore, &CampaignManifest)>,
-    prepare: impl FnOnce() -> (GoldenChunks<'g, Wd>, E),
+    prepare: impl FnOnce() -> Prepared<'g, Wd, E>,
 ) -> (Vec<Option<usize>>, CampaignStats)
 where
     E::Scratch: Send,
@@ -1180,8 +1249,7 @@ where
             (run.results, stats)
         }
         None => {
-            let (chunks, engine) = prepare();
-            let run = run_plain(campaign, walk, &engine, &chunks);
+            let run = run_plain(campaign, &prepare());
             let stats = CampaignStats::from_run(walk.len(), &run);
             (run.results, stats)
         }
@@ -1197,16 +1265,20 @@ where
     (results, stats)
 }
 
-/// Runs the walk list through the campaign's schedule (in-process path).
+/// Runs the prepared walk list through the campaign's schedule
+/// (in-process path).
 fn run_plain<Wd: SimWord, E: PackedDetect<Wd>>(
     campaign: &Campaign,
-    walk: &[Fault],
-    engine: &E,
-    chunks: &GoldenChunks<Wd>,
+    prepared: &Prepared<Wd, E>,
 ) -> ShardedRun<Option<usize>>
 where
     E::Scratch: Send,
 {
+    let Prepared {
+        walk,
+        chunks,
+        engine,
+    } = prepared;
     let scratch = |_w: usize| DrainScratch::new(engine.scratch());
     let work = |scratch: &mut DrainScratch<E::Scratch>, _offset: usize, range: &[Fault]| {
         drain_unit(engine, chunks, scratch, range)
@@ -1219,16 +1291,17 @@ where
 
 /// Runs the walk list through [`Campaign::run_store`]: same drain loop
 /// as [`run_plain`], but partitioned into the manifest's units with
-/// verdicts persisted (and answered) through the result store. The
-/// golden chunks and engine are the store run's prepare step, so a
-/// store that answers every unit never builds them.
+/// verdicts persisted (and answered) through the result store. What
+/// `prepare` builds is the store run's prepare step, so a store that
+/// answers every unit never builds it. Each unit drains its own range of
+/// the prepared walk list.
 fn run_durable<'g, Wd: SimWord, E: PackedDetect<Wd>>(
     campaign: &Campaign,
     walk: &[Fault],
     geometry: &ChunkGeometry<Wd>,
     manifest: &CampaignManifest,
     store: &dyn ResultStore,
-    prepare: impl FnOnce() -> (GoldenChunks<'g, Wd>, E),
+    prepare: impl FnOnce() -> Prepared<'g, Wd, E>,
 ) -> DurableRun<Option<usize>>
 where
     E::Scratch: Send,
@@ -1238,11 +1311,14 @@ where
         manifest,
         store,
         prepare,
-        |(_, engine): &(GoldenChunks<Wd>, E), _w| DrainScratch::new(engine.scratch()),
-        |(chunks, engine): &(GoldenChunks<Wd>, E),
+        |p: &Prepared<Wd, E>, _w| DrainScratch::new(p.engine.scratch()),
+        |p: &Prepared<Wd, E>,
          scratch: &mut DrainScratch<E::Scratch>,
-         _offset: usize,
-         range: &[Fault]| drain_unit(engine, chunks, scratch, range),
+         offset: usize,
+         range: &[Fault]| {
+            let range = &p.walk[offset..offset + range.len()];
+            drain_unit(&p.engine, &p.chunks, scratch, range)
+        },
         encode_verdicts,
         |bytes: &[u8]| decode_verdicts(bytes, geometry.patterns),
         |rs: &[Option<usize>]| unit_delta::<Wd>(rs, geometry.len()),
@@ -1581,7 +1657,7 @@ mod tests {
             })
             .collect();
         for workers in 1..=5 {
-            let fill = sim.golden_chunks(patterns, &geometry, workers);
+            let fill = FaultSimulator::golden_chunks(c, patterns, &geometry, workers);
             assert_eq!(fill.len(), expect.len());
             for (ci, values) in expect.iter().enumerate() {
                 let (golden, live) = fill.chunk(ci);

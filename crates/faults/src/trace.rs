@@ -206,7 +206,8 @@ impl TracePlan {
     /// [`TracePlan::build`] with classification and the PO-reachability
     /// sweep sharded across `workers` threads. Bit-identical to the
     /// serial build for any worker count (the chain ascent stays serial
-    /// — it is `O(gates)` with a shared memo).
+    /// — it is `O(gates)` with a shared memo). A fault past the last gate
+    /// plans nothing and counts as statically traced: no walk answers it.
     pub fn build_with(compiled: &CompiledNetlist, faults: &[Fault], workers: usize) -> Self {
         let _span = span!("plan.build", faults = faults.len());
         let n = compiled.len();
@@ -224,6 +225,10 @@ impl TracePlan {
         let mut statically_traced = 0usize;
         for fault in faults {
             let root = fault.site().gate().index();
+            if root >= n {
+                statically_traced += 1;
+                continue;
+            }
             planned[root] = true;
             let mut g = root;
             let t = loop {

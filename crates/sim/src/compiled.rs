@@ -94,73 +94,141 @@ impl CompiledNetlist {
         rescue_netlist::ensure_u32_indexable(n)?;
         let (lv, fanout) = Levelization::with_fanout(netlist);
         let (fan_offsets, fan) = fanout.into_parts();
-        let kinds = netlist.kinds().to_vec();
-        let pin_offsets = netlist.pin_offsets().to_vec();
-        let pins: Vec<u32> = netlist.pins().iter().map(|p| p.index() as u32).collect();
-
-        let order: Vec<u32> = lv.order().iter().map(|g| g.index() as u32).collect();
-        let mut topo_pos = vec![0u32; n];
-        for (pos, &g) in order.iter().enumerate() {
-            topo_pos[g as usize] = pos as u32;
-        }
-        let eval_order: Vec<u32> = order
-            .iter()
-            .copied()
-            .filter(|&g| !matches!(kinds[g as usize], GateKind::Input | GateKind::Dff))
-            .collect();
-        let levels: Vec<u32> = (0..n).map(|i| lv.level(GateId(i))).collect();
-
-        let pis: Vec<u32> = netlist
-            .primary_inputs()
-            .iter()
-            .map(|g| g.index() as u32)
-            .collect();
+        let ids =
+            |gates: &[GateId]| -> Vec<u32> { gates.iter().map(|g| g.index() as u32).collect() };
         let po_drivers: Vec<u32> = netlist
             .primary_outputs()
             .iter()
             .map(|(_, g)| g.index() as u32)
             .collect();
-        let mut is_po = vec![false; n];
-        for &g in &po_drivers {
-            is_po[g as usize] = true;
-        }
-        let comb_fan_degree: Vec<u32> = (0..n)
-            .map(|g| {
-                fan[fan_offsets[g] as usize..fan_offsets[g + 1] as usize]
-                    .iter()
-                    .filter(|&&s| kinds[s as usize] != GateKind::Dff)
-                    .count() as u32
-            })
-            .collect();
-
-        let dffs: Vec<u32> = netlist.dffs().iter().map(|g| g.index() as u32).collect();
         let dff_d: Vec<u32> = netlist
             .dffs()
             .iter()
             .map(|&d| netlist.gate(d).inputs()[0].index() as u32)
             .collect();
-
-        let mut c = CompiledNetlist {
-            kinds,
-            pin_offsets,
-            pins,
-            order,
-            eval_order,
-            levels,
-            topo_pos,
-            pis,
-            po_drivers,
-            is_po,
-            dffs,
-            dff_d,
+        Ok(Self::derive(Primary {
+            kinds: netlist.kinds().to_vec(),
+            pin_offsets: netlist.pin_offsets().to_vec(),
+            pins: ids(netlist.pins()),
             fan_offsets,
             fan,
+            order: ids(lv.order()),
+            levels: (0..n).map(|i| lv.level(GateId(i))).collect(),
+            pis: ids(netlist.primary_inputs()),
+            po_drivers,
+            dffs: ids(netlist.dffs()),
+            dff_d,
+        }))
+    }
+
+    /// The arena of the gates in `keep`, renumbered `0..keep.len()` in
+    /// id order, in `O(gates + pins)`.
+    ///
+    /// `keep` must ascend and be closed under pins: every pin of a kept
+    /// gate, a DFF's `D` pin included, is kept too. A kept gate keeps its
+    /// kind, pins, level and place in the evaluation order; fanout rows
+    /// lose the consumers left out; primary inputs, output drivers and
+    /// DFFs are the kept ones, in their original order. The values of a
+    /// pin-closed set depend on nothing outside it, so every kept gate
+    /// evaluates as it does here, and restricting to every gate rebuilds
+    /// this arena byte for byte. The result passes
+    /// [`CompiledNetlist::validate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `keep` does not ascend, names a gate past the end, or
+    /// leaves out a pin of a kept gate.
+    pub fn restrict(&self, keep: &[u32]) -> CompiledNetlist {
+        const OUT: u32 = u32::MAX;
+        let mut id = vec![OUT; self.len()];
+        for (new, &g) in keep.iter().enumerate() {
+            assert!(new == 0 || keep[new - 1] < g, "kept gates must ascend");
+            id[g as usize] = new as u32;
+        }
+        let kept = |g: &&u32| id[**g as usize] != OUT;
+        let to_new = |g: &u32| id[*g as usize];
+        let sub = |all: &[u32]| -> Vec<u32> { all.iter().filter(kept).map(to_new).collect() };
+        let (mut pin_offsets, mut pins) = (vec![0u32], Vec::new());
+        let (mut fan_offsets, mut fan) = (vec![0u32], Vec::new());
+        for &g in keep {
+            for p in self.pins_of(g as usize) {
+                assert!(kept(&p), "kept gate {g} reads gate {p}, left out");
+                pins.push(to_new(p));
+            }
+            pin_offsets.push(pins.len() as u32);
+            fan.extend(self.fanout_of(g as usize).iter().filter(kept).map(to_new));
+            fan_offsets.push(fan.len() as u32);
+        }
+        let dff_d = self
+            .dffs
+            .iter()
+            .zip(&self.dff_d)
+            .filter(|(q, _)| kept(q))
+            .map(|(_, d)| to_new(d))
+            .collect();
+        Self::derive(Primary {
+            kinds: keep.iter().map(|&g| self.kinds[g as usize]).collect(),
+            pin_offsets,
+            pins,
+            fan_offsets,
+            fan,
+            order: sub(&self.order),
+            levels: keep.iter().map(|&g| self.levels[g as usize]).collect(),
+            pis: sub(&self.pis),
+            po_drivers: sub(&self.po_drivers),
+            dffs: sub(&self.dffs),
+            dff_d,
+        })
+    }
+
+    /// The arena whose graph, order and levels are `p`, with every field
+    /// that follows from them derived: `topo_pos`, `eval_order`, `is_po`,
+    /// `comb_fan_degree`, `depth` and the gate table.
+    fn derive(p: Primary) -> CompiledNetlist {
+        let n = p.kinds.len();
+        let mut topo_pos = vec![0u32; n];
+        for (pos, &g) in p.order.iter().enumerate() {
+            topo_pos[g as usize] = pos as u32;
+        }
+        let eval_order: Vec<u32> = p
+            .order
+            .iter()
+            .copied()
+            .filter(|&g| !matches!(p.kinds[g as usize], GateKind::Input | GateKind::Dff))
+            .collect();
+        let mut is_po = vec![false; n];
+        for &g in &p.po_drivers {
+            is_po[g as usize] = true;
+        }
+        let comb_fan_degree: Vec<u32> = (0..n)
+            .map(|g| {
+                p.fan[p.fan_offsets[g] as usize..p.fan_offsets[g + 1] as usize]
+                    .iter()
+                    .filter(|&&s| p.kinds[s as usize] != GateKind::Dff)
+                    .count() as u32
+            })
+            .collect();
+        let mut c = CompiledNetlist {
+            depth: p.levels.iter().copied().max().unwrap_or(0),
+            kinds: p.kinds,
+            pin_offsets: p.pin_offsets,
+            pins: p.pins,
+            order: p.order,
+            eval_order,
+            levels: p.levels,
+            topo_pos,
+            pis: p.pis,
+            po_drivers: p.po_drivers,
+            is_po,
+            dffs: p.dffs,
+            dff_d: p.dff_d,
+            fan_offsets: p.fan_offsets,
+            fan: p.fan,
             comb_fan_degree,
-            depth: lv.depth(),
             table: GateTable::default(),
         };
         c.table = GateTable::build(&c);
-        Ok(c)
+        c
     }
 
     /// Whether the arena is one [`CompiledNetlist::try_new`] could have
@@ -581,6 +649,23 @@ impl CompiledNetlist {
 }
 
 const WIRE_VERSION: u8 = 1;
+
+/// The fields of a [`CompiledNetlist`] nothing else derives: the graph
+/// (kinds, pin and fanout CSRs), a topological order with its levels, and
+/// the sources and sinks. [`CompiledNetlist::derive`] computes the rest.
+struct Primary {
+    kinds: Vec<GateKind>,
+    pin_offsets: Vec<u32>,
+    pins: Vec<u32>,
+    fan_offsets: Vec<u32>,
+    fan: Vec<u32>,
+    order: Vec<u32>,
+    levels: Vec<u32>,
+    pis: Vec<u32>,
+    po_drivers: Vec<u32>,
+    dffs: Vec<u32>,
+    dff_d: Vec<u32>,
+}
 
 #[cfg(test)]
 mod tests {
