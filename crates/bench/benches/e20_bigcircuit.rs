@@ -20,13 +20,14 @@
 //!   output cone (`campaign_arena`: every rung keeps under 3% of its
 //!   gates), so the plan they build and cache is the cone's, timed
 //!   serially;
-//! * **artifact cache, cold vs warm** — the same campaign through
-//!   `FaultSimulator::new_cached` + `PackedOptions::with_artifacts`:
-//!   the cold pass builds and publishes compiled netlist + plan, the
-//!   warm pass decodes them (zero DFS / classification work), and the
-//!   warm plan-reload is timed directly against the cone plan's serial
-//!   build. Verdict equality cold vs warm vs uncached is asserted per
-//!   rung, and so is warm ≤ cold at min-of-N;
+//! * **plan cache, cold vs warm** — the same compile and campaign
+//!   through `PackedOptions::with_artifacts`: the cold pass builds and
+//!   publishes the cone's plan, the warm pass decodes it (zero DFS /
+//!   classification work), and the warm plan-reload is timed directly
+//!   against the cone plan's serial build. Both passes compile the
+//!   arena afresh: compiled arenas are not cached, since a reload lost
+//!   to a fresh compile on every rung. Verdict equality cold vs warm is
+//!   asserted per rung, and so is warm ≤ cold at min-of-N;
 //! * **exec phase split** — one telemetry-on warm pass records the
 //!   `exec.golden_us` / `exec.walk_us` / `exec.trace_us` histograms, so
 //!   the golden/walk/trace shares are measured, not inferred;
@@ -207,7 +208,7 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
     let (cone, cone_walk) = campaign_arena(&c, &walk);
     let (cone_plan, t_plan_cone) = secs(|| TracePlan::build(&cone, &cone_walk));
 
-    // Artifact cache: cold publishes, warm decodes. The reload timing is
+    // Plan cache: cold publishes, warm decodes. The reload timing is
     // the direct "setup executes zero DFS" number.
     let dir = std::env::temp_dir().join(format!("rescue-e20-{}-{}", rung.name, std::process::id()));
     let patterns = random_patterns(lev.primary_inputs().len(), n_patterns, rung.seed ^ 0x9e37);
@@ -223,7 +224,7 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         },
         || {
             let store = ArtifactStore::open(&dir);
-            let sim = FaultSimulator::new_cached(&lev, &store);
+            let sim = FaultSimulator::new(&lev);
             sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store))
         },
     );
@@ -233,7 +234,7 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         runs,
         || {},
         || {
-            let sim = FaultSimulator::new_cached(&lev, &store);
+            let sim = FaultSimulator::new(&lev);
             sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store))
         },
     );
@@ -244,7 +245,7 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         rung.gates
     );
     let phases = exec_phases(|| {
-        let sim = FaultSimulator::new_cached(&lev, &store);
+        let sim = FaultSimulator::new(&lev);
         sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store));
     });
     // Golden-kernel ablation: one full-design packed evaluation (the

@@ -1,17 +1,17 @@
-//! Content-addressed compiled-artifact cache.
+//! Content-addressed artifact cache for campaign and trace plans.
 //!
 //! Durable campaigns ([`crate::store`]) already make *verdicts* resumable;
-//! at a million gates the remaining cold-start cost is *setup* — compiling
-//! the netlist arena and building campaign/trace plans, which is minutes of
-//! DFS before the first pattern simulates. This store persists those
-//! compiled artifacts keyed by content hash, so a repeat campaign on an
-//! unchanged design decodes its plans instead of rebuilding them.
+//! what a repeat campaign still pays before its first pattern is *setup*.
+//! This store persists built plans (a PO-reachability sweep and a net
+//! classification each) keyed by content hash, so a repeat campaign on an
+//! unchanged design decodes its plan instead of rebuilding it. Compiled
+//! arenas are not cached: compiling one costs less than reading it back.
 //!
 //! The store is deliberately dumb: opaque byte payloads under 128-bit
-//! [`ContentHash`] keys. The *meaning* of a payload (compiled netlist,
-//! campaign plan, trace plan) lives in the key's domain tag — e.g.
-//! `rescue.plan.v1` — chosen by the caller; this module only guarantees
-//! that what comes back is byte-identical to what went in, or nothing.
+//! [`ContentHash`] keys. The *meaning* of a payload (campaign plan, trace
+//! plan) lives in the key's domain tag — e.g. `rescue.plan.v1` — chosen
+//! by the caller; this module only guarantees that what comes back is
+//! byte-identical to what went in, or nothing.
 //!
 //! Layout: `<root>/artifacts/<hash>.art`, one file per artifact, written
 //! via atomic rename. Each file wraps the payload in a small envelope
@@ -30,7 +30,7 @@ const VERSION: u8 = 2;
 /// Envelope overhead: magic + version + key + checksum + payload length.
 const HEADER_LEN: usize = 4 + 1 + 16 + 8 + 8;
 
-/// Filesystem store for content-addressed compiled artifacts.
+/// Filesystem store for content-addressed artifacts (built plans).
 ///
 /// Safe to share between concurrent threads and processes: every write
 /// goes through its own temp file and an atomic rename, and because keys

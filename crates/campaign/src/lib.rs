@@ -36,8 +36,8 @@
 //!   without ever double-executing a unit — verdicts and merged stats
 //!   stay bit-identical to an uninterrupted run, and re-submitting an
 //!   identical campaign executes zero units.
-//! * [`artifact`] — the content-addressed cache of compiled netlists
-//!   and plans, so a repeat campaign decodes its setup instead of
+//! * [`artifact`] — the content-addressed cache of campaign and trace
+//!   plans, so a repeat campaign decodes its plan instead of
 //!   rebuilding it.
 //!
 //! The crate depends only on `rescue-telemetry` (the workspace

@@ -78,8 +78,10 @@ pub fn hash_netlist(c: &CompiledNetlist) -> ContentHash {
 /// compiling it — byte-identical to hashing the compiled arena, because
 /// the hash covers exactly the fields compilation copies verbatim (gate
 /// kinds and pin lists in id order, then the PI / PO-driver / DFF / DFF-D
-/// interface arrays). This is what lets the artifact cache decide whether
-/// a stored [`CompiledNetlist`] is reusable before paying for compilation.
+/// interface arrays). No library path keys on it: compiled arenas are
+/// not cached, since compiling one costs less than reading it back
+/// (EXPERIMENTS E20). The tests use it to pin that a source netlist and
+/// its compiled arena hash alike.
 pub fn hash_netlist_source(netlist: &Netlist) -> ContentHash {
     let mut h = CanonicalHasher::new("rescue.netlist.v1");
     h.write_usize(netlist.len());
@@ -106,14 +108,6 @@ pub fn hash_netlist_source(netlist: &Netlist) -> ContentHash {
     for &d in netlist.dffs() {
         h.write_u32(netlist.gate(d).inputs()[0].index() as u32);
     }
-    h.finish()
-}
-
-/// Artifact-cache key of a compiled netlist arena, derived from the
-/// source netlist alone (see [`hash_netlist_source`]).
-pub fn compiled_key(netlist: &Netlist) -> ContentHash {
-    let mut h = CanonicalHasher::new("rescue.compiled.v1");
-    h.write_u128(hash_netlist_source(netlist).0);
     h.finish()
 }
 
@@ -155,23 +149,24 @@ pub fn hash_faults(faults: &[Fault]) -> ContentHash {
     h.finish()
 }
 
-/// Content hash of a pattern block. Bits are packed eight to a byte
-/// (LSB-first) per pattern, so hashing costs one FNV step per eight
-/// pattern bits.
+/// Content hash of a pattern block. Each pattern is its length, then its
+/// bits packed eight to a byte (LSB-first) as a length-prefixed byte
+/// string, so hashing costs one FNV step per eight pattern bits; each
+/// byte is packed from its eight bits with no branch on their values.
 pub fn hash_patterns(patterns: &[Vec<bool>]) -> ContentHash {
     let mut h = CanonicalHasher::new("rescue.patterns.v1");
     h.write_usize(patterns.len());
-    let mut packed = Vec::new();
     for p in patterns {
         h.write_usize(p.len());
-        packed.clear();
-        packed.resize(p.len().div_ceil(8), 0u8);
-        for (i, &bit) in p.iter().enumerate() {
-            if bit {
-                packed[i / 8] |= 1 << (i % 8);
-            }
+        // The byte string's length prefix, then its bytes.
+        h.write_usize(p.len().div_ceil(8));
+        for bits in p.chunks(8) {
+            let byte = bits
+                .iter()
+                .rev()
+                .fold(0, |byte, &bit| byte << 1 | u8::from(bit));
+            h.write_u8(byte);
         }
-        h.write_bytes(&packed);
     }
     h.finish()
 }
@@ -213,6 +208,7 @@ pub fn campaign_hash(
 mod tests {
     use super::*;
     use crate::universe;
+    use proptest::prelude::*;
     use rescue_netlist::generate;
 
     fn c17_compiled() -> CompiledNetlist {
@@ -270,9 +266,8 @@ mod tests {
 
     #[test]
     fn source_hash_matches_compiled_hash() {
-        // The artifact cache keys compiled arenas by the *source* netlist
-        // hash; the two computations must agree on every design shape
-        // (combinational, arithmetic, sequential, generated).
+        // The source and the compiled hash must agree on every design
+        // shape (combinational, arithmetic, sequential, generated).
         for net in [
             generate::c17(),
             generate::adder(4),
@@ -304,11 +299,69 @@ mod tests {
         );
         let other = CompiledNetlist::new(&generate::adder(4));
         assert_ne!(base, plan_key(&other, &faults, false), "netlist keys");
-        assert_ne!(
-            base,
-            compiled_key(&net),
-            "plan and compiled artifacts live in different key domains"
+    }
+
+    /// One pattern per width, from empty to past a second `u64`, each
+    /// filled from a xorshift stream so every byte, the partial last
+    /// one included, holds a mix of bits.
+    fn block_of_widths() -> Vec<Vec<bool>> {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        [0, 1, 7, 8, 9, 31, 32, 63, 64, 65, 130]
+            .map(|width| {
+                (0..width)
+                    .map(|_| {
+                        s ^= s << 13;
+                        s ^= s >> 7;
+                        s ^= s << 17;
+                        s & 1 == 1
+                    })
+                    .collect()
+            })
+            .to_vec()
+    }
+
+    /// The pattern encoding one bit at a time: a pattern's length, then
+    /// its bits packed LSB-first into a length-prefixed byte string.
+    /// [`hash_patterns`] must feed the hasher exactly these bytes.
+    fn hash_patterns_bitwise(patterns: &[Vec<bool>]) -> ContentHash {
+        let mut h = CanonicalHasher::new("rescue.patterns.v1");
+        h.write_usize(patterns.len());
+        for p in patterns {
+            h.write_usize(p.len());
+            let mut packed = vec![0u8; p.len().div_ceil(8)];
+            for (i, &bit) in p.iter().enumerate() {
+                if bit {
+                    packed[i / 8] |= 1 << (i % 8);
+                }
+            }
+            h.write_bytes(&packed);
+        }
+        h.finish()
+    }
+
+    /// The c17 patterns of [`golden_hashes_pin_the_encoding`] are five
+    /// bits wide and never reach a second byte; this block's widths
+    /// cross every byte boundary up to 130 bits.
+    #[test]
+    fn golden_hash_pins_patterns_past_one_byte() {
+        assert_eq!(
+            hash_patterns(&block_of_widths()).to_string(),
+            "f42505df67cf1bc3f00699a1124f6666",
+            "pattern encoding changed"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random blocks of 0–40 patterns × 0–130 bits hash as the
+        /// bit-at-a-time reference does.
+        #[test]
+        fn packed_pattern_hash_equals_the_bitwise_reference(
+            block in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 0..131), 0..41),
+        ) {
+            prop_assert_eq!(hash_patterns(&block), hash_patterns_bitwise(&block));
+        }
     }
 
     #[test]

@@ -1,18 +1,21 @@
-//! The compiled-artifact cache under file-level faults: truncated,
-//! bit-flipped, spliced, swapped and misfiled `.art` files, and a cache
-//! root that cannot hold a directory. Whatever happens to the files, the
-//! next campaign must equal the uncached one, count each bad file as a
-//! miss (and rebuild it), and never panic.
+//! The plan cache under file-level faults: truncated, bit-flipped,
+//! spliced, swapped and misfiled `.art` files, and a cache root that
+//! cannot hold a directory. Whatever happens to the files, the next
+//! campaign must equal the uncached one, count each bad file as a miss
+//! (and rebuild it), and never panic. Compiled arenas are not cached:
+//! `FaultSimulator::new_cached` compiles and leaves the files alone.
 //!
 //! Every test here reads the global `plan.*` counters, so each holds
 //! [`rescue_telemetry::exclusive`] while it runs.
 
 use proptest::prelude::*;
+use rescue_campaign::store::CanonicalHasher;
 use rescue_campaign::{ArtifactStore, Campaign, ContentHash};
 use rescue_faults::collapse::{collapse, CollapsedUniverse};
 use rescue_faults::simulate::{CampaignReport, FaultSimulator, PackedOptions};
 use rescue_faults::{content, universe, Fault};
 use rescue_netlist::{generate, Netlist};
+use rescue_sim::compiled::CompiledNetlist;
 use rescue_telemetry::journal::{self, Journal};
 use rescue_telemetry::{metrics, TelemetryConfig};
 use std::path::PathBuf;
@@ -42,7 +45,7 @@ fn temp_root(tag: &str, seed: u64) -> PathBuf {
     dir
 }
 
-/// A design with its traced, collapsed campaign.
+/// A design with its collapsed campaigns, walked and traced.
 struct Design {
     net: Netlist,
     faults: Vec<Fault>,
@@ -53,10 +56,7 @@ struct Design {
 impl Design {
     /// `random_logic(6, 80, 3, seed)`.
     fn new(seed: u64) -> Design {
-        Design::of(generate::random_logic(6, 80, 3, seed), seed)
-    }
-
-    fn of(net: Netlist, seed: u64) -> Design {
+        let net = generate::random_logic(6, 80, 3, seed);
         let faults = universe::stuck_at_universe(&net);
         let patterns = random_patterns(net.primary_inputs().len(), 100, seed);
         let collapsed = collapse(&net, &faults);
@@ -68,28 +68,25 @@ impl Design {
         }
     }
 
-    /// The campaign through `artifacts`: the arena from `new_cached`,
-    /// the trace plan from the campaign.
-    fn run(&self, artifacts: Option<&ArtifactStore>) -> CampaignReport {
-        let opts = PackedOptions::wide(2)
-            .with_collapsed(&self.collapsed)
-            .traced();
-        let campaign = Campaign::new(7, 2);
-        let run = match artifacts {
-            Some(store) => FaultSimulator::new_cached(&self.net, store).campaign_packed(
-                &self.faults,
-                &self.patterns,
-                &campaign,
-                opts.with_artifacts(store),
-            ),
-            None => FaultSimulator::new(&self.net).campaign_packed(
-                &self.faults,
-                &self.patterns,
-                &campaign,
-                opts,
-            ),
-        };
-        run.report
+    /// The walked (`tracing == false`) or traced campaign, its plan
+    /// through `artifacts` when given.
+    fn campaign(&self, tracing: bool, artifacts: Option<&ArtifactStore>) -> CampaignReport {
+        let mut opts = PackedOptions::wide(2).with_collapsed(&self.collapsed);
+        if tracing {
+            opts = opts.traced();
+        }
+        if let Some(store) = artifacts {
+            opts = opts.with_artifacts(store);
+        }
+        let sim = FaultSimulator::new(&self.net);
+        sim.campaign_packed(&self.faults, &self.patterns, &Campaign::new(7, 2), opts)
+            .report
+    }
+
+    /// Both campaigns: through a cache they read or publish one walk
+    /// plan and one trace plan.
+    fn run(&self, artifacts: Option<&ArtifactStore>) -> [CampaignReport; 2] {
+        [false, true].map(|tracing| self.campaign(tracing, artifacts))
     }
 }
 
@@ -134,57 +131,21 @@ fn path(store: &ArtifactStore, key: ContentHash) -> PathBuf {
     store.dir().join(format!("{key}.art"))
 }
 
-/// Two designs cached side by side, their arena files swapped: each
-/// `new_cached` must see a misfiled file, drop it and rebuild its own
-/// arena, never run on the other design's.
-#[test]
-fn swapped_arena_files_are_rebuilt_not_used() {
-    let _exclusive = rescue_telemetry::exclusive();
-    let [a, b] = [1, 2].map(|seed| Design::of(generate::random_logic(8, 200, 4, seed), seed));
-    let want = [a.run(None), b.run(None)];
-    let root = temp_root("swap", 1);
-    let store = ArtifactStore::open(&root);
-    assert_eq!(
-        [a.run(Some(&store)), b.run(Some(&store))],
-        want,
-        "cold pass"
-    );
-    let (ka, kb) = (content::compiled_key(&a.net), content::compiled_key(&b.net));
-    let (bytes_a, bytes_b) = (
-        std::fs::read(path(&store, ka)).unwrap(),
-        std::fs::read(path(&store, kb)).unwrap(),
-    );
-    std::fs::write(path(&store, ka), &bytes_b).unwrap();
-    std::fs::write(path(&store, kb), &bytes_a).unwrap();
-
-    let (sim, (_, misses, _)) = counted(|| FaultSimulator::new_cached(&a.net, &store));
-    assert_eq!(misses, 1, "the misfiled arena is a miss");
-    assert_eq!(sim.compiled(), FaultSimulator::new(&a.net).compiled());
-    assert_eq!([a.run(Some(&store)), b.run(Some(&store))], want);
-    assert_eq!(
-        std::fs::read(path(&store, ka)).unwrap(),
-        bytes_a,
-        "a rebuilt"
-    );
-    std::fs::remove_dir_all(&root).ok();
-}
-
-/// The gate table is derived state: every way to a compiled arena
-/// builds it, under a `sim.gate_table` span inside `sim.compile`.
+/// The gate table is derived state: both constructors build it, under
+/// a `sim.gate_table` span inside `sim.compile`.
 #[test]
 fn the_gate_table_builds_inside_sim_compile_on_every_path() {
     let _exclusive = rescue_telemetry::exclusive();
     let d = Design::new(3);
     let root = temp_root("table", 3);
     let store = ArtifactStore::open(&root);
-    for path in ["fresh", "cold cache", "warm cache"] {
+    for path in ["new", "new_cached"] {
         let mark = journal::mark();
-        let (_, (hits, _, _)) = counted(|| match path {
-            "fresh" => FaultSimulator::new(&d.net),
+        counted(|| match path {
+            "new" => FaultSimulator::new(&d.net),
             _ => FaultSimulator::new_cached(&d.net, &store),
         });
         let spans = Journal::snapshot_since(mark).spans();
-        assert_eq!(hits, u64::from(path == "warm cache"), "{path}");
         let [compile] = spans
             .iter()
             .filter(|s| s.name == "sim.compile")
@@ -208,6 +169,46 @@ fn the_gate_table_builds_inside_sim_compile_on_every_path() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// The key builds that cached compiled arenas filed one under.
+fn arena_key(net: &Netlist) -> ContentHash {
+    let mut h = CanonicalHasher::new("rescue.compiled.v1");
+    h.write_u128(content::hash_netlist_source(net).0);
+    h.finish()
+}
+
+/// A cache that older builds filled with arenas as well as plans: one
+/// design's arena file intact, the other's truncated. `new_cached`
+/// equals `new`, moves no `plan.*` counter and leaves every file
+/// byte-identical, so it never reads them.
+#[test]
+fn new_cached_compiles_and_never_reads_the_cache() {
+    let _exclusive = rescue_telemetry::exclusive();
+    let designs = [11, 12].map(Design::new);
+    let root = temp_root("arenas", 11);
+    let store = ArtifactStore::open(&root);
+    for d in &designs {
+        d.run(Some(&store));
+        let arena = CompiledNetlist::new(&d.net).to_bytes();
+        store.save(arena_key(&d.net), &arena).unwrap();
+    }
+    let truncated = path(&store, arena_key(&designs[1].net));
+    let bytes = std::fs::read(&truncated).unwrap();
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+    let snapshot = |store: &ArtifactStore| -> Vec<(ContentHash, Vec<u8>)> {
+        let read = |k| (k, std::fs::read(path(store, k)).unwrap());
+        files(store).into_iter().map(read).collect()
+    };
+    let before = snapshot(&store);
+    assert_eq!(before.len(), 6, "two plans and an arena per design");
+    for d in &designs {
+        let (sim, moved) = counted(|| FaultSimulator::new_cached(&d.net, &store));
+        assert_eq!(moved, (0, 0, 0), "no plan.* counter moves");
+        assert_eq!(sim.compiled(), FaultSimulator::new(&d.net).compiled());
+    }
+    assert_eq!(snapshot(&store), before, "every file byte-identical");
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// A cache root under a regular file: `open` counts the directory it
 /// cannot create, every save fails and is counted, and the campaign
 /// equals the uncached one.
@@ -221,11 +222,11 @@ fn a_cache_root_under_a_file_costs_rebuilds_not_the_campaign() {
     std::fs::write(&file, b"not a directory").unwrap();
     let (report, (hits, misses, errors)) = counted(|| {
         let store = ArtifactStore::open(&file);
-        d.run(Some(&store))
+        d.campaign(true, Some(&store))
     });
-    assert_eq!(report, d.run(None));
-    assert_eq!((hits, misses), (0, 2), "arena and plan both miss");
-    assert_eq!(errors, 3, "the directory, then the arena and the plan");
+    assert_eq!(report, d.campaign(true, None));
+    assert_eq!((hits, misses), (0, 1), "the plan misses");
+    assert_eq!(errors, 2, "the directory, then the plan");
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -259,11 +260,11 @@ fn mutate(bytes: &mut [Vec<u8>], (kind, at, salt): Mutation) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Warm a cache with two designs (two arenas, two trace plans), then
-    /// truncate, flip, splice or swap 1–3 of the four files. The next
-    /// `new_cached` plus campaign of each design equals the uncached
-    /// campaign, each changed file is one miss and every other file a
-    /// hit, and a third pass hits everywhere: the misses were rebuilt.
+    /// Warm a cache with two designs (a walk plan and a trace plan
+    /// each), then truncate, flip, splice or swap 1–3 of the four files.
+    /// The next campaigns of each design equal the uncached ones, each
+    /// changed file is one miss and every other file a hit, and a third
+    /// pass hits everywhere: the misses were rebuilt.
     #[test]
     fn mutated_artifact_files_rebuild_and_count_as_misses(
         seed in 1u64..300,
@@ -276,7 +277,7 @@ proptest! {
         let store = ArtifactStore::open(&root);
         prop_assert_eq!(&designs.each_ref().map(|d| d.run(Some(&store))), &want);
         let keys = files(&store);
-        prop_assert_eq!(keys.len(), 4, "two arenas and two trace plans");
+        prop_assert_eq!(keys.len(), 4, "two walk plans and two trace plans");
         let original: Vec<Vec<u8>> = keys.iter().map(|&k| std::fs::read(path(&store, k)).unwrap()).collect();
         let mut bytes = original.clone();
         for &m in &mutations {

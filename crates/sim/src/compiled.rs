@@ -545,12 +545,13 @@ impl CompiledNetlist {
 
     // --- compiled-artifact wire format ----------------------------------
 
-    /// Serializes the full compiled arena for the artifact cache.
+    /// Serializes the full compiled arena.
     ///
     /// Every derived field (levelization, CSRs, orders) is dumped
-    /// verbatim, so a cache hit deserializes with zero levelization or
-    /// CSR-construction work. Little-endian, versioned; gate kinds use
-    /// the frozen [`GateKind::wire_code`] table.
+    /// verbatim, so a decode does zero levelization or CSR-construction
+    /// work. Little-endian, versioned; gate kinds use the frozen
+    /// [`GateKind::wire_code`] table. No library path caches arenas:
+    /// reading, decoding and validating one costs more than compiling it.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64 + self.kinds.len() * 40 + self.pins.len() * 8);
         buf.push(WIRE_VERSION);
