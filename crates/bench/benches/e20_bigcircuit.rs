@@ -1,55 +1,50 @@
-//! E20 — million-gate scaling ladder: parallel plan construction,
-//! level-ordered layouts, the compiled-artifact cache and the execution
-//! phase behind them.
+//! E20 — million-gate scaling ladder: setup layers, the output-cone
+//! campaign with tracing on and off, level-ordered layouts and the
+//! execution phase split.
 //!
 //! Three rungs from `generate::scaling_ladder()` — 50 k, 200 k and 10^6
 //! gates — each measuring the *setup* path that dominates big-circuit
-//! campaigns before the first pattern simulates, then what execution
-//! costs once setup is cached:
+//! campaigns before the first pattern simulates, then the campaign:
 //!
 //! * **generate / levelize / compile** — netlist construction, the
 //!   level-ordered renumbering (`renumber::levelized`, the
 //!   cache-friendly layout) and arena compilation;
 //! * **collapse** — the dense-slot equivalence rule pass
 //!   (`collapse_with`, sharded over workers);
-//! * **plan build, serial vs parallel** — `TracePlan::build` against
-//!   `TracePlan::build_with(workers)` on the full arena and the walk list
-//!   (byte-identity asserted before timing; the >= 2x acceptance guard
-//!   on the 200 k+ rungs is gated on `host_cpus() >= 4`);
 //! * **output cone** — campaigns on these rungs evaluate only the
 //!   output cone (`campaign_arena`: every rung keeps under 3% of its
-//!   gates), so the plan they build and cache is the cone's, timed
-//!   serially;
-//! * **plan cache, cold vs warm** — the same compile and campaign
-//!   through `PackedOptions::with_artifacts`: the cold pass builds and
-//!   publishes the cone's plan, the warm pass decodes it (zero DFS /
-//!   classification work), and the warm plan-reload is timed directly
-//!   against the cone plan's serial build. Both passes compile the
-//!   arena afresh: compiled arenas are not cached, since a reload lost
-//!   to a fresh compile on every rung. Verdict equality cold vs warm is
-//!   asserted per rung, and so is warm ≤ cold at min-of-N;
-//! * **exec phase split** — one telemetry-on warm pass records the
+//!   gates), so the plan they build is the cone's, timed here with the
+//!   serial `TracePlan::build` every campaign runs in its prepare step;
+//! * **campaign, traced and walked** — the same campaign with
+//!   `.traced()` and without it, on the same patterns, each the min of
+//!   `MEASURE_RUNS` interleaved runs. Both compile the arena and build
+//!   their plan afresh, as every campaign does: nothing derived from a
+//!   netlist is cached.
+//!   Equal first detections are asserted per rung; the walked timing
+//!   and `trace_over_walk` are recorded without a guard;
+//! * **exec phase split** — one telemetry-on traced pass records the
 //!   `exec.golden_us` / `exec.walk_us` / `exec.trace_us` histograms, so
 //!   the golden/walk/trace shares are measured, not inferred;
 //! * **golden kernel** — one full-design packed evaluation through the
 //!   gate table's level runs vs the generic fold gate by gate (the 1 M
 //!   rung gates ≥ 1.3x).
 //!
-//! Campaign timings use 256 random patterns through the hybrid engine
-//! (W=4, collapsed, traced). On the 50 k rung the same campaign also runs
-//! on the *original* (non-levelized) gate numbering so the layout effect
-//! is a measured number, not a claim; coverage equality between the two
-//! numberings is asserted.
+//! Campaign timings use 256 random patterns (W=4, collapsed). On the
+//! 50 k rung the traced campaign also runs on the *original*
+//! (non-levelized) gate numbering, in `LAYOUT_PAIRS` interleaved pairs
+//! against the level order with the first side alternating, so the
+//! layout effect is a median with its quartiles, not a claim; coverage
+//! equality between the two numberings is asserted.
 //!
 //! Measurements land in `BENCH_bigcircuit.json` with the execution
 //! environment stamped; `warn_env_drift` flags regeneration on a host
 //! with a different CPU count than the committed figures. A
-//! perf-regression guard compares this host's warm 200 k campaign
+//! perf-regression guard compares this host's traced 200 k campaign
 //! against the committed figure and fails beyond +25 % — skipped (with a
 //! note) on < 4-CPU hosts, under environment drift, or when no baseline
 //! is stamped.
 //!
-//! Set `E20_SMOKE=1` for a seconds-scale CI run: the 200 k rung with a
+//! Set `E20_SMOKE=1` for a seconds-scale CI run: the 200k rung with a
 //! reduced pattern block and telemetry on, asserting non-empty, non-zero
 //! `exec.golden_us` and `exec.trace_us` histograms and exporting the run
 //! journal to `e20_smoke.jsonl` for `journal_check` validation.
@@ -59,12 +54,12 @@ use rescue_bench::{
     banner, blog, env_json, guard_regression, host_cpus, random_patterns, secs, secs_min,
     warn_env_drift,
 };
-use rescue_core::campaign::{ArtifactStore, Campaign};
+use rescue_core::campaign::Campaign;
 use rescue_core::faults::collapse::{collapse_with, CollapsedUniverse};
 use rescue_core::faults::engine::po_reachable;
 use rescue_core::faults::simulate::{campaign_arena, FaultSimulator, PackedOptions};
 use rescue_core::faults::trace::TracePlan;
-use rescue_core::faults::{content, universe, Fault};
+use rescue_core::faults::{universe, Fault};
 use rescue_core::netlist::generate::{scaling_ladder, ScaleRung};
 use rescue_core::netlist::renumber;
 use rescue_core::sim::compiled::CompiledNetlist;
@@ -74,19 +69,19 @@ use rescue_core::telemetry::{journal, metrics, TelemetryConfig};
 
 const PATTERNS: usize = 256;
 const SMOKE_PATTERNS: usize = 64;
-/// Campaign timings are min-of-N: the ladder's original single-sample
-/// timing made the 200k rung report warm *slower* than cold — one
-/// allocator / page-cache hiccup in a 0.4 s sample was enough to invert
-/// the ordering. The minimum over `MEASURE_RUNS` fresh runs is the
-/// standard noise floor estimator; smoke mode keeps N=1 for CI budget.
+/// Campaign timings are min-of-N, the standard noise floor estimator:
+/// one allocator / page-cache hiccup in a single sample can invert an
+/// ordering. Smoke mode keeps N=1 for CI budget.
 const MEASURE_RUNS: usize = 3;
-/// Warm-campaign regression tolerance vs the committed baseline.
+/// Interleaved original-order / level-order campaign pairs of the 50 k
+/// layout comparison.
+const LAYOUT_PAIRS: usize = 20;
+/// Traced-campaign regression tolerance vs the committed baseline.
 const REGRESSION_TOLERANCE: f64 = 0.25;
 
 /// The walk list the packed engines plan over: PO-reachable collapse
 /// representatives in order of first appearance over the universe —
-/// exactly the list `campaign_packed` plans (and keys its cached plan)
-/// under.
+/// exactly the list `campaign_packed` plans.
 fn walk_list_of(
     c: &CompiledNetlist,
     collapsed: &CollapsedUniverse,
@@ -141,6 +136,44 @@ fn exec_phases(f: impl FnOnce()) -> [Phase; 3] {
     })
 }
 
+/// First quartile, median and third quartile of `xs`, interpolating
+/// linearly between order statistics.
+fn quartiles(xs: &[f64]) -> [f64; 3] {
+    let mut s = xs.to_vec();
+    s.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (s.len() - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// Runs `f(0)` and `f(1)` in `n` pairs whose first side alternates, so
+/// neither side always runs first; returns each side's wall-clock
+/// samples with its last output.
+fn interleaved<T>(n: usize, mut f: impl FnMut(usize) -> T) -> [(Vec<f64>, T); 2] {
+    let mut times = [Vec::new(), Vec::new()];
+    let mut last = [None, None];
+    for i in 0..n.max(1) {
+        for side in [i % 2, 1 - i % 2] {
+            let (out, t) = secs(|| f(side));
+            times[side].push(t);
+            last[side] = Some(out);
+        }
+    }
+    let [t0, t1] = times;
+    let [Some(out0), Some(out1)] = last else {
+        unreachable!("every side ran at least once")
+    };
+    [(t0, out0), (t1, out1)]
+}
+
+fn min(xs: &[f64]) -> f64 {
+    xs.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
 struct RungResult {
     name: &'static str,
     gates: usize,
@@ -150,15 +183,15 @@ struct RungResult {
     t_levelize: f64,
     t_compile: f64,
     t_collapse: f64,
-    t_plan_serial: f64,
-    t_plan_parallel: f64,
     /// Gates of the arena campaigns evaluate (the output cone).
     cone_gates: usize,
     t_plan_cone: f64,
-    t_plan_reload: f64,
-    t_campaign_cold: f64,
-    t_campaign_warm: f64,
-    /// `exec.golden_us`, `exec.walk_us`, `exec.trace_us` of one warm pass.
+    /// The traced campaign, min of N.
+    t_campaign: f64,
+    /// The same campaign without `.traced()`, min of N.
+    t_campaign_walk: f64,
+    /// `exec.golden_us`, `exec.walk_us`, `exec.trace_us` of one traced
+    /// pass.
     phases: [Phase; 3],
     t_golden_sweep: f64,
     t_golden_gate_order: f64,
@@ -168,11 +201,10 @@ struct RungResult {
 }
 
 impl RungResult {
-    fn plan_speedup(&self) -> f64 {
-        self.t_plan_serial / self.t_plan_parallel
-    }
-    fn reload_speedup(&self) -> f64 {
-        self.t_plan_cone / self.t_plan_reload
+    /// Speedup of tracing over the walk on the whole campaign (above 1:
+    /// the traced campaign is faster).
+    fn trace_over_walk(&self) -> f64 {
+        self.t_campaign_walk / self.t_campaign
     }
     /// Speedup of the gate table's level runs on the phase they
     /// target: full-design golden-chunk evaluation, against the generic
@@ -192,61 +224,26 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
     let faults = universe::stuck_at_universe(&lev);
     let (collapsed, t_collapse) = secs(|| collapse_with(&lev, &faults, workers));
     let walk = walk_list_of(&c, &collapsed, &faults);
-
-    // Parallel plan construction must be invisible: byte-identical to
-    // the serial build (the property suite pins this on small designs;
-    // asserting it here extends the evidence to the full-size rungs).
-    let (serial_plan, t_plan_serial) = secs(|| TracePlan::build(&c, &walk));
-    let (parallel_plan, t_plan_parallel) = secs(|| TracePlan::build_with(&c, &walk, workers));
-    assert_eq!(
-        serial_plan.to_bytes(),
-        parallel_plan.to_bytes(),
-        "{}-gate rung: parallel plan build diverged from serial",
-        rung.gates
-    );
     // What campaigns plan: the output cone and the walk list in its ids.
     let (cone, cone_walk) = campaign_arena(&c, &walk);
-    let (cone_plan, t_plan_cone) = secs(|| TracePlan::build(&cone, &cone_walk));
+    let (_, t_plan_cone) = secs(|| TracePlan::build(&cone, &cone_walk));
 
-    // Plan cache: cold publishes, warm decodes. The reload timing is
-    // the direct "setup executes zero DFS" number.
-    let dir = std::env::temp_dir().join(format!("rescue-e20-{}-{}", rung.name, std::process::id()));
     let patterns = random_patterns(lev.primary_inputs().len(), n_patterns, rung.seed ^ 0x9e37);
     let campaign = Campaign::new(0, workers);
-    let opts = PackedOptions::wide(4).with_collapsed(&collapsed).traced();
-
-    // Cold: every repetition starts from a wiped store (outside the
-    // timed region), so the minimum is over genuinely cold passes.
-    let (cold, t_campaign_cold) = secs_min(
-        runs,
-        || {
-            std::fs::remove_dir_all(&dir).ok();
-        },
-        || {
-            let store = ArtifactStore::open(&dir);
-            let sim = FaultSimulator::new(&lev);
-            sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store))
-        },
-    );
-    // Warm: the store the last cold pass populated stays in place.
-    let store = ArtifactStore::open(&dir);
-    let (warm, t_campaign_warm) = secs_min(
-        runs,
-        || {},
-        || {
-            let sim = FaultSimulator::new(&lev);
-            sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store))
-        },
-    );
+    let walked = PackedOptions::wide(4).with_collapsed(&collapsed);
+    let traced = walked.traced();
+    let run = |opts| FaultSimulator::new(&lev).campaign_packed(&faults, &patterns, &campaign, opts);
+    let [(trace_t, trace), (walk_t, walk_run)] =
+        interleaved(runs, |side| run([traced, walked][side]));
+    let (t_campaign, t_campaign_walk) = (min(&trace_t), min(&walk_t));
     assert_eq!(
-        cold.report.first_detection(),
-        warm.report.first_detection(),
-        "{}-gate rung: warm cache pass diverged from cold",
+        trace.report.first_detection(),
+        walk_run.report.first_detection(),
+        "{}-gate rung: the traced campaign diverged from the walk",
         rung.gates
     );
     let phases = exec_phases(|| {
-        let sim = FaultSimulator::new(&lev);
-        sim.campaign_packed(&faults, &patterns, &campaign, opts.with_artifacts(&store));
+        run(traced);
     });
     // Golden-kernel ablation: one full-design packed evaluation (the
     // phase the level runs target) through the runs vs the generic fold
@@ -255,46 +252,28 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
     type Wd = PackedWord<4>;
     let kernel_words = pack_patterns_wide::<Wd>(&patterns[..patterns.len().min(Wd::LANES)]);
     let mut swept = Vec::with_capacity(c.len());
-    let (_, t_golden_sweep) = secs_min(
-        runs,
-        || {},
-        || c.eval_words_into(&kernel_words, &mut swept).unwrap(),
-    );
+    let (_, t_golden_sweep) = secs_min(runs, || {
+        c.eval_words_into(&kernel_words, &mut swept).unwrap()
+    });
     let mut gate_order = Vec::with_capacity(c.len());
-    let (_, t_golden_gate_order) = secs_min(
-        runs,
-        || {},
-        || {
-            gate_order.clear();
-            gate_order.resize(c.len(), Wd::ZERO);
-            for (&pi, &w) in c.primary_inputs().iter().zip(&kernel_words) {
-                gate_order[pi as usize] = w;
-            }
-            for &g in c.eval_order() {
-                let ins = c
-                    .pins_of(g as usize)
-                    .iter()
-                    .map(|&p| gate_order[p as usize]);
-                gate_order[g as usize] = fold(c.kind(g as usize), ins);
-            }
-        },
-    );
+    let (_, t_golden_gate_order) = secs_min(runs, || {
+        gate_order.clear();
+        gate_order.resize(c.len(), Wd::ZERO);
+        for (&pi, &w) in c.primary_inputs().iter().zip(&kernel_words) {
+            gate_order[pi as usize] = w;
+        }
+        for &g in c.eval_order() {
+            let ins = c
+                .pins_of(g as usize)
+                .iter()
+                .map(|&p| gate_order[p as usize]);
+            gate_order[g as usize] = fold(c.kind(g as usize), ins);
+        }
+    });
     assert_eq!(
         swept, gate_order,
         "level runs diverged from the gate-order fold"
     );
-    drop((swept, gate_order));
-
-    let key = content::plan_key(&cone, &cone_walk, true);
-    let (reloaded, t_plan_reload) = secs(|| {
-        TracePlan::from_bytes(&store.load(key).expect("cold pass published the trace plan"))
-            .expect("stored plan decodes")
-    });
-    assert_eq!(
-        reloaded, cone_plan,
-        "cache reload diverged from fresh build"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 
     RungResult {
         name: rung.name,
@@ -305,56 +284,50 @@ fn run_rung(rung: &ScaleRung, workers: usize, n_patterns: usize, runs: usize) ->
         t_levelize,
         t_compile,
         t_collapse,
-        t_plan_serial,
-        t_plan_parallel,
         cone_gates: cone.len(),
         t_plan_cone,
-        t_plan_reload,
-        t_campaign_cold,
-        t_campaign_warm,
+        t_campaign,
+        t_campaign_walk,
         phases,
         t_golden_sweep,
         t_golden_gate_order,
-        coverage: warm.report.coverage(),
-        walked: warm.stats.faults_walked,
-        traced: warm.stats.faults_traced,
+        coverage: trace.report.coverage(),
+        walked: trace.stats.faults_walked,
+        traced: trace.stats.faults_traced,
     }
 }
 
-/// The 50 k-rung layout experiment: the identical campaign on the
-/// original and the level-ordered numbering. Returns
-/// `(t_original, t_levelized)`; coverage equality is asserted (the two
-/// numberings are the same circuit).
+/// The 50 k-rung layout experiment: the identical traced campaign on
+/// the original and the level-ordered numbering, timed in `pairs`
+/// interleaved pairs whose first side alternates. Returns each side's
+/// samples, original order first; coverage equality is asserted (the
+/// two numberings are the same circuit).
 fn layout_comparison(
     rung: &ScaleRung,
     workers: usize,
     n_patterns: usize,
-    runs: usize,
-) -> (f64, f64) {
+    pairs: usize,
+) -> [Vec<f64>; 2] {
     let net = rung.build();
     let (lev, _) = renumber::levelized(&net);
     let campaign = Campaign::new(0, workers);
-    let mut cov = [0.0f64; 2];
-    let mut times = [0.0f64; 2];
-    for (i, n) in [&net, &lev].into_iter().enumerate() {
+    let sides = [&net, &lev].map(|n| {
         let faults = universe::stuck_at_universe(n);
         let collapsed = collapse_with(n, &faults, workers);
-        let sim = FaultSimulator::new(n);
         let patterns = random_patterns(n.primary_inputs().len(), n_patterns, rung.seed ^ 0x9e37);
-        let opts = PackedOptions::wide(4).with_collapsed(&collapsed).traced();
-        let (run, t) = secs_min(
-            runs,
-            || (),
-            || sim.campaign_packed(&faults, &patterns, &campaign, opts),
-        );
-        cov[i] = run.report.coverage();
-        times[i] = t;
-    }
+        (FaultSimulator::new(n), faults, collapsed, patterns)
+    });
+    let [(t_orig, orig_run), (t_lev, lev_run)] = interleaved(pairs, |side| {
+        let (sim, faults, collapsed, patterns) = &sides[side];
+        let opts = PackedOptions::wide(4).with_collapsed(collapsed).traced();
+        sim.campaign_packed(faults, patterns, &campaign, opts)
+    });
     assert_eq!(
-        cov[0], cov[1],
+        orig_run.report.coverage(),
+        lev_run.report.coverage(),
         "levelized renumbering changed coverage on the same circuit"
     );
-    (times[0], times[1])
+    [t_orig, t_lev]
 }
 
 fn smoke(rung: &ScaleRung, workers: usize) {
@@ -369,8 +342,8 @@ fn smoke(rung: &ScaleRung, workers: usize) {
     let [golden, walk, trace] = r.phases;
     blog!(
         "  smoke [{}]: {} gates, {} faults ({} planned, {} walked, {} statically traced), \
-         coverage {:.2}%, plan {:.0} ms serial / {:.0} ms parallel, cone of {} gates: \
-         plan {:.1} ms / {:.1} ms reload, exec golden/walk/trace {:.3}/{:.3}/{:.3} ms, \
+         coverage {:.2}%, cone of {} gates: plan {:.2} ms, campaign traced {:.1} ms / \
+         walked {:.1} ms, exec golden/walk/trace {:.3}/{:.3}/{:.3} ms, \
          {} journal events -> {path}",
         r.name,
         r.gates,
@@ -379,11 +352,10 @@ fn smoke(rung: &ScaleRung, workers: usize) {
         r.walked,
         r.traced,
         r.coverage * 100.0,
-        r.t_plan_serial * 1e3,
-        r.t_plan_parallel * 1e3,
         r.cone_gates,
         r.t_plan_cone * 1e3,
-        r.t_plan_reload * 1e3,
+        r.t_campaign * 1e3,
+        r.t_campaign_walk * 1e3,
         golden.ms(),
         walk.ms(),
         trace.ms(),
@@ -392,7 +364,7 @@ fn smoke(rung: &ScaleRung, workers: usize) {
     for (name, p) in [("exec.golden_us", golden), ("exec.trace_us", trace)] {
         assert!(
             p.samples > 0 && p.us > 0,
-            "{name}: {} samples summing to {} µs on the traced warm campaign",
+            "{name}: {} samples summing to {} µs on the traced campaign",
             p.samples,
             p.us
         );
@@ -435,27 +407,20 @@ fn bench(c: &mut Criterion) {
             r.t_collapse * 1e3
         );
         blog!(
-            "    plan: serial {:>8.1} ms   parallel({workers}) {:>8.1} ms ({:.2}x)",
-            r.t_plan_serial * 1e3,
-            r.t_plan_parallel * 1e3,
-            r.plan_speedup(),
-        );
-        blog!(
-            "    cone: {} gates   plan {:>6.2} ms   cache reload {:>6.2} ms ({:.1}x)",
+            "    cone: {} gates   plan {:>6.2} ms",
             r.cone_gates,
-            r.t_plan_cone * 1e3,
-            r.t_plan_reload * 1e3,
-            r.reload_speedup()
+            r.t_plan_cone * 1e3
         );
         blog!(
-            "    campaign ({PATTERNS} patterns, hybrid, min of {MEASURE_RUNS}): \
-             cold {:>8.1} ms   warm {:>8.1} ms",
-            r.t_campaign_cold * 1e3,
-            r.t_campaign_warm * 1e3
+            "    campaign ({PATTERNS} patterns, min of {MEASURE_RUNS}): traced {:>8.1} ms   \
+             walked {:>8.1} ms ({:.2}x trace over walk)",
+            r.t_campaign * 1e3,
+            r.t_campaign_walk * 1e3,
+            r.trace_over_walk()
         );
         let [golden, walk, trace] = r.phases;
         blog!(
-            "    exec phases (telemetry, one warm pass): golden {:.3} ms   walk {:.3} ms   \
+            "    exec phases (telemetry, one traced pass): golden {:.3} ms   walk {:.3} ms   \
              trace {:.3} ms",
             golden.ms(),
             walk.ms(),
@@ -467,41 +432,6 @@ fn bench(c: &mut Criterion) {
             r.t_golden_sweep * 1e3,
             r.t_golden_gate_order * 1e3,
             r.sweep_speedup()
-        );
-    }
-
-    // Acceptance guard: parallel plan construction >= 2x over serial on
-    // the 200k+ rungs — physically impossible on small hosts, so gated.
-    for r in &results[1..] {
-        if host_cpus() >= 4 {
-            assert!(
-                r.plan_speedup() >= 2.0,
-                "acceptance criterion: parallel plan build must be >= 2x over serial \
-                 on the {} rung on a >= 4-CPU host (got {:.2}x on {} CPUs)",
-                r.name,
-                r.plan_speedup(),
-                host_cpus()
-            );
-        } else {
-            blog!(
-                "  (skipping parallel-build >= 2x assertion on {} rung: host has {} CPU(s))",
-                r.name,
-                host_cpus()
-            );
-        }
-    }
-
-    // Anomaly guard (min-of-N fix): a warm pass skips plan construction
-    // and artifact publication entirely, so the noise-floor estimate
-    // must come out no slower than cold on every rung.
-    for r in &results {
-        assert!(
-            r.t_campaign_warm <= r.t_campaign_cold,
-            "{} rung: warm campaign ({:.1} ms) slower than cold ({:.1} ms) \
-             even at min-of-{MEASURE_RUNS} — the cache hot path regressed",
-            r.name,
-            r.t_campaign_warm * 1e3,
-            r.t_campaign_cold * 1e3
         );
     }
 
@@ -522,7 +452,7 @@ fn bench(c: &mut Criterion) {
         million.t_golden_gate_order * 1e3
     );
 
-    // Perf-regression guard: this host's warm 200k campaign vs the
+    // Perf-regression guard: this host's traced 200k campaign vs the
     // committed figure (+25 % budget), read before it is overwritten.
     // Skips on small hosts, drift or a missing baseline — see
     // guard_regression.
@@ -530,18 +460,31 @@ fn bench(c: &mut Criterion) {
     let guarded = guard_regression(
         path,
         "200k",
-        "campaign_warm",
-        results[1].t_campaign_warm,
+        "campaign",
+        results[1].t_campaign,
         REGRESSION_TOLERANCE,
     );
 
-    let (t_orig, t_lev) = layout_comparison(&ladder[0], workers, PATTERNS, MEASURE_RUNS);
+    let [orig, lev] =
+        layout_comparison(&ladder[0], workers, PATTERNS, LAYOUT_PAIRS).map(|t| quartiles(&t));
+    // Resolved only when the two sides' interquartile ranges are disjoint.
+    let resolved = orig[0] > lev[2] || lev[0] > orig[2];
     blog!(
-        "\n  layout (50k rung, identical campaign): original order {:.1} ms, \
-         level order {:.1} ms ({:.2}x)",
-        t_orig * 1e3,
-        t_lev * 1e3,
-        t_orig / t_lev
+        "\n  layout (50k rung, traced campaign, {LAYOUT_PAIRS} interleaved pairs): original \
+         order {:.1} ms [{:.1}, {:.1}], level order {:.1} ms [{:.1}, {:.1}] \
+         ({:.2}x at the medians, {})",
+        orig[1] * 1e3,
+        orig[0] * 1e3,
+        orig[2] * 1e3,
+        lev[1] * 1e3,
+        lev[0] * 1e3,
+        lev[2] * 1e3,
+        orig[1] / lev[1],
+        if resolved {
+            "resolved"
+        } else {
+            "unresolved: the quartiles overlap"
+        }
     );
 
     let rung_json = |r: &RungResult| {
@@ -550,16 +493,14 @@ fn bench(c: &mut Criterion) {
              \"planned_roots\": {},\n      \
              \"coverage\": {:.4},\n      \"seconds\": {{\n        \"generate\": {:.6},\n        \
              \"levelize\": {:.6},\n        \"compile\": {:.6},\n        \"collapse\": {:.6},\n        \
-             \"plan_serial\": {:.6},\n        \"plan_parallel\": {:.6},\n        \
-             \"plan_cone\": {:.6},\n        \"plan_reload\": {:.6},\n        \"campaign_cold\": {:.6},\n        \
-             \"campaign_warm\": {:.6}\n      }},\n      \"exec_us\": {{\n        \
+             \"plan_cone\": {:.6},\n        \"campaign\": {:.6},\n        \
+             \"campaign_walk\": {:.6}\n      }},\n      \"trace_over_walk\": {:.2},\n      \
+             \"exec_us\": {{\n        \
              \"golden\": {},\n        \"walk\": {},\n        \"trace\": {}\n      }},\n      \
              \"exec\": {{\n        \
              \"golden_sweep\": {:.6},\n        \
              \"golden_gate_order\": {:.6},\n        \
-             \"sweep_speedup\": {:.2}\n      }},\n      \
-             \"plan_parallel_speedup\": {:.2},\n      \
-             \"plan_reload_speedup\": {:.2}\n    }}",
+             \"sweep_speedup\": {:.2}\n      }}\n    }}",
             r.gates,
             r.cone_gates,
             r.faults,
@@ -569,21 +510,20 @@ fn bench(c: &mut Criterion) {
             r.t_levelize,
             r.t_compile,
             r.t_collapse,
-            r.t_plan_serial,
-            r.t_plan_parallel,
             r.t_plan_cone,
-            r.t_plan_reload,
-            r.t_campaign_cold,
-            r.t_campaign_warm,
+            r.t_campaign,
+            r.t_campaign_walk,
+            r.trace_over_walk(),
             r.phases[0].us,
             r.phases[1].us,
             r.phases[2].us,
             r.t_golden_sweep,
             r.t_golden_gate_order,
             r.sweep_speedup(),
-            r.plan_speedup(),
-            r.reload_speedup(),
         )
+    };
+    let side_json = |[q1, median, q3]: [f64; 3]| {
+        format!("{{ \"median\": {median:.6}, \"q1\": {q1:.6}, \"q3\": {q3:.6} }}")
     };
     let rungs: Vec<String> = results
         .iter()
@@ -592,12 +532,14 @@ fn bench(c: &mut Criterion) {
     let json = format!(
         "{{\n  \"experiment\": \"e20_bigcircuit\",\n  {},\n  \"patterns\": {PATTERNS},\n  \
          \"measure_runs\": {MEASURE_RUNS},\n  \"regression_guard_ran\": {guarded},\n  \
-         \"rungs\": {{\n    {}\n  }},\n  \"layout_50k\": {{\n    \"campaign_original_order\": {:.6},\n    \
-         \"campaign_level_order\": {:.6}\n  }}\n}}\n",
+         \"rungs\": {{\n    {}\n  }},\n  \"layout_50k\": {{\n    \"pairs\": {LAYOUT_PAIRS},\n    \
+         \"campaign_original_order\": {},\n    \"campaign_level_order\": {},\n    \
+         \"speedup_at_medians\": {:.2},\n    \"resolved\": {resolved}\n  }}\n}}\n",
         env_json(workers, 256),
         rungs.join(",\n    "),
-        t_orig,
-        t_lev,
+        side_json(orig),
+        side_json(lev),
+        orig[1] / lev[1],
     );
     warn_env_drift(path);
     if let Err(e) = std::fs::write(path, &json) {
@@ -615,11 +557,8 @@ fn bench(c: &mut Criterion) {
     let faults = universe::stuck_at_universe(&lev);
     let collapsed = collapse_with(&lev, &faults, workers);
     let walk = walk_list_of(&compiled, &collapsed, &faults);
-    c.bench_function("e20_plan_build_50k_serial", |b| {
+    c.bench_function("e20_plan_build_50k", |b| {
         b.iter(|| std::hint::black_box(TracePlan::build(&compiled, &walk)))
-    });
-    c.bench_function("e20_plan_build_50k_parallel", |b| {
-        b.iter(|| std::hint::black_box(TracePlan::build_with(&compiled, &walk, workers)))
     });
 }
 

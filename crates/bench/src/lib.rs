@@ -63,13 +63,11 @@ pub fn secs<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Min-of-`n` timing: runs `f` `n` times, returns the last output and
-/// the fastest wall-clock. `setup` runs before each repetition outside
-/// the timed region (e.g. wiping the artifact store for cold passes).
-pub fn secs_min<T>(n: usize, mut setup: impl FnMut(), mut f: impl FnMut() -> T) -> (T, f64) {
+/// the fastest wall-clock.
+pub fn secs_min<T>(n: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     let mut best = f64::INFINITY;
     let mut out = None;
     for _ in 0..n.max(1) {
-        setup();
         let (o, t) = secs(&mut f);
         best = best.min(t);
         out = Some(o);

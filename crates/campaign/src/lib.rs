@@ -36,9 +36,10 @@
 //!   without ever double-executing a unit — verdicts and merged stats
 //!   stay bit-identical to an uninterrupted run, and re-submitting an
 //!   identical campaign executes zero units.
-//! * [`artifact`] — the content-addressed cache of campaign and trace
-//!   plans, so a repeat campaign decodes its plan instead of
-//!   rebuilding it.
+//! * [`artifact`] — an inert [`ArtifactStore`] handle: it creates and
+//!   reads nothing and stays only for callers that still pass one.
+//!   Campaigns build their plans afresh; nothing derived from a netlist
+//!   is cached.
 //!
 //! The crate depends only on `rescue-telemetry` (the workspace
 //! observability substrate — every run and shard is wrapped in a

@@ -185,7 +185,6 @@ impl CanonicalHasher {
 
 /// 64-bit FNV-1a over raw bytes — the [`UnitRecord`] envelope checksum
 /// (torn-write detection beyond what atomic rename already guarantees).
-/// Shared with the [`crate::artifact::ArtifactStore`] envelope.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {

@@ -78,10 +78,9 @@ pub fn hash_netlist(c: &CompiledNetlist) -> ContentHash {
 /// compiling it — byte-identical to hashing the compiled arena, because
 /// the hash covers exactly the fields compilation copies verbatim (gate
 /// kinds and pin lists in id order, then the PI / PO-driver / DFF / DFF-D
-/// interface arrays). No library path keys on it: compiled arenas are
-/// not cached, since compiling one costs less than reading it back
-/// (EXPERIMENTS E20). The tests use it to pin that a source netlist and
-/// its compiled arena hash alike.
+/// interface arrays). No library path keys on it: nothing derived from
+/// a netlist is cached. The tests use it to pin that a source netlist
+/// and its compiled arena hash alike.
 pub fn hash_netlist_source(netlist: &Netlist) -> ContentHash {
     let mut h = CanonicalHasher::new("rescue.netlist.v1");
     h.write_usize(netlist.len());
@@ -108,21 +107,6 @@ pub fn hash_netlist_source(netlist: &Netlist) -> ContentHash {
     for &d in netlist.dffs() {
         h.write_u32(netlist.gate(d).inputs()[0].index() as u32);
     }
-    h.finish()
-}
-
-/// Artifact-cache key of a built campaign or trace plan: the compiled
-/// arena the campaign evaluates on (its output cone when
-/// [`crate::simulate::campaign_arena`] restricts it), the exact walk
-/// list in that arena's ids (order-sensitive) and which plan family
-/// (`tracing`) it is.
-/// Worker count is deliberately absent: parallel builds are bit-identical
-/// to serial ones, so any worker count may reuse the artifact.
-pub fn plan_key(c: &CompiledNetlist, walk: &[Fault], tracing: bool) -> ContentHash {
-    let mut h = CanonicalHasher::new("rescue.plan.v1");
-    h.write_u128(hash_netlist(c).0);
-    h.write_u128(hash_faults(walk).0);
-    h.write_bool(tracing);
     h.finish()
 }
 
@@ -175,9 +159,7 @@ pub fn hash_patterns(patterns: &[Vec<bool>]) -> ContentHash {
 /// on/off, tracing on/off. All three are keyed even though verdicts are
 /// engine-invariant, because the *unit partition* is not: a collapsed
 /// campaign units over walk-list representatives, and per-unit stats
-/// deltas (e.g. drop counts) depend on the lane width. The artifact
-/// cache ([`PackedOptions::artifacts`]) is the one option left out: it
-/// changes wall-clock, never a verdict or a unit.
+/// deltas (e.g. drop counts) depend on the lane width.
 pub fn hash_options(opts: &PackedOptions) -> ContentHash {
     let mut h = CanonicalHasher::new("rescue.options.v1");
     h.write_usize(opts.lane_width);
@@ -282,23 +264,6 @@ mod tests {
                 net.name()
             );
         }
-    }
-
-    #[test]
-    fn plan_key_ingredients() {
-        let net = generate::c17();
-        let c = CompiledNetlist::new(&net);
-        let faults = universe::stuck_at_universe(&net);
-        let base = plan_key(&c, &faults, false);
-        assert_eq!(base, plan_key(&c, &faults, false), "key must be stable");
-        assert_ne!(base, plan_key(&c, &faults, true), "tracing flag keys");
-        assert_ne!(
-            base,
-            plan_key(&c, &faults[..faults.len() - 1], false),
-            "walk list keys"
-        );
-        let other = CompiledNetlist::new(&generate::adder(4));
-        assert_ne!(base, plan_key(&other, &faults, false), "netlist keys");
     }
 
     /// One pattern per width, from empty to past a second `u64`, each

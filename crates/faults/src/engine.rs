@@ -48,12 +48,9 @@
 use crate::error::FaultError;
 use crate::model::{Fault, FaultSite};
 use rescue_netlist::GateKind;
-use rescue_sim::codec::{put_bits, take_bits};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::wide::SimWord;
 use rescue_telemetry::{metrics, span};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
 /// The per-campaign facts every detection path reads: which gates are
@@ -62,10 +59,8 @@ use std::time::Instant;
 ///
 /// Built once per campaign ([`CampaignPlan::build`]) and shared
 /// read-only by all workers; the per-fault state lives in
-/// [`WideScratch`]. `PartialEq` compares both bitmaps — the equivalence
-/// proptests use it to pin parallel and cache-reloaded builds to the
-/// serial construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`WideScratch`].
+#[derive(Debug, Clone)]
 pub struct CampaignPlan {
     /// Per gate: whether some fault of the plan's list sits at the gate.
     planned: Vec<bool>,
@@ -140,101 +135,13 @@ pub fn output_cone(compiled: &CompiledNetlist) -> Vec<u32> {
         .collect()
 }
 
-/// Designs below this size take the serial [`po_reachable`] path even
-/// when workers are available — thread startup would dominate.
-const PARALLEL_SWEEP_MIN: usize = 1 << 15;
-
-/// [`po_reachable`] sharded across `workers` threads.
-///
-/// Gates are bucketed by logic level (counting sort); workers then sweep
-/// levels in descending order with a barrier between rounds. A gate's
-/// verdict depends only on combinational fanouts, which always sit at
-/// strictly higher levels, so every read within a round observes values
-/// settled by earlier rounds. Reachability is the unique fixpoint of the
-/// per-gate formula, hence the result is identical to the serial sweep
-/// for any worker count.
-pub fn po_reachable_with(compiled: &CompiledNetlist, workers: usize) -> Vec<bool> {
-    let n = compiled.len();
-    let w = workers.max(1);
-    if w == 1 || n < PARALLEL_SWEEP_MIN {
-        return po_reachable(compiled);
-    }
-    let depth = compiled.depth() as usize;
-    let mut offsets = vec![0u32; depth + 2];
-    for g in 0..n {
-        offsets[compiled.level(g) as usize + 1] += 1;
-    }
-    for l in 0..=depth {
-        offsets[l + 1] += offsets[l];
-    }
-    let mut level_gates = vec![0u32; n];
-    let mut cursor: Vec<u32> = offsets[..=depth].to_vec();
-    for g in 0..n {
-        let l = compiled.level(g) as usize;
-        level_gates[cursor[l] as usize] = g as u32;
-        cursor[l] += 1;
-    }
-    let reachable: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let barrier = Barrier::new(w);
-    // The sweepers are joined, not left to the scope, so each has exited
-    // and handed back its malloc arena before the caller spawns its next
-    // threads (see `golden_chunks` in `simulate.rs`).
-    std::thread::scope(|s| {
-        let mut sweepers = Vec::with_capacity(w);
-        for wi in 0..w {
-            let (reachable, barrier) = (&reachable, &barrier);
-            let (level_gates, offsets) = (&level_gates, &offsets);
-            sweepers.push(s.spawn(move || {
-                for lvl in (0..=depth).rev() {
-                    let lo = offsets[lvl] as usize;
-                    let hi = offsets[lvl + 1] as usize;
-                    let len = hi - lo;
-                    let chunk = len.div_ceil(w).max(1);
-                    let start = lo + (wi * chunk).min(len);
-                    let end = lo + ((wi + 1) * chunk).min(len);
-                    for &g in &level_gates[start..end] {
-                        let gi = g as usize;
-                        // Same formula as the serial sweep. Relaxed
-                        // suffices: the barrier orders rounds, and
-                        // within a round only higher-level (already
-                        // settled) entries are read.
-                        let r = compiled.is_po(gi)
-                            || compiled.fanout_of(gi).iter().any(|&s| {
-                                compiled.kind(s as usize) != GateKind::Dff
-                                    && reachable[s as usize].load(Ordering::Relaxed)
-                            });
-                        if r {
-                            reachable[gi].store(true, Ordering::Relaxed);
-                        }
-                    }
-                    barrier.wait();
-                }
-            }));
-        }
-        for h in sweepers {
-            h.join().expect("reachability sweep worker panicked");
-        }
-    });
-    reachable.into_iter().map(AtomicBool::into_inner).collect()
-}
-
-/// Version byte of the [`CampaignPlan::to_bytes`] wire format.
-const PLAN_WIRE_VERSION: u8 = 3;
-
 impl CampaignPlan {
-    /// Marks every fault site of `faults` and sweeps PO reachability.
+    /// Marks every fault site of `faults` and sweeps PO reachability
+    /// ([`po_reachable`]). A fault past the last gate plans nothing.
     pub fn build(compiled: &CompiledNetlist, faults: &[Fault]) -> Self {
-        Self::build_with(compiled, faults, 1)
-    }
-
-    /// [`CampaignPlan::build`] with the PO-reachability sweep sharded
-    /// across `workers` threads ([`po_reachable_with`]); bit-identical to
-    /// the serial build for any worker count. A fault past the last gate
-    /// plans nothing.
-    pub fn build_with(compiled: &CompiledNetlist, faults: &[Fault], workers: usize) -> Self {
         let _span = span!("plan.build", faults = faults.len());
         let t0 = Instant::now();
-        let observable = po_reachable_with(compiled, workers);
+        let observable = po_reachable(compiled);
         let mut planned = vec![false; compiled.len()];
         for fault in faults {
             if let Some(p) = planned.get_mut(fault.site().gate().index()) {
@@ -249,41 +156,6 @@ impl CampaignPlan {
             planned,
             observable,
         }
-    }
-
-    /// Serializes the plan for the compiled-artifact cache
-    /// (little-endian, versioned; see `rescue_sim::codec`).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(17 + self.planned.len() / 4);
-        buf.push(PLAN_WIRE_VERSION);
-        put_bits(&mut buf, &self.planned);
-        put_bits(&mut buf, &self.observable);
-        buf
-    }
-
-    /// Deserializes [`CampaignPlan::to_bytes`] output. Returns `None` on
-    /// version mismatch or malformed input — a corrupt cache entry must
-    /// fall back to rebuilding, never panic. Both bitmaps must cover the
-    /// same gates and the payload must end exactly after them.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut off = 0usize;
-        if *bytes.get(off)? != PLAN_WIRE_VERSION {
-            return None;
-        }
-        off += 1;
-        let planned = take_bits(bytes, &mut off)?;
-        let observable = take_bits(bytes, &mut off)?;
-        let ok = off == bytes.len() && observable.len() == planned.len();
-        ok.then_some(CampaignPlan {
-            planned,
-            observable,
-        })
-    }
-
-    /// Whether this plan was built for a design of `compiled`'s size —
-    /// the check a cache reload runs before trusting decoded bytes.
-    pub fn validate(&self, compiled: &CompiledNetlist) -> bool {
-        self.planned.len() == compiled.len()
     }
 
     /// Whether `root`'s combinational fanout cone (or `root` itself)

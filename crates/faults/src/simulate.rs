@@ -113,9 +113,9 @@ pub struct CampaignRun {
 }
 
 /// Engine configuration for [`FaultSimulator::campaign_packed`]: the
-/// packed lane width, an optional collapsed universe, the detection
-/// engine and the plan cache. The default (lane width 1, no collapsing,
-/// walking engine, no cache) is what [`FaultSimulator::campaign`] runs.
+/// packed lane width, an optional collapsed universe and the detection
+/// engine. The default (lane width 1, no collapsing, walking engine) is
+/// what [`FaultSimulator::campaign`] runs.
 #[derive(Debug, Clone, Copy)]
 pub struct PackedOptions<'a> {
     /// Word width in 64-lane limbs: 1 (`u64`, 64 patterns per walk) or
@@ -133,15 +133,6 @@ pub struct PackedOptions<'a> {
     /// Verdicts stay bit-identical to the walking engine for every lane
     /// width, schedule, worker count and collapse setting.
     pub tracing: bool,
-    /// When set, built campaign/trace plans are persisted to (and reloaded
-    /// from) this content-addressed artifact cache under
-    /// [`crate::content::plan_key`]. A warm cache skips plan construction
-    /// — the PO-reachability sweep and net classification — entirely;
-    /// plans decode to bytes identical to a fresh build, so verdicts are
-    /// unaffected.
-    /// Deliberately excluded from [`crate::content::hash_options`]: the
-    /// cache changes wall-clock, never results or unit partitions.
-    pub artifacts: Option<&'a ArtifactStore>,
 }
 
 impl Default for PackedOptions<'_> {
@@ -150,7 +141,6 @@ impl Default for PackedOptions<'_> {
             lane_width: 1,
             collapsed: None,
             tracing: false,
-            artifacts: None,
         }
     }
 }
@@ -178,11 +168,11 @@ impl<'a> PackedOptions<'a> {
         self
     }
 
-    /// Persists and reloads built plans through `artifacts`, so repeat
-    /// campaigns over the same design and walk list skip plan
-    /// construction.
-    pub fn with_artifacts(mut self, artifacts: &'a ArtifactStore) -> Self {
-        self.artifacts = Some(artifacts);
+    /// Returns `self` unchanged: plans are built afresh by every
+    /// campaign, never cached, and `_artifacts` is inert. It keeps its
+    /// signature for callers that still pass a cache; new code leaves
+    /// it out.
+    pub fn with_artifacts(self, _artifacts: &ArtifactStore) -> Self {
         self
     }
 }
@@ -212,12 +202,11 @@ impl FaultSimulator {
     }
 
     /// Equals [`FaultSimulator::new`]: it compiles and never touches
-    /// `_artifacts`. Compiled arenas are not cached, because compiling
-    /// one is linear in the netlist and costs less than reading it back
-    /// and validating it (EXPERIMENTS E20 has the measurements); plans
-    /// are, through [`PackedOptions::with_artifacts`]. It keeps its
-    /// signature for callers that still pass a cache; new code calls
-    /// [`FaultSimulator::new`].
+    /// `_artifacts`, which is inert. Nothing derived from a netlist is
+    /// cached, because compiling an arena or building a campaign's plan
+    /// costs less than reading it back and validating it (EXPERIMENTS
+    /// E20 has the measurements). It keeps its signature for callers
+    /// that still pass a cache; new code calls [`FaultSimulator::new`].
     pub fn new_cached(netlist: &Netlist, _artifacts: &ArtifactStore) -> Self {
         FaultSimulator::new(netlist)
     }
@@ -377,9 +366,9 @@ impl FaultSimulator {
     /// [`PackedOptions`] picks the lane width (1/2/4/8 × 64 patterns per
     /// walk, autovectorized), an optional collapsed universe (walk
     /// equivalence-class representatives only, expand verdicts to the
-    /// rest for free), tracing and the artifact cache. Each worker drops
-    /// the faults of the range it drains at their first detection, so
-    /// verdicts, first-detection indices included, are bit-identical to
+    /// rest for free) and tracing. Each worker drops the faults of the
+    /// range it drains at their first detection, so verdicts,
+    /// first-detection indices included, are bit-identical to
     /// [`FaultSimulator::campaign`] for every width, schedule, worker
     /// count and collapse setting; the returned [`CampaignRun`] adds
     /// throughput/lane-occupancy/drop/steal observability, and
@@ -409,8 +398,8 @@ impl FaultSimulator {
     /// without ever double-executing a unit; re-submitting a finished
     /// campaign executes zero units. A fully cached re-submission reads
     /// the store and expands the verdicts, nothing more: golden values
-    /// and the detection engine (with its plan-cache lookup) are built
-    /// only once a unit misses the store, so such a run reports
+    /// and the detection engine (with its plan) are built only once a
+    /// unit misses the store, so such a run reports
     /// [`CampaignStats::faults_traced`] as 0. Verdicts and stats tallies
     /// are bit-identical to [`FaultSimulator::campaign_packed`] for every
     /// store state, worker count, schedule and unit grain;
@@ -499,7 +488,7 @@ impl FaultSimulator {
             execute(campaign, &walk, &geometry, opts, durable, || {
                 let (arena, walk) = campaign_arena(&self.compiled, &walk);
                 let chunks = Self::golden_chunks(&arena, patterns, &geometry, workers);
-                let engine = TraceEngine::build(arena, &walk, workers, opts);
+                let engine = TraceEngine::build(arena, &walk);
                 faults_traced = engine.tplan.statically_traced();
                 Prepared {
                     walk,
@@ -511,7 +500,7 @@ impl FaultSimulator {
             execute(campaign, &walk, &geometry, opts, durable, || {
                 let (arena, walk) = campaign_arena(&self.compiled, &walk);
                 let chunks = Self::golden_chunks(&arena, patterns, &geometry, workers);
-                let engine = WalkEngine::build(arena, &walk, workers, opts);
+                let engine = WalkEngine::build(arena, &walk);
                 Prepared {
                     walk,
                     chunks,
@@ -997,40 +986,6 @@ impl<S> DrainScratch<S> {
     }
 }
 
-/// Fetches a plan artifact from the cache, or builds and publishes it.
-///
-/// The decode path executes zero sweep or classification work: a hit is a
-/// read, a checksum, a byte decode and the caller's validation (folded
-/// into `decode`). Corrupt, foreign or stale-version payloads fall
-/// through to a rebuild (and overwrite the bad entry). `plan.cache_hits` /
-/// `plan.cache_misses` count how a workload's setup split; a failed
-/// publish is counted by the store and never stops the campaign. The
-/// content key hashes the whole arena, so `key` runs only when a cache
-/// is given.
-fn load_or_build<T>(
-    artifacts: Option<&ArtifactStore>,
-    key: impl FnOnce() -> rescue_campaign::ContentHash,
-    decode: impl Fn(&[u8]) -> Option<T>,
-    encode: impl Fn(&T) -> Vec<u8>,
-    build: impl FnOnce() -> T,
-) -> T {
-    let Some(store) = artifacts else {
-        return build();
-    };
-    let key = key();
-    let load = span!("artifact.load");
-    if let Some(artifact) = store.load(key).and_then(|bytes| decode(&bytes)) {
-        metrics::counter("plan.cache_hits").add(1);
-        return artifact;
-    }
-    drop(load);
-    metrics::counter("plan.cache_misses").add(1);
-    let built = build();
-    // The store counts a failed write; the campaign carries on.
-    let _ = store.save(key, &encode(&built));
-    built
-}
-
 /// The event-driven packed walker ([`CampaignPlan::detect_packed`])
 /// over the arena it owns or borrows.
 struct WalkEngine<'a> {
@@ -1039,19 +994,8 @@ struct WalkEngine<'a> {
 }
 
 impl<'a> WalkEngine<'a> {
-    fn build(
-        c: Cow<'a, CompiledNetlist>,
-        walk: &[Fault],
-        workers: usize,
-        opts: &PackedOptions,
-    ) -> Self {
-        let plan = load_or_build(
-            opts.artifacts,
-            || crate::content::plan_key(&c, walk, false),
-            |bytes| CampaignPlan::from_bytes(bytes).filter(|p| p.validate(&c)),
-            CampaignPlan::to_bytes,
-            || CampaignPlan::build_with(&c, walk, workers),
-        );
+    fn build(c: Cow<'a, CompiledNetlist>, walk: &[Fault]) -> Self {
+        let plan = CampaignPlan::build(&c, walk);
         WalkEngine { c, plan }
     }
 }
@@ -1096,19 +1040,8 @@ struct TraceEngine<'a> {
 }
 
 impl<'a> TraceEngine<'a> {
-    fn build(
-        c: Cow<'a, CompiledNetlist>,
-        walk: &[Fault],
-        workers: usize,
-        opts: &PackedOptions,
-    ) -> Self {
-        let tplan = load_or_build(
-            opts.artifacts,
-            || crate::content::plan_key(&c, walk, true),
-            |bytes| TracePlan::from_bytes(bytes).filter(|p| p.validate(&c)),
-            TracePlan::to_bytes,
-            || TracePlan::build_with(&c, walk, workers),
-        );
+    fn build(c: Cow<'a, CompiledNetlist>, walk: &[Fault]) -> Self {
+        let tplan = TracePlan::build(&c, walk);
         TraceEngine { c, tplan }
     }
 }

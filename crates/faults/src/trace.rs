@@ -50,11 +50,10 @@
 //! Equivalence with the full-resimulation oracle ([`crate::reference`])
 //! is enforced by the property tests in `tests/cpt_equivalence.rs`.
 
-use crate::engine::{po_reachable_with, CampaignPlan, WideScratch};
+use crate::engine::{po_reachable, CampaignPlan, WideScratch};
 use crate::error::FaultError;
 use crate::model::Fault;
 use rescue_netlist::GateKind;
-use rescue_sim::codec::{put_bits, put_u64s, take_bits, take_len, take_u64s};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::wide::SimWord;
 use rescue_telemetry::span;
@@ -88,9 +87,8 @@ pub enum NetClass {
 /// Classes are stored packed (one `u64` per net: 2-bit tag + chain
 /// consumer/pin fields) so the million-gate class arena is one
 /// contiguous 8-byte-per-net array instead of a 12-byte tagged enum —
-/// decoding is two shifts on access, and the arena serializes verbatim
-/// into the compiled-artifact cache.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// decoding is two shifts on access.
+#[derive(Debug, Clone)]
 pub struct TracePlan {
     class: Vec<u64>,
     /// Per gate: whether a flip of the gate can reach a primary output.
@@ -106,9 +104,6 @@ const TAG_PO: u64 = 0;
 const TAG_DEAD: u64 = 1;
 const TAG_CHAIN: u64 = 2;
 const TAG_STEM: u64 = 3;
-
-/// Version byte of the [`TracePlan::to_bytes`] wire format.
-const TRACE_WIRE_VERSION: u8 = 2;
 
 #[inline]
 fn encode_class(c: NetClass) -> u64 {
@@ -135,8 +130,7 @@ fn decode_class(w: u64) -> NetClass {
     }
 }
 
-/// Structural class of one net — a pure function of the compiled CSR,
-/// which is what makes classification embarrassingly parallel.
+/// Structural class of one net — a pure function of the compiled CSR.
 fn classify_gate(compiled: &CompiledNetlist, g: usize) -> u64 {
     if compiled.is_po(g) {
         return TAG_PO;
@@ -160,64 +154,29 @@ fn classify_gate(compiled: &CompiledNetlist, g: usize) -> u64 {
     })
 }
 
-/// Designs below this size classify serially even when workers are
-/// available — thread startup would dominate.
-const PARALLEL_CLASSIFY_MIN: usize = 1 << 15;
-
-/// Classifies every net, sharded across `workers` contiguous id ranges.
-/// Deterministic for any worker count: each net's class is a pure
-/// per-gate function and shards concatenate in id order.
-fn classify_all(compiled: &CompiledNetlist, workers: usize) -> Vec<u64> {
+/// Classifies every net, in id order.
+fn classify_all(compiled: &CompiledNetlist) -> Vec<u64> {
     let n = compiled.len();
-    let w = workers.max(1);
     let _span = span!("plan.classify", gates = n);
-    if w == 1 || n < PARALLEL_CLASSIFY_MIN {
-        return (0..n).map(|g| classify_gate(compiled, g)).collect();
-    }
-    let chunk = n.div_ceil(w);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(n);
-                s.spawn(move || {
-                    (lo..hi)
-                        .map(|g| classify_gate(compiled, g))
-                        .collect::<Vec<u64>>()
-                })
-            })
-            .collect();
-        let mut class = Vec::with_capacity(n);
-        for h in handles {
-            class.extend(h.join().expect("classify worker panicked"));
-        }
-        class
-    })
+    (0..n).map(|g| classify_gate(compiled, g)).collect()
 }
 
 impl TracePlan {
     /// Classifies every net, records the fault-site roots and counts the
-    /// stems the chain ascents of `faults` terminate at. No cone is
-    /// built: the stem fallback walk queues its events by level.
+    /// stems the chain ascents of `faults` terminate at, in `O(gates)`
+    /// with a shared memo. No cone is built: the stem fallback walk
+    /// queues its events by level. A fault past the last gate plans
+    /// nothing and counts as statically traced: no walk answers it.
     pub fn build(compiled: &CompiledNetlist, faults: &[Fault]) -> Self {
-        Self::build_with(compiled, faults, 1)
-    }
-
-    /// [`TracePlan::build`] with classification and the PO-reachability
-    /// sweep sharded across `workers` threads. Bit-identical to the
-    /// serial build for any worker count (the chain ascent stays serial
-    /// — it is `O(gates)` with a shared memo). A fault past the last gate
-    /// plans nothing and counts as statically traced: no walk answers it.
-    pub fn build_with(compiled: &CompiledNetlist, faults: &[Fault], workers: usize) -> Self {
         let _span = span!("plan.build", faults = faults.len());
         let n = compiled.len();
-        let class = classify_all(compiled, workers);
+        let class = classify_all(compiled);
 
         // Memoized chain ascent from every fault root: terminal class 1
         // (`Po`/`Dead`/unreachable — fully traced, never needs a walk)
         // or 2 (terminates at a reconvergent stem). Each net is resolved
         // once, so the sweep is O(gates) for any fault-list size.
-        let reachable = po_reachable_with(compiled, workers);
+        let reachable = po_reachable(compiled);
         let mut planned = vec![false; n];
         let mut term = vec![0u8; n];
         let mut path: Vec<u32> = Vec::new();
@@ -265,66 +224,6 @@ impl TracePlan {
             stems,
             statically_traced,
         }
-    }
-
-    /// Serializes the trace plan for the compiled-artifact cache.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32 + self.class.len() * 9);
-        buf.push(TRACE_WIRE_VERSION);
-        buf.extend_from_slice(&(self.stems as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.statically_traced as u64).to_le_bytes());
-        put_u64s(&mut buf, &self.class);
-        put_bits(&mut buf, &self.reachable);
-        put_bits(&mut buf, &self.planned);
-        buf
-    }
-
-    /// Deserializes [`TracePlan::to_bytes`] output; `None` on version
-    /// mismatch or malformed input. Run [`TracePlan::validate`] before
-    /// using a decoded plan on a design.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut off = 0usize;
-        if *bytes.get(off)? != TRACE_WIRE_VERSION {
-            return None;
-        }
-        off += 1;
-        let stems = take_len(bytes, &mut off)?;
-        let statically_traced = take_len(bytes, &mut off)?;
-        let class = take_u64s(bytes, &mut off)?;
-        let reachable = take_bits(bytes, &mut off)?;
-        let planned = take_bits(bytes, &mut off)?;
-        let ok =
-            off == bytes.len() && reachable.len() == class.len() && planned.len() == class.len();
-        ok.then_some(TracePlan {
-            class,
-            reachable,
-            planned,
-            stems,
-            statically_traced,
-        })
-    }
-
-    /// Whether this plan can drive detection on `compiled` without
-    /// indexing out of bounds or ascending forever: every per-gate array
-    /// has one entry per gate, and every `Chain` names a real
-    /// combinational fanout edge (`consumer < n`, not a DFF, and
-    /// `pins_of(consumer)[pin] == g`), so each ascent climbs strictly
-    /// upward in level. A cache reload runs this before trusting
-    /// decoded bytes.
-    pub fn validate(&self, compiled: &CompiledNetlist) -> bool {
-        let n = compiled.len();
-        self.class.len() == n
-            && self.reachable.len() == n
-            && self.planned.len() == n
-            && (0..n).all(|g| match decode_class(self.class[g]) {
-                NetClass::Chain { consumer, pin } => {
-                    let c = consumer as usize;
-                    c < n
-                        && compiled.kind(c) != GateKind::Dff
-                        && compiled.pins_of(c).get(pin as usize) == Some(&(g as u32))
-                }
-                _ => true,
-            })
     }
 
     /// The structural class of net `g`.
@@ -564,35 +463,5 @@ mod tests {
             tplan.statically_traced() + tplan.stems() > 0,
             "a 200-gate random design exercises both paths"
         );
-    }
-
-    #[test]
-    fn validate_rejects_chains_off_the_netlist() {
-        let net = generate::random_logic(8, 200, 4, 7);
-        let compiled = CompiledNetlist::new(&net);
-        let faults = crate::universe::stuck_at_universe(&net);
-        let tplan = TracePlan::build(&compiled, &faults);
-        assert!(tplan.validate(&compiled));
-        let g = (0..compiled.len())
-            .find(|&g| matches!(tplan.class_of(g), NetClass::Chain { .. }))
-            .expect("random logic has chain nets");
-        let NetClass::Chain { consumer, pin } = tplan.class_of(g) else {
-            unreachable!()
-        };
-        let n = compiled.len() as u32;
-        for bad in [
-            NetClass::Chain { consumer: n, pin },
-            NetClass::Chain {
-                consumer,
-                pin: pin + 9,
-            },
-        ] {
-            let mut broken = tplan.clone();
-            broken.class[g] = encode_class(bad);
-            assert!(!broken.validate(&compiled), "{bad:?} at {g}");
-        }
-        let mut short = tplan.clone();
-        short.planned.pop();
-        assert!(!short.validate(&compiled));
     }
 }

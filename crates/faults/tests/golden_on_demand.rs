@@ -2,22 +2,22 @@
 //!
 //! A re-submission whose units are all in the store must build neither
 //! golden values nor a detection engine: no `exec.golden` and no
-//! `plan.build` span on any thread, and no artifact-cache lookup. A
-//! resume with units missing builds them exactly once, on the calling
-//! thread, outside every `campaign.run` / `campaign.chunk` span, and its
-//! timing figures leave that preparation out.
+//! `plan.build` span on any thread. A resume with units missing builds
+//! them exactly once, on the calling thread, outside every
+//! `campaign.run` / `campaign.chunk` span, and its timing figures leave
+//! that preparation out.
 //!
 //! Every test here records telemetry and asserts over spans from all
 //! threads, so each one holds [`rescue_telemetry::exclusive`] for its
 //! whole body.
 
-use rescue_campaign::{ArtifactStore, Campaign, MemStore, ResultStore};
+use rescue_campaign::{Campaign, MemStore, ResultStore};
 use rescue_faults::collapse::collapse;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::universe;
 use rescue_netlist::generate;
 use rescue_telemetry::journal::{self, Journal, SpanRecord};
-use rescue_telemetry::{metrics, TelemetryConfig};
+use rescue_telemetry::TelemetryConfig;
 
 fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
     let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
@@ -33,20 +33,6 @@ fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
                 .collect()
         })
         .collect()
-}
-
-/// A fresh directory under the system temp dir, unique per call.
-fn temp_root(tag: &str) -> std::path::PathBuf {
-    let root = std::env::temp_dir().join(format!(
-        "rescue-on-demand-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let _ = std::fs::remove_dir_all(&root);
-    root
 }
 
 fn named<'a>(spans: &'a [SpanRecord], name: &str) -> Vec<&'a SpanRecord> {
@@ -72,14 +58,10 @@ fn a_resubmission_reads_the_store_and_builds_nothing() {
     let faults = universe::stuck_at_universe(&net);
     let cu = collapse(&net, &faults);
     let sim = FaultSimulator::new(&net);
-    let root = temp_root("artifacts");
-    let artifacts = ArtifactStore::open(&root);
     let grain = 16;
     for lane_width in [1, 4] {
         for tracing in [false, true] {
-            let mut opts = PackedOptions::wide(lane_width)
-                .with_collapsed(&cu)
-                .with_artifacts(&artifacts);
+            let mut opts = PackedOptions::wide(lane_width).with_collapsed(&cu);
             if tracing {
                 opts = opts.traced();
             }
@@ -93,22 +75,14 @@ fn a_resubmission_reads_the_store_and_builds_nothing() {
 
             // Warm: every unit in the store.
             TelemetryConfig::on().install();
-            let counters = || {
-                let snap = metrics::snapshot();
-                let get = |name| snap.counter(name).unwrap_or(0);
-                (get("plan.cache_hits"), get("plan.cache_misses"))
-            };
-            let before = counters();
             let mark = journal::mark();
             let warm =
                 sim.campaign_packed_durable(&faults, &patterns, &campaign, opts, &store, grain);
             let spans = Journal::snapshot_since(mark).spans();
-            let after = counters();
             TelemetryConfig::off().install();
             assert_eq!(named(&spans, "fault.campaign_durable").len(), 1, "{config}");
             assert!(named(&spans, "exec.golden").is_empty(), "{config}: golden");
             assert!(named(&spans, "plan.build").is_empty(), "{config}: plan");
-            assert_eq!(before, after, "{config}: the artifact cache was read");
             assert_eq!(warm.report, plain.report, "{config}");
             assert_eq!(warm.stats.units_executed, 0, "{config}");
             assert_eq!(
@@ -169,7 +143,6 @@ fn a_resubmission_reads_the_store_and_builds_nothing() {
             );
         }
     }
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// The plain path fills the arena once, on the calling thread, before
@@ -194,4 +167,29 @@ fn the_plain_path_fills_once_outside_the_schedule() {
             assert!(!inside_campaign_run(&spans, s), "{} nested", s.name);
         }
     }
+}
+
+/// The gate table is derived state: compiling builds it once, under a
+/// `sim.gate_table` span inside `sim.compile`.
+#[test]
+fn the_gate_table_builds_inside_sim_compile() {
+    let _exclusive = rescue_telemetry::exclusive();
+    let net = generate::random_logic(6, 80, 3, 3);
+    TelemetryConfig::on().install();
+    let mark = journal::mark();
+    FaultSimulator::new(&net);
+    let spans = Journal::snapshot_since(mark).spans();
+    TelemetryConfig::off().install();
+    let [compile] = named(&spans, "sim.compile")[..] else {
+        panic!("one sim.compile span");
+    };
+    let [table] = named(&spans, "sim.gate_table")[..] else {
+        panic!("one table build");
+    };
+    assert!(
+        table.tid == compile.tid
+            && compile.start_ns <= table.start_ns
+            && table.start_ns + table.dur_ns <= compile.start_ns + compile.dur_ns,
+        "the table build sits inside sim.compile"
+    );
 }

@@ -125,12 +125,12 @@ impl GateKind {
         }
     }
 
-    /// A stable single-byte code for this kind, used by content hashing
-    /// and the compiled-artifact wire format.
+    /// A stable single-byte code for this kind, used by the compiled
+    /// arena's wire format.
     ///
-    /// The mapping is frozen: changing any value invalidates persisted
-    /// `rescue.netlist.v1` hashes and cached compiled artifacts, so new
-    /// kinds must only ever append codes.
+    /// The mapping is frozen: changing any value changes every arena's
+    /// wire bytes (and the digests that pin them), so new kinds must only
+    /// ever append codes.
     pub fn wire_code(self) -> u8 {
         match self {
             GateKind::Input => 0,
@@ -147,26 +147,6 @@ impl GateKind {
             GateKind::Mux => 11,
             GateKind::Dff => 12,
         }
-    }
-
-    /// Inverse of [`GateKind::wire_code`]; `None` for unknown codes.
-    pub fn from_wire_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => GateKind::Input,
-            1 => GateKind::Const0,
-            2 => GateKind::Const1,
-            3 => GateKind::Buf,
-            4 => GateKind::Not,
-            5 => GateKind::And,
-            6 => GateKind::Nand,
-            7 => GateKind::Or,
-            8 => GateKind::Nor,
-            9 => GateKind::Xor,
-            10 => GateKind::Xnor,
-            11 => GateKind::Mux,
-            12 => GateKind::Dff,
-            _ => return None,
-        })
     }
 
     /// Parses a mnemonic produced by [`GateKind::mnemonic`].

@@ -1,23 +1,14 @@
-//! Little-endian byte codec helpers shared by the compiled-artifact wire
-//! formats ([`crate::compiled::CompiledNetlist::to_bytes`] and the
-//! campaign-plan codecs in `rescue-faults`).
+//! Little-endian byte writers behind the compiled arena's wire format
+//! ([`crate::compiled::CompiledNetlist::to_bytes`]).
 //!
 //! Arrays are length-prefixed with a `u64` element count; booleans pack
-//! LSB-first into bytes. Readers return `None` on any malformed input so
-//! corrupt cache entries degrade to a rebuild instead of a panic, and
-//! length prefixes are validated against the remaining payload before any
-//! allocation sized from untrusted bytes.
+//! LSB-first into bytes. Nothing reads the format back: the bytes pin an
+//! arena's identity in tests (the derived-bytes digests, and restricting
+//! an arena to every gate rebuilding it byte for byte), never a cache.
 
 /// Appends a `u64` element-count prefix.
 pub fn put_len(buf: &mut Vec<u8>, len: usize) {
     buf.extend_from_slice(&(len as u64).to_le_bytes());
-}
-
-/// Reads a `u64` element-count prefix.
-pub fn take_len(bytes: &[u8], off: &mut usize) -> Option<usize> {
-    let raw = u64::from_le_bytes(bytes.get(*off..*off + 8)?.try_into().ok()?);
-    *off += 8;
-    usize::try_from(raw).ok()
 }
 
 /// Appends a length-prefixed `u32` array.
@@ -27,43 +18,6 @@ pub fn put_u32s(buf: &mut Vec<u8>, xs: &[u32]) {
     for &x in xs {
         buf.extend_from_slice(&x.to_le_bytes());
     }
-}
-
-/// Reads a length-prefixed `u32` array.
-pub fn take_u32s(bytes: &[u8], off: &mut usize) -> Option<Vec<u32>> {
-    let len = take_len(bytes, off)?;
-    let end = off.checked_add(len.checked_mul(4)?)?;
-    let slice = bytes.get(*off..end)?;
-    *off = end;
-    Some(
-        slice
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
-    )
-}
-
-/// Appends a length-prefixed `u64` array.
-pub fn put_u64s(buf: &mut Vec<u8>, xs: &[u64]) {
-    put_len(buf, xs.len());
-    buf.reserve(xs.len() * 8);
-    for &x in xs {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-/// Reads a length-prefixed `u64` array.
-pub fn take_u64s(bytes: &[u8], off: &mut usize) -> Option<Vec<u64>> {
-    let len = take_len(bytes, off)?;
-    let end = off.checked_add(len.checked_mul(8)?)?;
-    let slice = bytes.get(*off..end)?;
-    *off = end;
-    Some(
-        slice
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
-    )
 }
 
 /// Appends a length-prefixed bit-packed bool array (LSB-first).
@@ -81,57 +35,5 @@ pub fn put_bits(buf: &mut Vec<u8>, bits: &[bool]) {
     }
     if !bits.len().is_multiple_of(8) {
         buf.push(byte);
-    }
-}
-
-/// Reads a length-prefixed bit-packed bool array.
-pub fn take_bits(bytes: &[u8], off: &mut usize) -> Option<Vec<bool>> {
-    let len = take_len(bytes, off)?;
-    let nbytes = len.div_ceil(8);
-    let end = off.checked_add(nbytes)?;
-    let slice = bytes.get(*off..end)?;
-    *off = end;
-    Some((0..len).map(|i| slice[i / 8] >> (i & 7) & 1 != 0).collect())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn u32_round_trip() {
-        let mut buf = Vec::new();
-        put_u32s(&mut buf, &[0, 1, u32::MAX, 42]);
-        put_u32s(&mut buf, &[]);
-        let mut off = 0;
-        assert_eq!(take_u32s(&buf, &mut off).unwrap(), vec![0, 1, u32::MAX, 42]);
-        assert_eq!(take_u32s(&buf, &mut off).unwrap(), Vec::<u32>::new());
-        assert_eq!(off, buf.len());
-    }
-
-    #[test]
-    fn bit_round_trip_at_odd_lengths() {
-        for len in [0usize, 1, 7, 8, 9, 63, 64, 65] {
-            let bits: Vec<bool> = (0..len).map(|i| i % 3 == 0).collect();
-            let mut buf = Vec::new();
-            put_bits(&mut buf, &bits);
-            let mut off = 0;
-            assert_eq!(take_bits(&buf, &mut off).unwrap(), bits, "len {len}");
-            assert_eq!(off, buf.len());
-        }
-    }
-
-    #[test]
-    fn truncated_input_is_rejected() {
-        let mut buf = Vec::new();
-        put_u32s(&mut buf, &[1, 2, 3]);
-        let mut off = 0;
-        assert!(take_u32s(&buf[..buf.len() - 1], &mut off).is_none());
-        // A length prefix far beyond the payload must not allocate.
-        let huge = u64::MAX.to_le_bytes().to_vec();
-        let mut off = 0;
-        assert!(take_u32s(&huge, &mut off).is_none());
-        let mut off = 0;
-        assert!(take_bits(&huge, &mut off).is_none());
     }
 }

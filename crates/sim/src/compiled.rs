@@ -28,7 +28,7 @@
 //! input pin, which is how pin stuck-at faults are injected without
 //! touching the arena.
 
-use crate::codec::{put_bits, put_len, put_u32s, take_bits, take_len, take_u32s};
+use crate::codec::{put_bits, put_len, put_u32s};
 use crate::error::SimError;
 use crate::sweep::{GateTable, GateValue};
 use crate::wide::SimWord;
@@ -58,10 +58,9 @@ pub struct CompiledNetlist {
     /// count fault-effect propagation sees within a chunk.
     comb_fan_degree: Vec<u32>,
     depth: u32,
-    /// Opcodes and level runs. **Derived state**: rebuilt identically by
-    /// [`CompiledNetlist::try_new`] and [`CompiledNetlist::from_bytes`],
-    /// never serialized, so the wire format and content hashes are
-    /// independent of it.
+    /// Opcodes and level runs. **Derived state**: built by every
+    /// constructor, never serialized, so the wire format and content
+    /// hashes are independent of it.
     table: GateTable,
 }
 
@@ -232,8 +231,7 @@ impl CompiledNetlist {
     }
 
     /// Whether the arena is one [`CompiledNetlist::try_new`] could have
-    /// built: the check [`CompiledNetlist::from_bytes`] applies before
-    /// it returns a decoded arena, linear in gates + pins. It holds when
+    /// built, linear in gates + pins. It holds when
     ///
     /// * every array has its length and every gate index is `< n`;
     /// * both offset arrays start at 0, never decrease and end at the
@@ -247,8 +245,7 @@ impl CompiledNetlist {
     ///   `pins`, `kinds` and `po_drivers` derive.
     ///
     /// An arena that passes evaluates without panicking. The check cannot
-    /// tell a consistent arena of another design from this one; the
-    /// artifact envelope's checksum and content key cover that.
+    /// tell a consistent arena of another design from this one.
     pub fn validate(&self) -> bool {
         let n = self.len();
         let in_range = |xs: &[u32]| xs.iter().all(|&g| (g as usize) < n);
@@ -543,15 +540,12 @@ impl CompiledNetlist {
         Ok(())
     }
 
-    // --- compiled-artifact wire format ----------------------------------
-
-    /// Serializes the full compiled arena.
-    ///
-    /// Every derived field (levelization, CSRs, orders) is dumped
-    /// verbatim, so a decode does zero levelization or CSR-construction
-    /// work. Little-endian, versioned; gate kinds use the frozen
-    /// [`GateKind::wire_code`] table. No library path caches arenas:
-    /// reading, decoding and validating one costs more than compiling it.
+    /// Serializes the full compiled arena, derived fields (levelization,
+    /// CSRs, orders) included, so equal bytes mean equal arenas.
+    /// Little-endian, versioned; gate kinds use the frozen
+    /// [`GateKind::wire_code`] table. Nothing decodes it: no library path
+    /// caches arenas, since compiling one costs less than reading it
+    /// back.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64 + self.kinds.len() * 40 + self.pins.len() * 8);
         buf.push(WIRE_VERSION);
@@ -577,75 +571,6 @@ impl CompiledNetlist {
         }
         put_bits(&mut buf, &self.is_po);
         buf
-    }
-
-    /// Deserializes [`CompiledNetlist::to_bytes`] output.
-    ///
-    /// Returns `None` on version mismatch, malformed input or an arena
-    /// that fails [`CompiledNetlist::validate`] — a corrupt cache entry
-    /// must fall back to recompiling, never panic or mis-simulate.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut off = 0usize;
-        if *bytes.get(off)? != WIRE_VERSION {
-            return None;
-        }
-        off += 1;
-        let depth = u32::from_le_bytes(bytes.get(off..off + 4)?.try_into().ok()?);
-        off += 4;
-        let n = take_len(bytes, &mut off)?;
-        // One byte per kind: the prefix can never exceed the remaining
-        // payload, so corrupt input cannot trigger a huge allocation.
-        if n > bytes.len() - off {
-            return None;
-        }
-        let mut kinds = Vec::with_capacity(n);
-        for _ in 0..n {
-            kinds.push(GateKind::from_wire_code(*bytes.get(off)?)?);
-            off += 1;
-        }
-        let pin_offsets = take_u32s(bytes, &mut off)?;
-        let pins = take_u32s(bytes, &mut off)?;
-        let order = take_u32s(bytes, &mut off)?;
-        let eval_order = take_u32s(bytes, &mut off)?;
-        let levels = take_u32s(bytes, &mut off)?;
-        let topo_pos = take_u32s(bytes, &mut off)?;
-        let pis = take_u32s(bytes, &mut off)?;
-        let po_drivers = take_u32s(bytes, &mut off)?;
-        let dffs = take_u32s(bytes, &mut off)?;
-        let dff_d = take_u32s(bytes, &mut off)?;
-        let fan_offsets = take_u32s(bytes, &mut off)?;
-        let fan = take_u32s(bytes, &mut off)?;
-        let comb_fan_degree = take_u32s(bytes, &mut off)?;
-        let is_po = take_bits(bytes, &mut off)?;
-        if off != bytes.len() {
-            return None;
-        }
-        let mut c = CompiledNetlist {
-            kinds,
-            pin_offsets,
-            pins,
-            order,
-            eval_order,
-            levels,
-            topo_pos,
-            pis,
-            po_drivers,
-            is_po,
-            dffs,
-            dff_d,
-            fan_offsets,
-            fan,
-            comb_fan_degree,
-            depth,
-            table: GateTable::default(),
-        };
-        if !c.validate() {
-            return None;
-        }
-        // The gate table is derived, not serialized: rebuild it so a
-        // cache hit behaves exactly like a fresh compile.
-        c.table = GateTable::build(&c);
-        Some(c)
     }
 }
 
@@ -821,27 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn decoded_arena_rederives_the_sweep() {
-        let c = CompiledNetlist::new(&generate::random_logic(7, 250, 3, 4));
-        let back = CompiledNetlist::from_bytes(&c.to_bytes()).expect("decode");
-        assert_eq!(c, back, "the decoded arena carries the same table");
-    }
-
-    #[test]
-    fn wire_format_round_trips() {
-        for net in [
-            generate::c17(),
-            generate::random_logic(8, 300, 4, 9),
-            generate::control_fsm(),
-        ] {
-            let c = CompiledNetlist::new(&net);
-            let bytes = c.to_bytes();
-            let back = CompiledNetlist::from_bytes(&bytes).expect("decode");
-            assert_eq!(c, back, "round trip must be lossless for {}", net.name());
-        }
-    }
-
-    #[test]
     fn validate_rejects_inconsistent_arenas() {
         /// Gates the corruptions below aim at.
         struct At {
@@ -910,28 +814,6 @@ mod tests {
             let mut bad = c.clone();
             break_it(&mut bad, &at);
             assert!(!bad.validate(), "{what} passed validation");
-            assert!(
-                CompiledNetlist::from_bytes(&bad.to_bytes()).is_none(),
-                "{what} decoded"
-            );
         }
-    }
-
-    #[test]
-    fn wire_format_rejects_corruption() {
-        let c = CompiledNetlist::new(&generate::c17());
-        let bytes = c.to_bytes();
-        assert!(CompiledNetlist::from_bytes(&[]).is_none());
-        assert!(CompiledNetlist::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        let mut wrong_version = bytes.clone();
-        wrong_version[0] = 0xff;
-        assert!(CompiledNetlist::from_bytes(&wrong_version).is_none());
-        let mut bad_kind = bytes.clone();
-        // First kind byte sits after version(1) + depth(4) + len(8).
-        bad_kind[13] = 0xee;
-        assert!(CompiledNetlist::from_bytes(&bad_kind).is_none());
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(CompiledNetlist::from_bytes(&trailing).is_none());
     }
 }

@@ -27,9 +27,9 @@
 //! The oracle's gate table (`crate::logic`) stays separate on purpose,
 //! so the reference simulator and the engine never share a bug.
 //!
-//! The table is **derived state**: it is recomputed from the arena both
-//! at compile time and on artifact-cache decode, never serialized, so
-//! the compiled wire format and its content hashes are unchanged.
+//! The table is **derived state**: it is computed from the arena by
+//! every constructor, never serialized, so the compiled wire format and
+//! its content hashes are unchanged.
 
 use crate::compiled::CompiledNetlist;
 use crate::logic::Logic;
