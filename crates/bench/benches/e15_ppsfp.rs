@@ -10,13 +10,13 @@
 //! * `ppsfp_nodrop` — packed observability path, **no** dropping
 //!   (isolates the one-walk-per-site factoring);
 //! * `ppsfp_serial` — packed + dropping, one worker;
-//! * `ppsfp_static4` / `ppsfp_dynamic4` — packed + dropping over 4
-//!   workers under static shards vs the work-stealing chunk queue.
+//! * `ppsfp_dynamic4` — packed + dropping over 4 workers through the
+//!   work-stealing chunk queue.
 //!
 //! Measurements land in `BENCH_ppsfp.json` with the execution
 //! environment (workers, lane width, host CPUs) recorded, because the
-//! static-vs-dynamic comparison is only interpretable next to the host
-//! CPU count. The 4-worker speedup assertion is gated on
+//! 4-worker figure is only interpretable next to the host CPU count.
+//! The 4-worker speedup assertion is gated on
 //! `host_cpus() >= 4`: thread parallelism physically cannot help on the
 //! 1-CPU runners.
 //!
@@ -26,7 +26,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rescue_bench::{banner, blog, env_json, host_cpus, random_patterns};
-use rescue_core::campaign::{Campaign, Schedule};
+use rescue_core::campaign::Campaign;
 use rescue_core::faults::engine::{CampaignPlan, FaultScratch};
 use rescue_core::faults::reference::ReferenceFaultSimulator;
 use rescue_core::faults::simulate::{CampaignRun, FaultSimulator, PackedOptions};
@@ -84,8 +84,7 @@ fn ppsfp_no_dropping(
     first
 }
 
-/// The default packed dropping campaign under `campaign`'s workers and
-/// schedule.
+/// The default packed dropping campaign over `campaign`'s workers.
 fn ppsfp(
     sim: &FaultSimulator,
     faults: &[rescue_core::faults::Fault],
@@ -146,15 +145,14 @@ fn bench(c: &mut Criterion) {
         "packed no-drop path disagrees; refusing to benchmark"
     );
     let serial_campaign = Campaign::new(0, 1);
-    let static4 = Campaign::new(0, WORKERS).with_schedule(Schedule::Static);
     let dynamic4 = Campaign::new(0, WORKERS);
-    for campaign in [&serial_campaign, &static4, &dynamic4] {
+    for campaign in [&serial_campaign, &dynamic4] {
         let run = ppsfp(&sim, &faults, &patterns, campaign);
         assert_eq!(
             run.report.first_detection(),
             oracle.first_detection(),
-            "packed engine disagrees under {:?}; refusing to benchmark",
-            campaign.schedule
+            "packed engine disagrees at {} workers; refusing to benchmark",
+            campaign.workers
         );
     }
     let coverage = oracle.coverage();
@@ -176,7 +174,6 @@ fn bench(c: &mut Criterion) {
         )
     };
     let t_serial = time(&serial_campaign);
-    let t_static4 = time(&static4);
     let t_dynamic4 = time(&dynamic4);
 
     let work = faults.len() as f64 * patterns.len() as f64;
@@ -194,7 +191,6 @@ fn bench(c: &mut Criterion) {
     for (name, t) in [
         ("ppsfp packed, no dropping  ", t_nodrop),
         ("ppsfp packed+drop, serial  ", t_serial),
-        ("ppsfp packed+drop, static4 ", t_static4),
         ("ppsfp packed+drop, dynamic4", t_dynamic4),
     ] {
         blog!(
@@ -226,7 +222,7 @@ fn bench(c: &mut Criterion) {
          \"coverage\": {:.4},\n    \"dropped_faults\": {},\n    \
          \"chunks_stolen\": {}\n  }},\n  \"seconds\": {{\n    \
          \"ppsfp_nodrop\": {:.6},\n    \"ppsfp_serial\": {:.6},\n    \
-         \"ppsfp_static_4\": {:.6},\n    \"ppsfp_dynamic_4\": {:.6}\n  }},\n  \
+         \"ppsfp_dynamic_4\": {:.6}\n  }},\n  \
          \"dropping_speedup\": {:.2},\n  \
          \"dynamic_4_over_ppsfp_serial\": {:.2}\n}}\n",
         env_json(WORKERS, 64),
@@ -238,7 +234,6 @@ fn bench(c: &mut Criterion) {
         steals,
         t_nodrop,
         t_serial,
-        t_static4,
         t_dynamic4,
         t_nodrop / t_serial,
         speedup_dyn,

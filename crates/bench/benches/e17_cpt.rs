@@ -22,8 +22,8 @@
 //!
 //! The small rung is equivalence-gated against the full-resimulation
 //! oracle before any timing; the big rung gates hybrid against walk (the
-//! walking engine itself is oracle-equivalence-proptested in
-//! `cpt_equivalence.rs`).
+//! walking engine itself is checked against the oracle by
+//! `crates/faults/tests/differential.rs`).
 //! Measurements land in `BENCH_cpt.json` with the execution environment
 //! (workers, lane width, host CPUs) recorded. The hybrid-over-walk >= 2x
 //! acceptance assertion on the big rung is gated on `host_cpus() >= 4`,
@@ -105,7 +105,7 @@ fn run_rung(
     // Equivalence gate before any timing. The small rung checks every
     // engine against the oracle; the big rung checks trace and hybrid
     // against walk (whose oracle equivalence is E16's gate and
-    // the cpt_equivalence property suite).
+    // the differential matrix).
     let walk_run = sim.campaign_packed(&faults, &patterns, &serial, walk_opts);
     let reference = if oracle_gate {
         let oracle = ReferenceFaultSimulator::new(&net).campaign(&net, &faults, &patterns);

@@ -4,10 +4,12 @@
 //! a read-only *plan* (compiled netlist, golden values, fault list), a
 //! mutable per-worker *scratch* (value arrays, walk stamps, lane machines),
 //! and an item list whose verdicts are independent of each other. The
-//! driver splits the items into contiguous ranges over scoped threads,
-//! builds each worker's scratch exactly once inside its thread, and
-//! reassembles results in item order — so the output is bit-identical for
-//! any worker count, and nothing is allocated per item.
+//! driver hands the items to scoped threads, as one contiguous range per
+//! worker ([`Campaign::run_ranges`]) or through a work-stealing chunk
+//! queue ([`Campaign::run_dynamic`]), builds each worker's scratch
+//! exactly once inside its thread, and reassembles results in item order
+//! — so the output is bit-identical for any worker count, and nothing is
+//! allocated per item.
 
 use crate::seed::derive_seed;
 use rescue_telemetry::{metrics, span};
@@ -15,48 +17,17 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// How a campaign's items are handed to workers.
-///
-/// `Static` is the original layout: one contiguous shard per worker,
-/// fixed up front. It is optimal when per-item cost is uniform, and it
-/// is what [`Campaign::run_ranges`] always uses. `Dynamic` splits the
-/// item list into many small chunks claimed from a shared atomic cursor
-/// ([`Campaign::run_dynamic`]): workers that finish early steal the
-/// chunks a static layout would have pinned to a slow peer. Fault
-/// dropping makes per-item cost wildly non-uniform (dropped faults cost
-/// ~nothing, survivors walk their whole cone every word), which is
-/// exactly the load shape static shards handle worst.
-///
-/// Either way verdicts are identical: per-item seeds come from
-/// [`Campaign::seed_for`] (item-indexed, layout-independent) and results
-/// are reassembled in item order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// One contiguous shard per worker, fixed before the run starts.
-    Static,
-    /// Work-stealing chunk queue. `chunk` is the items-per-chunk grain;
-    /// `0` lets the driver pick (`len / (workers * 8)` clamped to
-    /// `1..=256`), which yields ~8 steals' worth of slack per worker.
-    Dynamic {
-        /// Items per chunk; `0` = auto.
-        chunk: usize,
-    },
-}
-
-/// Campaign execution policy: a master seed, a worker count and a
-/// [`Schedule`].
+/// Campaign execution policy: a master seed and a worker count.
 ///
 /// The seed feeds [`Campaign::seed_for`] so per-item randomness is stable
-/// under resharding; the worker count and schedule only affect wall-clock
-/// time, never verdicts.
+/// under resharding; the worker count only affects wall-clock time,
+/// never verdicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Campaign {
     /// Master seed for deterministic per-item randomness.
     pub seed: u64,
     /// Scoped worker threads to shard over (>= 1).
     pub workers: usize,
-    /// Item hand-out policy for schedule-aware entry points.
-    pub schedule: Schedule,
 }
 
 impl Campaign {
@@ -73,17 +44,7 @@ impl Campaign {
     /// Panics when `workers == 0`.
     pub fn new(seed: u64, workers: usize) -> Self {
         assert!(workers > 0, "campaign needs at least one worker");
-        Campaign {
-            seed,
-            workers,
-            schedule: Schedule::Dynamic { chunk: 0 },
-        }
-    }
-
-    /// Same campaign with an explicit [`Schedule`] (builder style).
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
+        Campaign { seed, workers }
     }
 
     /// Deterministic seed for item `index`, independent of sharding.
@@ -91,14 +52,11 @@ impl Campaign {
         derive_seed(self.seed, index as u64)
     }
 
-    /// Resolved work-stealing chunk grain for `len` items: the explicit
-    /// `Dynamic { chunk }` when non-zero, else `len / (workers * 8)`
-    /// clamped to `1..=256`.
+    /// Work-stealing chunk grain for `len` items: `len / (workers * 8)`
+    /// clamped to `1..=256`, which yields ~8 steals' worth of slack per
+    /// worker.
     pub fn chunk_size(&self, len: usize) -> usize {
-        match self.schedule {
-            Schedule::Dynamic { chunk } if chunk > 0 => chunk,
-            _ => (len / (self.workers * 8)).clamp(1, 256),
-        }
+        (len / (self.workers * 8)).clamp(1, 256)
     }
 
     /// Contiguous item ranges, one per worker: `ceil(len / workers)` items
@@ -424,46 +382,46 @@ mod tests {
     }
 
     #[test]
-    fn chunk_size_auto_and_explicit() {
+    fn chunk_size_clamps_the_auto_grain() {
         let c = Campaign::new(0, 4);
         assert_eq!(c.chunk_size(0), 1, "clamped up for tiny lists");
         assert_eq!(c.chunk_size(31), 1);
         assert_eq!(c.chunk_size(320), 10);
         assert_eq!(c.chunk_size(1 << 20), 256, "clamped down for huge lists");
-        let e = c.with_schedule(Schedule::Dynamic { chunk: 7 });
-        assert_eq!(e.chunk_size(1 << 20), 7, "explicit grain wins");
-        let s = c.with_schedule(Schedule::Static);
-        assert_eq!(
-            s.chunk_size(320),
-            10,
-            "static still resolves the auto grain"
-        );
     }
 
     #[test]
     fn dynamic_matches_static_across_workers_and_grains() {
-        let items: Vec<u32> = (0..257).collect();
-        let baseline = Campaign::serial().run_sharded(&items, |_| (), |_, i, &x| (i, x * 3));
-        for workers in [1usize, 2, 3, 4, 16] {
-            for chunk in [0usize, 1, 5, 64, 1000] {
-                let run = Campaign::new(0, workers)
-                    .with_schedule(Schedule::Dynamic { chunk })
-                    .run_dynamic(
-                        &items,
-                        |_| (),
-                        |_, offset, shard| {
-                            shard
-                                .iter()
-                                .enumerate()
-                                .map(|(i, &x)| (offset + i, x * 3))
-                                .collect()
-                        },
-                    );
+        // The item count sets the grain: 1 item per chunk up to 256.
+        for len in [0usize, 1, 7, 257, 3000, 20_000] {
+            let items: Vec<u32> = (0..len as u32).collect();
+            let baseline = Campaign::serial().run_sharded(&items, |_| (), |_, i, &x| (i, x * 3));
+            for workers in [1usize, 2, 3, 4, 16] {
+                let campaign = Campaign::new(0, workers);
+                let run = campaign.run_dynamic(
+                    &items,
+                    |_| (),
+                    |_, offset, shard| {
+                        shard
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &x)| (offset + i, x * 3))
+                            .collect()
+                    },
+                );
                 assert_eq!(
                     baseline.results, run.results,
-                    "{workers} workers, chunk {chunk}"
+                    "{len} items, {workers} workers"
                 );
-                assert!(run.chunks >= 1);
+                // Serial runs and single-chunk queues take the inline
+                // fast path: one whole-range chunk.
+                let n_chunks = len.div_ceil(campaign.chunk_size(len));
+                let expect = match n_chunks {
+                    0 => 0,
+                    _ if workers == 1 => 1,
+                    n => n,
+                };
+                assert_eq!(run.chunks, expect, "{len} items, {workers} workers");
             }
         }
     }
@@ -473,8 +431,8 @@ mod tests {
         // Per-item seeds routed through seed_for are identical no matter
         // which worker claims the chunk or how the queue is grained.
         let items: Vec<u32> = (0..100).collect();
-        let seeds = |workers: usize, chunk: usize| {
-            let c = Campaign::new(9, workers).with_schedule(Schedule::Dynamic { chunk });
+        let seeds = |workers: usize| {
+            let c = Campaign::new(9, workers);
             c.run_dynamic(
                 &items,
                 |_| (),
@@ -482,9 +440,9 @@ mod tests {
             )
             .results
         };
-        let baseline = seeds(1, 0);
-        for (workers, chunk) in [(2, 3), (4, 7), (8, 1), (3, 0)] {
-            assert_eq!(baseline, seeds(workers, chunk));
+        let baseline = seeds(1);
+        for workers in [2, 3, 4, 8] {
+            assert_eq!(baseline, seeds(workers), "{workers} workers");
         }
     }
 
@@ -508,20 +466,19 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         let touched = AtomicU64::new(0);
         let items: Vec<u32> = (0..1000).collect();
-        let run = Campaign::new(0, 4)
-            .with_schedule(Schedule::Dynamic { chunk: 16 })
-            .run_dynamic(
-                &items,
-                |_| 0u64,
-                |seen, _, shard| {
-                    *seen += shard.len() as u64;
-                    touched.fetch_add(shard.len() as u64, Ordering::Relaxed);
-                    shard.to_vec()
-                },
-            );
+        let campaign = Campaign::new(0, 4);
+        let run = campaign.run_dynamic(
+            &items,
+            |_| 0u64,
+            |seen, _, shard| {
+                *seen += shard.len() as u64;
+                touched.fetch_add(shard.len() as u64, Ordering::Relaxed);
+                shard.to_vec()
+            },
+        );
         assert_eq!(run.results, items);
         assert_eq!(touched.load(Ordering::Relaxed), 1000);
-        assert_eq!(run.chunks, 1000usize.div_ceil(16));
+        assert_eq!(run.chunks, 1000usize.div_ceil(campaign.chunk_size(1000)));
         assert!(run.worker_ns.len() <= 4);
     }
 }

@@ -10,16 +10,15 @@
 //! throughput. This crate is the one substrate they all share:
 //!
 //! * [`driver::Campaign`] — deterministic seeding plus scoped-thread
-//!   execution with reusable per-worker scratch, under either a static
-//!   contiguous-shard layout or a work-stealing chunk queue
-//!   ([`driver::Schedule`], [`Campaign::run_dynamic`]). Verdicts never
-//!   depend on the worker count or schedule; only wall-clock does.
+//!   execution with reusable per-worker scratch, over static contiguous
+//!   shards ([`Campaign::run_ranges`]) or a work-stealing chunk queue
+//!   ([`Campaign::run_dynamic`]). Verdicts never depend on the worker
+//!   count or the hand-out; only wall-clock does.
 //! * [`stats::CampaignStats`] — the observability record attached to
 //!   every campaign report: injections per second, 64-lane occupancy,
 //!   per-worker timings and outcome tallies.
 //! * [`progress::Progress`] — a shared completion counter with
-//!   rate/ETA snapshots; [`Campaign::run_sharded_observed`] feeds it to
-//!   a progress callback while a campaign runs.
+//!   rate/ETA snapshots; [`fleet`] publishes one per durable run.
 //! * [`fleet`] — the live fleet status registry: durable runs publish
 //!   per-unit progress, rates and ETA here, folded together with the
 //!   [`store`] claim scanner (owner pid, liveness, age) into the JSON
@@ -80,7 +79,7 @@ pub mod stats;
 pub mod store;
 
 pub use artifact::ArtifactStore;
-pub use driver::{Campaign, Schedule, ShardedRun};
+pub use driver::{Campaign, ShardedRun};
 pub use durable::DurableRun;
 pub use fleet::{FleetEntry, FleetHandle};
 pub use manifest::{CampaignManifest, UnitSpec};

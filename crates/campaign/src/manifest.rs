@@ -8,7 +8,7 @@
 //! always produces the same plan — the property that lets a restarted or
 //! concurrent process recognize finished units in a
 //! [`crate::store::ResultStore`] by key alone. The partition depends
-//! only on the item count and grain, never on worker count or schedule:
+//! only on the item count and grain, never on the worker count:
 //! those change wall-clock, not identity.
 
 use crate::store::{CanonicalHasher, ContentHash};

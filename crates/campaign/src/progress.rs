@@ -2,12 +2,8 @@
 //!
 //! A [`Progress`] is a tiny shared counter campaign workers tick as they
 //! finish items; any thread can take a [`ProgressSnapshot`] to render a
-//! status line without stopping the run. [`Campaign::run_sharded_observed`]
-//! wires it up for the common per-item loop: the observer callback fires
-//! every `every` completed items (and once at the end) with a fresh
-//! snapshot.
+//! status line without stopping the run.
 
-use crate::driver::{Campaign, ShardedRun};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -48,14 +44,7 @@ impl Progress {
     /// total: a zero-duration or zero-progress snapshot reports 0.0
     /// rate and `None` ETA instead of dividing by zero.
     pub fn snapshot(&self) -> ProgressSnapshot {
-        self.snapshot_at(self.done())
-    }
-
-    /// [`Progress::snapshot`] with `done` items completed: the count a
-    /// worker's [`Progress::add`] returned, which other workers may
-    /// already have moved past.
-    fn snapshot_at(&self, done: usize) -> ProgressSnapshot {
-        let done = done.min(self.total);
+        let done = self.done().min(self.total);
         let elapsed_secs = self.start.elapsed().as_secs_f64();
         let items_per_sec = if elapsed_secs > 0.0 {
             done as f64 / elapsed_secs
@@ -117,50 +106,9 @@ impl ProgressSnapshot {
     }
 }
 
-impl Campaign {
-    /// [`Campaign::run_sharded`] with a progress observer: `observe` is
-    /// called with a fresh [`ProgressSnapshot`] whenever a completed
-    /// item lands on a multiple of `every` (and again after the final
-    /// item), from whichever worker crossed the boundary. The snapshot
-    /// reports that boundary count, whatever the other workers have
-    /// finished since.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `every == 0`, when a worker panics, or when a worker
-    /// returns the wrong result count.
-    pub fn run_sharded_observed<T, S, R, FS, FW, FP>(
-        &self,
-        items: &[T],
-        scratch: FS,
-        work: FW,
-        every: usize,
-        observe: FP,
-    ) -> ShardedRun<R>
-    where
-        T: Sync,
-        R: Send,
-        FS: Fn(usize) -> S + Sync,
-        FW: Fn(&mut S, usize, &T) -> R + Sync,
-        FP: Fn(ProgressSnapshot) + Sync,
-    {
-        assert!(every > 0, "progress interval must be positive");
-        let progress = Progress::new(items.len());
-        self.run_sharded(items, scratch, |s, index, item| {
-            let r = work(s, index, item);
-            let done = progress.add(1);
-            if done.is_multiple_of(every) || done == progress.total() {
-                observe(progress.snapshot_at(done));
-            }
-            r
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     #[test]
     fn snapshot_rates_are_total() {
@@ -183,37 +131,5 @@ mod tests {
         assert_eq!(s.fraction(), 1.0);
         assert_eq!(s.eta_secs, Some(0.0));
         assert!(s.status_line().starts_with("0/0"));
-    }
-
-    #[test]
-    fn observed_run_reports_progress_and_final_item() {
-        let items: Vec<u32> = (0..97).collect();
-        let seen = Mutex::new(Vec::new());
-        let run = Campaign::new(0, 3).run_sharded_observed(
-            &items,
-            |_| (),
-            |_, _, &x| x * 2,
-            10,
-            |snap| seen.lock().unwrap().push(snap.done),
-        );
-        assert_eq!(run.results.len(), 97);
-        let seen = seen.into_inner().unwrap();
-        assert!(!seen.is_empty());
-        assert!(seen.contains(&97), "final item always reported");
-        assert!(seen.iter().all(|&d| d % 10 == 0 || d == 97));
-    }
-
-    #[test]
-    fn observed_results_match_unobserved() {
-        let items: Vec<u32> = (0..64).collect();
-        let plain = Campaign::serial().run_sharded(&items, |_| (), |_, i, &x| (i, x + 1));
-        let observed = Campaign::new(0, 4).run_sharded_observed(
-            &items,
-            |_| (),
-            |_, i, &x| (i, x + 1),
-            7,
-            |_| (),
-        );
-        assert_eq!(plain.results, observed.results);
     }
 }

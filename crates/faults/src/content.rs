@@ -169,8 +169,8 @@ pub fn hash_options(opts: &PackedOptions) -> ContentHash {
 }
 
 /// The durable-campaign key: netlist, fault universe, options and
-/// pattern block combined. Deliberately excludes worker count, schedule
-/// and seed — they change wall-clock, never verdicts, so a resumed run
+/// pattern block combined. Deliberately excludes worker count and seed
+/// — they change wall-clock, never verdicts, so a resumed run
 /// under a different thread count still hits the same units.
 pub fn campaign_hash(
     c: &CompiledNetlist,

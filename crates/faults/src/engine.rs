@@ -41,9 +41,8 @@
 //! and the observer-group classification walk
 //! ([`CampaignPlan::detect_observed`]) all run it. Equivalence with the
 //! full-resimulation oracle ([`crate::reference`]) is enforced by the
-//! property tests in `tests/ppsfp_equivalence.rs` and
-//! `tests/engine_equivalence.rs`, and for one scratch reused across
-//! chunks by `tests/scratch_reuse.rs`.
+//! differential matrix in `tests/differential.rs` (campaigns), and for
+//! one scratch reused across chunks by `tests/scratch_reuse.rs` (masks).
 
 use crate::error::FaultError;
 use crate::model::{Fault, FaultSite};

@@ -14,7 +14,7 @@
 //! gates, a campaign evaluates only that cone ([`campaign_arena`]).
 //! Verdicts, first-detection indices included, are
 //! bit-identical to the full-resimulation oracle in [`crate::reference`]
-//! for every worker count and schedule (enforced by property tests).
+//! for every worker count (enforced by property tests).
 
 use crate::collapse::CollapsedUniverse;
 use crate::engine::{CampaignPlan, FaultScratch, WideScratch};
@@ -131,7 +131,7 @@ pub struct PackedOptions<'a> {
     /// words come from backward sensitization over fanout-free regions,
     /// and the event-driven walk is reserved for reconvergent stems.
     /// Verdicts stay bit-identical to the walking engine for every lane
-    /// width, schedule, worker count and collapse setting.
+    /// width, worker count and collapse setting.
     pub tracing: bool,
 }
 
@@ -357,11 +357,10 @@ impl FaultSimulator {
     /// observability path ([`CampaignPlan::detect_packed`]) — one
     /// event-driven walk per (site, pattern word), shared by all faults
     /// at that site — or, with [`PackedOptions::tracing`], through the
-    /// critical-path-tracing hybrid. The fault list is handed out per
-    /// the campaign's [`rescue_campaign::Schedule`]: static contiguous
-    /// shards or the work-stealing chunk queue (the default — fault
-    /// dropping makes per-fault cost wildly non-uniform, which static
-    /// shards handle worst).
+    /// critical-path-tracing hybrid. The fault list is handed out
+    /// through the work-stealing chunk queue ([`Campaign::run_dynamic`]):
+    /// fault dropping makes per-fault cost wildly non-uniform, which
+    /// static shards handle worst.
     ///
     /// [`PackedOptions`] picks the lane width (1/2/4/8 × 64 patterns per
     /// walk, autovectorized), an optional collapsed universe (walk
@@ -369,8 +368,8 @@ impl FaultSimulator {
     /// rest for free) and tracing. Each worker drops the faults of the
     /// range it drains at their first detection, so verdicts,
     /// first-detection indices included, are bit-identical to
-    /// [`FaultSimulator::campaign`] for every width, schedule, worker
-    /// count and collapse setting; the returned [`CampaignRun`] adds
+    /// [`FaultSimulator::campaign`] for every width, worker count and
+    /// collapse setting; the returned [`CampaignRun`] adds
     /// throughput/lane-occupancy/drop/steal observability, and
     /// [`CampaignStats::faults_walked`] records how much walking the
     /// collapse saved.
@@ -402,7 +401,7 @@ impl FaultSimulator {
     /// unit misses the store, so such a run reports
     /// [`CampaignStats::faults_traced`] as 0. Verdicts and stats tallies
     /// are bit-identical to [`FaultSimulator::campaign_packed`] for every
-    /// store state, worker count, schedule and unit grain;
+    /// store state, worker count and unit grain;
     /// [`CampaignStats::units_cached`] / `units_executed` record how the
     /// run split between store and engine. Units partition the walk
     /// list and each unit drains through the same loop as the plain
@@ -453,7 +452,7 @@ impl FaultSimulator {
     }
 
     /// The width-generic body of every stuck-at campaign: walk list,
-    /// then the in-process schedule or — with a store and unit grain in
+    /// then the in-process chunk queue or — with a store and unit grain in
     /// `durable` — the durable unit drain, then verdict expansion. The
     /// campaign's arena ([`campaign_arena`]), its golden chunks and the
     /// engine are built only when this process walks faults: always on
@@ -520,8 +519,8 @@ impl FaultSimulator {
     /// The deterministic unit plan a durable campaign executes: the walk
     /// list (collapsed representatives when collapsing is on) partitioned
     /// at `unit_faults` grain, keyed under
-    /// [`crate::content::campaign_hash`]. Worker count, schedule and
-    /// seed are deliberately absent from the key — any process
+    /// [`crate::content::campaign_hash`]. Worker count and seed are
+    /// deliberately absent from the key — any process
     /// configuration resumes the same plan.
     pub fn durable_plan(
         &self,
@@ -1077,8 +1076,8 @@ impl<Wd: SimWord> PackedDetect<Wd> for TraceEngine<'_> {
 }
 
 /// Drains one fault range over every golden chunk with fault dropping —
-/// the single campaign inner loop, shared verbatim by the plain
-/// schedules and the durable store-backed path (which is what keeps
+/// the single campaign inner loop, shared verbatim by the plain chunk
+/// queue and the durable store-backed path (which is what keeps
 /// their verdicts bit-identical).
 fn drain_unit<Wd: SimWord, E: PackedDetect<Wd>>(
     engine: &E,
@@ -1130,7 +1129,7 @@ fn drain_unit<Wd: SimWord, E: PackedDetect<Wd>>(
 /// What a campaign builds before its first walk: the walk list in the
 /// ids of the arena the engine evaluates on ([`campaign_arena`]), that
 /// arena's golden chunks and the engine. Position `i` of `walk` is
-/// position `i` of the campaign's walk list, so units and schedules
+/// position `i` of the campaign's walk list, so units and queue chunks
 /// index both alike.
 struct Prepared<'g, Wd, E> {
     walk: Cow<'g, [Fault]>,
@@ -1140,8 +1139,8 @@ struct Prepared<'g, Wd, E> {
 
 /// Executes the walk list with what `prepare` builds: through
 /// `durable`'s store and manifest when given (where `prepare` runs only
-/// if a unit misses the store), otherwise under the campaign's
-/// schedule. Returns the per-walked-fault first detections and the
+/// if a unit misses the store), otherwise through the work-stealing
+/// chunk queue. Returns the per-walked-fault first detections and the
 /// run's timing, worker and unit figures. The run's elapsed time, which
 /// leaves `prepare` out, is recorded in microseconds in the
 /// `exec.walk_us` / `exec.trace_us` histogram (per
@@ -1191,7 +1190,7 @@ where
     (results, stats)
 }
 
-/// Runs the prepared walk list through the campaign's schedule
+/// Runs the prepared walk list through the work-stealing chunk queue
 /// (in-process path).
 fn run_plain<Wd: SimWord, E: PackedDetect<Wd>>(
     campaign: &Campaign,
@@ -1209,10 +1208,7 @@ where
     let work = |scratch: &mut DrainScratch<E::Scratch>, _offset: usize, range: &[Fault]| {
         drain_unit(engine, chunks, scratch, range)
     };
-    match campaign.schedule {
-        rescue_campaign::Schedule::Static => campaign.run_ranges(walk, scratch, work),
-        rescue_campaign::Schedule::Dynamic { .. } => campaign.run_dynamic(walk, scratch, work),
-    }
+    campaign.run_dynamic(walk, scratch, work)
 }
 
 /// Runs the walk list through [`Campaign::run_store`]: same drain loop

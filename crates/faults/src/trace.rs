@@ -48,7 +48,8 @@
 //! stem walk.
 //!
 //! Equivalence with the full-resimulation oracle ([`crate::reference`])
-//! is enforced by the property tests in `tests/cpt_equivalence.rs`.
+//! is enforced by `tests/scratch_reuse.rs` (masks at every lane width)
+//! and the differential matrix in `tests/differential.rs` (campaigns).
 
 use crate::engine::{po_reachable, CampaignPlan, WideScratch};
 use crate::error::FaultError;

@@ -15,6 +15,9 @@
 //! the same inner store does too, executing exactly the units whose put
 //! failed or tore. A damaged record is re-executed, never trusted.
 
+mod common;
+
+use common::random_patterns;
 use proptest::prelude::*;
 use rescue_campaign::{Campaign, ClaimOutcome, ContentHash, MemStore, ResultStore, UnitRecord};
 use rescue_faults::collapse::collapse;
@@ -23,22 +26,6 @@ use rescue_faults::universe;
 use rescue_netlist::generate;
 use std::collections::BTreeSet;
 use std::sync::Mutex;
-
-fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
-    (0..count)
-        .map(|_| {
-            (0..n_inputs)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
 
 /// The store faults [`ChaosStore`] injects, at most one per call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

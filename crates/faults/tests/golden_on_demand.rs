@@ -11,6 +11,9 @@
 //! threads, so each one holds [`rescue_telemetry::exclusive`] for its
 //! whole body.
 
+mod common;
+
+use common::random_patterns;
 use rescue_campaign::{Campaign, MemStore, ResultStore};
 use rescue_faults::collapse::collapse;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
@@ -18,22 +21,6 @@ use rescue_faults::universe;
 use rescue_netlist::generate;
 use rescue_telemetry::journal::{self, Journal, SpanRecord};
 use rescue_telemetry::TelemetryConfig;
-
-fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
-    (0..count)
-        .map(|_| {
-            (0..n_inputs)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
 
 fn named<'a>(spans: &'a [SpanRecord], name: &str) -> Vec<&'a SpanRecord> {
     spans.iter().filter(|s| s.name == name).collect()

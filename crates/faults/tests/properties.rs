@@ -1,26 +1,13 @@
 //! Property-based tests for fault simulation invariants.
 
+mod common;
+
+use common::random_patterns_unmixed;
 use proptest::prelude::*;
 use rescue_faults::reference::ReferenceFaultSimulator;
 use rescue_faults::{collapse, sample, simulate::FaultSimulator, universe, Fault, FaultSite};
 use rescue_netlist::generate;
 use rescue_sim::parallel::pack_patterns;
-
-fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut s = seed.max(1);
-    (0..count)
-        .map(|_| {
-            (0..n_inputs)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -31,7 +18,7 @@ proptest! {
     fn inactive_fault_is_invisible(seed in 1u64..300) {
         let net = generate::random_logic(6, 40, 3, seed);
         let sim = FaultSimulator::new(&net);
-        let pats = random_patterns(6, 16, seed);
+        let pats = random_patterns_unmixed(6, 16, seed);
         let words = pack_patterns(&pats);
         let golden = sim.golden(&words);
         for id in net.ids().take(20) {
@@ -58,7 +45,7 @@ proptest! {
         let net = generate::random_logic(5, 30, 2, seed);
         let faults = universe::stuck_at_universe(&net);
         let sim = FaultSimulator::new(&net);
-        let pats = random_patterns(5, 48, seed);
+        let pats = random_patterns_unmixed(5, 48, seed);
         let r_small = sim.campaign(&faults, &pats[..16]);
         let r_large = sim.campaign(&faults, &pats);
         prop_assert!(r_large.coverage() >= r_small.coverage());

@@ -1,42 +1,24 @@
-//! Durable campaigns ≡ plain campaigns, under every interruption.
+//! Durable campaigns under a damaged or shared store.
 //!
-//! The acceptance bar for the content-addressed work-unit refactor: a
-//! durable campaign must reproduce the plain engine's verdicts and
-//! outcome tallies bit for bit whether it starts cold, resumes a store
-//! holding any subset of finished units (a killed run), shares the
-//! store with a concurrent writer, or re-submits against a complete
-//! store (executing zero units) — across lane widths, collapse/tracing
-//! settings, schedules, worker counts and unit grains. A
-//! forged, misfiled, torn or spliced record is re-executed, never
-//! trusted, and a store directory that cannot hold claims or records
-//! costs persistence, never a verdict. The plan itself must be
-//! engine-configuration-stable so any process can resume it.
+//! A forged, misfiled, torn or spliced record is re-executed, never
+//! trusted; a store directory that cannot hold claims or records costs
+//! persistence, never a verdict; two writers on one filesystem store
+//! partition its units. The plan itself must be
+//! engine-configuration-stable so any process can resume it. That a
+//! cold, resumed or warm durable run reproduces the oracle's verdicts
+//! and tallies across lane widths, collapse, tracing and worker counts
+//! is a relation of the differential matrix (`differential.rs`).
 
+mod common;
+
+use common::random_patterns;
 use proptest::prelude::*;
-use rescue_campaign::{
-    Campaign, ContentHash, FsStore, MemStore, ResultStore, Schedule, UnitRecord,
-};
+use rescue_campaign::{Campaign, ContentHash, FsStore, MemStore, ResultStore, UnitRecord};
 use rescue_faults::collapse::collapse;
 use rescue_faults::simulate::{FaultSimulator, PackedOptions};
 use rescue_faults::universe;
 use rescue_netlist::generate;
 use rescue_telemetry::{metrics, TelemetryConfig};
-
-fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
-    (0..count)
-        .map(|_| {
-            (0..n_inputs)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
 
 /// A workload whose collapsed/traced variants all exercise dropping,
 /// expansion and undetected faults.
@@ -66,90 +48,6 @@ fn temp_root(tag: &str) -> std::path::PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&root);
     root
-}
-
-/// Runs the plain and durable engines over the same workload and
-/// checks cold/resume/warm equivalence for one engine configuration.
-fn check_resume(seed: u64, lane_width: usize, collapsed: bool, tracing: bool, workers: usize) {
-    let w = Workload::new(seed);
-    let faults = universe::stuck_at_universe(&w.net);
-    let sim = FaultSimulator::new(&w.net);
-    let cu = collapsed.then(|| collapse(&w.net, &faults));
-    let mk_opts = || {
-        let mut opts = PackedOptions::wide(lane_width);
-        if let Some(cu) = &cu {
-            opts = opts.with_collapsed(cu);
-        }
-        if tracing {
-            opts = opts.traced();
-        }
-        opts
-    };
-    let campaign = Campaign::new(seed, workers);
-    let plain = sim.campaign_packed(&faults, &w.patterns, &campaign, mk_opts());
-
-    // Cold durable run: everything executes, verdicts match plain.
-    let store = MemStore::new();
-    let grain = 32;
-    let cold =
-        sim.campaign_packed_durable(&faults, &w.patterns, &campaign, mk_opts(), &store, grain);
-    assert_eq!(cold.report, plain.report, "cold durable ≡ plain");
-    assert_eq!(cold.stats.tally, plain.stats.tally);
-    assert_eq!(cold.stats.dropped, plain.stats.dropped);
-    let manifest = sim.durable_plan(&faults, &w.patterns, &mk_opts(), grain);
-    assert_eq!(cold.stats.units_total, manifest.units.len());
-    assert_eq!(cold.stats.units_executed, manifest.units.len());
-
-    // Kill simulation: keep every other unit (as if the process died
-    // mid-campaign), resume under a different worker count and
-    // schedule — verdicts and tallies must not move.
-    let partial = MemStore::new();
-    for (ui, unit) in manifest.units.iter().enumerate() {
-        if ui % 2 == 0 {
-            partial.put(unit.id, &store.get(unit.id).expect("cold run stored it"));
-        }
-    }
-    let kept = manifest.units.len().div_ceil(2);
-    let resumer = Campaign {
-        schedule: Schedule::Dynamic { chunk: 1 },
-        ..Campaign::new(seed ^ 0xdead, workers % 3 + 1)
-    };
-    let resumed =
-        sim.campaign_packed_durable(&faults, &w.patterns, &resumer, mk_opts(), &partial, grain);
-    assert_eq!(resumed.report, plain.report, "resumed ≡ uninterrupted");
-    assert_eq!(resumed.stats.tally, plain.stats.tally);
-    assert_eq!(resumed.stats.units_cached, kept);
-    assert_eq!(
-        resumed.stats.units_executed,
-        manifest.units.len() - kept,
-        "resume executes only the missing units"
-    );
-
-    // Warm re-submission: the store is now complete → zero executions.
-    let warm =
-        sim.campaign_packed_durable(&faults, &w.patterns, &campaign, mk_opts(), &partial, grain);
-    assert_eq!(warm.report, plain.report);
-    assert_eq!(warm.stats.units_executed, 0, "warm run executes nothing");
-    assert_eq!(warm.stats.units_cached, manifest.units.len());
-    assert_eq!(warm.stats.cache_hit_ratio(), 1.0);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Scalar-width durable campaigns resume bit-identically across
-    /// collapse settings and worker counts.
-    #[test]
-    fn resume_is_bit_identical_w1(seed in 1u64..500, collapsed: bool, workers in 1usize..5) {
-        check_resume(seed, 1, collapsed, false, workers);
-    }
-
-    /// Wide-word (W=4) durable campaigns resume bit-identically, with
-    /// and without critical-path tracing.
-    #[test]
-    fn resume_is_bit_identical_w4(seed in 1u64..500, tracing: bool, workers in 1usize..5) {
-        check_resume(seed, 4, true, tracing, workers);
-    }
 }
 
 /// The plan is a pure function of campaign content: stable across

@@ -16,7 +16,9 @@
 //! sequence A, B, A, A (the same tag twice), B untagged (`load_golden`),
 //! A, A untagged, B, with the faults in a random order on every visit.
 //! Designs are `random_logic` and random sequential designs with DFF
-//! feedback, at W = 1 and W = 4; chunk B is ragged.
+//! feedback, at W ∈ {1, 2, 4, 8}; chunk B is ragged. The universes hold
+//! output and pin faults, and every fault is graded on every visit, so
+//! no mask hides behind fault dropping.
 
 use proptest::prelude::*;
 use rescue_faults::engine::{CampaignPlan, ObserverGroups, WideScratch};
@@ -108,40 +110,53 @@ struct Chunk<Wd> {
     want: Vec<Want<Wd>>,
 }
 
-/// Builds a chunk of `patterns` and assembles the oracle's masks from
-/// its 64-pattern slices, lane by lane.
-fn chunk<Wd: SimWord>(
+/// The oracle's masks of one pattern list, per 64-pattern slice and per
+/// fault: at all outputs and at the two observer groups.
+type Slices = Vec<Vec<(u64, u64, u64)>>;
+
+fn oracle_slices(
     net: &Netlist,
     c: &CompiledNetlist,
     faults: &[Fault],
     groups: [&[u32]; 2],
     patterns: &[Vec<bool>],
-) -> Chunk<Wd> {
+) -> Slices {
     let oracle = ReferenceFaultSimulator::new(net);
+    patterns
+        .chunks(64)
+        .map(|sub| {
+            let words = pack_patterns_wide::<u64>(sub);
+            let golden = oracle.golden(net, &words);
+            faults
+                .iter()
+                .map(|&fault| {
+                    let faulty = oracle.with_stuck(net, &words, fault);
+                    let diff = |gates: &[u32]| {
+                        gates
+                            .iter()
+                            .fold(0u64, |m, &g| m | (golden[g as usize] ^ faulty[g as usize]))
+                    };
+                    (diff(c.po_drivers()), diff(groups[0]), diff(groups[1]))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Builds a chunk of `patterns` and assembles the oracle's masks lane by
+/// lane from `slices`, the slices of a list `patterns` is a prefix of:
+/// lanes are independent, so a slice's low lanes are its prefix's.
+fn chunk<Wd: SimWord>(c: &CompiledNetlist, patterns: &[Vec<bool>], slices: &Slices) -> Chunk<Wd> {
     let mut golden = Vec::new();
     c.eval_words_into(&pack_patterns_wide::<Wd>(patterns), &mut golden)
         .unwrap();
-    let mut want = vec![(Wd::ZERO, Wd::ZERO, Wd::ZERO); faults.len()];
-    for (si, sub) in patterns.chunks(64).enumerate() {
-        let words = pack_patterns_wide::<u64>(sub);
-        let sub_golden = oracle.golden(net, &words);
-        for (fi, &fault) in faults.iter().enumerate() {
-            let faulty = oracle.with_stuck(net, &words, fault);
-            let diff = |gates: &[u32]| {
-                gates.iter().fold(0u64, |m, &g| {
-                    m | (sub_golden[g as usize] ^ faulty[g as usize])
-                })
-            };
-            let (po, a, b) = &mut want[fi];
-            for (word, mask) in [
-                (po, diff(c.po_drivers())),
-                (a, diff(groups[0])),
-                (b, diff(groups[1])),
-            ] {
-                for bit in 0..sub.len() {
-                    if mask >> bit & 1 == 1 {
-                        word.set_lane(si * 64 + bit);
-                    }
+    let mut want = vec![(Wd::ZERO, Wd::ZERO, Wd::ZERO); slices[0].len()];
+    for lane in 0..patterns.len() {
+        let (slice, bit) = (&slices[lane / 64], lane % 64);
+        for ((po, a, b), &masks) in want.iter_mut().zip(slice) {
+            for (word, mask) in [(po, masks.0), (a, masks.1), (b, masks.2)] {
+                if mask >> bit & 1 == 1 {
+                    word.set_lane(lane);
                 }
             }
         }
@@ -294,55 +309,101 @@ fn check<Wd: SimWord, E: Engine<Wd>>(
     Ok(())
 }
 
-/// Every engine on `net` at lane width `Wd`.
-fn reuse_matches<Wd: SimWord>(net: &Netlist, seed: u64) -> Result<(), TestCaseError> {
-    let c = CompiledNetlist::new(net);
-    let faults = universe::stuck_at_universe(net);
-    let pos = c.po_drivers();
-    let group_a: Vec<u32> = pos.iter().copied().step_by(2).collect();
-    let group_b: Vec<u32> = pos.iter().copied().skip(1).step_by(2).collect();
-    let n_inputs = net.primary_inputs().len();
+/// What every width shares on one design: its arena, universe,
+/// observer groups, and the two pattern lists of the widest chunks with
+/// their oracle slices.
+struct Setup {
+    c: CompiledNetlist,
+    faults: Vec<Fault>,
+    groups: [Vec<u32>; 2],
+    lists: [Vec<Vec<bool>>; 2],
+    slices: [Slices; 2],
+}
+
+impl Setup {
+    /// Chunk A is `LANES` patterns of the first list, chunk B (ragged)
+    /// `LANES - 23` of the second, so every width's chunks are prefixes
+    /// of the W = 8 ones and the oracle grades each list once.
+    fn new(net: &Netlist, seed: u64) -> Setup {
+        let c = CompiledNetlist::new(net);
+        let faults = universe::stuck_at_universe(net);
+        let pos = c.po_drivers();
+        let groups = [
+            pos.iter().copied().step_by(2).collect::<Vec<u32>>(),
+            pos.iter().copied().skip(1).step_by(2).collect(),
+        ];
+        let widest = PackedWord::<8>::LANES;
+        let lists = [0, 1].map(|ci| {
+            random_patterns(
+                net.primary_inputs().len(),
+                widest - 23 * ci,
+                seed.wrapping_mul(31) + ci as u64,
+            )
+        });
+        let slices =
+            [0, 1].map(|ci| oracle_slices(net, &c, &faults, [&groups[0], &groups[1]], &lists[ci]));
+        Setup {
+            c,
+            faults,
+            groups,
+            lists,
+            slices,
+        }
+    }
+}
+
+/// Every engine on `setup` at lane width `Wd`.
+fn reuse_matches<Wd: SimWord>(setup: &Setup, seed: u64) -> Result<(), TestCaseError> {
+    let Setup {
+        c,
+        faults,
+        groups: [group_a, group_b],
+        lists,
+        slices,
+    } = setup;
     let chunks: Vec<Chunk<Wd>> = [Wd::LANES, Wd::LANES - 23]
         .into_iter()
         .enumerate()
-        .map(|(ci, n)| {
-            let patterns = random_patterns(n_inputs, n, seed.wrapping_mul(31) + ci as u64);
-            chunk(net, &c, &faults, [&group_a, &group_b], &patterns)
-        })
+        .map(|(ci, n)| chunk(c, &lists[ci][..n], &slices[ci]))
         .collect();
     let walk = || Walk {
-        c: &c,
-        plan: CampaignPlan::build(&c, &faults),
+        c,
+        plan: CampaignPlan::build(c, faults),
     };
-    check("walk", &walk(), &chunks, &faults, false, seed)?;
+    check("walk", &walk(), &chunks, faults, false, seed)?;
     let observed = Observed {
         walk: walk(),
-        groups: ObserverGroups::new(&c, &group_a, &group_b),
+        groups: ObserverGroups::new(c, group_a, group_b),
     };
-    check("observed", &observed, &chunks, &faults, true, seed)?;
+    check("observed", &observed, &chunks, faults, true, seed)?;
     let traced = Traced {
-        c: &c,
-        plan: TracePlan::build(&c, &faults),
+        c,
+        plan: TracePlan::build(c, faults),
     };
-    check("traced", &traced, &chunks, &faults, false, seed)
+    check("traced", &traced, &chunks, faults, false, seed)
+}
+
+/// Every engine on `net` at W ∈ {1, 2, 4, 8}.
+fn reuse_matches_every_width(net: &Netlist, seed: u64) -> Result<(), TestCaseError> {
+    let setup = Setup::new(net, seed);
+    reuse_matches::<u64>(&setup, seed)?;
+    reuse_matches::<PackedWord<2>>(&setup, seed)?;
+    reuse_matches::<PackedWord<4>>(&setup, seed)?;
+    reuse_matches::<PackedWord<8>>(&setup, seed)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `random_logic` designs at W = 1 and W = 4.
+    /// `random_logic` designs at W ∈ {1, 2, 4, 8}.
     #[test]
     fn reused_scratch_matches_fresh_and_oracle_random_logic(seed in 1u64..1000) {
-        let net = generate::random_logic(7, 80, 4, seed);
-        reuse_matches::<u64>(&net, seed)?;
-        reuse_matches::<PackedWord<4>>(&net, seed)?;
+        reuse_matches_every_width(&generate::random_logic(7, 80, 4, seed), seed)?;
     }
 
-    /// Sequential designs with DFF feedback at W = 1 and W = 4.
+    /// Sequential designs with DFF feedback at W ∈ {1, 2, 4, 8}.
     #[test]
     fn reused_scratch_matches_fresh_and_oracle_sequential(seed in 1u64..1000) {
-        let net = random_sequential(seed);
-        reuse_matches::<u64>(&net, seed)?;
-        reuse_matches::<PackedWord<4>>(&net, seed)?;
+        reuse_matches_every_width(&random_sequential(seed), seed)?;
     }
 }

@@ -7,27 +7,14 @@
 //! pin-forced single-gate kernel the cone walks and CPT chain ascent
 //! dispatch through.
 
+mod common;
+
+use common::random_patterns_unmixed;
 use proptest::prelude::*;
 use rescue_netlist::{generate, renumber, GateKind};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::logic::eval_gate_word;
 use rescue_sim::wide::{pack_patterns_wide, PackedWord, SimWord};
-
-fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut s = seed.max(1);
-    (0..count)
-        .map(|_| {
-            (0..n_inputs)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
 
 /// A packed word as its 64-lane limbs: the oracle's `eval_gate_word`
 /// answers one limb at a time.
@@ -120,7 +107,7 @@ proptest! {
         for c in [CompiledNetlist::new(&net), CompiledNetlist::new(&lev)] {
             // One full chunk plus a ragged tail at every width: 64·W + r
             // patterns exercise both the steady-state and tail kernels.
-            let pats = |lanes: usize| random_patterns(8, lanes + ragged, seed);
+            let pats = |lanes: usize| random_patterns_unmixed(8, lanes + ragged, seed);
             assert_runs_match_oracle::<u64>(&c, &pats(64));
             assert_runs_match_oracle::<PackedWord<2>>(&c, &pats(128));
             assert_runs_match_oracle::<PackedWord<4>>(&c, &pats(256));

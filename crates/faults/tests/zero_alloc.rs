@@ -15,6 +15,8 @@
 //! One `#[test]` only: a second concurrent test in this binary would
 //! allocate behind the counter's back and poison the delta.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -41,28 +43,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
+use common::random_patterns;
 use rescue_faults::engine::{CampaignPlan, WideScratch};
 use rescue_faults::trace::{TracePlan, TraceScratch};
 use rescue_faults::universe;
 use rescue_netlist::{generate, renumber};
 use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::wide::{pack_patterns_wide_into, PackedWord, SimWord};
-
-fn random_patterns(n_inputs: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut s = seed.max(1) ^ 0x5851_f42d_4c95_7f2d;
-    (0..count)
-        .map(|_| {
-            (0..n_inputs)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    s & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
 
 /// Runs the steady-state loop once: fill every golden chunk in its own
 /// buffer, then walk every fault against every chunk through both

@@ -355,7 +355,7 @@ impl SeuCampaign {
 
     /// The durable-campaign key and unit partition. Keyed on the
     /// structural netlist, the input vector, the injection schedule and
-    /// the observation window — not on lane width, workers, schedule or
+    /// the observation window — not on lane width, workers or
     /// seed (the drawn points already encode the seed).
     fn manifest_for(
         &self,

@@ -18,9 +18,9 @@
 //! 2. **Faulty machines diverge independently.** Up to
 //!    [`crate::wide::SimWord::LANES`] injections that share an injection
 //!    cycle are packed into the bit lanes of a [`LaneMachine`]: each DFF
-//!    holds a word whose lane `l` is machine `l`'s state ([`SeqWordMachine`]
-//!    is the 64-lane `u64` default; [`crate::wide::PackedWord`] widens a
-//!    machine word to `64 * W` lanes). The golden snapshot is broadcast
+//!    holds a word whose lane `l` is machine `l`'s state (64 lanes per
+//!    `u64`; [`crate::wide::PackedWord`] widens a machine word to `64 * W`
+//!    lanes). The golden snapshot is broadcast
 //!    into every lane, then each lane flips *its own* flop via
 //!    [`LaneMachine::flip_lane`]. One [`LaneMachine::step`] then advances
 //!    all lanes through the same gate table and level runs the scalar
@@ -139,8 +139,7 @@ impl GoldenTrace {
 
 /// [`SimWord::LANES`] independent sequential machines packed into the
 /// lane words of one [`SimWord`] — 64 per `u64`, `64 * W` per
-/// [`crate::wide::PackedWord`]. [`SeqWordMachine`] is the historical
-/// 64-lane `u64` instantiation.
+/// [`crate::wide::PackedWord`].
 ///
 /// Reusable scratch: allocate once per worker, then
 /// [`LaneMachine::load_broadcast`] + [`LaneMachine::flip_lane`] +
@@ -154,13 +153,13 @@ impl GoldenTrace {
 /// ```
 /// use rescue_netlist::generate;
 /// use rescue_sim::compiled::CompiledNetlist;
-/// use rescue_sim::compiled_seq::{GoldenTrace, SeqWordMachine};
+/// use rescue_sim::compiled_seq::{GoldenTrace, LaneMachine};
 ///
 /// let lfsr = generate::lfsr(8, &[7, 5, 4, 3]);
 /// let compiled = CompiledNetlist::new(&lfsr);
 /// let trace = GoldenTrace::record(&compiled, &[], 6)?;
 ///
-/// let mut m = SeqWordMachine::new(&compiled);
+/// let mut m = LaneMachine::<u64>::new(&compiled);
 /// m.load_broadcast(&compiled, trace.snapshot(2));
 /// m.flip_lane(3, 5); // lane 5 takes an SEU in flop 3; lane 0 stays golden
 /// m.step(&compiled, &[])?;
@@ -180,9 +179,6 @@ pub struct LaneMachine<Wd: SimWord> {
     /// Clock cycles stepped since construction / the last counter flush.
     steps: u64,
 }
-
-/// The 64-lane `u64` [`LaneMachine`] every scalar-width campaign uses.
-pub type SeqWordMachine = LaneMachine<u64>;
 
 impl<Wd: SimWord> LaneMachine<Wd> {
     /// Creates a machine for `compiled` with all lanes reset to 0.
@@ -323,7 +319,7 @@ mod tests {
     fn broadcast_lanes_track_scalar_run() {
         let net = generate::counter(6);
         let compiled = CompiledNetlist::new(&net);
-        let mut m = SeqWordMachine::new(&compiled);
+        let mut m = LaneMachine::<u64>::new(&compiled);
         let mut sim = SeqSimulator::new(&net);
         for cycle in 0..10 {
             m.step(&compiled, &[]).unwrap();
@@ -341,7 +337,7 @@ mod tests {
         let compiled = CompiledNetlist::new(&net);
         let trace = GoldenTrace::record(&compiled, &[], 10).unwrap();
         // Flip flop 2 at cycle 3: lane 7 packed vs a scalar machine.
-        let mut m = SeqWordMachine::new(&compiled);
+        let mut m = LaneMachine::<u64>::new(&compiled);
         m.load_broadcast(&compiled, trace.snapshot(3));
         m.flip_lane(2, 7);
         let mut scalar = SeqSimulator::new(&net);
@@ -375,7 +371,7 @@ mod tests {
         let net = generate::counter(4);
         let compiled = CompiledNetlist::new(&net);
         let trace = GoldenTrace::record(&compiled, &[], 3).unwrap();
-        let mut m = SeqWordMachine::new(&compiled);
+        let mut m = LaneMachine::<u64>::new(&compiled);
         assert_eq!((m.restores(), m.steps()), (0, 0));
         m.load_broadcast(&compiled, trace.snapshot(1));
         m.step(&compiled, &[]).unwrap();
@@ -388,7 +384,7 @@ mod tests {
     fn width_mismatch_is_reported() {
         let net = generate::c17();
         let compiled = CompiledNetlist::new(&net);
-        let mut m = SeqWordMachine::new(&compiled);
+        let mut m = LaneMachine::<u64>::new(&compiled);
         assert!(matches!(
             m.step(&compiled, &[0; 2]),
             Err(SimError::InputWidthMismatch {

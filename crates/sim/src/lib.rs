@@ -1,7 +1,7 @@
 //! Logic simulation engines for RESCUE-rs.
 //!
-//! Four engines over the [`rescue_netlist`] IR, each serving different
-//! RESCUE experiments:
+//! Five engines over the [`rescue_netlist`] IR, plus the lane width the
+//! packed ones share, each serving different RESCUE experiments:
 //!
 //! * [`comb::CombSimulator`] — single-pattern 4-valued (`0/1/X/Z`)
 //!   combinational evaluation, the reference engine.
@@ -10,9 +10,10 @@
 //!   (paper Section III.B: random fault injection at scale).
 //! * [`seq::SeqSimulator`] — multi-cycle sequential simulation with DFF
 //!   state, used by SBST grading and SEU (bit-flip) injection.
-//! * [`compiled_seq::SeqWordMachine`] — 64 packed sequential machines per
-//!   `u64` word over a shared [`compiled_seq::GoldenTrace`] of per-cycle
-//!   state snapshots, the substrate of bit-parallel SEU campaigns.
+//! * [`compiled_seq::LaneMachine`] — one packed sequential machine per
+//!   lane (64 per `u64`, `64 * W` per wide word) over a shared
+//!   [`compiled_seq::GoldenTrace`] of per-cycle state snapshots, the
+//!   substrate of bit-parallel SEU campaigns.
 //! * [`wide::SimWord`] / [`wide::PackedWord`] — configurable lane width
 //!   for every packed engine: the same kernels instantiate at `u64`
 //!   (64 lanes, the default) or `[u64; W]` wide words (up to 512 lanes)
