@@ -1,32 +1,30 @@
-//! The sharded campaign driver.
+//! The campaign driver.
 //!
 //! One loop shape covers every fault-injection campaign in the workspace:
 //! a read-only *plan* (compiled netlist, golden values, fault list), a
 //! mutable per-worker *scratch* (value arrays, walk stamps, lane machines),
 //! and an item list whose verdicts are independent of each other. The
-//! driver hands the items to scoped threads, as one contiguous range per
-//! worker ([`Campaign::run_ranges`]) or through a work-stealing chunk
-//! queue ([`Campaign::run_dynamic`]), builds each worker's scratch
+//! driver hands the items to scoped threads through one work-stealing
+//! chunk queue ([`Campaign::run_dynamic`]), builds each worker's scratch
 //! exactly once inside its thread, and reassembles results in item order
 //! — so the output is bit-identical for any worker count, and nothing is
 //! allocated per item.
 
 use crate::seed::derive_seed;
 use rescue_telemetry::{metrics, span};
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Campaign execution policy: a master seed and a worker count.
 ///
-/// The seed feeds [`Campaign::seed_for`] so per-item randomness is stable
-/// under resharding; the worker count only affects wall-clock time,
-/// never verdicts.
+/// The seed feeds [`Campaign::seed_for`] so per-item randomness does not
+/// depend on which worker runs an item; the worker count only affects
+/// wall-clock time, never verdicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Campaign {
     /// Master seed for deterministic per-item randomness.
     pub seed: u64,
-    /// Scoped worker threads to shard over (>= 1).
+    /// Scoped worker threads to run on (>= 1).
     pub workers: usize,
 }
 
@@ -47,7 +45,7 @@ impl Campaign {
         Campaign { seed, workers }
     }
 
-    /// Deterministic seed for item `index`, independent of sharding.
+    /// Deterministic seed for item `index`, independent of the worker count.
     pub fn seed_for(&self, index: usize) -> u64 {
         derive_seed(self.seed, index as u64)
     }
@@ -59,109 +57,19 @@ impl Campaign {
         (len / (self.workers * 8)).clamp(1, 256)
     }
 
-    /// Contiguous item ranges, one per worker: `ceil(len / workers)` items
-    /// each, so at most `workers` non-empty shards in index order.
-    pub fn shards(&self, len: usize) -> Vec<Range<usize>> {
-        if len == 0 {
-            return Vec::new();
-        }
-        let per = len.div_ceil(self.workers);
-        (0..len.div_ceil(per))
-            .map(|w| w * per..((w + 1) * per).min(len))
-            .collect()
-    }
-
-    /// Runs `work` over each contiguous shard of `items` on scoped
-    /// threads. `scratch(worker)` builds that worker's reusable state
-    /// inside its own thread; `work(scratch, offset, shard)` returns one
-    /// result per shard item. Results come back in item order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a worker panics or returns the wrong result count.
-    pub fn run_ranges<T, S, R, FS, FW>(&self, items: &[T], scratch: FS, work: FW) -> ShardedRun<R>
-    where
-        T: Sync,
-        R: Send,
-        FS: Fn(usize) -> S + Sync,
-        FW: Fn(&mut S, usize, &[T]) -> Vec<R> + Sync,
-    {
-        let start = Instant::now();
-        let _run = span!("campaign.run", items = items.len());
-        let shards = self.shards(items.len());
-        let mut worker_ns = Vec::with_capacity(shards.len());
-        let mut results = Vec::with_capacity(items.len());
-        if shards.len() <= 1 {
-            // Inline fast path: no thread spawn for serial campaigns.
-            if let Some(range) = shards.into_iter().next() {
-                let t = Instant::now();
-                let _shard = span!("campaign.shard", worker = 0);
-                let mut s = scratch(0);
-                let part = work(&mut s, range.start, &items[range.clone()]);
-                assert_eq!(part.len(), range.len(), "one result per item");
-                worker_ns.push(t.elapsed().as_nanos() as u64);
-                results = part;
-            }
-            return ShardedRun {
-                results,
-                worker_ns,
-                elapsed_ns: start.elapsed().as_nanos() as u64,
-                chunks: 1,
-                steals: 0,
-            };
-        }
-        let parts: Vec<(Vec<R>, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .enumerate()
-                .map(|(w, range)| {
-                    let scratch = &scratch;
-                    let work = &work;
-                    let shard = &items[range.clone()];
-                    let offset = range.start;
-                    scope.spawn(move || {
-                        let t = Instant::now();
-                        let _shard = span!("campaign.shard", worker = w);
-                        let mut s = scratch(w);
-                        let part = work(&mut s, offset, shard);
-                        assert_eq!(part.len(), shard.len(), "one result per item");
-                        (part, t.elapsed().as_nanos() as u64)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
-        });
-        for (part, ns) in parts {
-            results.extend(part);
-            worker_ns.push(ns);
-        }
-        let chunks = worker_ns.len();
-        ShardedRun {
-            results,
-            worker_ns,
-            elapsed_ns: start.elapsed().as_nanos() as u64,
-            chunks,
-            steals: 0,
-        }
-    }
-
     /// Runs `work` over `items` with the work-stealing chunk queue: the
     /// item list is cut into [`Campaign::chunk_size`]-item chunks and
     /// workers claim the next chunk from a shared atomic cursor until the
     /// queue drains. `scratch(worker)` builds each worker's reusable
     /// state inside its own thread and **persists across every chunk that
     /// worker claims**, so per-item results must not depend on which
-    /// chunks shared a scratch (same contract as [`Campaign::run_ranges`]
-    /// shards). `work(scratch, offset, chunk)` returns one result per
-    /// chunk item; results are reassembled in item order, so the output
-    /// is bit-identical for any worker count or chunk grain.
+    /// chunks shared a scratch. `work(scratch, offset, chunk)` returns
+    /// one result per chunk item; results are reassembled in item order,
+    /// so the output is bit-identical for any worker count or chunk
+    /// grain.
     ///
     /// A chunk counts as *stolen* when the worker that claims it is not
-    /// its round-robin home (`chunk_index % workers`) — the figure a
-    /// static interleaved layout would have forced. Steals land in
+    /// its round-robin home (`chunk_index % workers`). Steals land in
     /// [`ShardedRun::steals`] and the `campaign.chunks_stolen` counter.
     ///
     /// # Panics
@@ -269,7 +177,7 @@ impl Campaign {
         }
     }
 
-    /// Per-item convenience wrapper over [`Campaign::run_ranges`]:
+    /// Per-item form of [`Campaign::run_dynamic`]:
     /// `work(scratch, index, item)` is called once per item.
     pub fn run_sharded<T, S, R, FS, FW>(&self, items: &[T], scratch: FS, work: FW) -> ShardedRun<R>
     where
@@ -278,8 +186,8 @@ impl Campaign {
         FS: Fn(usize) -> S + Sync,
         FW: Fn(&mut S, usize, &T) -> R + Sync,
     {
-        self.run_ranges(items, scratch, |s, offset, shard| {
-            shard
+        self.run_dynamic(items, scratch, |s, offset, chunk| {
+            chunk
                 .iter()
                 .enumerate()
                 .map(|(i, item)| work(s, offset + i, item))
@@ -288,22 +196,20 @@ impl Campaign {
     }
 }
 
-/// Outcome of one sharded run: per-item results in item order plus the
+/// Outcome of one run: per-item results in item order plus the
 /// wall-clock observability a [`crate::stats::CampaignStats`] is built
 /// from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardedRun<R> {
-    /// One result per item, in item order (shard-independent).
+    /// One result per item, in item order (independent of the hand-out).
     pub results: Vec<R>,
     /// Busy time of each worker that ran, in nanoseconds.
     pub worker_ns: Vec<u64>,
     /// End-to-end wall-clock of the run, in nanoseconds.
     pub elapsed_ns: u64,
-    /// Work units handed out: shards for [`Campaign::run_ranges`], queue
-    /// chunks for [`Campaign::run_dynamic`].
+    /// Queue chunks handed out (1 on the serial fast path).
     pub chunks: usize,
-    /// Chunks claimed by a worker other than their round-robin home
-    /// (always 0 for static runs, which cannot rebalance).
+    /// Chunks claimed by a worker other than their round-robin home.
     pub steals: u64,
 }
 
@@ -312,57 +218,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shards_are_contiguous_and_cover() {
-        for len in [0usize, 1, 7, 64, 100] {
-            for workers in [1usize, 2, 3, 8, 200] {
-                let shards = Campaign::new(0, workers).shards(len);
-                assert!(shards.len() <= workers);
-                let mut next = 0;
-                for r in &shards {
-                    assert_eq!(r.start, next, "contiguous");
-                    assert!(r.end > r.start, "non-empty");
-                    next = r.end;
-                }
-                assert_eq!(next, len, "full coverage ({len} items, {workers} workers)");
-            }
-        }
-    }
-
-    #[test]
     fn results_are_order_stable_across_worker_counts() {
         let items: Vec<u32> = (0..257).collect();
-        let serial = Campaign::serial().run_sharded(&items, |_| (), |_, i, &x| (i, x * 3));
-        for workers in [2, 3, 4, 16] {
-            let sharded =
-                Campaign::new(0, workers).run_sharded(&items, |_| (), |_, i, &x| (i, x * 3));
-            assert_eq!(serial.results, sharded.results, "{workers} workers");
+        let serial: Vec<(usize, u32)> =
+            items.iter().enumerate().map(|(i, &x)| (i, x * 3)).collect();
+        for workers in [1, 2, 3, 4, 16] {
+            let run = Campaign::new(0, workers).run_sharded(&items, |_| (), |_, i, &x| (i, x * 3));
+            assert_eq!(serial, run.results, "{workers} workers");
         }
-    }
-
-    #[test]
-    fn scratch_is_per_worker() {
-        // Each worker's scratch accumulates only its shard; totals add up.
-        let items: Vec<u64> = (1..=100).collect();
-        let run = Campaign::new(0, 4).run_ranges(
-            &items,
-            |_| 0u64,
-            |acc, _, shard| {
-                shard
-                    .iter()
-                    .map(|&x| {
-                        *acc += x;
-                        *acc
-                    })
-                    .collect()
-            },
-        );
-        // Running prefix sums restart at each shard boundary: the last
-        // result of the final shard equals that shard's sum, not 5050.
-        assert_eq!(run.results.len(), 100);
-        assert_eq!(run.worker_ns.len(), 4);
-        let per = 100usize.div_ceil(4);
-        let last_shard_sum: u64 = items[3 * per..].iter().sum();
-        assert_eq!(*run.results.last().unwrap(), last_shard_sum);
     }
 
     #[test]
@@ -392,27 +255,26 @@ mod tests {
 
     #[test]
     fn dynamic_matches_static_across_workers_and_grains() {
-        // The item count sets the grain: 1 item per chunk up to 256.
+        // Against a plain serial map. The item count sets the grain: 1
+        // item per chunk up to 256.
         for len in [0usize, 1, 7, 257, 3000, 20_000] {
             let items: Vec<u32> = (0..len as u32).collect();
-            let baseline = Campaign::serial().run_sharded(&items, |_| (), |_, i, &x| (i, x * 3));
+            let baseline: Vec<(usize, u32)> =
+                items.iter().enumerate().map(|(i, &x)| (i, x * 3)).collect();
             for workers in [1usize, 2, 3, 4, 16] {
                 let campaign = Campaign::new(0, workers);
                 let run = campaign.run_dynamic(
                     &items,
                     |_| (),
-                    |_, offset, shard| {
-                        shard
+                    |_, offset, chunk| {
+                        chunk
                             .iter()
                             .enumerate()
                             .map(|(i, &x)| (offset + i, x * 3))
                             .collect()
                     },
                 );
-                assert_eq!(
-                    baseline.results, run.results,
-                    "{len} items, {workers} workers"
-                );
+                assert_eq!(baseline, run.results, "{len} items, {workers} workers");
                 // Serial runs and single-chunk queues take the inline
                 // fast path: one whole-range chunk.
                 let n_chunks = len.div_ceil(campaign.chunk_size(len));

@@ -10,10 +10,10 @@
 //! throughput. This crate is the one substrate they all share:
 //!
 //! * [`driver::Campaign`] — deterministic seeding plus scoped-thread
-//!   execution with reusable per-worker scratch, over static contiguous
-//!   shards ([`Campaign::run_ranges`]) or a work-stealing chunk queue
-//!   ([`Campaign::run_dynamic`]). Verdicts never depend on the worker
-//!   count or the hand-out; only wall-clock does.
+//!   execution with reusable per-worker scratch, through one
+//!   work-stealing chunk queue ([`Campaign::run_dynamic`]). Verdicts
+//!   never depend on the worker count or the hand-out; only wall-clock
+//!   does.
 //! * [`stats::CampaignStats`] — the observability record attached to
 //!   every campaign report: injections per second, 64-lane occupancy,
 //!   per-worker timings and outcome tallies.

@@ -61,7 +61,7 @@ pub struct CampaignStats {
     pub elapsed_ns: u64,
     /// Workers that actually ran.
     pub workers: usize,
-    /// Busy nanoseconds per worker, in shard order.
+    /// Busy nanoseconds per worker, in worker order.
     pub worker_ns: Vec<u64>,
     /// Bit-parallel lanes carrying a live injection, summed over batches.
     pub lanes_used: u64,
@@ -70,13 +70,14 @@ pub struct CampaignStats {
     /// Faults retired early by fault dropping (detected before the last
     /// pattern word, so later words never re-walked their cone).
     pub dropped: usize,
-    /// Faults the engine actually walked. Equal to `injections` unless
-    /// the campaign ran over a collapsed universe, in which case only the
-    /// equivalence-class representatives were simulated and the remaining
-    /// verdicts were expanded for free.
+    /// Faults the engine walked, out of the whole universe of
+    /// `injections`. A fault outside the design is never walked, with or
+    /// without collapsing. With collapsing, one representative per class
+    /// that an output can observe is walked, and every other verdict is
+    /// expanded. [`CampaignStats::from_run`] starts it at `injections`.
     pub faults_walked: usize,
     /// Work-stealing chunks claimed away from their round-robin home
-    /// worker (0 under static scheduling).
+    /// worker.
     pub chunks_stolen: u64,
     /// Walked faults resolved purely by critical-path tracing: their
     /// backward sensitization chain reaches a primary output or dies
@@ -179,9 +180,11 @@ impl CampaignStats {
     }
 
     /// Fraction of the fault universe the engine walked:
-    /// `faults_walked / injections` (1.0 without collapsing, and for
-    /// empty campaigns). Lower is better — the complement is the share
-    /// of verdicts expanded from equivalence-class representatives.
+    /// `faults_walked / injections` (1.0 for empty campaigns). It reads
+    /// below 1.0 whenever faults went unwalked: faults outside the
+    /// design, and with collapsing, faults expanded from a
+    /// representative or in a class no output can observe. Lower is
+    /// better.
     pub fn collapse_ratio(&self) -> f64 {
         if self.injections == 0 {
             return 1.0;
@@ -189,8 +192,10 @@ impl CampaignStats {
         self.faults_walked as f64 / self.injections as f64
     }
 
-    /// Faults whose verdicts were expanded from a representative instead
-    /// of being walked (`injections - faults_walked`).
+    /// Faults of the universe the engine did not walk
+    /// (`injections - faults_walked`): faults outside the design, and
+    /// with collapsing, those expanded from a representative or in a
+    /// class no output can observe.
     pub fn faults_saved(&self) -> usize {
         self.injections.saturating_sub(self.faults_walked)
     }

@@ -50,7 +50,7 @@ pub fn render_report(report: &FlowReport) -> String {
         let _ = writeln!(s);
         let _ = writeln!(
             s,
-            "| stage | injections | walked | traced | collapse | inj/s | lane occupancy | dropped | stolen chunks | cached units |"
+            "| stage | injections | walked | traced | walked / injections | inj/s | lane occupancy | dropped | stolen chunks | cached units |"
         );
         let _ = writeln!(s, "|---|---|---|---|---|---|---|---|---|---|");
         for (stage, stats) in &report.stage_stats {

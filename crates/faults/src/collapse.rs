@@ -53,31 +53,11 @@ pub struct CollapsedUniverse {
     original_len: usize,
 }
 
-#[inline]
-fn kind_code(kind: FaultKind) -> usize {
-    match kind {
-        FaultKind::StuckAt0 => 0,
-        FaultKind::StuckAt1 => 1,
-        FaultKind::SlowToRise => 2,
-        FaultKind::SlowToFall => 3,
-    }
-}
-
-#[inline]
-fn kind_decode(code: usize) -> FaultKind {
-    match code {
-        0 => FaultKind::StuckAt0,
-        1 => FaultKind::StuckAt1,
-        2 => FaultKind::SlowToRise,
-        _ => FaultKind::SlowToFall,
-    }
-}
-
 /// Slot of an *output* fault (reps produced by the rules are always
 /// output faults).
 #[inline]
 fn output_slot(gate: usize, kind: FaultKind) -> u32 {
-    (4 * gate + kind_code(kind)) as u32
+    (4 * gate + usize::from(kind.code())) as u32
 }
 
 /// Dense slot of `fault` under the pin-slot CSR `pin_base` (length
@@ -86,7 +66,7 @@ fn output_slot(gate: usize, kind: FaultKind) -> u32 {
 #[inline]
 fn slot_in(pin_base: &[u32], fault: Fault) -> Option<usize> {
     let n = pin_base.len() - 1;
-    let k = kind_code(fault.kind());
+    let k = usize::from(fault.kind().code());
     match fault.site() {
         FaultSite::Output(g) => {
             let gi = g.index();
@@ -159,7 +139,7 @@ impl CollapsedUniverse {
     #[inline]
     pub(crate) fn fault_of(&self, slot: u32) -> Fault {
         let s = slot as usize;
-        let kind = kind_decode(s & 3);
+        let kind = FaultKind::from_code(u64::from(slot));
         let x = s >> 2;
         if x < self.n {
             Fault::new(FaultSite::Output(GateId(x)), kind)

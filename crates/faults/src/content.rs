@@ -12,42 +12,11 @@
 //! fails, the encoding changed and every existing store is invalidated,
 //! so bump the domain-tag versions instead of silently re-keying.
 
-use crate::model::{Fault, FaultKind, FaultSite};
+use crate::model::{Fault, FaultSite};
 use crate::simulate::PackedOptions;
 use rescue_campaign::store::{CanonicalHasher, ContentHash};
-use rescue_netlist::{GateKind, Netlist};
+use rescue_netlist::Netlist;
 use rescue_sim::compiled::CompiledNetlist;
-
-/// Stable wire code for a [`GateKind`] — decoupled from the enum's
-/// declaration order so reordering variants can never silently re-key
-/// every store.
-fn kind_code(kind: GateKind) -> u8 {
-    match kind {
-        GateKind::Input => 0,
-        GateKind::Const0 => 1,
-        GateKind::Const1 => 2,
-        GateKind::Buf => 3,
-        GateKind::Not => 4,
-        GateKind::And => 5,
-        GateKind::Nand => 6,
-        GateKind::Or => 7,
-        GateKind::Nor => 8,
-        GateKind::Xor => 9,
-        GateKind::Xnor => 10,
-        GateKind::Mux => 11,
-        GateKind::Dff => 12,
-    }
-}
-
-/// Stable wire code for a [`FaultKind`].
-fn fault_kind_code(kind: FaultKind) -> u8 {
-    match kind {
-        FaultKind::StuckAt0 => 0,
-        FaultKind::StuckAt1 => 1,
-        FaultKind::SlowToRise => 2,
-        FaultKind::SlowToFall => 3,
-    }
-}
 
 /// Content hash of a compiled netlist: gate kinds, pin lists and the
 /// interface arrays (primary inputs, PO drivers, flip-flops). Levelized
@@ -58,7 +27,7 @@ pub fn hash_netlist(c: &CompiledNetlist) -> ContentHash {
     let mut h = CanonicalHasher::new("rescue.netlist.v1");
     h.write_usize(c.len());
     for g in 0..c.len() {
-        h.write_u8(kind_code(c.kind(g)));
+        h.write_u8(c.kind(g).wire_code());
         let pins = c.pins_of(g);
         h.write_usize(pins.len());
         for &p in pins {
@@ -85,7 +54,7 @@ pub fn hash_netlist_source(netlist: &Netlist) -> ContentHash {
     let mut h = CanonicalHasher::new("rescue.netlist.v1");
     h.write_usize(netlist.len());
     for (_, g) in netlist.iter() {
-        h.write_u8(kind_code(g.kind()));
+        h.write_u8(g.kind().wire_code());
         h.write_usize(g.inputs().len());
         for &p in g.inputs() {
             h.write_u32(p.index() as u32);
@@ -128,7 +97,7 @@ pub fn hash_faults(faults: &[Fault]) -> ContentHash {
                 h.write_usize(pin);
             }
         }
-        h.write_u8(fault_kind_code(f.kind()));
+        h.write_u8(f.kind().code());
     }
     h.finish()
 }

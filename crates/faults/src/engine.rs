@@ -427,7 +427,7 @@ impl<Wd: SimWord> WalkSink<Wd> for GroupMasks<'_, Wd> {
 
 /// Per-worker engine telemetry, accumulated as plain (non-atomic) field
 /// increments on the per-fault hot path and flushed to the global
-/// metrics registry at shard granularity via
+/// metrics registry at chunk granularity via
 /// [`ScratchCounters::flush_to_metrics`]. The fields are maintained
 /// unconditionally — an untaken branch costs more than the add — so the
 /// enabled/disabled telemetry paths stay identical inside the walk.
@@ -467,7 +467,7 @@ pub struct ScratchCounters {
 
 impl ScratchCounters {
     /// Adds the accumulated figures to the global `fault.*` metrics and
-    /// zeroes the local counters. Call once per shard/chunk — never per
+    /// zeroes the local counters. Call once per chunk — never per
     /// fault — so the registry mutex stays off the hot path.
     pub fn flush_to_metrics(&mut self) {
         if rescue_telemetry::enabled() {

@@ -80,6 +80,32 @@ impl FaultKind {
         }
     }
 
+    /// The kind's frozen 2-bit code: `sa0` 0, `sa1` 1, `str` 2, `stf`
+    /// 3, in declaration order, so a [`Fault`] key sorts as `(site,
+    /// kind)`. The key packs it, collapse indexes its slots with it and
+    /// the content hashes write it, so changing a value re-keys every
+    /// store and breaks every pinned digest.
+    #[inline]
+    pub(crate) fn code(self) -> u8 {
+        match self {
+            FaultKind::StuckAt0 => 0,
+            FaultKind::StuckAt1 => 1,
+            FaultKind::SlowToRise => 2,
+            FaultKind::SlowToFall => 3,
+        }
+    }
+
+    /// Inverse of [`FaultKind::code`], reading the low two bits of `code`.
+    #[inline]
+    pub(crate) fn from_code(code: u64) -> FaultKind {
+        match code & 3 {
+            0 => FaultKind::StuckAt0,
+            1 => FaultKind::StuckAt1,
+            2 => FaultKind::SlowToRise,
+            _ => FaultKind::SlowToFall,
+        }
+    }
+
     /// Short mnemonic (`sa0`, `sa1`, `str`, `stf`).
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -155,8 +181,7 @@ impl Fault {
             key: variant << VARIANT_SHIFT
                 | u64::from(gate) << GATE_SHIFT
                 | (pin as u64) << KIND_BITS
-                // Declaration order: the discriminants `kind` decodes.
-                | kind as u64,
+                | u64::from(kind.code()),
         }
     }
 
@@ -191,12 +216,7 @@ impl Fault {
     /// The fault behaviour.
     #[inline]
     pub fn kind(self) -> FaultKind {
-        match self.key & 3 {
-            0 => FaultKind::StuckAt0,
-            1 => FaultKind::StuckAt1,
-            2 => FaultKind::SlowToRise,
-            _ => FaultKind::SlowToFall,
-        }
+        FaultKind::from_code(self.key)
     }
 }
 

@@ -222,7 +222,11 @@ impl FaultSimulator {
     ///
     /// Panics if `words.len()` differs from the primary-input count.
     pub fn golden(&self, words: &[u64]) -> Vec<u64> {
-        self.eval_full(words, None, None)
+        let mut values = Vec::new();
+        self.compiled
+            .eval_words_into(words, &mut values)
+            .expect("input word count mismatch");
+        values
     }
 
     /// Evaluates 64 packed patterns with `fault` active; returns all gate
@@ -245,17 +249,18 @@ impl FaultSimulator {
     ///
     /// Panics on input-width mismatch.
     pub fn with_bridge(&self, words: &[u64], bridge: BridgingFault) -> Vec<u64> {
-        let golden = self.eval_full(words, None, None);
+        let golden = self.golden(words);
         let va = golden[bridge.a.index()];
         let vb = golden[bridge.b.index()];
         let v = if bridge.wired_and { va & vb } else { va | vb };
         self.eval_full(words, None, Some((bridge, v)))
     }
 
-    /// Full-design 64-way evaluation over the compiled arena with
-    /// optional stuck/bridge forcing. This is the non-incremental path,
-    /// used by the value-inspection APIs; campaigns go through the packed
-    /// walk instead.
+    /// Full-design 64-way evaluation over the compiled arena with a
+    /// stuck or bridge force, gate by gate in `eval_order`: the forced
+    /// half of the value-inspection APIs. Fault-free values come from
+    /// the level runs ([`FaultSimulator::golden`]); campaigns go through
+    /// the packed walk instead.
     fn eval_full(
         &self,
         words: &[u64],
@@ -358,9 +363,9 @@ impl FaultSimulator {
     /// event-driven walk per (site, pattern word), shared by all faults
     /// at that site — or, with [`PackedOptions::tracing`], through the
     /// critical-path-tracing hybrid. The fault list is handed out
-    /// through the work-stealing chunk queue ([`Campaign::run_dynamic`]):
-    /// fault dropping makes per-fault cost wildly non-uniform, which
-    /// static shards handle worst.
+    /// through the work-stealing chunk queue ([`Campaign::run_dynamic`]),
+    /// which rebalances the wildly non-uniform per-fault cost that fault
+    /// dropping makes.
     ///
     /// [`PackedOptions`] picks the lane width (1/2/4/8 × 64 patterns per
     /// walk, autovectorized), an optional collapsed universe (walk

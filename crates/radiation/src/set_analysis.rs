@@ -203,7 +203,7 @@ impl SetCampaign {
     /// [`Self::run_on`] on the shared [`Campaign`] driver: strike specs
     /// (gate, pulse width, input pattern) are drawn serially from `seed`
     /// in the exact order of the scalar path, then the timed-simulation
-    /// classification is sharded over scoped workers. The report is
+    /// classification is handed out to scoped workers. The report is
     /// byte-identical for every worker count.
     ///
     /// # Panics

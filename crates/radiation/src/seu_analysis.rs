@@ -22,7 +22,7 @@
 //! [`SeuCampaign::with_lane_width`]. Every lane starts from the
 //! snapshotted golden state with one flip-flop flipped, and all faulty
 //! machines step together through the horizon, diffing against the
-//! recorded golden outputs. Batches are sharded over a shared
+//! recorded golden outputs. Batches are handed out by the shared
 //! [`Campaign`] driver, and the returned [`SeuRun`] carries a
 //! [`CampaignStats`] record (throughput, lane occupancy, outcome tally).
 //!
@@ -212,7 +212,7 @@ impl SeuCampaign {
                 points.push((dff, cycle));
             }
         }
-        self.run_points(netlist, inputs, &points, campaign)
+        self.run_points(netlist, inputs, &points, campaign, None)
     }
 
     /// Random-sampled campaign of `count` injections (statistical FI).
@@ -236,8 +236,8 @@ impl SeuCampaign {
     /// [`CampaignStats`] record attached. The `(dff, cycle)` sample
     /// sequence is drawn serially from `seed` — identical to the scalar
     /// reference — before the injections are grouped by cycle, packed
-    /// into lanes and sharded, so the report is byte-identical for every
-    /// worker count.
+    /// into lanes and handed out to the workers, so the report is
+    /// byte-identical for every worker count.
     ///
     /// # Panics
     ///
@@ -250,17 +250,8 @@ impl SeuCampaign {
         seed: u64,
         campaign: &Campaign,
     ) -> SeuRun {
-        let n_dff = netlist.dffs().len();
-        assert!(n_dff > 0, "SEU campaign needs flip-flops");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let points: Vec<(usize, usize)> = (0..count)
-            .map(|_| {
-                let dff = rng.gen_range(0..n_dff);
-                let cycle = rng.gen_range(0..self.warmup.max(1));
-                (dff, cycle)
-            })
-            .collect();
-        self.run_points(netlist, inputs, &points, campaign)
+        let points = self.sample_points(netlist, count, seed);
+        self.run_points(netlist, inputs, &points, campaign, None)
     }
 
     /// [`Self::run_sampled_on`] made durable: the point list becomes a
@@ -293,34 +284,13 @@ impl SeuCampaign {
         unit_points: usize,
     ) -> SeuRun {
         let points = self.sample_points(netlist, count, seed);
-        match self.lane_width {
-            1 => self.durable_w::<u64>(netlist, inputs, &points, campaign, store, unit_points),
-            2 => self.durable_w::<PackedWord<2>>(
-                netlist,
-                inputs,
-                &points,
-                campaign,
-                store,
-                unit_points,
-            ),
-            4 => self.durable_w::<PackedWord<4>>(
-                netlist,
-                inputs,
-                &points,
-                campaign,
-                store,
-                unit_points,
-            ),
-            8 => self.durable_w::<PackedWord<8>>(
-                netlist,
-                inputs,
-                &points,
-                campaign,
-                store,
-                unit_points,
-            ),
-            w => panic!("unsupported lane width {w} (expected one of {SUPPORTED_LANE_WIDTHS:?})"),
-        }
+        self.run_points(
+            netlist,
+            inputs,
+            &points,
+            campaign,
+            Some((store, unit_points)),
+        )
     }
 
     /// The unit plan [`Self::run_sampled_durable`] executes for the same
@@ -385,121 +355,6 @@ impl SeuCampaign {
         CampaignManifest::build(h.finish(), points.len(), grain)
     }
 
-    /// Width-generic body of [`Self::run_sampled_durable`].
-    fn durable_w<Wd: SimWord>(
-        &self,
-        netlist: &Netlist,
-        inputs: &[bool],
-        points: &[(usize, usize)],
-        campaign: &Campaign,
-        store: &dyn ResultStore,
-        unit_points: usize,
-    ) -> SeuRun {
-        let n_dff = netlist.dffs().len();
-        let cycles = self.warmup.max(1);
-        rescue_campaign::fleet::set_stage("seu.campaign_durable");
-        let _campaign_span = span!("seu.campaign_durable", points = points.len());
-        let compiled = CompiledNetlist::new(netlist);
-        assert_eq!(
-            inputs.len(),
-            compiled.primary_inputs().len(),
-            "SEU input width mismatch"
-        );
-        let input_words = splat_inputs::<Wd>(inputs);
-        let manifest = self.manifest_for(&compiled, inputs, points, unit_points);
-
-        // The golden trace is the store run's prepare step: a store that
-        // answers every unit never records it.
-        let run = campaign.run_store(
-            points,
-            &manifest,
-            store,
-            || {
-                GoldenTrace::record(&compiled, inputs, cycles - 1 + self.horizon)
-                    .expect("input width checked by caller")
-            },
-            |_, _| LaneMachine::<Wd>::new(&compiled),
-            |trace, machine, _off, range: &[(usize, usize)]| {
-                // Same cycle-grouped lane packing as the plain engine,
-                // scoped to the unit: all lanes of a word share one
-                // golden snapshot, and verdicts are lane-placement
-                // independent, so the unit partition can't change them.
-                let mut by_cycle: Vec<Vec<(usize, usize)>> = vec![Vec::new(); cycles];
-                for (i, &(dff, cycle)) in range.iter().enumerate() {
-                    by_cycle[cycle].push((i, dff));
-                }
-                let mut out: Vec<Option<SeuInjection>> = vec![None; range.len()];
-                for (cycle, list) in by_cycle.into_iter().enumerate() {
-                    for chunk in list.chunks(Wd::LANES) {
-                        for (i, inj) in
-                            self.run_batch(&compiled, trace, &input_words, machine, cycle, chunk)
-                        {
-                            out[i] = Some(inj);
-                        }
-                    }
-                }
-                let (restores, steps) = machine.take_counters();
-                if rescue_telemetry::enabled() {
-                    metrics::counter("sim.snapshot_restores").add(restores);
-                    metrics::counter("sim.seq_steps").add(steps);
-                }
-                out.into_iter()
-                    .map(|o| o.expect("every injection point classified"))
-                    .collect()
-            },
-            encode_injections,
-            decode_injections,
-            seu_delta,
-        );
-        if rescue_telemetry::enabled() {
-            metrics::gauge("seu.lane_width").set(Wd::LANES as i64);
-        }
-
-        let mut stats = CampaignStats {
-            injections: points.len(),
-            elapsed_ns: run.elapsed_ns,
-            workers: run.worker_ns.len(),
-            worker_ns: run.worker_ns.clone(),
-            chunks_stolen: run.steals,
-            faults_walked: points.len(),
-            units_total: run.units_total,
-            units_cached: run.units_cached + run.units_waited,
-            units_executed: run.units_executed,
-            ..CampaignStats::default()
-        };
-        // Lane occupancy recomputed from the plan, not from what this
-        // process happened to execute — a resumed run reports the same
-        // figures as an uninterrupted one.
-        for unit in &manifest.units {
-            let mut per_cycle = vec![0usize; cycles];
-            for &(_, cycle) in &points[unit.range.clone()] {
-                per_cycle[cycle] += 1;
-            }
-            for n in per_cycle {
-                let mut left = n;
-                while left > 0 {
-                    let lanes = left.min(Wd::LANES);
-                    stats.record_lanes(lanes as u64, Wd::LANES as u64);
-                    left -= lanes;
-                }
-            }
-        }
-        for inj in &run.results {
-            match inj.outcome {
-                SeuOutcome::Masked => stats.tally.masked += 1,
-                SeuOutcome::Latent => stats.tally.latent += 1,
-                SeuOutcome::Failure => stats.tally.failures += 1,
-            }
-        }
-        SeuRun {
-            report: SeuReport {
-                injections: run.results,
-                dff_count: n_dff,
-            },
-            stats,
-        }
-    }
-
     /// Injects one SEU at (`dff`, `cycle`) and classifies it, on the
     /// scalar lockstep path (see [`mod@reference`]).
     ///
@@ -517,106 +372,182 @@ impl SeuCampaign {
     }
 
     /// Bit-parallel core: classifies every `(dff, cycle)` point of
-    /// `points`, preserving order in the report. Dispatches the runtime
-    /// [`Self::lane_width`] onto a concrete [`SimWord`] instantiation.
+    /// `points`, preserving order in the report, in process or — with a
+    /// store and unit grain in `durable` — as a durable campaign. The one
+    /// dispatch of the runtime [`Self::lane_width`] onto a concrete
+    /// [`SimWord`] instantiation.
     fn run_points(
         &self,
         netlist: &Netlist,
         inputs: &[bool],
         points: &[(usize, usize)],
         campaign: &Campaign,
+        durable: Option<(&dyn ResultStore, usize)>,
     ) -> SeuRun {
         match self.lane_width {
-            1 => self.run_points_w::<u64>(netlist, inputs, points, campaign),
-            2 => self.run_points_w::<PackedWord<2>>(netlist, inputs, points, campaign),
-            4 => self.run_points_w::<PackedWord<4>>(netlist, inputs, points, campaign),
-            8 => self.run_points_w::<PackedWord<8>>(netlist, inputs, points, campaign),
+            1 => self.run_points_w::<u64>(netlist, inputs, points, campaign, durable),
+            2 => self.run_points_w::<PackedWord<2>>(netlist, inputs, points, campaign, durable),
+            4 => self.run_points_w::<PackedWord<4>>(netlist, inputs, points, campaign, durable),
+            8 => self.run_points_w::<PackedWord<8>>(netlist, inputs, points, campaign, durable),
             w => panic!("unsupported lane width {w} (expected one of {SUPPORTED_LANE_WIDTHS:?})"),
         }
     }
 
-    /// The width-generic engine behind [`Self::run_points`].
+    /// The width-generic body of every SEU campaign. In process, the
+    /// batches of all points go through the work-stealing queue under a
+    /// `seu.campaign` span. Durable, the points become the units of
+    /// [`Self::manifest_for`], each packed into its own batches, under a
+    /// `seu.campaign_durable` span (also the fleet stage); the golden
+    /// trace is the store run's prepare step, so a store that answers
+    /// every unit never records it.
     fn run_points_w<Wd: SimWord>(
         &self,
         netlist: &Netlist,
         inputs: &[bool],
         points: &[(usize, usize)],
         campaign: &Campaign,
+        durable: Option<(&dyn ResultStore, usize)>,
     ) -> SeuRun {
         let n_dff = netlist.dffs().len();
         let cycles = self.warmup.max(1);
-        let _campaign_span = span!("seu.campaign", points = points.len());
+        let stage = if durable.is_some() {
+            rescue_campaign::fleet::set_stage("seu.campaign_durable");
+            "seu.campaign_durable"
+        } else {
+            "seu.campaign"
+        };
+        let _campaign_span = span!(stage, points = points.len());
         let compiled = CompiledNetlist::new(netlist);
-        let trace = GoldenTrace::record(&compiled, inputs, cycles - 1 + self.horizon)
-            .expect("input width checked by caller");
-        let input_words = splat_inputs::<Wd>(inputs);
-
-        // Group injections by cycle (all lanes of a word share the golden
-        // snapshot) and pack up to `Wd::LANES` per batch.
-        let mut by_cycle: Vec<Vec<(usize, usize)>> = vec![Vec::new(); cycles];
-        for (i, &(dff, cycle)) in points.iter().enumerate() {
-            by_cycle[cycle].push((i, dff));
-        }
-        let mut batches: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-        for (cycle, list) in by_cycle.into_iter().enumerate() {
-            for chunk in list.chunks(Wd::LANES) {
-                batches.push((cycle, chunk.to_vec()));
-            }
-        }
-
-        let run = campaign.run_ranges(
-            &batches,
-            |_| {
-                // Metric handles are resolved once per worker (the
-                // registry lookup takes a mutex) and only when telemetry
-                // is on, so the disabled path carries no handle at all.
-                // Bounds cover every supported width (64 * {1, 2, 4, 8})
-                // so one histogram serves all lane widths.
-                let occupancy = rescue_telemetry::enabled().then(|| {
-                    metrics::histogram(
-                        "seu.lane_occupancy",
-                        &[8, 16, 24, 32, 40, 48, 56, 64, 128, 192, 256, 384, 512],
-                    )
-                });
-                (LaneMachine::<Wd>::new(&compiled), occupancy)
-            },
-            |(machine, occupancy), _, range| {
-                let out = range
-                    .iter()
-                    .map(|(cycle, lanes)| {
-                        if let Some(h) = occupancy {
-                            h.record(lanes.len() as u64);
-                        }
-                        self.run_batch(&compiled, &trace, &input_words, machine, *cycle, lanes)
-                    })
-                    .collect();
-                // Shard-granularity flush: one registry touch per worker
-                // range, never per batch or injection.
-                let (restores, steps) = machine.take_counters();
-                if rescue_telemetry::enabled() {
-                    metrics::counter("sim.snapshot_restores").add(restores);
-                    metrics::counter("sim.seq_steps").add(steps);
-                    metrics::counter("seu.batches").add(range.len() as u64);
-                }
-                out
-            },
+        assert_eq!(
+            inputs.len(),
+            compiled.primary_inputs().len(),
+            "SEU input width mismatch"
         );
+        let input_words = splat_inputs::<Wd>(inputs);
+        let record = || {
+            GoldenTrace::record(&compiled, inputs, cycles - 1 + self.horizon)
+                .expect("input width checked above")
+        };
+
+        let (injections, mut stats) = match durable {
+            None => {
+                let trace = record();
+                let batches = cycle_batches(points, cycles, Wd::LANES);
+                let run = campaign.run_dynamic(
+                    &batches,
+                    |_| {
+                        // Metric handles are resolved once per worker (the
+                        // registry lookup takes a mutex) and only when
+                        // telemetry is on, so the disabled path carries no
+                        // handle at all. Bounds cover every supported width
+                        // (64 * {1, 2, 4, 8}) so one histogram serves all
+                        // lane widths.
+                        let occupancy = rescue_telemetry::enabled().then(|| {
+                            metrics::histogram(
+                                "seu.lane_occupancy",
+                                &[8, 16, 24, 32, 40, 48, 56, 64, 128, 192, 256, 384, 512],
+                            )
+                        });
+                        (LaneMachine::<Wd>::new(&compiled), occupancy)
+                    },
+                    |(machine, occupancy), _, chunk| {
+                        let out = chunk
+                            .iter()
+                            .map(|(cycle, lanes)| {
+                                if let Some(h) = occupancy {
+                                    h.record(lanes.len() as u64);
+                                }
+                                self.run_batch(
+                                    &compiled,
+                                    &trace,
+                                    &input_words,
+                                    machine,
+                                    *cycle,
+                                    lanes,
+                                )
+                            })
+                            .collect();
+                        // Chunk-granularity flush: one registry touch per
+                        // claimed chunk, never per batch or injection.
+                        flush_counters(machine, chunk.len());
+                        out
+                    },
+                );
+                let mut stats = CampaignStats::from_run(points.len(), &run);
+                let mut injections: Vec<Option<SeuInjection>> = vec![None; points.len()];
+                for batch in &run.results {
+                    stats.record_lanes(batch.len() as u64, Wd::LANES as u64);
+                    for &(orig, inj) in batch {
+                        injections[orig] = Some(inj);
+                    }
+                }
+                let injections = injections
+                    .into_iter()
+                    .map(|o| o.expect("every injection point classified"))
+                    .collect();
+                (injections, stats)
+            }
+            Some((store, unit_points)) => {
+                let manifest = self.manifest_for(&compiled, inputs, points, unit_points);
+                let run = campaign.run_store(
+                    points,
+                    &manifest,
+                    store,
+                    record,
+                    |_, _| LaneMachine::<Wd>::new(&compiled),
+                    |trace, machine, _off, unit: &[(usize, usize)]| {
+                        // Verdicts are lane-placement independent, so
+                        // packing per unit can't change them.
+                        let batches = cycle_batches(unit, cycles, Wd::LANES);
+                        let mut out: Vec<Option<SeuInjection>> = vec![None; unit.len()];
+                        for (cycle, lanes) in &batches {
+                            for (i, inj) in self.run_batch(
+                                &compiled,
+                                trace,
+                                &input_words,
+                                machine,
+                                *cycle,
+                                lanes,
+                            ) {
+                                out[i] = Some(inj);
+                            }
+                        }
+                        flush_counters(machine, batches.len());
+                        out.into_iter()
+                            .map(|o| o.expect("every injection point classified"))
+                            .collect()
+                    },
+                    encode_injections,
+                    decode_injections,
+                    seu_delta,
+                );
+                let mut stats = CampaignStats {
+                    injections: points.len(),
+                    elapsed_ns: run.elapsed_ns,
+                    workers: run.worker_ns.len(),
+                    worker_ns: run.worker_ns.clone(),
+                    chunks_stolen: run.steals,
+                    faults_walked: points.len(),
+                    units_total: run.units_total,
+                    units_cached: run.units_cached + run.units_waited,
+                    units_executed: run.units_executed,
+                    ..CampaignStats::default()
+                };
+                // Lane occupancy recomputed from the plan, not from what
+                // this process happened to execute — a resumed run
+                // reports the same figures as an uninterrupted one.
+                for unit in &manifest.units {
+                    for (_, lanes) in cycle_batches(&points[unit.range.clone()], cycles, Wd::LANES)
+                    {
+                        stats.record_lanes(lanes.len() as u64, Wd::LANES as u64);
+                    }
+                }
+                (run.results, stats)
+            }
+        };
         if rescue_telemetry::enabled() {
             metrics::gauge("seu.lane_width").set(Wd::LANES as i64);
         }
-
-        let mut stats = CampaignStats::from_run(points.len(), &run);
-        let mut injections: Vec<Option<SeuInjection>> = vec![None; points.len()];
-        for batch in &run.results {
-            stats.record_lanes(batch.len() as u64, Wd::LANES as u64);
-            for &(orig, inj) in batch {
-                injections[orig] = Some(inj);
-            }
-        }
-        let injections: Vec<SeuInjection> = injections
-            .into_iter()
-            .map(|o| o.expect("every injection point classified"))
-            .collect();
         for inj in &injections {
             match inj.outcome {
                 SeuOutcome::Masked => stats.tally.masked += 1,
@@ -693,6 +624,39 @@ impl SeuCampaign {
                 )
             })
             .collect()
+    }
+}
+
+/// Groups `points` by injection cycle and cuts each group, in point
+/// order, into batches of at most `lanes`: all lanes of a batch share
+/// one golden snapshot. A batch is its cycle and its `(point index,
+/// dff)` lanes.
+fn cycle_batches(
+    points: &[(usize, usize)],
+    cycles: usize,
+    lanes: usize,
+) -> Vec<(usize, Vec<(usize, usize)>)> {
+    let mut by_cycle: Vec<Vec<(usize, usize)>> = vec![Vec::new(); cycles];
+    for (i, &(dff, cycle)) in points.iter().enumerate() {
+        by_cycle[cycle].push((i, dff));
+    }
+    let mut batches = Vec::new();
+    for (cycle, list) in by_cycle.into_iter().enumerate() {
+        for chunk in list.chunks(lanes) {
+            batches.push((cycle, chunk.to_vec()));
+        }
+    }
+    batches
+}
+
+/// Moves a lane machine's step and restore counts, and the `batches` it
+/// ran, into the telemetry counters when telemetry is on.
+fn flush_counters<Wd: SimWord>(machine: &mut LaneMachine<Wd>, batches: usize) {
+    let (restores, steps) = machine.take_counters();
+    if rescue_telemetry::enabled() {
+        metrics::counter("sim.snapshot_restores").add(restores);
+        metrics::counter("sim.seq_steps").add(steps);
+        metrics::counter("seu.batches").add(batches as u64);
     }
 }
 

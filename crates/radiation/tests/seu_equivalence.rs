@@ -38,17 +38,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Exhaustive campaigns: bit-identical reports for every design,
-    /// warmup/horizon shape and worker count.
+    /// warmup/horizon shape and worker count, and the same outcome tally
+    /// and lane figures as the 1-worker run.
     #[test]
     fn exhaustive_matches_reference(seed in 0u64..400, warmup in 0usize..9, horizon in 0usize..11) {
         let (net, inputs) = design(seed);
         let campaign = SeuCampaign::new(warmup, horizon);
         let oracle = reference::run_exhaustive(&campaign, &net, &inputs);
-        prop_assert_eq!(&campaign.run_exhaustive(&net, &inputs), &oracle);
+        let serial = campaign.run_exhaustive_on(&net, &inputs, &Campaign::new(seed, 1));
+        prop_assert_eq!(&serial.report, &oracle);
         for workers in [2usize, 3, 4] {
             let run = campaign.run_exhaustive_on(&net, &inputs, &Campaign::new(seed, workers));
             prop_assert_eq!(&run.report, &oracle, "workers = {}", workers);
             prop_assert_eq!(run.stats.tally.total(), oracle.injections().len());
+            prop_assert_eq!(run.stats.tally, serial.stats.tally, "workers = {}", workers);
+            prop_assert_eq!(run.stats.lanes_used, serial.stats.lanes_used, "workers = {}", workers);
+            prop_assert_eq!(
+                run.stats.lanes_capacity,
+                serial.stats.lanes_capacity,
+                "workers = {}",
+                workers
+            );
         }
     }
 

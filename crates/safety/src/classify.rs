@@ -109,10 +109,10 @@ pub fn classify(
     .report
 }
 
-/// [`classify`] on the shared [`Campaign`] driver: faults are sharded
-/// over scoped workers, each walking fault effects forward with the
-/// packed engine and observing the two output groups. Verdicts are
-/// identical for every worker count.
+/// [`classify`] on the shared [`Campaign`] driver: faults are handed out
+/// to scoped workers through the work-stealing queue, each walking fault
+/// effects forward with the packed engine and observing the two output
+/// groups. Verdicts are identical for every worker count.
 ///
 /// # Panics
 ///
@@ -138,7 +138,7 @@ pub fn classify_with_stats(
             (sim.golden(&words), live_mask(chunk.len()))
         })
         .collect();
-    let run = campaign.run_ranges(
+    let run = campaign.run_dynamic(
         faults,
         |_| FaultScratch::new(c.len()),
         |scratch, _, range| {

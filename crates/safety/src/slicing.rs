@@ -136,11 +136,11 @@ pub fn sliced_campaign(
 }
 
 /// [`sliced_campaign`] on the shared [`Campaign`] driver: slices and
-/// golden values are computed once per pattern, then faults are sharded
-/// over scoped workers. Each fault's pattern walk — skip-if-detected,
-/// skip-if-out-of-slice, simulate otherwise — is independent of every
-/// other fault, so verdicts *and* both simulation counters are identical
-/// for every worker count.
+/// golden values are computed once per pattern, then faults are handed
+/// out to scoped workers through the work-stealing queue. Each fault's
+/// pattern walk — skip-if-detected, skip-if-out-of-slice, simulate
+/// otherwise — is independent of every other fault, so verdicts *and*
+/// both simulation counters are identical for every worker count.
 ///
 /// # Panics
 ///
@@ -175,7 +175,7 @@ pub fn sliced_campaign_on(
             })
             .collect()
     };
-    let sharded = campaign.run_ranges(
+    let sharded = campaign.run_dynamic(
         faults,
         |_| FaultScratch::new(c.len()),
         |scratch, _, range| {

@@ -90,11 +90,12 @@ pub fn classify_transitions(
 
 /// [`classify_transitions`] on the shared [`Campaign`] driver: pattern
 /// pairs are simulated once, 64 pairs per word (launch patterns and the
-/// capture patterns one further), then faults are sharded over scoped
-/// workers, each applying the launch-on-shift reduction through the
-/// packed walk: the launch condition at the site gates the observed
-/// masks of the stuck-at equivalent on the capture word. Verdicts are
-/// identical for every worker count.
+/// capture patterns one further), then faults are handed out to scoped
+/// workers through the work-stealing queue, each applying the
+/// launch-on-shift reduction through the packed walk: the launch
+/// condition at the site gates the observed masks of the stuck-at
+/// equivalent on the capture word. Verdicts are identical for every
+/// worker count.
 ///
 /// # Panics
 ///
@@ -146,7 +147,7 @@ pub fn classify_transitions_with_stats(
         })
         .collect();
 
-    let run = campaign.run_ranges(
+    let run = campaign.run_dynamic(
         &specs,
         |_| FaultScratch::new(c.len()),
         |scratch, _, range| {

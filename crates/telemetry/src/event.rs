@@ -3,8 +3,8 @@
 //! The hot path is append-only into a `thread_local!` vector — no lock,
 //! no allocation beyond the vector's amortized growth. Buffers drain
 //! into the global sink when they reach [`FLUSH_AT`] events and when
-//! their thread exits (scoped campaign workers flush on scope exit, so
-//! a drain after `Campaign::run_ranges` sees every worker's events).
+//! their thread exits (scoped campaign workers flush on exit, so a drain
+//! after `Campaign::run_dynamic` sees every worker's events).
 //! Every event carries a globally unique sequence number, so the merged
 //! stream has a total order even across threads.
 
