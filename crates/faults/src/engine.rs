@@ -29,7 +29,7 @@
 //! * **Static observability pruning** — a site whose cone contains no
 //!   primary output can never be detected; its faults are answered with
 //!   `0` without any walk ([`CampaignPlan::observable`]). The same
-//!   reverse-topological PO-reachability sweep also keeps unobservable
+//!   PO-reachability search ([`po_reachable`]) also keeps unobservable
 //!   gates out of the event queue: gates that cannot reach an output
 //!   cannot feed one either.
 //!
@@ -64,40 +64,37 @@ pub struct CampaignPlan {
     /// Per gate: whether some fault of the plan's list sits at the gate.
     planned: Vec<bool>,
     /// Per gate: whether the gate's combinational fanout cone (or the
-    /// gate itself) contains a primary output — computed for every gate
-    /// in one reverse-topological sweep at build time.
+    /// gate itself) contains a primary output — [`po_reachable`], run
+    /// once at build time.
     observable: Vec<bool>,
 }
-/// PO-reachability for every gate in one reverse-topological sweep: a
-/// gate is reachable when it drives a primary output or any non-DFF
-/// fanout is reachable. Sources (Input/Dff outputs) sit outside
-/// eval_order and close the pass — their fanouts are combinational gates
-/// the sweep already settled.
+
+/// PO-reachability for every gate: a gate is reachable when it drives a
+/// primary output or any non-DFF fanout is reachable, so a flip of its
+/// value can reach an output within the cycle. One backward search from
+/// the output drivers over pins that never expands a DFF (a flop's `D`
+/// cone reaches nothing through it within the cycle), so it costs
+/// O(cone) on top of the flag vector, not O(gates + edges).
 ///
-/// This is the same O(gates + edges) sweep [`CampaignPlan::build`] runs;
-/// exposed standalone so campaign front-ends can prefilter a fault list
-/// (e.g. collapsed-universe representatives) before building a plan.
+/// [`CampaignPlan::build`] and the trace plan run it; exposed standalone
+/// so campaign front-ends can prefilter a fault list (e.g.
+/// collapsed-universe representatives) before building a plan.
 pub fn po_reachable(compiled: &CompiledNetlist) -> Vec<bool> {
-    let n = compiled.len();
-    let mut reachable = vec![false; n];
-    for (g, r) in reachable.iter_mut().enumerate() {
-        *r = compiled.is_po(g);
-    }
-    for &g in compiled.eval_order().iter().rev() {
-        let gi = g as usize;
-        if !reachable[gi] {
-            reachable[gi] = compiled
-                .fanout_of(gi)
-                .iter()
-                .any(|&s| compiled.kind(s as usize) != GateKind::Dff && reachable[s as usize]);
+    let mut reachable = vec![false; compiled.len()];
+    let mut stack: Vec<u32> = Vec::new();
+    for &g in compiled.po_drivers() {
+        if !std::mem::replace(&mut reachable[g as usize], true) {
+            stack.push(g);
         }
     }
-    for g in 0..n {
-        if !reachable[g] && matches!(compiled.kind(g), GateKind::Input | GateKind::Dff) {
-            reachable[g] = compiled
-                .fanout_of(g)
-                .iter()
-                .any(|&s| compiled.kind(s as usize) != GateKind::Dff && reachable[s as usize]);
+    while let Some(g) = stack.pop() {
+        if compiled.kind(g as usize) == GateKind::Dff {
+            continue;
+        }
+        for &p in compiled.pins_of(g as usize) {
+            if !std::mem::replace(&mut reachable[p as usize], true) {
+                stack.push(p);
+            }
         }
     }
     reachable
@@ -135,7 +132,7 @@ pub fn output_cone(compiled: &CompiledNetlist) -> Vec<u32> {
 }
 
 impl CampaignPlan {
-    /// Marks every fault site of `faults` and sweeps PO reachability
+    /// Marks every fault site of `faults` and searches PO reachability
     /// ([`po_reachable`]). A fault past the last gate plans nothing.
     pub fn build(compiled: &CompiledNetlist, faults: &[Fault]) -> Self {
         let _span = span!("plan.build", faults = faults.len());

@@ -29,7 +29,8 @@ use rescue_sim::compiled::CompiledNetlist;
 use rescue_sim::wide::{pack_patterns_wide_into, PackedWord, SimWord, SUPPORTED_LANE_WIDTHS};
 use rescue_telemetry::{metrics, span};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 /// Outcome of a fault-simulation campaign.
@@ -122,8 +123,8 @@ pub struct PackedOptions<'a> {
     /// 2 / 4 / 8 ([`PackedWord`], up to 512 patterns per walk).
     pub lane_width: usize,
     /// When set, the engine walks only equivalence-class representatives
-    /// and expands their verdicts to the rest of the universe via
-    /// [`CollapsedUniverse::representative`]. Sound because equivalent
+    /// and expands their verdicts to the rest of the universe by class
+    /// ([`CollapsedUniverse::representative`]). Sound because equivalent
     /// faults have identical detection masks on every pattern set.
     pub collapsed: Option<&'a CollapsedUniverse>,
     /// When set, detection runs through the critical-path-tracing /
@@ -480,7 +481,7 @@ impl FaultSimulator {
             "fault.campaign"
         };
         let _campaign = span!(stage, faults = faults.len());
-        let (walk, expand) = self.walk_list(faults, opts);
+        let (walk, expansion) = self.walk_list(faults, opts);
         let manifest =
             durable.map(|(_, grain)| self.manifest_for(faults, patterns, opts, walk.len(), grain));
         let durable = durable.map(|(store, _)| store).zip(manifest.as_ref());
@@ -518,7 +519,7 @@ impl FaultSimulator {
             faults_traced,
             ..stats
         };
-        finish_packed(faults, opts, &geometry, expand, results, stats)
+        finish_packed(faults, &walk, opts, &geometry, expansion, results, stats)
     }
 
     /// The deterministic unit plan a durable campaign executes: the walk
@@ -561,66 +562,73 @@ impl FaultSimulator {
 
     /// Collapse prefilter shared by the plain and durable packed
     /// campaigns: walk each equivalence class once, in order of first
-    /// appearance, then sweep PO reachability over the representatives —
-    /// structurally unobservable classes share the all-zero detection
-    /// mask and expand to "undetected" without a walk. Exact because
-    /// equivalent faults have identical detection masks (the property
-    /// the `collapse` tests pin down), so even first-detection indices
-    /// expand unchanged. Classes are told apart by their representative's
-    /// `u32` slot ([`CollapsedUniverse::representative_slot`]), so only
-    /// the walked representatives are decoded into [`Fault`]s.
+    /// appearance, and only when an output can observe its representative
+    /// ([`crate::engine::po_reachable`]) — structurally unobservable
+    /// classes share the all-zero detection mask and expand to
+    /// "undetected" without a walk. Exact because equivalent faults have
+    /// identical detection masks (the property the `collapse` tests pin
+    /// down), so even first-detection indices expand unchanged. Classes
+    /// are told apart by their representative's `u32` slot
+    /// ([`CollapsedUniverse::class_of`]). Nothing per fault or per class
+    /// outlives the walk list: [`finish_packed`] indexes the walked
+    /// classes again ([`WalkedClasses`]) and finds each fault's class.
     ///
     /// Faults outside the design (a gate past the end, or, when
     /// collapsing, a pin past its gate's arity) are never walked: no
-    /// pattern detects them. The returned map gives the walked slot that
-    /// answers each original fault ([`UNWALKED`]: never detected). It is
-    /// `None`, and the walk list borrows `faults`, when collapsing is off
-    /// and every fault sits inside the design.
-    fn walk_list<'f>(
-        &self,
+    /// pattern detects them. Without collapsing, the walk list borrows
+    /// `faults` when every fault sits on a gate of the design, and is
+    /// the faults that do otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics, when collapsing, on a delay-kind fault at a gate an output
+    /// observes: collapsing gives delay kinds no slot, and the walk that
+    /// rejects them on the uncollapsed path would never see it.
+    fn walk_list<'f, 'c>(
+        &'c self,
         faults: &'f [Fault],
-        opts: &PackedOptions,
-    ) -> (Cow<'f, [Fault]>, Option<Vec<u32>>) {
+        opts: &PackedOptions<'c>,
+    ) -> (Cow<'f, [Fault]>, Expansion<'c>) {
         let _span = span!("exec.walk_list", faults = faults.len());
         let c = &self.compiled;
-        let Some(cu) = opts.collapsed else {
-            let inside = |f: &Fault| f.site().gate().index() < c.len();
-            if faults.iter().all(inside) {
-                return (Cow::Borrowed(faults), None);
+        let Some(collapsed) = opts.collapsed else {
+            let gates = c.len();
+            if faults.iter().all(|f| f.site().gate().index() < gates) {
+                return (Cow::Borrowed(faults), Expansion::Identity);
             }
-            let mut walk = Vec::new();
-            let map = faults
+            let walk = faults
                 .iter()
-                .map(|&f| {
-                    if !inside(&f) {
-                        return UNWALKED;
-                    }
-                    walk.push(f);
-                    walk.len() as u32 - 1
-                })
+                .copied()
+                .filter(|f| f.site().gate().index() < gates)
                 .collect();
-            return (Cow::Owned(walk), Some(map));
+            return (Cow::Owned(walk), Expansion::Inside { gates });
         };
-        // O(gates + edges) reachability sweep first, so the plan covers
-        // only the faults that will actually be walked. Then one pass
-        // over the universe: per fault, one slot lookup, and a hash
-        // probe only when the class is observable.
+        // O(cone) reachability search first, so the plan covers only the
+        // faults that will actually be walked. Then one pass over the
+        // universe: per fault on an observed gate, one slot lookup, and a
+        // hash probe when the class is observed too.
         let reachable = crate::engine::po_reachable(c);
-        let mut index_of: HashMap<u32, u32> = HashMap::new();
+        let mut seen: HashSet<u32, SlotHash> = HashSet::default();
         let mut walk = Vec::new();
-        let map = faults
-            .iter()
-            .map(|&f| match cu.representative_slot(f) {
-                Some((slot, gate)) if reachable[gate] => {
-                    *index_of.entry(slot).or_insert_with(|| {
-                        walk.push(cu.fault_of(slot));
-                        walk.len() as u32 - 1
-                    })
+        for &f in faults.iter().filter(|&&f| on_observed_gate(&reachable, f)) {
+            match collapsed.class_of(f) {
+                Some((slot, rep)) if reachable[rep.site().gate().index()] => {
+                    if seen.insert(slot) {
+                        walk.push(rep);
+                    }
                 }
-                _ => UNWALKED,
-            })
-            .collect();
-        (Cow::Owned(walk), Some(map))
+                Some(_) => {}
+                None => assert!(
+                    f.kind().stuck_value().is_some(),
+                    "stuck-at campaign requires stuck-at faults"
+                ),
+            }
+        }
+        let expansion = Expansion::Classes {
+            collapsed,
+            compiled: c,
+        };
+        (Cow::Owned(walk), expansion)
     }
 
     /// Golden values of every chunk of `patterns` on arena `c`, computed
@@ -886,9 +894,104 @@ pub fn campaign_arena<'c, 'w>(
     (Cow::Owned(arena), walk.iter().map(in_cone).collect())
 }
 
-/// Expansion-map entry of a fault no walked fault answers: an
-/// unobservable class or a fault outside the design, never detected.
-const UNWALKED: u32 = u32::MAX;
+/// How [`finish_packed`] expands the walk list's verdicts to the
+/// campaign's fault list, as [`FaultSimulator::walk_list`] built it.
+enum Expansion<'c> {
+    /// The walk list is the fault list.
+    Identity,
+    /// Without collapsing: the walk list is, in order, the faults on the
+    /// first `gates` gates, so a running counter expands it and every
+    /// other fault reads "undetected".
+    Inside { gates: usize },
+    /// With collapsing: a fault reads its class's verdict when the walk
+    /// list walked the class ([`WalkedClasses`]) and "undetected"
+    /// otherwise.
+    Classes {
+        collapsed: &'c CollapsedUniverse,
+        compiled: &'c CompiledNetlist,
+    },
+}
+
+/// The classes a collapsed campaign walked, rebuilt from its walk list
+/// for the expansion, so nothing of the sort is held while the campaign
+/// runs: the gates an output observes, and the walk index of each
+/// walked class slot.
+struct WalkedClasses<'c> {
+    collapsed: &'c CollapsedUniverse,
+    reachable: Vec<bool>,
+    index: HashMap<u32, u32, SlotHash>,
+}
+
+impl<'c> WalkedClasses<'c> {
+    fn new(compiled: &CompiledNetlist, collapsed: &'c CollapsedUniverse, walk: &[Fault]) -> Self {
+        let mut index = HashMap::with_capacity_and_hasher(walk.len(), SlotHash::default());
+        for (k, &rep) in walk.iter().enumerate() {
+            let (slot, _) = collapsed.class_of(rep).expect("a walked class has a slot");
+            index.insert(slot, k as u32);
+        }
+        WalkedClasses {
+            collapsed,
+            reachable: crate::engine::po_reachable(compiled),
+            index,
+        }
+    }
+
+    /// The walk index of `fault`'s class, when the campaign walked it.
+    #[inline]
+    fn walk_index(&self, fault: Fault) -> Option<usize> {
+        if !on_observed_gate(&self.reachable, fault) {
+            return None;
+        }
+        let (slot, _) = self.collapsed.class_of(fault)?;
+        self.index.get(&slot).map(|&k| k as usize)
+    }
+}
+
+/// Whether an output observes the gate `fault` sits on. Every collapse
+/// rule folds a fault into one whose gate an output observes only if it
+/// observes the fault's own gate too (a pin into its gate's output, a
+/// wire into the driver whose only load is that pin's gate, a driver
+/// into the combinational gate that is its only load), so a fault on an
+/// unobserved gate is in an unobserved class and needs no slot lookup.
+#[inline]
+fn on_observed_gate(reachable: &[bool], fault: Fault) -> bool {
+    reachable.get(fault.site().gate().index()) == Some(&true)
+}
+
+/// Hashes the `u32` class slots ([`CollapsedUniverse::class_of`]) the
+/// walk list and the expansion key on.
+type SlotHash = BuildHasherDefault<SlotHasher>;
+
+/// Hasher for `u32` class slots: one multiply by the 64-bit golden
+/// ratio, whose product spreads the low bits the table indexes with and
+/// the high bits it tags entries with. Slot keys come from the design,
+/// so SipHash's flooding resistance buys nothing, and a campaign hashes
+/// every observable fault twice.
+#[derive(Default)]
+struct SlotHasher(u64);
+
+impl SlotHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for SlotHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, key: u32) {
+        self.add(u64::from(key));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Default durable-campaign unit grain, in walked faults per unit.
 /// Matches the work-stealing chunk ceiling so one unit is a few
@@ -1308,16 +1411,19 @@ fn unit_delta<Wd: SimWord>(rs: &[Option<usize>], n_chunks: usize) -> StatsDelta 
 }
 
 /// Shared tail of the plain and durable packed campaigns: lane
-/// telemetry, then one pass that expands the verdicts over the full
-/// universe and tallies the detected and dropped faults, under an
-/// `exec.expand` span. It reads only the chunk geometry, never a golden
-/// value. `stats` arrives with the timing, worker and unit figures
-/// already filled by the respective driver.
+/// telemetry, then one pass that expands the walk list's verdicts over
+/// the full universe as `expansion` says and tallies the detected and
+/// dropped faults, under an `exec.expand` span. With collapsing it
+/// indexes the walked classes ([`WalkedClasses`]) and finds each fault's
+/// class again: a slot lookup and a probe, both skipped on unobserved
+/// gates. It reads only the chunk geometry, never a golden value. `stats` arrives with the timing, worker and unit
+/// figures already filled by the respective driver.
 fn finish_packed<Wd: SimWord>(
     faults: &[Fault],
+    walk: &[Fault],
     opts: &PackedOptions,
     geometry: &ChunkGeometry<Wd>,
-    expand: Option<Vec<u32>>,
+    expansion: Expansion<'_>,
     results: Vec<Option<usize>>,
     mut stats: CampaignStats,
 ) -> CampaignRun {
@@ -1354,18 +1460,31 @@ fn finish_packed<Wd: SimWord>(
         }
         d
     };
-    let first_detection: Vec<Option<usize>> = match expand {
-        None => results.into_iter().map(&mut tally).collect(),
-        Some(map) => map
-            .iter()
-            .map(|&s| {
-                tally(if s == UNWALKED {
-                    None
-                } else {
-                    results[s as usize]
+    let first_detection: Vec<Option<usize>> = match expansion {
+        Expansion::Identity => results.into_iter().map(&mut tally).collect(),
+        Expansion::Inside { gates } => {
+            let mut verdicts = results.into_iter();
+            faults
+                .iter()
+                .map(|f| {
+                    tally(if f.site().gate().index() < gates {
+                        verdicts.next().expect("a verdict per walked fault")
+                    } else {
+                        None
+                    })
                 })
-            })
-            .collect(),
+                .collect()
+        }
+        Expansion::Classes {
+            collapsed,
+            compiled,
+        } => {
+            let walked = WalkedClasses::new(compiled, collapsed, walk);
+            faults
+                .iter()
+                .map(|&f| tally(walked.walk_index(f).and_then(|k| results[k])))
+                .collect()
+        }
     };
     stats.tally.detected = detected;
     stats.tally.undetected = faults.len() - detected;
